@@ -36,21 +36,14 @@ from .engine import (
     BenchmarkReport,
     ExperimentReport,
     SweepReport,
+    _estimate_to_dict,
     asymptotic_sweep,
     config_to_dict,
     reproduce_table,
     run_experiment,
-    rule_to_dict,
 )
 from .metrics import MetricEstimate, MetricKind
-from .rules import (
-    BhRule,
-    GapIntersectionRule,
-    GapRule,
-    IntersectionRule,
-    Rule,
-    TopMRule,
-)
+from .rules import BhRule, GapRule, TopMRule, _fmt
 from .thresholds import ErrorBudget
 
 WORKERS_ENV = "SEQGAP_WORKERS"
@@ -58,43 +51,6 @@ WORKERS_ENV = "SEQGAP_WORKERS"
 # Metrics that are proportions (rendered as percentages in text output);
 # the per-family expected counts are shown raw.
 _PERCENT_KINDS = frozenset(MetricKind) - {MetricKind.PFER, MetricKind.PFER2}
-
-
-def _fmt(x: float) -> str:
-    """17-significant-digit decimal serialization (exact float round trip)."""
-    return format(float(x), ".17g")
-
-
-def _rule_name(rule: Rule) -> str:
-    return rule_to_dict(rule)["type"]
-
-
-def _bounds_cell(rule: Rule, j: int) -> str:
-    if isinstance(rule, (GapRule, TopMRule)):
-        return f"m={rule.num_signals}"
-    if isinstance(rule, GapIntersectionRule):
-        return f"l={rule.min_signals},u={rule.max_signals}"
-    if isinstance(rule, IntersectionRule):
-        return f"l=0,u={j}"
-    return ""
-
-
-def _threshold_cell(rule: Rule) -> str:
-    if isinstance(rule, GapRule):
-        return _fmt(rule.threshold)
-    if isinstance(rule, GapIntersectionRule):
-        return ";".join(
-            f"{name}={_fmt(getattr(rule, name))}"
-            for name in ("accept_barrier", "reject_barrier", "accept_gap", "reject_gap")
-        )
-    if isinstance(rule, IntersectionRule):
-        return ";".join(
-            f"{name}={_fmt(getattr(rule, name))}"
-            for name in ("accept_barrier", "reject_barrier")
-        )
-    if isinstance(rule, BhRule):
-        return f"n={rule.sample_size};level={_fmt(rule.level)}"
-    return f"n={rule.sample_size}"
 
 
 RUN_CSV_COLUMNS = [
@@ -122,10 +78,10 @@ def write_run_csv(report: ExperimentReport, out) -> None:
     for kind, est in report.metrics.items():
         writer.writerow(
             [
-                _rule_name(config.rule),
+                config.rule.name,
                 config.profile.j,
-                _bounds_cell(config.rule, config.profile.j),
-                _threshold_cell(config.rule),
+                config.rule.bounds_cell(config.profile.j),
+                config.rule.threshold_cell(),
                 config.replications,
                 config.master_seed,
                 _fmt(report.mean_stopping_time.value),
@@ -252,18 +208,13 @@ def calibration_payload(result: CalibrationResult) -> dict:
         "search_seed": result.search_seed,
         "evaluation_seed": result.evaluation_seed,
         "achieved": {
-            kind.value: {"value": est.value, "se": est.se, "n_effective": est.n_effective}
-            for kind, est in result.achieved.items()
+            kind.value: _estimate_to_dict(est) for kind, est in result.achieved.items()
         },
         "probes": [
             {
                 "point": probe.point,
                 "estimates": {
-                    kind.value: {
-                        "value": est.value,
-                        "se": est.se,
-                        "n_effective": est.n_effective,
-                    }
+                    kind.value: _estimate_to_dict(est)
                     for kind, est in probe.estimates.items()
                 },
             }
@@ -409,8 +360,8 @@ def write_sweep_csv(report: SweepReport, out) -> None:
             [
                 _fmt(row.alpha),
                 _fmt(row.beta),
-                _rule_name(row.rule),
-                _threshold_cell(row.rule),
+                row.rule.name,
+                row.rule.threshold_cell(),
                 _fmt(row.mean_stopping_time.value),
                 _fmt(row.mean_stopping_time.se),
                 _fmt(row.kappa),
@@ -433,7 +384,7 @@ def write_sweep_text(report: SweepReport, out) -> None:
         out.write(
             f"{row.alpha:>10.3g} {row.beta:>10.3g}"
             f" {row.mean_stopping_time.value:>10.2f} {row.kappa:>10.2f}"
-            f" {row.ratio:>8.4f} {row.horizon_hits:>5}  {_threshold_cell(row.rule)}\n"
+            f" {row.ratio:>8.4f} {row.horizon_hits:>5}  {row.rule.threshold_cell()}\n"
         )
 
 
@@ -536,6 +487,7 @@ def _cmd_calibrate(args) -> int:
             budget=loaded.budget,
             grid_step=settings.grid_step,
             threshold_cap=settings.threshold_cap,
+            horizon=experiment.horizon,
             full_scan=settings.full_scan,
             **common,
         )
@@ -563,7 +515,7 @@ def _cmd_calibrate(args) -> int:
     else:
         raise ConfigError(
             "calibration supports rule types gap, top-m, and bh; got "
-            f"{_rule_name(rule)!r}"
+            f"{rule.name!r}"
         )
     _emit(args, lambda fmt, out: write_calibration_report(result, fmt, out))
     return 0
@@ -587,7 +539,10 @@ def _cmd_sweep(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
     args.loaded = loaded
     report = asymptotic_sweep(
-        loaded.experiment, args.alphas, workers=_resolve_workers(args)
+        loaded.experiment,
+        args.alphas,
+        workers=_resolve_workers(args),
+        control=loaded.control,
     )
     _emit(args, lambda fmt, out: write_sweep_report(report, fmt, out))
     return 0

@@ -9,8 +9,9 @@ that only the assembled experiment can detect (rule/metric compatibility,
 say) surface later from the engine as runtime errors.
 
 Threshold values may be the string "auto", which resolves them through the
-closed-form formulas at the configured budget, with the bound constant of
-the rule's ``control`` metric (default fdr).
+closed-form formulas at the configured budget (the rule's ``at_budget``),
+with the bound constant of the rule's ``control`` metric (default fdr).  The
+sweep command uses the same control metric.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 import yaml
 
 from .engine import DEFAULT_HORIZON, ExperimentConfig
-from .metrics import MetricKind, bound_constants
+from .metrics import MetricKind
 from .models import StreamModel, StreamProfile
 from .rules import BhRule, GapIntersectionRule, GapRule, IntersectionRule, Rule, TopMRule
-from .thresholds import ErrorBudget, gap_threshold, gi_thresholds
+from .thresholds import ErrorBudget
 
 FORMATS = ("csv", "json", "text")
 
@@ -49,6 +50,7 @@ class LoadedConfig:
 
     experiment: ExperimentConfig
     budget: ErrorBudget | None
+    control: MetricKind
     calibration: CalibrationSettings
     output_format: str | None
     output_path: str | None
@@ -188,112 +190,65 @@ def _wrap_rule(build, path: str) -> Rule:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+# Stand-in for "auto" thresholds until the rule is resolved at the budget.
+_AUTO_PLACEHOLDER = 1.0
+
+
+def _parse_thresholds(section: dict, names: tuple[str, ...]) -> tuple[dict, bool]:
+    """The ``thresholds`` mapping of a barrier rule, and whether it is "auto"."""
+    raw = _pop(section, "rule", "thresholds")
+    _done(section, "rule")
+    if raw == "auto":
+        return dict.fromkeys(names, _AUTO_PLACEHOLDER), True
+    sub = _mapping(raw, "rule.thresholds")
+    values = {
+        key: _as_number(_pop(sub, "rule.thresholds", key), f"rule.thresholds.{key}")
+        for key in names
+    }
+    _done(sub, "rule.thresholds")
+    return values, False
+
+
 def _parse_rule(
     doc,
     j: int,
     truth: frozenset[int],
     budget: ErrorBudget | None,
-) -> Rule:
+) -> tuple[Rule, MetricKind]:
+    """The configured rule, "auto" thresholds resolved, and its control metric."""
     section = _mapping(doc, "rule")
     kind = _as_str(_pop(section, "rule", "type"), "rule.type")
+    control, auto = MetricKind.FDR, False
 
     if kind == "gap":
         num_signals = _as_int(_pop(section, "rule", "num_signals"), "rule.num_signals")
         control = _control_metric(section)
         raw = _pop(section, "rule", "threshold")
         _done(section, "rule")
-        if raw == "auto":
-            c1 = bound_constants(control, "gap", j, num_signals=num_signals).c1
-            threshold = gap_threshold(
-                _need_budget(budget, "rule.threshold"), num_signals, j, c1
-            )
-        else:
-            threshold = _as_number(raw, "rule.threshold")
-        return _wrap_rule(
+        auto = raw == "auto"
+        threshold = _AUTO_PLACEHOLDER if auto else _as_number(raw, "rule.threshold")
+        rule = _wrap_rule(
             lambda: GapRule(num_signals=num_signals, threshold=threshold), "rule"
         )
 
-    if kind == "gap-intersection":
+    elif kind == "gap-intersection":
         min_signals = _as_int(_pop(section, "rule", "min_signals"), "rule.min_signals")
         max_signals = _as_int(_pop(section, "rule", "max_signals"), "rule.max_signals")
         control = _control_metric(section)
-        raw = _pop(section, "rule", "thresholds")
-        _done(section, "rule")
-        if raw == "auto":
-            c1 = bound_constants(
-                control,
-                "gap-intersection",
-                j,
-                num_signals=len(truth) or None,
-                min_signals=min_signals,
-                max_signals=max_signals,
-            ).c1
-            th = gi_thresholds(
-                _need_budget(budget, "rule.thresholds"),
-                j,
-                min_signals,
-                max_signals,
-                c1,
-            )
-            values = {
-                "accept_barrier": th.accept_barrier,
-                "reject_barrier": th.reject_barrier,
-                "accept_gap": th.accept_gap,
-                "reject_gap": th.reject_gap,
-            }
-        else:
-            sub = _mapping(raw, "rule.thresholds")
-            values = {
-                key: _as_number(
-                    _pop(sub, "rule.thresholds", key), f"rule.thresholds.{key}"
-                )
-                for key in (
-                    "accept_barrier",
-                    "reject_barrier",
-                    "accept_gap",
-                    "reject_gap",
-                )
-            }
-            _done(sub, "rule.thresholds")
-        return _wrap_rule(
+        values, auto = _parse_thresholds(section, GapIntersectionRule.threshold_names)
+        rule = _wrap_rule(
             lambda: GapIntersectionRule(
                 min_signals=min_signals, max_signals=max_signals, **values
             ),
             "rule",
         )
 
-    if kind == "intersection":
+    elif kind == "intersection":
         control = _control_metric(section)
-        raw = _pop(section, "rule", "thresholds")
-        _done(section, "rule")
-        if raw == "auto":
-            c1 = bound_constants(
-                control,
-                "gap-intersection",
-                j,
-                num_signals=len(truth) or None,
-                min_signals=0,
-                max_signals=j,
-            ).c1
-            th = gi_thresholds(
-                _need_budget(budget, "rule.thresholds"), j, 0, j, c1
-            )
-            values = {
-                "accept_barrier": th.accept_barrier,
-                "reject_barrier": th.reject_barrier,
-            }
-        else:
-            sub = _mapping(raw, "rule.thresholds")
-            values = {
-                key: _as_number(
-                    _pop(sub, "rule.thresholds", key), f"rule.thresholds.{key}"
-                )
-                for key in ("accept_barrier", "reject_barrier")
-            }
-            _done(sub, "rule.thresholds")
-        return _wrap_rule(lambda: IntersectionRule(**values), "rule")
+        values, auto = _parse_thresholds(section, IntersectionRule.threshold_names)
+        rule = _wrap_rule(lambda: IntersectionRule(**values), "rule")
 
-    if kind == "bh":
+    elif kind == "bh":
         sample_size = _as_int(_pop(section, "rule", "sample_size"), "rule.sample_size")
         raw = _pop(section, "rule", "level", required=False)
         _done(section, "rule")
@@ -301,20 +256,26 @@ def _parse_rule(
             level = _need_budget(budget, "rule.level (omitted)").alpha
         else:
             level = _as_number(raw, "rule.level")
-        return _wrap_rule(lambda: BhRule(sample_size=sample_size, level=level), "rule")
+        rule = _wrap_rule(lambda: BhRule(sample_size=sample_size, level=level), "rule")
 
-    if kind == "top-m":
+    elif kind == "top-m":
         sample_size = _as_int(_pop(section, "rule", "sample_size"), "rule.sample_size")
         num_signals = _as_int(_pop(section, "rule", "num_signals"), "rule.num_signals")
         _done(section, "rule")
-        return _wrap_rule(
+        rule = _wrap_rule(
             lambda: TopMRule(sample_size=sample_size, num_signals=num_signals), "rule"
         )
 
-    raise ConfigError(
-        "rule.type must be one of gap, gap-intersection, intersection, bh, "
-        f"top-m; got {kind!r}"
-    )
+    else:
+        raise ConfigError(
+            "rule.type must be one of gap, gap-intersection, intersection, bh, "
+            f"top-m; got {kind!r}"
+        )
+
+    if auto:
+        field = "rule.threshold" if kind == "gap" else "rule.thresholds"
+        rule = rule.at_budget(_need_budget(budget, field), j, truth, control)
+    return rule, control
 
 
 def _parse_metrics(raw) -> tuple[MetricKind, ...]:
@@ -395,7 +356,7 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     profile = _parse_streams(top["streams"])
     truth = _parse_truth(top["truth"], profile.j)
     budget = _parse_budget(top["budget"]) if "budget" in top else None
-    rule = _parse_rule(top["rule"], profile.j, truth, budget)
+    rule, control = _parse_rule(top["rule"], profile.j, truth, budget)
 
     run = _mapping(top["run"], "run")
     replications = _as_int(_pop(run, "run", "replications"), "run.replications")
@@ -443,6 +404,7 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     return LoadedConfig(
         experiment=experiment,
         budget=budget,
+        control=control,
         calibration=calibration,
         output_format=output_format,
         output_path=output_path,

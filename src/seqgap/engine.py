@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -23,26 +23,23 @@ from .metrics import (
     MetricKind,
     ConfusionCounts,
     aggregate,
-    bound_constants,
     confusion,
     mean_se,
 )
-from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile, eta
+from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile
 from .rules import (
     STOP_FIXED,
     STOP_HORIZON,
     BhRule,
     Decision,
-    GapIntersectionRule,
     GapRule,
-    IntersectionRule,
     Rule,
     TopMRule,
     bh_decide,
     run_sequential,
     top_m_decide,
 )
-from .thresholds import ErrorBudget, gap_threshold, gi_thresholds, kappa_gap, kappa_gi
+from .thresholds import ErrorBudget
 
 DEFAULT_HORIZON = 1_000_000
 _SEED_SPAN = 2**64
@@ -103,55 +100,7 @@ class ExperimentConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         _check_seed(self.master_seed)
-        self._check_rule()
-
-    def _check_rule(self) -> None:
-        rule, j = self.rule, self.profile.j
-        if isinstance(rule, GapRule):
-            if rule.num_signals > j - 1:
-                raise ValueError(
-                    f"gap rule num_signals must be <= J - 1 = {j - 1}, "
-                    f"got {rule.num_signals}"
-                )
-        elif isinstance(rule, GapIntersectionRule):
-            if rule.max_signals > j:
-                raise ValueError(
-                    f"max_signals must be <= J = {j}, got {rule.max_signals}"
-                )
-            if MetricKind.PFDR in self.metrics and rule.min_signals == 0:
-                raise ValueError(
-                    "pfdr under the bracketed rule needs min_signals >= 1: with "
-                    "min_signals = 0 the rule can reject nothing, so the "
-                    "conditioning event can fail"
-                )
-            if MetricKind.PFNR in self.metrics and rule.max_signals == j:
-                raise ValueError(
-                    "pfnr under the bracketed rule needs max_signals <= J - 1: "
-                    "with max_signals = J the rule can reject everything, so "
-                    "the conditioning event can fail"
-                )
-        elif isinstance(rule, IntersectionRule):
-            for kind in (MetricKind.PFDR, MetricKind.PFNR):
-                if kind in self.metrics:
-                    raise ValueError(
-                        f"{kind.value} is not a valid metric for the intersection "
-                        "rule: its conditioning event can fail"
-                    )
-        elif isinstance(rule, (BhRule, TopMRule)):
-            for model in self.profile.models:
-                if model.family != GAUSSIAN_MEAN:
-                    raise ValueError(
-                        "fixed-sample rules need p-values, which are only "
-                        f"available for the {GAUSSIAN_MEAN} family; stream "
-                        f"family {model.family!r} is not supported"
-                    )
-            if isinstance(rule, TopMRule) and rule.num_signals > j - 1:
-                raise ValueError(
-                    f"top-m rule num_signals must be <= J - 1 = {j - 1}, "
-                    f"got {rule.num_signals}"
-                )
-        else:
-            raise TypeError(f"unsupported rule type {type(self.rule).__name__}")
+        self.rule.check(self.profile, self.metrics)
         if MetricKind.FPR in self.metrics and not self.truth:
             raise ValueError("fpr needs a nonempty signal set as its divisor")
 
@@ -293,37 +242,7 @@ def _estimate_to_dict(est: MetricEstimate) -> dict:
 
 
 def rule_to_dict(rule: Rule) -> dict:
-    if isinstance(rule, GapRule):
-        return {
-            "type": "gap",
-            "num_signals": rule.num_signals,
-            "threshold": rule.threshold,
-        }
-    if isinstance(rule, GapIntersectionRule):
-        return {
-            "type": "gap-intersection",
-            "min_signals": rule.min_signals,
-            "max_signals": rule.max_signals,
-            "accept_barrier": rule.accept_barrier,
-            "reject_barrier": rule.reject_barrier,
-            "accept_gap": rule.accept_gap,
-            "reject_gap": rule.reject_gap,
-        }
-    if isinstance(rule, IntersectionRule):
-        return {
-            "type": "intersection",
-            "accept_barrier": rule.accept_barrier,
-            "reject_barrier": rule.reject_barrier,
-        }
-    if isinstance(rule, BhRule):
-        return {"type": "bh", "sample_size": rule.sample_size, "level": rule.level}
-    if isinstance(rule, TopMRule):
-        return {
-            "type": "top-m",
-            "sample_size": rule.sample_size,
-            "num_signals": rule.num_signals,
-        }
-    raise TypeError(f"unsupported rule type {type(rule).__name__}")
+    return {"type": rule.name, **asdict(rule)}
 
 
 def profile_to_dict(profile: StreamProfile) -> dict:
@@ -396,66 +315,6 @@ class SweepReport:
         }
 
 
-def _rule_at_budget(
-    config: ExperimentConfig, budget: ErrorBudget, control: MetricKind
-) -> Rule:
-    rule, j = config.rule, config.profile.j
-    if isinstance(rule, GapRule):
-        c1 = bound_constants(
-            control, "gap", j, num_signals=rule.num_signals
-        ).c1
-        return replace(
-            rule, threshold=gap_threshold(budget, rule.num_signals, j, c1)
-        )
-    if isinstance(rule, GapIntersectionRule):
-        c1 = bound_constants(
-            control,
-            "gap-intersection",
-            j,
-            num_signals=len(config.truth) or None,
-            min_signals=rule.min_signals,
-            max_signals=rule.max_signals,
-        ).c1
-        th = gi_thresholds(budget, j, rule.min_signals, rule.max_signals, c1)
-        return GapIntersectionRule(
-            min_signals=rule.min_signals,
-            max_signals=rule.max_signals,
-            accept_barrier=th.accept_barrier,
-            reject_barrier=th.reject_barrier,
-            accept_gap=th.accept_gap,
-            reject_gap=th.reject_gap,
-        )
-    if isinstance(rule, IntersectionRule):
-        c1 = bound_constants(
-            control,
-            "gap-intersection",
-            j,
-            num_signals=len(config.truth) or None,
-            min_signals=0,
-            max_signals=j,
-        ).c1
-        th = gi_thresholds(budget, j, 0, j, c1)
-        return IntersectionRule(
-            accept_barrier=th.accept_barrier, reject_barrier=th.reject_barrier
-        )
-    raise ValueError(
-        "the sweep needs a sequential rule with formula thresholds; got "
-        f"{type(rule).__name__}"
-    )
-
-
-def _kappa(config: ExperimentConfig, budget: ErrorBudget) -> float:
-    info = eta(config.profile, config.truth)
-    rule = config.rule
-    if isinstance(rule, GapRule):
-        return kappa_gap(budget, info.eta0, info.eta1)
-    if isinstance(rule, GapIntersectionRule):
-        lo, hi = rule.min_signals, rule.max_signals
-    else:
-        lo, hi = 0, config.profile.j
-    return kappa_gi(budget, info.eta0, info.eta1, len(config.truth), lo, hi)
-
-
 def asymptotic_sweep(
     base: ExperimentConfig,
     budgets: list[ErrorBudget],
@@ -472,11 +331,18 @@ def asymptotic_sweep(
     """
     if not budgets:
         raise ValueError("need at least one budget point")
+    if not hasattr(base.rule, "at_budget"):
+        raise ValueError(
+            "the sweep needs a sequential rule with formula thresholds; got "
+            f"{type(base.rule).__name__}"
+        )
+    profile, truth = base.profile, base.truth
     rows = []
     for budget in budgets:
-        config = replace(base, rule=_rule_at_budget(base, budget, control))
+        rule = base.rule.at_budget(budget, profile.j, truth, control)
+        config = replace(base, rule=rule)
         report = run_experiment(config, workers=workers)
-        kappa = _kappa(config, budget)
+        kappa = rule.kappa(budget, profile, truth)
         rows.append(
             SweepRow(
                 alpha=budget.alpha,

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .rules import Decision
+if TYPE_CHECKING:  # rules imports this module for its validation and thresholds
+    from .rules import Decision
 
 
 class MetricKind(str, Enum):

@@ -20,6 +20,16 @@ Fixed-sample baselines observe a fixed number of steps per stream, convert
 the per-stream sums to one-sided p-values, and apply either the step-up
 false-discovery procedure at a given level or a reject-the-smallest-m rule.
 
+Each rule class holds everything particular to its rule: ``name`` (its
+type tag in configs and reports, and with the dataclass fields its
+serialized form), ``check`` (compatibility with a stream profile and the
+requested metrics), and ``bounds_cell`` / ``threshold_cell`` (its cells in
+the command-line reports).  The sequential rules add ``at_budget`` (the
+closed-form thresholds at an error budget, with the bound constant of a
+controlled metric; both "auto" config thresholds and the asymptotic sweep
+use it) and ``kappa`` (the first-order benchmark for the expected stopping
+time).
+
 All sequential rules expose ``should_stop`` (single state, reference
 implementation) and ``scan_path`` (vectorized over a block of cumulative
 LLR rows); both must agree on every path, which the tests check.
@@ -28,13 +38,23 @@ LLR rows); both must agree on every path, which the tests check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr
 
 from .llr import OrderView, gap_at, order_view
-from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile
+from .metrics import MetricKind, bound_constants
+from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile, eta
+from .thresholds import (
+    ErrorBudget,
+    GiThresholds,
+    gap_threshold,
+    gi_thresholds,
+    kappa_gap,
+    kappa_gi,
+)
 
 STOP_GAP = "gap"
 STOP_TAU1 = "tau1"
@@ -70,10 +90,49 @@ def _check_block(path: np.ndarray) -> np.ndarray:
     return path
 
 
+def _fmt(x: float) -> str:
+    """17-significant-digit decimal serialization (exact float round trip)."""
+    return format(float(x), ".17g")
+
+
+def _check_barriers(rule) -> None:
+    for name in rule.threshold_names:
+        value = getattr(rule, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _barrier_cells(rule) -> str:
+    names = rule.threshold_names
+    return ";".join(f"{name}={_fmt(getattr(rule, name))}" for name in names)
+
+
+def _bracket_thresholds(
+    budget: ErrorBudget,
+    j: int,
+    truth: frozenset[int],
+    control: MetricKind,
+    min_signals: int,
+    max_signals: int,
+) -> GiThresholds:
+    """Formula thresholds of the bracket min_signals..max_signals, with the
+    bound constant of the ``control`` metric."""
+    c1 = bound_constants(
+        control,
+        "gap-intersection",
+        j,
+        num_signals=len(truth) or None,
+        min_signals=min_signals,
+        max_signals=max_signals,
+    ).c1
+    return gi_thresholds(budget, j, min_signals, max_signals, c1)
+
+
 @dataclass(frozen=True)
 class GapRule:
     """Stop when the gap at position ``num_signals`` reaches ``threshold``."""
 
+    name: ClassVar[str] = "gap"
     num_signals: int
     threshold: float
 
@@ -88,6 +147,28 @@ class GapRule:
             raise ValueError(
                 f"num_signals must be <= J - 1 (= {j - 1}), got {self.num_signals}"
             )
+
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        self._check_j(profile.j)
+
+    def at_budget(
+        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
+    ) -> GapRule:
+        """This rule at the formula threshold controlling ``control``."""
+        c1 = bound_constants(control, "gap", j, num_signals=self.num_signals).c1
+        return replace(self, threshold=gap_threshold(budget, self.num_signals, j, c1))
+
+    def kappa(
+        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
+    ) -> float:
+        info = eta(profile, truth)
+        return kappa_gap(budget, info.eta0, info.eta1)
+
+    def bounds_cell(self, j: int) -> str:
+        return f"m={self.num_signals}"
+
+    def threshold_cell(self) -> str:
+        return _fmt(self.threshold)
 
     def should_stop(self, view: OrderView) -> bool:
         self._check_j(view.j)
@@ -126,6 +207,13 @@ class GapIntersectionRule:
     the reject-side stop.
     """
 
+    name: ClassVar[str] = "gap-intersection"
+    threshold_names: ClassVar[tuple[str, ...]] = (
+        "accept_barrier",
+        "reject_barrier",
+        "accept_gap",
+        "reject_gap",
+    )
     min_signals: int
     max_signals: int
     accept_barrier: float
@@ -141,16 +229,49 @@ class GapIntersectionRule:
                 "min_signals must be strictly below max_signals, got "
                 f"{self.min_signals} >= {self.max_signals}"
             )
-        for name in ("accept_barrier", "reject_barrier", "accept_gap", "reject_gap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        _check_barriers(self)
 
     def _check_j(self, j: int) -> None:
         if self.max_signals > j:
             raise ValueError(
                 f"max_signals must be <= J (= {j}), got {self.max_signals}"
             )
+
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        self._check_j(profile.j)
+        if MetricKind.PFDR in metrics and self.min_signals == 0:
+            raise ValueError(
+                "pfdr under the bracketed rule needs min_signals >= 1: with "
+                "min_signals = 0 the rule can reject nothing, so the "
+                "conditioning event can fail"
+            )
+        if MetricKind.PFNR in metrics and self.max_signals == profile.j:
+            raise ValueError(
+                "pfnr under the bracketed rule needs max_signals <= J - 1: "
+                "with max_signals = J the rule can reject everything, so "
+                "the conditioning event can fail"
+            )
+
+    def at_budget(
+        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
+    ) -> GapIntersectionRule:
+        """This bracket at the formula thresholds controlling ``control``."""
+        lo, hi = self.min_signals, self.max_signals
+        th = _bracket_thresholds(budget, j, truth, control, lo, hi)
+        return replace(self, **asdict(th))
+
+    def kappa(
+        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
+    ) -> float:
+        info = eta(profile, truth)
+        lo, hi = self.min_signals, self.max_signals
+        return kappa_gi(budget, info.eta0, info.eta1, len(truth), lo, hi)
+
+    def bounds_cell(self, j: int) -> str:
+        return f"l={self.min_signals},u={self.max_signals}"
+
+    def threshold_cell(self) -> str:
+        return _barrier_cells(self)
 
     def should_stop(self, view: OrderView) -> str | None:
         """Name of the first sub-event that fires at this state, if any.
@@ -228,14 +349,42 @@ class IntersectionRule:
     corridor event, and the clamp is the identity on the positive count.
     """
 
+    name: ClassVar[str] = "intersection"
+    threshold_names: ClassVar[tuple[str, ...]] = ("accept_barrier", "reject_barrier")
     accept_barrier: float
     reject_barrier: float
 
     def __post_init__(self) -> None:
-        for name in ("accept_barrier", "reject_barrier"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        _check_barriers(self)
+
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        for kind in (MetricKind.PFDR, MetricKind.PFNR):
+            if kind in metrics:
+                raise ValueError(
+                    f"{kind.value} is not a valid metric for the intersection "
+                    "rule: its conditioning event can fail"
+                )
+
+    def at_budget(
+        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
+    ) -> IntersectionRule:
+        """This rule at the formula barriers of the full bracket 0..J."""
+        th = _bracket_thresholds(budget, j, truth, control, 0, j)
+        return IntersectionRule(
+            accept_barrier=th.accept_barrier, reject_barrier=th.reject_barrier
+        )
+
+    def kappa(
+        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
+    ) -> float:
+        info = eta(profile, truth)
+        return kappa_gi(budget, info.eta0, info.eta1, len(truth), 0, profile.j)
+
+    def bounds_cell(self, j: int) -> str:
+        return f"l=0,u={j}"
+
+    def threshold_cell(self) -> str:
+        return _barrier_cells(self)
 
     def should_stop(self, view: OrderView) -> bool:
         return bool(
@@ -263,10 +412,21 @@ class IntersectionRule:
         )
 
 
+def _check_pvalue_family(profile: StreamProfile) -> None:
+    for model in profile.models:
+        if model.family != GAUSSIAN_MEAN:
+            raise ValueError(
+                "fixed-sample rules need p-values, which are only "
+                f"available for the {GAUSSIAN_MEAN} family; stream "
+                f"family {model.family!r} is not supported"
+            )
+
+
 @dataclass(frozen=True)
 class BhRule:
     """Fixed-sample step-up procedure at ``level`` after ``sample_size`` steps."""
 
+    name: ClassVar[str] = "bh"
     sample_size: int
     level: float
 
@@ -276,11 +436,21 @@ class BhRule:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
 
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        _check_pvalue_family(profile)
+
+    def bounds_cell(self, j: int) -> str:
+        return ""
+
+    def threshold_cell(self) -> str:
+        return f"n={self.sample_size};level={_fmt(self.level)}"
+
 
 @dataclass(frozen=True)
 class TopMRule:
     """Fixed-sample rule rejecting the ``num_signals`` smallest p-values."""
 
+    name: ClassVar[str] = "top-m"
     sample_size: int
     num_signals: int
 
@@ -289,6 +459,21 @@ class TopMRule:
             raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
         if self.num_signals < 1:
             raise ValueError(f"num_signals must be >= 1, got {self.num_signals}")
+
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        _check_pvalue_family(profile)
+        j = profile.j
+        if self.num_signals > j - 1:
+            raise ValueError(
+                f"top-m rule num_signals must be <= J - 1 = {j - 1}, "
+                f"got {self.num_signals}"
+            )
+
+    def bounds_cell(self, j: int) -> str:
+        return f"m={self.num_signals}"
+
+    def threshold_cell(self) -> str:
+        return f"n={self.sample_size}"
 
 
 SequentialRule = GapRule | GapIntersectionRule | IntersectionRule

@@ -3,10 +3,21 @@
 import csv
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from seqgap.cli import RUN_CSV_COLUMNS, main, read_json_report, read_run_csv
+from seqgap import calibrate_gap_c, load_config
+from seqgap.cli import (
+    RUN_CSV_COLUMNS,
+    calibration_payload,
+    main,
+    read_json_report,
+    read_run_csv,
+)
+from seqgap.engine import rule_to_dict
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
 
 GAP_CONFIG = textwrap.dedent(
     """
@@ -205,6 +216,33 @@ def test_calibrate_gap(gap_config_path, tmp_path):
     assert doc["achieved"]["fdr"]["n_effective"] == 150
 
 
+def test_calibrate_honours_run_horizon(tmp_path):
+    """run.horizon reaches the calibration search (the paths are censored at
+    step 3, which moves the chosen threshold off its uncensored value)."""
+    path = tmp_path / "horizon.yaml"
+    path.write_text(
+        GAP_CONFIG.replace("0.05", "0.35").replace("seed: 42", "seed: 42\n  horizon: 3")
+    )
+    out_path = str(tmp_path / "cal.json")
+    argv = ["calibrate", "--config", str(path), "--reps", "100"]
+    assert main(argv + ["--format", "json", "--out", out_path]) == 0
+    doc = read_json_report(out_path)
+    loaded = load_config(str(path))
+    experiment = loaded.experiment
+    assert experiment.horizon == 3
+    want = calibrate_gap_c(
+        profile=experiment.profile,
+        truth=experiment.truth,
+        num_signals=5,
+        budget=loaded.budget,
+        replications=100,
+        seed=42,
+        horizon=3,
+    )
+    assert doc["chosen"] == want.chosen
+    assert doc["probes"] == calibration_payload(want)["probes"]
+
+
 def test_calibrate_csv_contains_trace(gap_config_path, tmp_path):
     out_path = str(tmp_path / "cal.csv")
     main(
@@ -371,6 +409,39 @@ def test_sweep_alpha_beta_pairs(gap_config_path, capsys):
     assert doc["rows"][0]["beta"] == 0.02
 
 
+@pytest.mark.parametrize("control", ["fdr", "pfer", "pcer"])
+@pytest.mark.parametrize(
+    "rule_yaml",
+    [
+        "{type: gap, num_signals: 4, threshold: auto",
+        "{type: gap-intersection, min_signals: 2, max_signals: 7, thresholds: auto",
+        "{type: intersection, thresholds: auto",
+    ],
+    ids=["gap", "gap-intersection", "intersection"],
+)
+def test_sweep_uses_the_auto_rule_and_control(rule_yaml, control, tmp_path, capsys):
+    """At the config's own budget, the sweep row's rule is the rule that
+    "auto" resolves to, under the configured control metric."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text(
+        textwrap.dedent(
+            f"""
+            streams: {{family: gaussian-mean, "null": 0.0, alt: 0.5, count: 10}}
+            truth: {{indices: [2, 3, 5, 7]}}
+            rule: {rule_yaml}, control: {control}}}
+            budget: {{alpha: 0.01, beta: 0.02}}
+            run: {{replications: 3, seed: 5}}
+            """
+        )
+    )
+    argv = ["sweep", "--config", str(path), "--alphas", "0.01:0.02", "--format", "json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["control"] == control
+    rule = load_config(str(path)).experiment.rule
+    assert doc["rows"][0]["rule"] == rule_to_dict(rule)
+
+
 def test_sweep_malformed_alphas_exit_2(gap_config_path):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--config", gap_config_path, "--alphas", "nope"])
@@ -395,3 +466,17 @@ def test_output_defaults_from_config(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     header = out_file.read_text().splitlines()[0]
     assert header.split(",") == RUN_CSV_COLUMNS
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_run(path, fmt, tmp_path):
+    out_path = str(tmp_path / f"report.{fmt}")
+    argv = ["run", "--config", str(path), "--reps", "20", "--format", fmt]
+    assert main(argv + ["--out", out_path]) == 0
+    rule = load_config(str(path)).experiment.rule
+    if fmt == "json":
+        assert read_json_report(out_path)["config"]["rule"] == rule_to_dict(rule)
+    else:
+        cells = {(row["rule"], row["threshold"]) for row in read_run_csv(out_path)}
+        assert cells == {(rule.name, rule.threshold_cell())}

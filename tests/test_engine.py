@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine: seeding, determinism, aggregation."""
 
+import json
 import math
 
 import numpy as np
@@ -260,8 +261,33 @@ def test_rule_and_config_serialization_round_trip_fields():
         accept_gap=3.0,
         reject_gap=3.5,
     )
-    assert rule_to_dict(gi)["type"] == "gap-intersection"
-    assert rule_to_dict(TopMRule(sample_size=9, num_signals=2))["type"] == "top-m"
+    # Serialized bytes, key order included, for every rule type.
+    expected = [
+        (
+            GapRule(num_signals=5, threshold=2.1),
+            '{"type": "gap", "num_signals": 5, "threshold": 2.1}',
+        ),
+        (
+            gi,
+            '{"type": "gap-intersection", "min_signals": 1, "max_signals": 4, '
+            '"accept_barrier": 2.0, "reject_barrier": 2.5, "accept_gap": 3.0, '
+            '"reject_gap": 3.5}',
+        ),
+        (
+            IntersectionRule(accept_barrier=5.0, reject_barrier=4.5),
+            '{"type": "intersection", "accept_barrier": 5.0, "reject_barrier": 4.5}',
+        ),
+        (
+            BhRule(sample_size=52, level=0.05),
+            '{"type": "bh", "sample_size": 52, "level": 0.05}',
+        ),
+        (
+            TopMRule(sample_size=9, num_signals=2),
+            '{"type": "top-m", "sample_size": 9, "num_signals": 2}',
+        ),
+    ]
+    for rule, text in expected:
+        assert json.dumps(rule_to_dict(rule)) == text
 
 
 def test_reproduce_table_subset_and_rows():
