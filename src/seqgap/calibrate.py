@@ -2,21 +2,43 @@
 
 Searches run over a fixed grid (a step grid for the gap threshold, unit
 integers for sample sizes): bracket the feasible region by doubling, then
-bisect down to the smallest feasible grid point.  Every probe reruns the
-experiment with a common master seed, so probes share their sample paths
-and the feasibility boundary is not blurred by probe-to-probe noise.  The
-reported achieved estimates come from a fresh evaluation seed, because the
-estimates that guided the search are biased at the selected point.
+bisect down to the smallest feasible grid point.  Every probe replays the
+trials of one common master seed, so probes share their sample paths and
+the feasibility boundary is not blurred by probe-to-probe noise.  The
+sample-size searches rerun the experiment at each probe.  The gap-threshold
+search samples each trial's path at most once: a probe reads a trial's
+stopping row from the record of its gap, or resumes the path where an
+earlier probe left it, and gets the estimates a rerun would report, bit for
+bit.  The reported achieved estimates come from a fresh evaluation seed,
+because the estimates that guided the search are biased at the selected
+point.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .engine import ExperimentConfig, derive_seed, run_experiment
-from .metrics import MetricEstimate, MetricKind
+import numpy as np
+
+from .engine import (
+    ExperimentConfig,
+    check_workers,
+    derive_seed,
+    run_experiment,
+    trial_rng,
+)
+from .metrics import ConfusionCounts, MetricEstimate, MetricKind, aggregate
 from .models import StreamProfile
-from .rules import BhRule, GapRule, TopMRule
+from .rules import (
+    FIRST_BLOCK,
+    BhRule,
+    GapRule,
+    TopMRule,
+    next_block_size,
+    path_block,
+)
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
@@ -87,15 +109,14 @@ def _bracket_min_feasible(
     return hi
 
 
-def _probe_runner(make_config, seed: int, workers: int, point_of):
-    """Memoized experiment runner over grid indices, recording probe order."""
+def _probe_runner(measure, point_of):
+    """Memoized ``measure`` over grid indices, recording probe order."""
     cache: dict[int, dict[MetricKind, MetricEstimate]] = {}
     order: list[int] = []
 
     def estimates_at(index: int) -> dict[MetricKind, MetricEstimate]:
         if index not in cache:
-            report = run_experiment(make_config(index, seed), workers=workers)
-            cache[index] = report.metrics
+            cache[index] = measure(index)
             order.append(index)
         return cache[index]
 
@@ -105,6 +126,99 @@ def _probe_runner(make_config, seed: int, workers: int, point_of):
         )
 
     return estimates_at, probes
+
+
+def _rerun(make_config, seed: int, workers: int):
+    """Probe by running the experiment at the grid point from step 0."""
+    return lambda index: run_experiment(
+        make_config(index, seed), workers=workers
+    ).metrics
+
+
+class _GapTrial:
+    """One search trial: its generator, where its path stands, and the rows
+    where the gap set a new record, with the gap there and the number of
+    signals among that row's top m."""
+
+    __slots__ = ("rng", "lam", "taken", "block", "gaps", "in_truth", "final_in_truth")
+
+    def __init__(self, rng: np.random.Generator, j: int):
+        self.rng = rng
+        self.lam = np.zeros(j)
+        self.taken = 0
+        self.block = FIRST_BLOCK
+        self.gaps: list[float] = []
+        self.in_truth: list[int] = []
+        self.final_in_truth: int | None = None  # set once the horizon ends the path
+
+
+class _GapSearch:
+    """The search trials of ``calibrate_gap_c``, each path sampled once.
+
+    At threshold c a trial stops at the first row whose gap reaches c, and
+    that row always sets a new record of the running maximum of the gap.
+    So a probe answers from a trial's record when the best gap so far
+    reaches c, and otherwise resumes the path on ``run_sequential``'s block
+    schedule until the gap reaches c or the horizon ends it.  The blocks and
+    the gap column are the ones ``run_sequential`` and ``GapRule`` compute,
+    so every comparison with c, and every rejected set (the top m of the
+    stopping row, or of the final row at the horizon), is the one a rerun
+    at c makes.
+    """
+
+    def __init__(self, config: ExperimentConfig):
+        self.profile = config.profile
+        self.truth = config.truth
+        self.horizon = config.horizon
+        self.rule = config.rule  # only its gap column is used, at any threshold
+        self.signal = config.profile.signal_mask(config.truth)
+        self.trials = [
+            _GapTrial(trial_rng(config.master_seed, i), config.profile.j)
+            for i in range(config.replications)
+        ]
+
+    def _in_truth(self, rows: np.ndarray) -> np.ndarray:
+        """Signals among the top m of each row, ranked as ``order_view`` ranks."""
+        top = np.argsort(-rows, axis=1, kind="stable")[:, : self.rule.num_signals]
+        return np.count_nonzero(self.signal[top], axis=1)
+
+    def _extend(self, trial: _GapTrial) -> None:
+        steps = min(trial.block, self.horizon - trial.taken)
+        path = path_block(self.profile, self.truth, trial.lam, steps, trial.rng)
+        gaps = self.rule.gap_column(path)
+        best = trial.gaps[-1] if trial.gaps else -math.inf
+        before = np.maximum.accumulate(np.concatenate(([best], gaps[:-1])))
+        rows = np.nonzero(gaps > before)[0]
+        trial.gaps.extend(gaps[rows].tolist())
+        trial.in_truth.extend(self._in_truth(path[rows]).tolist())
+        trial.lam = path[-1].copy()  # a view would keep the whole block alive
+        trial.taken += steps
+        trial.block = next_block_size(trial.block)
+        if trial.taken == self.horizon:
+            trial.final_in_truth = int(self._in_truth(trial.lam[None])[0])
+
+    def _in_truth_at(self, trial: _GapTrial, threshold: float) -> int:
+        while trial.taken < self.horizon and not (
+            trial.gaps and trial.gaps[-1] >= threshold
+        ):
+            self._extend(trial)
+        k = bisect_left(trial.gaps, threshold)
+        return trial.in_truth[k] if k < len(trial.gaps) else trial.final_in_truth
+
+    def estimates(self, config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
+        """What ``run_experiment(config).metrics`` reports, for a config
+        that differs from the search's own only in the threshold."""
+        m, j = self.rule.num_signals, self.profile.j
+        threshold = config.rule.threshold
+        counts = [
+            ConfusionCounts(v=m - h, w=len(self.truth) - h, r=m, j=j)
+            for h in (self._in_truth_at(t, threshold) for t in self.trials)
+        ]
+        signal_count = len(self.truth) if self.truth else None
+        return {
+            kind: aggregate(kind, counts, signal_count=signal_count)
+            for kind in config.metrics
+        }
 
 
 def _search(feasible, cap_index: int, grid: str, full_scan: bool, probes) -> int:
@@ -152,7 +266,15 @@ def calibrate_gap_c(
     workers: int = 1,
     full_scan: bool = False,
 ) -> CalibrationResult:
-    """Smallest grid threshold with estimated FDR <= alpha and FNR <= beta."""
+    """Smallest grid threshold with estimated FDR <= alpha and FNR <= beta.
+
+    The search runs in the calling process and samples each trial's path
+    at most once (see ``_GapSearch``); its probe estimates equal, bit for
+    bit, those of rerunning the experiment at every probe.  ``workers``
+    drives only the evaluation run at the fresh seed: the search samples
+    about one experiment's worth of paths, and at that size a process pool
+    costs more than it saves.
+    """
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
     kwargs = {} if horizon is None else {"horizon": horizon}
@@ -172,7 +294,19 @@ def calibrate_gap_c(
             **kwargs,
         )
 
-    estimates_at, probes = _probe_runner(make_config, seed, workers, point)
+    # Built at the first probe, after its config is checked, so invalid
+    # arguments fail where and as a rerun would.
+    search: _GapSearch | None = None
+
+    def measure(index: int) -> dict[MetricKind, MetricEstimate]:
+        nonlocal search
+        config = make_config(index, seed)
+        if search is None:
+            check_workers(workers)
+            search = _GapSearch(config)
+        return search.estimates(config)
+
+    estimates_at, probes = _probe_runner(measure, point)
 
     def feasible(index: int) -> bool:
         est = estimates_at(index)
@@ -219,7 +353,7 @@ def calibrate_topm_n(
             metrics=(MetricKind.FDR, MetricKind.FNR),
         )
 
-    estimates_at, probes = _probe_runner(make_config, seed, workers, float)
+    estimates_at, probes = _probe_runner(_rerun(make_config, seed, workers), float)
 
     def feasible(index: int) -> bool:
         est = estimates_at(index)
@@ -264,7 +398,7 @@ def calibrate_bh_n(
             metrics=(MetricKind.FDR, MetricKind.FNR),
         )
 
-    estimates_at, probes = _probe_runner(make_config, seed, workers, float)
+    estimates_at, probes = _probe_runner(_rerun(make_config, seed, workers), float)
 
     def fnr_at(index: int) -> float:
         return estimates_at(index)[MetricKind.FNR].value

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 runtime error, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -431,13 +432,10 @@ def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
     return replace(loaded, experiment=experiment)
 
 
-def _open_out(args):
-    path = args.out
-    if path is None and args.loaded is not None:
-        path = args.loaded.output_path
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _out_path(args) -> str | None:
+    if args.out is None and args.loaded is not None:
+        return args.loaded.output_path
+    return args.out
 
 
 def _resolve_format(args) -> str:
@@ -449,12 +447,26 @@ def _resolve_format(args) -> str:
 
 
 def _emit(args, write) -> None:
-    out, close = _open_out(args)
+    """Write the report to stdout, or to the output file as a whole.
+
+    The file is written under a temporary name in its own directory and
+    renamed over the target only once complete, so a failed or interrupted
+    write leaves no truncated file and any earlier file unchanged.
+    """
+    fmt, path = _resolve_format(args), _out_path(args)
+    if path is None:
+        write(fmt, sys.stdout)
+        return
+    head, tail = os.path.split(path)
+    partial = os.path.join(head, f".{tail}.{os.getpid()}.partial")
     try:
-        write(_resolve_format(args), out)
-    finally:
-        if close:
-            out.close()
+        with open(partial, "w", encoding="utf-8", newline="") as out:
+            write(fmt, out)
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
 def _cmd_run(args) -> int:

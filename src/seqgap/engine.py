@@ -213,10 +213,15 @@ class ExperimentReport:
         }
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Run all trials and aggregate in trial order."""
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    """Run all trials and aggregate in trial order."""
+    check_workers(workers)
     started = time.perf_counter()
     records = _run_all(config, workers)
     counts = [r.counts for r in records]
@@ -337,12 +342,16 @@ def asymptotic_sweep(
             f"{type(base.rule).__name__}"
         )
     profile, truth = base.profile, base.truth
-    rows = []
+    # Every point's rule, config and benchmark first, so an invalid point
+    # fails before any experiment runs.
+    points = []
     for budget in budgets:
         rule = base.rule.at_budget(budget, profile.j, truth, control)
-        config = replace(base, rule=rule)
-        report = run_experiment(config, workers=workers)
         kappa = rule.kappa(budget, profile, truth)
+        points.append((budget, replace(base, rule=rule), kappa))
+    rows = []
+    for budget, config, kappa in points:
+        report = run_experiment(config, workers=workers)
         rows.append(
             SweepRow(
                 alpha=budget.alpha,

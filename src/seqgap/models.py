@@ -24,6 +24,7 @@ GAUSSIAN_MEAN = "gaussian-mean"
 BERNOULLI = "bernoulli"
 
 _FAMILIES = (GAUSSIAN_MEAN, BERNOULLI)
+_SMALLEST_UNIFORM = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,9 @@ class StreamProfile:
             raise ValueError(f"steps must be >= 1, got {steps}")
         params = self.state_params(truth)
         u = rng.random(size=(int(steps), self.j))
+        # random() can return exactly 0.0, where ndtri is -inf; the clamp
+        # changes only exact zeros.
+        np.maximum(u, _SMALLEST_UNIFORM, out=u)
         x = np.empty_like(u)
         cols = self._family_columns(GAUSSIAN_MEAN)
         if cols.size:

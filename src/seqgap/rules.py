@@ -174,14 +174,18 @@ class GapRule:
         self._check_j(view.j)
         return gap_at(view, self.num_signals) >= self.threshold
 
-    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
-        """First row of a cumulative-LLR block where the rule fires."""
+    def gap_column(self, path: np.ndarray) -> np.ndarray:
+        """Gap at position ``num_signals`` in every row of a cumulative-LLR
+        block; the threshold plays no part, so one rule serves any threshold."""
         path = _check_block(path)
         j = path.shape[1]
         self._check_j(j)
         s = np.sort(path, axis=1)  # ascending; descending k-th is column J - k
-        gaps = s[:, j - self.num_signals] - s[:, j - self.num_signals - 1]
-        hits = np.nonzero(gaps >= self.threshold)[0]
+        return s[:, j - self.num_signals] - s[:, j - self.num_signals - 1]
+
+    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
+        """First row of a cumulative-LLR block where the rule fires."""
+        hits = np.nonzero(self.gap_column(path) >= self.threshold)[0]
         if hits.size == 0:
             return None
         return int(hits[0]), STOP_GAP
@@ -481,6 +485,32 @@ FixedSampleRule = BhRule | TopMRule
 Rule = SequentialRule | FixedSampleRule
 
 
+FIRST_BLOCK = 64
+MAX_BLOCK = 8192
+
+
+def path_block(
+    profile: StreamProfile,
+    truth: frozenset[int],
+    lam: np.ndarray,
+    steps: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The cumulative-LLR rows of the next ``steps`` observations after ``lam``.
+
+    Every sequential path is built from this step on the schedule of
+    ``next_block_size``, so a path resumed block by block holds the same
+    floats as the one ``run_sequential`` draws.
+    """
+    x = profile.sample_block(truth, steps, rng)
+    return lam + np.cumsum(profile.increments(x), axis=0)
+
+
+def next_block_size(block: int, max_block: int = MAX_BLOCK) -> int:
+    """The block size after ``block`` on the doubling schedule."""
+    return min(block * 2, int(max_block))
+
+
 def run_sequential(
     rule: SequentialRule,
     profile: StreamProfile,
@@ -488,8 +518,8 @@ def run_sequential(
     horizon: int,
     rng: np.random.Generator,
     *,
-    first_block: int = 64,
-    max_block: int = 8192,
+    first_block: int = FIRST_BLOCK,
+    max_block: int = MAX_BLOCK,
 ) -> Decision:
     """Sample a fresh path until the rule fires or the horizon is exhausted.
 
@@ -508,8 +538,7 @@ def run_sequential(
     block = int(first_block)
     while taken < horizon:
         steps = min(block, horizon - taken)
-        x = profile.sample_block(truth, steps, rng)
-        path = lam + np.cumsum(profile.increments(x), axis=0)
+        path = path_block(profile, truth, lam, steps, rng)
         hit = rule.scan_path(path)
         if hit is not None:
             row, tag = hit
@@ -518,7 +547,7 @@ def run_sequential(
             )
         lam = path[-1]
         taken += steps
-        block = min(block * 2, int(max_block))
+        block = next_block_size(block, max_block)
     return rule.decide(order_view(lam), stopping_time=horizon, stopped_by=STOP_HORIZON)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import seqgap.engine
 from seqgap import calibrate_gap_c, load_config
 from seqgap.cli import (
     RUN_CSV_COLUMNS,
@@ -480,3 +481,55 @@ def test_shipped_configs_run(path, fmt, tmp_path):
     else:
         cells = {(row["rule"], row["threshold"]) for row in read_run_csv(out_path)}
         assert cells == {(rule.name, rule.threshold_cell())}
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
+    """A truth outside the bracket fails before any experiment runs."""
+    path = tmp_path / "outside.yaml"
+    path.write_text(
+        textwrap.dedent(
+            """
+            streams: {family: gaussian-mean, "null": 0.0, alt: 0.5, count: 10}
+            truth: {count: 1}
+            rule:
+              type: gap-intersection
+              min_signals: 2
+              max_signals: 7
+              thresholds: auto
+            budget: {alpha: 0.05, beta: 0.05}
+            run: {replications: 2000, seed: 1}
+            """
+        )
+    )
+    calls = []
+    monkeypatch.setattr(
+        seqgap.engine, "run_experiment", lambda *a, **k: calls.append(a)
+    )
+    assert main(["sweep", "--config", str(path), "--alphas", "1e-2,1e-4"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: signal_count must lie in the bracket 2..7, got 1\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier report\n"])
+def test_failed_write_leaves_no_partial_output(
+    earlier, gap_config_path, tmp_path, monkeypatch
+):
+    out_path = tmp_path / "report.csv"
+    if earlier is not None:
+        out_path.write_text(earlier)
+
+    def failing_writer(report, fmt, out):
+        out.write("rule,J,m_or_bounds\n")
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr("seqgap.cli.write_run_report", failing_writer)
+    argv = ["run", "--config", gap_config_path, "--reps", "5", "--out", str(out_path)]
+    assert main(argv) == 1
+    if earlier is None:
+        assert not out_path.exists()
+    else:
+        assert out_path.read_text() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["gap.yaml"] + ([] if earlier is None else ["report.csv"])
+    )

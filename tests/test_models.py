@@ -194,6 +194,23 @@ def test_sample_block_bernoulli_protocol():
     np.testing.assert_array_equal(block, expected)
 
 
+class _ZeroUniforms:
+    """Generator stand-in whose every uniform is exactly 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+def test_sample_block_zero_uniform_gives_finite_observations():
+    """random() may return 0.0, where the normal inverse CDF is -inf."""
+    profile = StreamProfile(
+        (gaussian_model(0.5), StreamModel(family=BERNOULLI, null=0.3, alt=0.7))
+    )
+    block = profile.sample_block(frozenset({1}), 3, _ZeroUniforms())
+    assert np.all(np.isfinite(block))
+    assert np.all(np.isfinite(profile.increments(block)))
+
+
 def test_profile_increments_matches_scalar_llr():
     models = (
         gaussian_model(0.5),
