@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -446,21 +447,42 @@ def _resolve_format(args) -> str:
     return "text"
 
 
+def _replaceable(st: os.stat_result) -> bool:
+    """Whether a rename may replace the file unnoticed: a regular file, not
+    a symlink, with one link, owned by this user."""
+    return (
+        stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid()
+    )
+
+
 def _emit(args, write) -> None:
     """Write the report to stdout, or to the output file as a whole.
 
-    The file is written under a temporary name in its own directory and
-    renamed over the target only once complete, so a failed or interrupted
-    write leaves no truncated file and any earlier file unchanged.
+    A new file, or an existing plain file of this user, is written under a
+    temporary name in its own directory and renamed over the target only
+    once complete, so a failed or interrupted write leaves no truncated file
+    and any earlier file unchanged.  Anything else (a symlink, a hard-linked
+    or foreign file, a device or a FIFO) is written in place, through the
+    name, as given.
     """
     fmt, path = _resolve_format(args), _out_path(args)
     if path is None:
         write(fmt, sys.stdout)
         return
+    try:
+        existing = os.lstat(path)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not _replaceable(existing):
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            write(fmt, out)
+        return
     head, tail = os.path.split(path)
     partial = os.path.join(head, f".{tail}.{os.getpid()}.partial")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as out:
+            if existing is not None:
+                os.chmod(out.fileno(), stat.S_IMODE(existing.st_mode))
             write(fmt, out)
         os.replace(partial, path)
     except BaseException:

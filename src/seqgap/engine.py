@@ -219,21 +219,26 @@ def check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
+def aggregate_counts(
+    config: ExperimentConfig, counts: list[ConfusionCounts]
+) -> dict[MetricKind, MetricEstimate]:
+    """The config's metric estimates over per-trial counts in trial order."""
+    signal_count = len(config.truth) if config.truth else None
+    return {
+        kind: aggregate(kind, counts, signal_count=signal_count)
+        for kind in config.metrics
+    }
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run all trials and aggregate in trial order."""
     check_workers(workers)
     started = time.perf_counter()
     records = _run_all(config, workers)
-    counts = [r.counts for r in records]
-    signal_count = len(config.truth) if config.truth else None
-    estimates = {
-        kind: aggregate(kind, counts, signal_count=signal_count)
-        for kind in config.metrics
-    }
     return ExperimentReport(
         config=config,
         mean_stopping_time=mean_se([float(r.stopping_time) for r in records]),
-        metrics=estimates,
+        metrics=aggregate_counts(config, [r.counts for r in records]),
         horizon_hits=sum(r.horizon_hit for r in records),
         wall_time=time.perf_counter() - started,
     )

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
+import stat
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -533,3 +536,53 @@ def test_failed_write_leaves_no_partial_output(
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["gap.yaml"] + ([] if earlier is None else ["report.csv"])
     )
+
+
+def _csv_report(config_path, out_path):
+    argv = ["run", "--config", config_path, "--reps", "5", "--format", "csv"]
+    assert main(argv + ["--out", str(out_path)]) == 0
+
+
+def test_out_through_symlink_writes_the_target(gap_config_path, tmp_path):
+    _csv_report(gap_config_path, tmp_path / "plain.csv")
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("earlier report\n")
+    link.symlink_to(target)
+    _csv_report(gap_config_path, link)
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_out_hard_linked_file_is_written_in_place(gap_config_path, tmp_path):
+    _csv_report(gap_config_path, tmp_path / "plain.csv")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text("earlier report\n")
+    os.link(first, second)
+    _csv_report(gap_config_path, first)
+    assert os.path.samefile(first, second)
+    assert second.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_out_replacing_a_file_keeps_its_mode(gap_config_path, tmp_path):
+    out_path = tmp_path / "report.csv"
+    out_path.write_text("earlier report\n")
+    out_path.chmod(0o640)
+    _csv_report(gap_config_path, out_path)
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+    assert out_path.read_text() != "earlier report\n"
+
+
+def test_out_to_a_fifo_writes_through_it(gap_config_path, tmp_path):
+    _csv_report(gap_config_path, tmp_path / "plain.csv")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True
+    )
+    reader.start()
+    _csv_report(gap_config_path, fifo)
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert received == [(tmp_path / "plain.csv").read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gap.yaml", "pipe", "plain.csv"]
