@@ -27,6 +27,7 @@ from .engine import (
     aggregate_counts,
     check_workers,
     derive_seed,
+    payload,
     run_experiment,
     trial_rng,
 )
@@ -71,12 +72,15 @@ class CalibrationResult:
     """
 
     chosen: float | int
-    achieved: dict[MetricKind, MetricEstimate]
     replications: int
     grid: str
     search_seed: int
     evaluation_seed: int
+    achieved: dict[MetricKind, MetricEstimate]
     probes: tuple[CalibrationProbe, ...]
+
+    def payload(self) -> dict:
+        return payload(self)
 
 
 def _bracket_min_feasible(
@@ -239,11 +243,11 @@ def _finish(
     ).metrics
     return CalibrationResult(
         chosen=chosen_point,
-        achieved=achieved,
         replications=replications,
         grid=grid,
         search_seed=seed,
         evaluation_seed=evaluation_seed,
+        achieved=achieved,
         probes=probes(),
     )
 
@@ -271,8 +275,9 @@ def calibrate_gap_c(
     replications with 1, 2 or 4 workers; with many more cores than that,
     the one-core search may fall behind, which is not measured.
     """
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    for name, value in (("grid_step", grid_step), ("threshold_cap", threshold_cap)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     kwargs = {} if horizon is None else {"horizon": horizon}
 
     def point(index: int) -> float:

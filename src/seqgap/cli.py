@@ -5,9 +5,11 @@ Subcommands: ``run`` (one experiment from a config file), ``calibrate``
 (bundled benchmark studies), and ``sweep`` (expected stopping time against
 its asymptotic benchmark over a budget grid).
 
-Machine formats (csv, json) serialize floats with 17 significant digits so
-a written report re-read by this module's own parsers reproduces every
-numeric field exactly, and they omit wall time so identical runs produce
+Every report is written by ``write_report``: csv rows come from one row
+function per report type, json is the report's ``payload()``, and text has
+one layout per report type.  The machine formats (csv, json) read back to
+every float exactly (csv cells carry 17 significant digits, json the
+shortest exact repr), and they omit wall time so identical runs produce
 identical files; the text format is for humans and prints proportions as
 percentages with two decimals plus the wall time.
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import os
 import stat
@@ -33,12 +34,11 @@ from .calibrate import (
     calibrate_gap_c,
     calibrate_topm_n,
 )
-from .config import ConfigError, LoadedConfig, load_config
+from .config import ConfigError, LoadedConfig, check_count, check_seed, load_config
 from .engine import (
     BenchmarkReport,
     ExperimentReport,
     SweepReport,
-    _estimate_to_dict,
     asymptotic_sweep,
     config_to_dict,
     reproduce_table,
@@ -53,6 +53,15 @@ WORKERS_ENV = "SEQGAP_WORKERS"
 # Metrics that are proportions (rendered as percentages in text output);
 # the per-family expected counts are shown raw.
 _PERCENT_KINDS = frozenset(MetricKind) - {MetricKind.PFER, MetricKind.PFER2}
+
+
+def _text_estimate(kind: MetricKind, est: MetricEstimate) -> str:
+    if kind in _PERCENT_KINDS:
+        return (
+            f"{100 * est.value:.2f}%  (se {100 * est.se:.2f} pp, "
+            f"n={est.n_effective})"
+        )
+    return f"{est.value:.4f}  (se {est.se:.4f}, n={est.n_effective})"
 
 
 RUN_CSV_COLUMNS = [
@@ -72,62 +81,19 @@ RUN_CSV_COLUMNS = [
 ]
 
 
-def write_run_csv(report: ExperimentReport, out) -> None:
+def _value_se(*estimates: MetricEstimate) -> list[float]:
+    return [x for est in estimates for x in (est.value, est.se)]
+
+
+def _run_rows(report: ExperimentReport):
     """One row per requested metric, with the config echoed in every row."""
     config = report.config
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RUN_CSV_COLUMNS)
+    rule, j = config.rule, config.profile.j
+    echo = [rule.name, j, rule.bounds_cell(j), rule.threshold_cell()]
+    echo += [config.replications, config.master_seed]
+    echo += _value_se(report.mean_stopping_time)
     for kind, est in report.metrics.items():
-        writer.writerow(
-            [
-                config.rule.name,
-                config.profile.j,
-                config.rule.bounds_cell(config.profile.j),
-                config.rule.threshold_cell(),
-                config.replications,
-                config.master_seed,
-                _fmt(report.mean_stopping_time.value),
-                _fmt(report.mean_stopping_time.se),
-                kind.value,
-                _fmt(est.value),
-                _fmt(est.se),
-                est.n_effective,
-                report.horizon_hits,
-            ]
-        )
-
-
-def read_run_csv(path) -> list[dict]:
-    """Parse a run CSV back; numeric fields come back as int/float."""
-    numeric_int = {"J", "reps", "seed", "n_effective", "horizon_hits"}
-    numeric_float = {"ET", "ET_se", "value", "se"}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = []
-        for row in csv.DictReader(handle):
-            parsed = {}
-            for key, cell in row.items():
-                if key in numeric_int:
-                    parsed[key] = int(cell)
-                elif key in numeric_float:
-                    parsed[key] = float(cell)
-                else:
-                    parsed[key] = cell
-            rows.append(parsed)
-    return rows
-
-
-def read_json_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _text_estimate(kind: MetricKind, est: MetricEstimate) -> str:
-    if kind in _PERCENT_KINDS:
-        return (
-            f"{100 * est.value:.2f}%  (se {100 * est.se:.2f} pp, "
-            f"n={est.n_effective})"
-        )
-    return f"{est.value:.4f}  (se {est.se:.4f}, n={est.n_effective})"
+        yield echo + [kind.value, *_value_se(est), est.n_effective, report.horizon_hits]
 
 
 def write_run_text(report: ExperimentReport, out) -> None:
@@ -150,16 +116,6 @@ def write_run_text(report: ExperimentReport, out) -> None:
     out.write(f"  wall time: {report.wall_time:.2f} s\n")
 
 
-def write_run_report(report: ExperimentReport, fmt: str, out) -> None:
-    if fmt == "csv":
-        write_run_csv(report, out)
-    elif fmt == "json":
-        json.dump(report.payload(), out, indent=2)
-        out.write("\n")
-    else:
-        write_run_text(report, out)
-
-
 CALIBRATE_CSV_COLUMNS = [
     "row_type",
     "point",
@@ -174,55 +130,16 @@ CALIBRATE_CSV_COLUMNS = [
 ]
 
 
-def write_calibration_csv(result: CalibrationResult, out) -> None:
+def _calibration_rows(result: CalibrationResult):
     """Achieved rows first, then the probe trace in probe order."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CALIBRATE_CSV_COLUMNS)
-
-    def emit(row_type: str, point, kind: MetricKind, est: MetricEstimate) -> None:
-        writer.writerow(
-            [
-                row_type,
-                _fmt(point),
-                kind.value,
-                _fmt(est.value),
-                _fmt(est.se),
-                est.n_effective,
-                _fmt(result.chosen),
-                result.replications,
-                result.search_seed,
-                result.evaluation_seed,
-            ]
-        )
-
-    for kind, est in result.achieved.items():
-        emit("achieved", result.chosen, kind, est)
-    for probe in result.probes:
-        for kind, est in probe.estimates.items():
-            emit("probe", probe.point, kind, est)
-
-
-def calibration_payload(result: CalibrationResult) -> dict:
-    return {
-        "chosen": result.chosen,
-        "replications": result.replications,
-        "grid": result.grid,
-        "search_seed": result.search_seed,
-        "evaluation_seed": result.evaluation_seed,
-        "achieved": {
-            kind.value: _estimate_to_dict(est) for kind, est in result.achieved.items()
-        },
-        "probes": [
-            {
-                "point": probe.point,
-                "estimates": {
-                    kind.value: _estimate_to_dict(est)
-                    for kind, est in probe.estimates.items()
-                },
-            }
-            for probe in result.probes
-        ],
-    }
+    echo = [result.chosen, result.replications]
+    echo += [result.search_seed, result.evaluation_seed]
+    points = [("achieved", result.chosen, result.achieved)]
+    points += [("probe", probe.point, probe.estimates) for probe in result.probes]
+    for row_type, point, estimates in points:
+        for kind, est in estimates.items():
+            cells = [row_type, point, kind.value, *_value_se(est), est.n_effective]
+            yield cells + echo
 
 
 def write_calibration_text(result: CalibrationResult, out) -> None:
@@ -243,16 +160,6 @@ def write_calibration_text(result: CalibrationResult, out) -> None:
             for kind, est in probe.estimates.items()
         )
         out.write(f"    point {probe.point:g}: {cells}\n")
-
-
-def write_calibration_report(result: CalibrationResult, fmt: str, out) -> None:
-    if fmt == "csv":
-        write_calibration_csv(result, out)
-    elif fmt == "json":
-        json.dump(calibration_payload(result), out, indent=2)
-        out.write("\n")
-    else:
-        write_calibration_text(result, out)
 
 
 BENCHMARK_CSV_COLUMNS = [
@@ -279,34 +186,19 @@ BENCHMARK_CSV_COLUMNS = [
 ]
 
 
-def write_benchmark_csv(report: BenchmarkReport, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(BENCHMARK_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.num_signals,
-                _fmt(row.threshold),
-                _fmt(row.gap_et.value),
-                _fmt(row.gap_et.se),
-                _fmt(row.gap_fdr.value),
-                _fmt(row.gap_fdr.se),
-                _fmt(row.gap_fnr.value),
-                _fmt(row.gap_fnr.se),
-                row.bh_sample_size,
-                _fmt(row.bh_savings),
-                _fmt(row.bh_fdr.value),
-                _fmt(row.bh_fdr.se),
-                _fmt(row.bh_fnr.value),
-                _fmt(row.bh_fnr.se),
-                row.topm_sample_size,
-                _fmt(row.topm_savings),
-                _fmt(row.topm_fdr.value),
-                _fmt(row.topm_fdr.se),
-                _fmt(row.topm_fnr.value),
-                _fmt(row.topm_fnr.se),
-            ]
-        )
+def _benchmark_rows(report: BenchmarkReport):
+    for r in report.rows:
+        yield [
+            r.num_signals,
+            r.threshold,
+            *_value_se(r.gap_et, r.gap_fdr, r.gap_fnr),
+            r.bh_sample_size,
+            r.bh_savings,
+            *_value_se(r.bh_fdr, r.bh_fnr),
+            r.topm_sample_size,
+            r.topm_savings,
+            *_value_se(r.topm_fdr, r.topm_fnr),
+        ]
 
 
 def write_benchmark_text(report: BenchmarkReport, out) -> None:
@@ -331,16 +223,6 @@ def write_benchmark_text(report: BenchmarkReport, out) -> None:
         )
 
 
-def write_benchmark_report(report: BenchmarkReport, fmt: str, out) -> None:
-    if fmt == "csv":
-        write_benchmark_csv(report, out)
-    elif fmt == "json":
-        json.dump(report.payload(), out, indent=2)
-        out.write("\n")
-    else:
-        write_benchmark_text(report, out)
-
-
 SWEEP_CSV_COLUMNS = [
     "alpha",
     "beta",
@@ -354,23 +236,18 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
-def write_sweep_csv(report: SweepReport, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
+def _sweep_rows(report: SweepReport):
     for row in report.rows:
-        writer.writerow(
-            [
-                _fmt(row.alpha),
-                _fmt(row.beta),
-                row.rule.name,
-                row.rule.threshold_cell(),
-                _fmt(row.mean_stopping_time.value),
-                _fmt(row.mean_stopping_time.se),
-                _fmt(row.kappa),
-                _fmt(row.ratio),
-                row.horizon_hits,
-            ]
-        )
+        yield [
+            row.alpha,
+            row.beta,
+            row.rule.name,
+            row.rule.threshold_cell(),
+            *_value_se(row.mean_stopping_time),
+            row.kappa,
+            row.ratio,
+            row.horizon_hits,
+        ]
 
 
 def write_sweep_text(report: SweepReport, out) -> None:
@@ -390,14 +267,42 @@ def write_sweep_text(report: SweepReport, out) -> None:
         )
 
 
-def write_sweep_report(report: SweepReport, fmt: str, out) -> None:
+# Per report type: the csv header, the csv row function and the text layout.
+_LAYOUTS = {
+    ExperimentReport: (RUN_CSV_COLUMNS, _run_rows, write_run_text),
+    CalibrationResult: (
+        CALIBRATE_CSV_COLUMNS,
+        _calibration_rows,
+        write_calibration_text,
+    ),
+    BenchmarkReport: (BENCHMARK_CSV_COLUMNS, _benchmark_rows, write_benchmark_text),
+    SweepReport: (SWEEP_CSV_COLUMNS, _sweep_rows, write_sweep_text),
+}
+
+
+def write_report(report, fmt: str, out) -> None:
+    """Write a run, calibration, benchmark or sweep report as csv, json or text.
+
+    Float csv cells are written with ``_fmt``; every other cell as is.
+    """
+    columns, rows, write_text = _LAYOUTS[type(report)]
     if fmt == "csv":
-        write_sweep_csv(report, out)
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows(report):
+            writer.writerow(_fmt(x) if isinstance(x, float) else x for x in row)
     elif fmt == "json":
         json.dump(report.payload(), out, indent=2)
         out.write("\n")
     else:
-        write_sweep_text(report, out)
+        write_text(report, out)
+
+
+# The commands write through one name per report type.
+write_run_report = write_report
+write_calibration_report = write_report
+write_benchmark_report = write_report
+write_sweep_report = write_report
 
 
 # --- command plumbing ---
@@ -405,31 +310,29 @@ def write_sweep_report(report: SweepReport, fmt: str, out) -> None:
 
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        workers = args.workers
-    else:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is None:
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    if workers < 1:
-        raise ConfigError(f"worker count must be >= 1, got {workers}")
-    return workers
+        return check_count(args.workers, "--workers")
+    raw = os.environ.get(WORKERS_ENV)
+    if raw is None:
+        return 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    return check_count(workers, WORKERS_ENV)
+
+
+def _overrides(args) -> dict:
+    """The checked ``--reps`` and ``--seed`` values that were given."""
+    updates = {}
+    if args.reps is not None:
+        updates["replications"] = check_count(args.reps, "--reps")
+    if args.seed is not None:
+        updates["master_seed"] = check_seed(args.seed, "--seed")
+    return updates
 
 
 def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
-    experiment = loaded.experiment
-    updates = {}
-    if args.reps is not None:
-        updates["replications"] = args.reps
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if updates:
-        experiment = replace(experiment, **updates)
+    experiment = replace(loaded.experiment, **_overrides(args))
     return replace(loaded, experiment=experiment)
 
 
@@ -557,13 +460,8 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     args.loaded = None
-    kwargs = {}
-    if args.reps is not None:
-        kwargs["replications"] = args.reps
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
     report = reproduce_table(
-        args.which, rows=args.rows, workers=_resolve_workers(args), **kwargs
+        args.which, rows=args.rows, workers=_resolve_workers(args), **_overrides(args)
     )
     _emit(args, lambda fmt, out: write_benchmark_report(report, fmt, out))
     return 0

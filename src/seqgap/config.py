@@ -16,11 +16,12 @@ sweep command uses the same control metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
 
-from .engine import DEFAULT_HORIZON, ExperimentConfig
+from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
 from .metrics import MetricKind
 from .models import StreamModel, StreamProfile
 from .rules import BhRule, GapIntersectionRule, GapRule, IntersectionRule, Rule, TopMRule
@@ -73,6 +74,21 @@ def _pop(section: dict, path: str, key: str, required: bool = True, default=None
 def _done(section: dict, path: str) -> None:
     if section:
         raise ConfigError(f"unknown key(s) under {path}: {', '.join(sorted(section))}")
+
+
+def check_count(value: int, name: str) -> int:
+    """``value`` if it is at least 1; a ConfigError naming ``name`` if not."""
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def check_seed(value: int, name: str) -> int:
+    """``value`` if it is a 64-bit master seed; a ConfigError naming ``name``
+    if not."""
+    if not 0 <= value < _SEED_SPAN:
+        raise ConfigError(f"{name} must be in 0..2**64 - 1, got {value}")
+    return value
 
 
 def _as_int(value, path: str) -> int:
@@ -331,10 +347,13 @@ def _parse_calibration(doc) -> CalibrationSettings:
             else _as_bool(full_scan, "calibrate.full_scan")
         ),
     )
-    if settings.grid_step <= 0:
-        raise ConfigError(
-            f"calibrate.grid_step must be positive, got {settings.grid_step}"
-        )
+    for name in ("grid_step", "threshold_cap"):
+        value = getattr(settings, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(
+                f"calibrate.{name} must be finite and positive, got {value}"
+            )
+    check_count(settings.sample_size_cap, "calibrate.sample_size_cap")
     if settings.target_fnr is not None and not 0 < settings.target_fnr < 1:
         raise ConfigError(
             f"calibrate.target_fnr must be in (0, 1), got {settings.target_fnr}"
@@ -367,10 +386,9 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     )
     metrics = _parse_metrics(_pop(run, "run", "metrics", required=False))
     _done(run, "run")
-    if replications < 1:
-        raise ConfigError(f"run.replications must be >= 1, got {replications}")
-    if horizon < 1:
-        raise ConfigError(f"run.horizon must be >= 1, got {horizon}")
+    check_count(replications, "run.replications")
+    check_seed(seed, "run.seed")
+    check_count(horizon, "run.horizon")
 
     output_format = None
     output_path = None

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args
 
 import numpy as np
 from scipy.special import ndtr
@@ -202,15 +203,7 @@ class ExperimentReport:
     wall_time: float
 
     def payload(self) -> dict:
-        return {
-            "config": config_to_dict(self.config),
-            "mean_stopping_time": _estimate_to_dict(self.mean_stopping_time),
-            "metrics": {
-                kind.value: _estimate_to_dict(est)
-                for kind, est in self.metrics.items()
-            },
-            "horizon_hits": self.horizon_hits,
-        }
+        return payload(self)
 
 
 def check_workers(workers: int) -> None:
@@ -244,11 +237,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     )
 
 
-# --- serialization helpers (shared by payload() and the CLI writers) ---
-
-
-def _estimate_to_dict(est: MetricEstimate) -> dict:
-    return {"value": est.value, "se": est.se, "n_effective": est.n_effective}
+# --- serialization (every report's payload() and the CLI's JSON) ---
 
 
 def rule_to_dict(rule: Rule) -> dict:
@@ -284,6 +273,38 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+# Values written in their config-file form rather than field by field.
+_CONFIG_FORMS = {
+    ExperimentConfig: config_to_dict,
+    **dict.fromkeys(get_args(Rule), rule_to_dict),
+}
+
+
+def payload(value):
+    """The JSON-ready form of a report, or of any value inside one.
+
+    Dataclasses become dicts in field order, without ``wall_time``; configs
+    and rules take their config-file form; metric kinds become their names
+    and tuples become lists.
+    """
+    to_dict = _CONFIG_FORMS.get(type(value))
+    if to_dict is not None:
+        return to_dict(value)
+    if is_dataclass(value):
+        return {
+            f.name: payload(getattr(value, f.name))
+            for f in fields(value)
+            if f.name != "wall_time"
+        }
+    if isinstance(value, dict):
+        return {payload(key): payload(item) for key, item in value.items()}
+    if isinstance(value, MetricKind):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [payload(item) for item in value]
+    return value
+
+
 # --- asymptotic sweep diagnostic ---
 
 
@@ -307,22 +328,7 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
 
     def payload(self) -> dict:
-        return {
-            "base": config_to_dict(self.base),
-            "control": self.control.value,
-            "rows": [
-                {
-                    "alpha": row.alpha,
-                    "beta": row.beta,
-                    "rule": rule_to_dict(row.rule),
-                    "mean_stopping_time": _estimate_to_dict(row.mean_stopping_time),
-                    "kappa": row.kappa,
-                    "ratio": row.ratio,
-                    "horizon_hits": row.horizon_hits,
-                }
-                for row in self.rows
-            ],
-        }
+        return payload(self)
 
 
 def asymptotic_sweep(
@@ -459,30 +465,7 @@ class BenchmarkReport:
     rows: tuple[BenchmarkRow, ...]
 
     def payload(self) -> dict:
-        return {
-            "which": self.which,
-            "j": self.j,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "rows": [
-                {
-                    "num_signals": row.num_signals,
-                    "threshold": row.threshold,
-                    "gap_et": _estimate_to_dict(row.gap_et),
-                    "gap_fdr": _estimate_to_dict(row.gap_fdr),
-                    "gap_fnr": _estimate_to_dict(row.gap_fnr),
-                    "bh_sample_size": row.bh_sample_size,
-                    "bh_savings": row.bh_savings,
-                    "bh_fdr": _estimate_to_dict(row.bh_fdr),
-                    "bh_fnr": _estimate_to_dict(row.bh_fnr),
-                    "topm_sample_size": row.topm_sample_size,
-                    "topm_savings": row.topm_savings,
-                    "topm_fdr": _estimate_to_dict(row.topm_fdr),
-                    "topm_fnr": _estimate_to_dict(row.topm_fnr),
-                }
-                for row in self.rows
-            ],
-        }
+        return payload(self)
 
 
 def reproduce_table(

@@ -1,5 +1,7 @@
 """Tests for Monte Carlo threshold and sample-size calibration."""
 
+import math
+
 import pytest
 
 from seqgap import (
@@ -189,4 +191,21 @@ def test_calibrate_rejects_bad_arguments():
             truth=TRUTH,
             level=0.05,
             target_fnr=1.5,
+        )
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"grid_step": math.inf}, {"threshold_cap": math.inf}, {"threshold_cap": math.nan}],
+    ids=repr,
+)
+def test_calibrate_gap_c_rejects_a_non_finite_grid(override):
+    (name,) = override
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        calibrate_gap_c(
+            profile=small_profile(),
+            truth=TRUTH,
+            num_signals=3,
+            budget=ErrorBudget(0.05, 0.05),
+            **override,
         )

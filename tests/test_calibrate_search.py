@@ -67,8 +67,9 @@ def oracle_calibrate_gap_c(
     workers=1,
     full_scan=False,
 ):
-    if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+    for name, value in (("grid_step", grid_step), ("threshold_cap", threshold_cap)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     kwargs = {} if horizon is None else {"horizon": horizon}
 
     def point(index):

@@ -12,13 +12,7 @@ import pytest
 
 import seqgap.engine
 from seqgap import calibrate_gap_c, load_config
-from seqgap.cli import (
-    RUN_CSV_COLUMNS,
-    calibration_payload,
-    main,
-    read_json_report,
-    read_run_csv,
-)
+from seqgap.cli import RUN_CSV_COLUMNS, main
 from seqgap.engine import rule_to_dict
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
@@ -45,6 +39,25 @@ GAP_CONFIG = textwrap.dedent(
       metrics: [fdr, fnr]
     """
 )
+
+
+def read_run_csv(path) -> list[dict]:
+    """Parse a run CSV back; numeric fields come back as int/float."""
+    numeric_int = {"J", "reps", "seed", "n_effective", "horizon_hits"}
+    numeric_float = {"ET", "ET_se", "value", "se"}
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = []
+        for row in csv.DictReader(handle):
+            parsed = {}
+            for key, cell in row.items():
+                if key in numeric_int:
+                    parsed[key] = int(cell)
+                elif key in numeric_float:
+                    parsed[key] = float(cell)
+                else:
+                    parsed[key] = cell
+            rows.append(parsed)
+    return rows
 
 
 @pytest.fixture
@@ -116,7 +129,7 @@ def test_run_json_payload(gap_config_path, tmp_path):
         ["run", "--config", gap_config_path, "--format", "json", "--out", out_path]
     )
     assert code == 0
-    doc = read_json_report(out_path)
+    doc = json.loads(Path(out_path).read_text())
     assert doc["config"]["rule"]["type"] == "gap"
     assert "wall_time" not in doc
     assert doc["metrics"]["fdr"]["n_effective"] == 300
@@ -140,7 +153,7 @@ def test_run_overrides_reps_and_seed(gap_config_path, tmp_path):
             out_path,
         ]
     )
-    doc = read_json_report(out_path)
+    doc = json.loads(Path(out_path).read_text())
     assert doc["config"]["replications"] == 50
     assert doc["config"]["master_seed"] == 7
 
@@ -150,13 +163,59 @@ def test_workers_env_var_invariance(gap_config_path, tmp_path, monkeypatch):
     main(["run", "--config", gap_config_path, "--format", "json", "--out", a])
     monkeypatch.setenv("SEQGAP_WORKERS", "4")
     main(["run", "--config", gap_config_path, "--format", "json", "--out", b])
-    assert read_json_report(a) == read_json_report(b)
+    assert json.loads(Path(a).read_text()) == json.loads(Path(b).read_text())
 
 
 def test_workers_env_var_validated(gap_config_path, monkeypatch, capsys):
     monkeypatch.setenv("SEQGAP_WORKERS", "zero?")
     assert main(["run", "--config", gap_config_path]) == 2
     assert "SEQGAP_WORKERS" in capsys.readouterr().err
+
+
+_SUBCOMMANDS = {
+    "run": ["run"],
+    "calibrate": ["calibrate"],
+    "sweep": ["sweep", "--alphas", "1e-2"],
+    "reproduce": ["reproduce", "--which", "table1", "--rows", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--reps", "0"],
+        ["--reps", "-3"],
+        ["--seed", "-1"],
+        ["--seed", str(2**64)],
+        ["--workers", "0"],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_bad_override_exit_2_naming_the_flag(command, flags, gap_config_path, capsys):
+    argv = _SUBCOMMANDS[command] + flags
+    if command != "reproduce":
+        argv += ["--config", gap_config_path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {flags[0]} must be ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "threshold_cap: .nan",
+        "threshold_cap: 0",
+        "grid_step: .inf",
+        "sample_size_cap: 0",
+    ],
+)
+def test_bad_calibrate_setting_exit_2(line, tmp_path, capsys):
+    path = tmp_path / "cal.yaml"
+    path.write_text(GAP_CONFIG + f"calibrate:\n  {line}\n")
+    assert main(["calibrate", "--config", str(path)]) == 2
+    key = line.split(":")[0]
+    assert f"configuration error: calibrate.{key} must be" in capsys.readouterr().err
 
 
 def test_config_error_exit_2(tmp_path, capsys):
@@ -214,7 +273,7 @@ def test_calibrate_gap(gap_config_path, tmp_path):
         ]
     )
     assert code == 0
-    doc = read_json_report(out_path)
+    doc = json.loads(Path(out_path).read_text())
     assert doc["chosen"] > 0
     assert doc["probes"]
     assert doc["achieved"]["fdr"]["n_effective"] == 150
@@ -230,7 +289,7 @@ def test_calibrate_honours_run_horizon(tmp_path):
     out_path = str(tmp_path / "cal.json")
     argv = ["calibrate", "--config", str(path), "--reps", "100"]
     assert main(argv + ["--format", "json", "--out", out_path]) == 0
-    doc = read_json_report(out_path)
+    doc = json.loads(Path(out_path).read_text())
     loaded = load_config(str(path))
     experiment = loaded.experiment
     assert experiment.horizon == 3
@@ -244,7 +303,7 @@ def test_calibrate_honours_run_horizon(tmp_path):
         horizon=3,
     )
     assert doc["chosen"] == want.chosen
-    assert doc["probes"] == calibration_payload(want)["probes"]
+    assert doc["probes"] == want.payload()["probes"]
 
 
 def test_calibrate_csv_contains_trace(gap_config_path, tmp_path):
@@ -480,7 +539,8 @@ def test_shipped_configs_run(path, fmt, tmp_path):
     assert main(argv + ["--out", out_path]) == 0
     rule = load_config(str(path)).experiment.rule
     if fmt == "json":
-        assert read_json_report(out_path)["config"]["rule"] == rule_to_dict(rule)
+        doc = json.loads(Path(out_path).read_text())
+        assert doc["config"]["rule"] == rule_to_dict(rule)
     else:
         cells = {(row["rule"], row["threshold"]) for row in read_run_csv(out_path)}
         assert cells == {(rule.name, rule.threshold_cell())}

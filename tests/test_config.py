@@ -221,6 +221,39 @@ def test_calibrate_section_parsed():
     assert settings.full_scan is True
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "threshold_cap: .nan",
+        "threshold_cap: .inf",
+        "threshold_cap: 0",
+        "threshold_cap: -1",
+        "grid_step: .nan",
+        "grid_step: .inf",
+        "grid_step: 0",
+        "sample_size_cap: 0",
+    ],
+)
+def test_calibrate_section_validated(line):
+    key = line.split(":")[0]
+    with pytest.raises(ConfigError, match=f"^calibrate.{key} must be"):
+        parse(BASE + f"calibrate:\n  {line}\n")
+
+
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        ("replications: 500", "replications: 0", "run.replications"),
+        ("seed: 42", "seed: -1", "run.seed"),
+        ("seed: 42", f"seed: {2**64}", "run.seed"),
+        ("seed: 42", "seed: 42\n  horizon: 0", "run.horizon"),
+    ],
+)
+def test_run_section_validated(old, new, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        parse(BASE.replace(old, new))
+
+
 def test_output_section_validated():
     text = BASE + "\noutput:\n  format: xml\n"
     with pytest.raises(ConfigError, match="output.format"):

@@ -13,6 +13,7 @@ and say in the change description which numbers moved and why.
 
 import contextlib
 import io
+import os
 import re
 import sys
 from pathlib import Path
@@ -25,23 +26,12 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("csv", "json", "text")
 
-# A calibration whose cap is below every feasible threshold: exit 1 with
-# the probe trace on stderr.
-_CAPPED_GAP = """\
-streams: {family: gaussian-mean, "null": 0.0, alt: 0.5, count: 10}
-truth: {count: 5}
-rule: {type: gap, num_signals: 5, threshold: 2.1}
-budget: {alpha: 0.05, beta: 0.05}
-run: {replications: 20, seed: 42}
-calibrate: {grid_step: 0.1, threshold_cap: 0.3}
-"""
-
 
 def _config(name: str) -> str:
     return str(ROOT / "configs" / f"{name}.yaml")
 
 
-def _commands(tmp: Path | None = None) -> dict[str, list[str]]:
+def _commands() -> dict[str, list[str]]:
     """Case name -> argv, without the format flag."""
     cases = {
         f"run-{path.stem}": ["run", "--config", str(path), "--reps", "20"]
@@ -59,8 +49,9 @@ def _commands(tmp: Path | None = None) -> dict[str, list[str]]:
         "sweep", "--config", _config("gap-intersection"),
         "--alphas", "0.05:0.1,1e-3:2e-3", "--reps", "20",
     ]
-    capped = "capped-gap.yaml" if tmp is None else str(tmp / "capped-gap.yaml")
-    cases["calibrate-gap-capped"] = ["calibrate", "--config", capped]
+    cases["calibrate-gap-capped"] = [
+        "calibrate", "--config", str(GOLDEN / "capped-gap.yaml"),
+    ]
     return cases
 
 
@@ -78,35 +69,24 @@ def _render(argv: list[str]) -> str:
     )
 
 
-def _case_output(name: str, fmt: str, tmp: Path) -> str:
-    (tmp / "capped-gap.yaml").write_text(_CAPPED_GAP, encoding="utf-8")
-    return _render(_commands(tmp)[name] + ["--format", fmt])
-
-
 def _golden_path(name: str, fmt: str) -> Path:
     return GOLDEN / f"{name}.{fmt}.txt"
 
 
 @pytest.mark.parametrize("name,fmt", CASES, ids=[f"{n}.{f}" for n, f in CASES])
-def test_cli_output_matches_golden(name, fmt, tmp_path, monkeypatch):
+def test_cli_output_matches_golden(name, fmt, monkeypatch):
     monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
-    got = _case_output(name, fmt, tmp_path)
-    want = _golden_path(name, fmt).read_text(encoding="utf-8")
-    # Paths of the scratch config differ between runs; nothing else may.
-    assert got.replace(str(tmp_path), "<tmp>") == want
+    got = _render(_commands()[name] + ["--format", fmt])
+    assert got == _golden_path(name, fmt).read_text(encoding="utf-8")
 
 
 def _regenerate() -> None:
-    import os
-    import tempfile
-
     os.environ.pop("SEQGAP_WORKERS", None)
-    GOLDEN.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, fmt in CASES:
-            text = _case_output(name, fmt, Path(tmp)).replace(tmp, "<tmp>")
-            _golden_path(name, fmt).write_text(text, encoding="utf-8")
-            print(f"wrote {_golden_path(name, fmt).relative_to(ROOT)}", file=sys.stderr)
+    for name, fmt in CASES:
+        path = _golden_path(name, fmt)
+        text = _render(_commands()[name] + ["--format", fmt])
+        path.write_text(text, encoding="utf-8")
+        print(f"wrote {path.relative_to(ROOT)}", file=sys.stderr)
 
 
 if __name__ == "__main__":
