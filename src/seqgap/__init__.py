@@ -35,7 +35,6 @@ from .engine import (
     run_trial,
     trial_rng,
 )
-from .llr import LlrState, OrderView, advance, gap_at, initial_state, order_view
 from .metrics import (
     BoundConstants,
     ConditioningError,
@@ -62,9 +61,10 @@ from .rules import (
     GapIntersectionRule,
     GapRule,
     IntersectionRule,
+    OrderView,
     TopMRule,
     bh_decide,
-    p_value,
+    order_view,
     run_sequential,
     top_m_decide,
 )

@@ -83,6 +83,13 @@ class CalibrationResult:
         return payload(self)
 
 
+def grid_points(grid_step: float, threshold_cap: float) -> int:
+    """Number of threshold grid points ``grid_step``, ``2 * grid_step``, ...
+    at or below ``threshold_cap``; the tolerance keeps a cap that is a
+    multiple of the step on the grid despite binary float noise."""
+    return int(threshold_cap / grid_step + 1e-9)
+
+
 def _bracket_min_feasible(
     feasible, cap_index: int, describe: str, full_scan: bool
 ) -> int:
@@ -316,7 +323,7 @@ def calibrate_gap_c(
             and est[MetricKind.FNR].value <= budget.beta
         )
 
-    cap_index = int(threshold_cap / grid_step + 1e-9)
+    cap_index = grid_points(grid_step, threshold_cap)
     grid = f"thresholds {grid_step:g}, {2 * grid_step:g}, ... capped at {threshold_cap:g}"
     chosen = _search(feasible, cap_index, grid, full_scan, probes)
     return _finish(
@@ -379,6 +386,7 @@ def calibrate_bh_n(
     seed: int = 0,
     sample_size_cap: int = 10_000,
     workers: int = 1,
+    full_scan: bool = False,
 ) -> CalibrationResult:
     """Sample size whose step-up FNR estimate is closest to a target.
 
@@ -406,7 +414,7 @@ def calibrate_bh_n(
 
     grid = f"sample sizes 1..{sample_size_cap}"
     crossing = _search(
-        lambda i: fnr_at(i) <= target_fnr, sample_size_cap, grid, False, probes
+        lambda i: fnr_at(i) <= target_fnr, sample_size_cap, grid, full_scan, probes
     )
     candidates = [c for c in (crossing - 1, crossing) if c >= 1]
     chosen = min(candidates, key=lambda c: (abs(fnr_at(c) - target_fnr), c))

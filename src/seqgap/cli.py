@@ -447,6 +447,7 @@ def _cmd_calibrate(args) -> int:
             level=rule.level,
             target_fnr=settings.target_fnr,
             sample_size_cap=settings.sample_size_cap,
+            full_scan=settings.full_scan,
             **common,
         )
     else:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import yaml
 
+from .calibrate import grid_points
 from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
 from .metrics import MetricKind
 from .models import StreamModel, StreamProfile
@@ -353,6 +354,12 @@ def _parse_calibration(doc) -> CalibrationSettings:
             raise ConfigError(
                 f"calibrate.{name} must be finite and positive, got {value}"
             )
+    if grid_points(settings.grid_step, settings.threshold_cap) < 1:
+        raise ConfigError(
+            f"calibrate.threshold_cap ({settings.threshold_cap:g}) is below "
+            f"calibrate.grid_step ({settings.grid_step:g}): the threshold "
+            "search would have no grid points"
+        )
     check_count(settings.sample_size_cap, "calibrate.sample_size_cap")
     if settings.target_fnr is not None and not 0 < settings.target_fnr < 1:
         raise ConfigError(

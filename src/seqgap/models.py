@@ -90,32 +90,6 @@ class StreamModel:
             return (self.null**2 - self.alt**2) / 2.0
         return math.log((1.0 - self.alt) / (1.0 - self.null))
 
-    def llr_increment(self, x: float) -> float:
-        """One-observation log-likelihood ratio log f_alt(x) / f_null(x)."""
-        if self.family == BERNOULLI and x not in (0.0, 1.0):
-            raise ValueError(f"bernoulli observation must be 0 or 1, got {x!r}")
-        if not math.isfinite(x):
-            raise ValueError(f"observation must be finite, got {x!r}")
-        return self.llr_slope * float(x) + self.llr_offset
-
-    def state_param(self, state: str) -> float:
-        if state == "null":
-            return self.null
-        if state == "alt":
-            return self.alt
-        raise ValueError(f"state must be 'null' or 'alt', got {state!r}")
-
-    def from_uniform(self, u: float, state: str) -> float:
-        """Map one uniform variate to an observation under ``state``."""
-        param = self.state_param(state)
-        if self.family == GAUSSIAN_MEAN:
-            return param + float(ndtri(u))
-        return 1.0 if u < param else 0.0
-
-    def sample(self, state: str, rng: np.random.Generator) -> float:
-        """Draw one observation, consuming exactly one uniform from ``rng``."""
-        return self.from_uniform(float(rng.random()), state)
-
     def info_numbers(self) -> InfoNumbers:
         """Closed-form KL information numbers and increment variances."""
         if self.family == GAUSSIAN_MEAN:
@@ -185,7 +159,7 @@ class StreamProfile:
             [k for k, m in enumerate(self.models) if m.family == family], dtype=int
         )
 
-    def state_params(self, truth: frozenset[int]) -> np.ndarray:
+    def active_params(self, truth: frozenset[int]) -> np.ndarray:
         """(J,) array of the active-state parameter of every stream."""
         mask = self.signal_mask(truth)
         null = np.array([m.null for m in self.models])
@@ -203,7 +177,7 @@ class StreamProfile:
         """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        params = self.state_params(truth)
+        params = self.active_params(truth)
         u = rng.random(size=(int(steps), self.j))
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.

@@ -30,9 +30,12 @@ controlled metric; both "auto" config thresholds and the asymptotic sweep
 use it) and ``kappa`` (the first-order benchmark for the expected stopping
 time).
 
-All sequential rules expose ``should_stop`` (single state, reference
-implementation) and ``scan_path`` (vectorized over a block of cumulative
-LLR rows); both must agree on every path, which the tests check.
+Every sequential rule scans blocks only: ``scan_path`` finds the first row
+of a (steps, J) block of cumulative LLRs where the rule fires, and
+``decide`` turns that row's order statistics into the rejected set.  The
+tests keep a one-state form of each stopping condition as an independent
+oracle and check, on random blocks with ties, infinite entries and every
+bracket edge, that ``scan_path`` stops at the same row with the same tag.
 """
 
 from __future__ import annotations
@@ -42,11 +45,9 @@ from dataclasses import asdict, dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr
 
-from .llr import OrderView, gap_at, order_view
 from .metrics import MetricKind, bound_constants
-from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile, eta
+from .models import GAUSSIAN_MEAN, StreamProfile, eta
 from .thresholds import (
     ErrorBudget,
     GiThresholds,
@@ -81,6 +82,44 @@ class Decision:
     @property
     def horizon_hit(self) -> bool:
         return self.stopped_by == STOP_HORIZON
+
+
+@dataclass(frozen=True)
+class OrderView:
+    """Order statistics of one LLR vector.
+
+    ``sorted`` holds the values in decreasing order; ``index_map[k]`` is the
+    1-based stream label carrying ``sorted[k]``.  Equal values keep stream-
+    label order, so the lowest label wins the higher rank.
+    ``positive_count`` counts strictly positive statistics.
+    """
+
+    sorted: np.ndarray
+    index_map: np.ndarray
+    positive_count: int
+
+    @property
+    def j(self) -> int:
+        return int(self.sorted.size)
+
+    def top_labels(self, k: int) -> frozenset[int]:
+        """Stream labels holding the k largest statistics."""
+        if not 0 <= k <= self.j:
+            raise ValueError(f"k must be in 0..{self.j}, got {k}")
+        return frozenset(int(lbl) for lbl in self.index_map[:k])
+
+
+def order_view(lam: np.ndarray) -> OrderView:
+    """Sort an LLR vector in decreasing order, lowest label first on ties."""
+    lam = np.asarray(lam, dtype=float)
+    # argsort of the negated vector with a stable sort implements the
+    # decreasing order with lowest-stream-label tie-breaking.
+    order = np.argsort(-lam, kind="stable")
+    return OrderView(
+        sorted=lam[order],
+        index_map=(order + 1).astype(int),
+        positive_count=int(np.count_nonzero(lam > 0.0)),
+    )
 
 
 def _check_block(path: np.ndarray) -> np.ndarray:
@@ -169,10 +208,6 @@ class GapRule:
 
     def threshold_cell(self) -> str:
         return _fmt(self.threshold)
-
-    def should_stop(self, view: OrderView) -> bool:
-        self._check_j(view.j)
-        return gap_at(view, self.num_signals) >= self.threshold
 
     def gap_column(self, path: np.ndarray) -> np.ndarray:
         """Gap at position ``num_signals`` in every row of a cumulative-LLR
@@ -277,8 +312,9 @@ class GapIntersectionRule:
     def threshold_cell(self) -> str:
         return _barrier_cells(self)
 
-    def should_stop(self, view: OrderView) -> str | None:
-        """Name of the first sub-event that fires at this state, if any.
+    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
+        """First row of a cumulative-LLR block where a sub-event fires, and
+        its name; tau1 wins over tau2, and tau2 over tau3, on the same row.
 
         Order statistics at positions 0 and J+1 act as +inf / -inf
         sentinels, so with min_signals = 0 the accept-side event reduces to
@@ -286,23 +322,6 @@ class GapIntersectionRule:
         max_signals = J the reject-side event reduces to "every statistic
         is at or above the upper barrier".
         """
-        self._check_j(view.j)
-        lo, hi = self.min_signals, self.max_signals
-        lam_below_lo = float(view.sorted[lo]) if lo < view.j else -math.inf
-        if lam_below_lo <= -self.accept_barrier and gap_at(view, lo) >= self.accept_gap:
-            return STOP_TAU1
-        outside = np.all(
-            (view.sorted <= -self.accept_barrier)
-            | (view.sorted >= self.reject_barrier)
-        )
-        if outside and lo <= view.positive_count <= hi:
-            return STOP_TAU2
-        lam_at_hi = float(view.sorted[hi - 1]) if hi >= 1 else math.inf
-        if lam_at_hi >= self.reject_barrier and gap_at(view, hi) >= self.reject_gap:
-            return STOP_TAU3
-        return None
-
-    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         path = _check_block(path)
         j = path.shape[1]
         self._check_j(j)
@@ -389,14 +408,6 @@ class IntersectionRule:
 
     def threshold_cell(self) -> str:
         return _barrier_cells(self)
-
-    def should_stop(self, view: OrderView) -> bool:
-        return bool(
-            np.all(
-                (view.sorted <= -self.accept_barrier)
-                | (view.sorted >= self.reject_barrier)
-            )
-        )
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         path = _check_block(path)
@@ -549,25 +560,6 @@ def run_sequential(
         taken += steps
         block = next_block_size(block, max_block)
     return rule.decide(order_view(lam), stopping_time=horizon, stopped_by=STOP_HORIZON)
-
-
-def p_value(total: float, n: int, model: StreamModel) -> float:
-    """One-sided p-value for a stream's observation sum after n steps.
-
-    Defined for the gaussian-mean family only: the z-score of ``total``
-    under the null mean is tested against the direction of the alternative.
-    """
-    if model.family != GAUSSIAN_MEAN:
-        raise ValueError(
-            f"p-values are only available for the {GAUSSIAN_MEAN} family, "
-            f"got {model.family}"
-        )
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    z = (float(total) - n * model.null) / math.sqrt(n)
-    if model.alt > model.null:
-        return float(ndtr(-z))
-    return float(ndtr(z))
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:

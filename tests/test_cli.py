@@ -341,6 +341,38 @@ def test_calibrate_cap_exit_1_with_trace(tmp_path, capsys):
     assert "probed" in err  # the grid trace is printed
 
 
+def test_calibrate_cap_below_grid_step_exit_2(tmp_path, capsys):
+    """A cap below the first grid point is a configuration error naming both
+    keys, not a search that fails at run time."""
+    path = tmp_path / "cal.yaml"
+    path.write_text(GAP_CONFIG + "calibrate: {grid_step: 0.5, threshold_cap: 0.3}\n")
+    assert main(["calibrate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "calibrate.threshold_cap" in err and "calibrate.grid_step" in err
+
+
+def test_calibrate_bh_full_scan(tmp_path):
+    """calibrate.full_scan makes the bh search probe 1, 2, ... up to the first
+    size meeting target_fnr, in order; here it picks what bracketing picks."""
+    bh = (Path(__file__).parent.parent / "configs" / "bh.yaml").read_text()
+    chosen = {}
+    for full_scan in (False, True):
+        path = tmp_path / f"bh-{full_scan}.yaml"
+        setting = f"  full_scan: {str(full_scan).lower()}\n"
+        path.write_text(bh.replace("calibrate:\n", "calibrate:\n" + setting))
+        out = tmp_path / f"bh-{full_scan}.json"
+        argv = ["calibrate", "--config", str(path), "--reps", "20"]
+        assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        chosen[full_scan] = report["chosen"]
+    points = [probe["point"] for probe in report["probes"]]
+    assert points == list(range(1, len(points) + 1))
+    fnr = [probe["estimates"]["fnr"]["value"] for probe in report["probes"]]
+    assert fnr[-1] <= 0.05 and all(value > 0.05 for value in fnr[:-1])
+    assert chosen[True] == chosen[False]
+
+
 def test_calibrate_bh_requires_target(tmp_path, capsys):
     path = tmp_path / "bh.yaml"
     path.write_text(

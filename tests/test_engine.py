@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from oracles import p_value
 from seqgap import (
     GAUSSIAN_MEAN,
     BhRule,
@@ -19,7 +20,6 @@ from seqgap import (
     StreamProfile,
     TopMRule,
     derive_seed,
-    p_value,
     reproduce_table,
     run_experiment,
     run_trial,

@@ -1,33 +1,12 @@
-"""Tests for cumulative LLR state and order-statistic views."""
+"""Tests for the order-statistic view of an LLR vector and the gap oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from seqgap import LlrState, advance, gap_at, initial_state, order_view
-
-
-def test_initial_state_is_zero():
-    state = initial_state(4)
-    assert state.n == 0
-    np.testing.assert_array_equal(state.lam, np.zeros(4))
-
-
-def test_advance_accumulates():
-    state = initial_state(3)
-    state = advance(state, np.array([1.0, -2.0, 0.5]))
-    state = advance(state, np.array([0.5, 1.0, 0.5]))
-    assert state.n == 2
-    np.testing.assert_allclose(state.lam, [1.5, -1.0, 1.0])
-
-
-def test_advance_rejects_bad_shapes_and_values():
-    state = initial_state(3)
-    with pytest.raises(ValueError):
-        advance(state, np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        advance(state, np.array([1.0, np.nan, 0.0]))
+from oracles import gap_at
+from seqgap import order_view
 
 
 def test_order_view_hand_trace_with_ties():
@@ -44,12 +23,6 @@ def test_order_view_top_labels():
     assert view.top_labels(1) == frozenset({2})
     assert view.top_labels(2) == frozenset({2, 3})
     assert view.top_labels(3) == frozenset({2, 3, 4})
-
-
-def test_order_view_accepts_state():
-    state = LlrState(n=5, lam=np.array([0.5, -0.5]))
-    view = order_view(state)
-    assert tuple(view.index_map) == (1, 2)
 
 
 def test_gap_at_interior():

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import gap_should_stop, gi_should_stop, intersection_should_stop, p_value
 from seqgap import (
     GAUSSIAN_MEAN,
     BhRule,
@@ -15,16 +18,28 @@ from seqgap import (
     StreamProfile,
     TopMRule,
     bh_decide,
-    p_value,
+    order_view,
     run_sequential,
     top_m_decide,
 )
-from seqgap.llr import order_view
-from seqgap.rules import STOP_GAP, STOP_HORIZON, STOP_TAU1, STOP_TAU2, STOP_TAU3
+from seqgap.rules import (
+    STOP_GAP,
+    STOP_HORIZON,
+    STOP_INTERSECTION,
+    STOP_TAU1,
+    STOP_TAU2,
+    STOP_TAU3,
+)
 
 
 def view(*lam):
     return order_view(np.array(lam, dtype=float))
+
+
+def fires(rule, *lam):
+    """Tag of the event ``scan_path`` finds on the one-row block ``lam``."""
+    hit = rule.scan_path(np.array([lam], dtype=float))
+    return None if hit is None else hit[1]
 
 
 # --- gap rule ---
@@ -32,8 +47,8 @@ def view(*lam):
 
 def test_gap_should_stop_hand_traces():
     rule = GapRule(num_signals=1, threshold=2.0)
-    assert not rule.should_stop(view(1.0, -0.5, -1.2))  # gap 1.5
-    assert rule.should_stop(view(2.3, -0.1, -2.0))  # gap 2.4
+    assert fires(rule, 1.0, -0.5, -1.2) is None  # gap 1.5
+    assert fires(rule, 2.3, -0.1, -2.0) == STOP_GAP  # gap 2.4
 
 
 def test_gap_decide_rejects_top_m():
@@ -53,26 +68,6 @@ def test_gap_rule_validation():
         GapRule(num_signals=1, threshold=0.0)
     with pytest.raises(ValueError):
         GapRule(num_signals=1, threshold=math.nan)
-
-
-def test_gap_scan_path_matches_stepwise():
-    """Vectorized path scan stops at the same step as should_stop."""
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        j = int(rng.integers(2, 8))
-        m = int(rng.integers(1, j))
-        rule = GapRule(num_signals=m, threshold=float(rng.uniform(0.5, 3.0)))
-        path = np.cumsum(rng.normal(scale=0.8, size=(60, j)), axis=0)
-        hit = rule.scan_path(path)
-        stepwise = None
-        for t in range(60):
-            if rule.should_stop(order_view(path[t])):
-                stepwise = t
-                break
-        if stepwise is None:
-            assert hit is None
-        else:
-            assert hit is not None and hit[0] == stepwise and hit[1] == STOP_GAP
 
 
 def test_gap_stopping_is_monotone_in_threshold():
@@ -105,39 +100,39 @@ def gi(lo, hi, a, b, c, d):
 def test_gi_tau1_and_tau2_tag_priority():
     """When tau1 and tau2 fire together the reported event is tau1."""
     rule = gi(1, 2, 2.0, 2.0, 3.0, 3.0)
-    assert rule.should_stop(view(4.0, -3.0, -3.5)) == STOP_TAU1
+    assert fires(rule, 4.0, -3.0, -3.5) == STOP_TAU1
 
 
 def test_gi_tau2_alone():
     # p=1 in [1,2] and all lam outside (-2, 2); the accept-side gap 7 is
     # below accept_gap=8 so tau1 stays quiet, and lam(2) = -3 < b kills tau3.
     rule = gi(1, 2, 2.0, 2.0, 8.0, 6.0)
-    assert rule.should_stop(view(4.0, -3.0, -3.5)) == STOP_TAU2
+    assert fires(rule, 4.0, -3.0, -3.5) == STOP_TAU2
 
 
 def test_gi_tau3_alone():
     # lam(2) = 4 >= b and gap at u: 4 - (-0.5) = 4.5 >= d, but lam(3) =
     # -0.5 inside the corridor so tau2 cannot fire, and lam(2) > -a kills tau1.
     rule = gi(1, 2, 2.0, 2.0, 9.0, 4.0)
-    assert rule.should_stop(view(5.0, 4.0, -0.5)) == STOP_TAU3
+    assert fires(rule, 5.0, 4.0, -0.5) == STOP_TAU3
 
 
 def test_gi_no_stop():
     rule = gi(1, 2, 2.0, 2.0, 3.0, 3.0)
-    assert rule.should_stop(view(1.0, -1.0, -1.5)) is None
+    assert fires(rule, 1.0, -1.0, -1.5) is None
 
 
 def test_gi_sentinel_convention_low_edge():
     """With lo=0 the accept event needs no gap: the sentinel is infinite."""
     rule = gi(0, 1, 2.0, 5.0, 3.0, 3.0)
-    assert rule.should_stop(view(-2.5, -2.6)) == STOP_TAU1
+    assert fires(rule, -2.5, -2.6) == STOP_TAU1
 
 
 def test_gi_high_edge_reject_gap_is_vacuous():
     """With hi=J the reject-side gap drops out (infinite sentinel), so an
     unreachable reject_gap still stops; the corridor event carries the tag."""
     rule = gi(1, 2, 2.0, 2.0, 1e9, 1e9)
-    assert rule.should_stop(view(4.0, 3.5)) == STOP_TAU2
+    assert fires(rule, 4.0, 3.5) == STOP_TAU2
 
 
 def test_gi_decide_clamps_positive_count():
@@ -159,39 +154,14 @@ def test_gi_validation():
         gi(0, 2, -1.0, 1.0, 1.0, 1.0)
 
 
-def test_gi_scan_path_matches_stepwise():
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        j = int(rng.integers(2, 7))
-        lo = int(rng.integers(0, j))
-        hi = int(rng.integers(lo + 1, j + 1))
-        rule = gi(
-            lo,
-            hi,
-            float(rng.uniform(0.5, 2.5)),
-            float(rng.uniform(0.5, 2.5)),
-            float(rng.uniform(0.5, 3.5)),
-            float(rng.uniform(0.5, 3.5)),
-        )
-        path = np.cumsum(rng.normal(scale=0.9, size=(80, j)), axis=0)
-        hit = rule.scan_path(path)
-        stepwise = None
-        for t in range(80):
-            tag = rule.should_stop(order_view(path[t]))
-            if tag is not None:
-                stepwise = (t, tag)
-                break
-        assert hit == stepwise
-
-
 # --- intersection rule ---
 
 
 def test_intersection_requires_full_exit():
     rule = IntersectionRule(accept_barrier=2.0, reject_barrier=3.0)
-    assert not rule.should_stop(view(3.5, -1.0))  # -1 still inside (-2, 3)
-    assert rule.should_stop(view(3.5, -2.0))  # boundary counts as outside
-    assert rule.should_stop(view(3.0, -2.5))
+    assert fires(rule, 3.5, -1.0) is None  # -1 still inside (-2, 3)
+    assert fires(rule, 3.5, -2.0) == STOP_INTERSECTION  # boundary counts as outside
+    assert fires(rule, 3.0, -2.5) == STOP_INTERSECTION
 
 
 def test_intersection_rejects_positives():
@@ -221,6 +191,64 @@ def test_intersection_agrees_with_unclamped_bracket():
         d_plain = plain.decide(order_view(path[t]), t + 1, hit_plain[1])
         d_bracketed = bracketed.decide(order_view(path[t]), t + 1, hit_bracketed[1])
         assert d_plain.rejected == d_bracketed.rejected
+
+
+# --- every sequential rule against its one-state oracle ---
+
+
+_ORACLES = {
+    GapRule: lambda rule, v: STOP_GAP if gap_should_stop(rule, v) else None,
+    GapIntersectionRule: gi_should_stop,
+    IntersectionRule: lambda rule, v: (
+        STOP_INTERSECTION if intersection_should_stop(rule, v) else None
+    ),
+}
+
+# Integer entries and thresholds make ties between statistics, and between a
+# gap and its threshold, common; infinite entries make infinite and NaN gaps.
+# A threshold of 100 is out of reach of finite entries, so only an infinite
+# gap, such as an edge sentinel, can meet it.
+_ENTRIES = st.sampled_from([float(k) for k in range(-4, 5)] + [math.inf, -math.inf])
+_THRESHOLDS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 100.0])
+
+
+@st.composite
+def _block_and_thresholds(draw):
+    j = draw(st.integers(2, 7))
+    steps = draw(st.integers(1, 8))
+    row = st.lists(_ENTRIES, min_size=j, max_size=j)
+    block = np.array(draw(st.lists(row, min_size=steps, max_size=steps)))
+    return block, draw(st.lists(_THRESHOLDS, min_size=4, max_size=4))
+
+
+def _rules(j, c):
+    """Each sequential rule at every signal count and bracket that J allows."""
+    yield from (GapRule(num_signals=m, threshold=c[0]) for m in range(1, j))
+    for lo in range(j):
+        for hi in range(lo + 1, j + 1):
+            yield gi(lo, hi, *c)
+    yield IntersectionRule(accept_barrier=c[0], reject_barrier=c[1])
+
+
+def _stepwise(rule, block):
+    """First row where the rule's one-state oracle fires, with its tag."""
+    oracle = _ORACLES[type(rule)]
+    for t, row in enumerate(block):
+        tag = oracle(rule, order_view(row))
+        if tag is not None:
+            return t, tag
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(_block_and_thresholds())
+def test_scan_path_matches_stepwise_oracle(case):
+    """``scan_path`` stops at the first row where the rule's one-state
+    condition holds, with the tag that condition names."""
+    block, c = case
+    for rule in _rules(block.shape[1], c):
+        assert rule.scan_path(block) == _stepwise(rule, block), rule
 
 
 # --- sequential driver ---
