@@ -70,6 +70,26 @@ def test_gap_rule_validation():
         GapRule(num_signals=1, threshold=math.nan)
 
 
+def test_gap_scan_path_matches_stepwise():
+    """Vectorized path scan stops at the same step as the one-state oracle."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        j = int(rng.integers(2, 8))
+        m = int(rng.integers(1, j))
+        rule = GapRule(num_signals=m, threshold=float(rng.uniform(0.5, 3.0)))
+        path = np.cumsum(rng.normal(scale=0.8, size=(60, j)), axis=0)
+        hit = rule.scan_path(path)
+        stepwise = None
+        for t in range(60):
+            if gap_should_stop(rule, order_view(path[t])):
+                stepwise = t
+                break
+        if stepwise is None:
+            assert hit is None
+        else:
+            assert hit is not None and hit[0] == stepwise and hit[1] == STOP_GAP
+
+
 def test_gap_stopping_is_monotone_in_threshold():
     """On a fixed path, a larger threshold never stops earlier."""
     rng = np.random.default_rng(5)
@@ -152,6 +172,31 @@ def test_gi_validation():
         gi(-1, 2, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         gi(0, 2, -1.0, 1.0, 1.0, 1.0)
+
+
+def test_gi_scan_path_matches_stepwise():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        j = int(rng.integers(2, 7))
+        lo = int(rng.integers(0, j))
+        hi = int(rng.integers(lo + 1, j + 1))
+        rule = gi(
+            lo,
+            hi,
+            float(rng.uniform(0.5, 2.5)),
+            float(rng.uniform(0.5, 2.5)),
+            float(rng.uniform(0.5, 3.5)),
+            float(rng.uniform(0.5, 3.5)),
+        )
+        path = np.cumsum(rng.normal(scale=0.9, size=(80, j)), axis=0)
+        hit = rule.scan_path(path)
+        stepwise = None
+        for t in range(80):
+            tag = gi_should_stop(rule, order_view(path[t]))
+            if tag is not None:
+                stepwise = (t, tag)
+                break
+        assert hit == stepwise
 
 
 # --- intersection rule ---
