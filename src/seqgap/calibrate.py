@@ -33,14 +33,7 @@ from .engine import (
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
 from .models import StreamProfile
-from .rules import (
-    FIRST_BLOCK,
-    BhRule,
-    GapRule,
-    TopMRule,
-    next_block_size,
-    path_block,
-)
+from .rules import BhRule, GapRule, TopMRule, Walk, ranking
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
@@ -148,18 +141,15 @@ def _rerun(make_config, seed: int, workers: int):
 
 
 class _GapTrial:
-    """One search trial: its generator, where its path stands, and the rows
-    where the gap set a new record, with the gap there and the number of
-    signals among that row's top m.  Once the horizon ends the path, a last
-    record of gap ``inf`` holds the count of the final row's top m."""
+    """One search trial: its walk, and the rows where the gap set a new
+    record, with the gap there and the number of signals among that row's
+    top m.  Once the horizon ends the walk, a last record of gap ``inf``
+    holds the count of the final row's top m."""
 
-    __slots__ = ("rng", "lam", "taken", "block", "gaps", "in_truth")
+    __slots__ = ("walk", "gaps", "in_truth")
 
-    def __init__(self, rng: np.random.Generator, j: int):
-        self.rng = rng
-        self.lam = np.zeros(j)
-        self.taken = 0
-        self.block = FIRST_BLOCK
+    def __init__(self, walk: Walk):
+        self.walk = walk
         self.gaps: list[float] = []
         self.in_truth: list[int] = []
 
@@ -170,45 +160,39 @@ class _GapSearch:
     At threshold c a trial stops at the first row whose gap reaches c, and
     that row always sets a new record of the running maximum of the gap.
     So a probe answers from a trial's record when the best gap so far
-    reaches c, and otherwise resumes the path on ``run_sequential``'s block
-    schedule until the gap reaches c or the horizon ends it.  The blocks and
-    the gap column are the ones ``run_sequential`` and ``GapRule`` compute,
-    so every comparison with c, and every rejected set (the top m of the
-    stopping row, or of the final row at the horizon), is the one a rerun
-    at c makes.
+    reaches c, and otherwise resumes the trial's walk until the gap reaches
+    c or the horizon ends it.  The walk and the gap column are the ones
+    ``run_sequential`` and ``GapRule`` use, so every comparison with c, and
+    every rejected set (the top m of the stopping row, or of the final row
+    at the horizon), is the one a rerun at c makes.
     """
 
     def __init__(self, config: ExperimentConfig):
-        self.profile = config.profile
-        self.truth = config.truth
-        self.horizon = config.horizon
         self.rule = config.rule  # only its gap column is used, at any threshold
-        self.signal = config.profile.signal_mask(config.truth)
+        profile, truth, horizon = config.profile, config.truth, config.horizon
+        self.signal = profile.signal_mask(truth)
         self.trials = [
-            _GapTrial(trial_rng(config.master_seed, i), config.profile.j)
+            _GapTrial(Walk(profile, truth, horizon, trial_rng(config.master_seed, i)))
             for i in range(config.replications)
         ]
 
     def _in_truth(self, rows: np.ndarray) -> np.ndarray:
         """Signals among the top m of each row, ranked as ``order_view`` ranks."""
-        top = np.argsort(-rows, axis=1, kind="stable")[:, : self.rule.num_signals]
+        top = ranking(rows)[:, : self.rule.num_signals]
         return np.count_nonzero(self.signal[top], axis=1)
 
     def _extend(self, trial: _GapTrial) -> None:
-        steps = min(trial.block, self.horizon - trial.taken)
-        path = path_block(self.profile, self.truth, trial.lam, steps, trial.rng)
+        walk = trial.walk
+        path = walk.next_block()
         gaps = self.rule.gap_column(path)
         best = trial.gaps[-1] if trial.gaps else -math.inf
         before = np.maximum.accumulate(np.concatenate(([best], gaps[:-1])))
         rows = np.nonzero(gaps > before)[0]
         trial.gaps.extend(gaps[rows].tolist())
         trial.in_truth.extend(self._in_truth(path[rows]).tolist())
-        trial.lam = path[-1].copy()  # a view would keep the whole block alive
-        trial.taken += steps
-        trial.block = next_block_size(trial.block)
-        if trial.taken == self.horizon:
+        if walk.taken == walk.horizon:
             trial.gaps.append(math.inf)
-            trial.in_truth.append(int(self._in_truth(trial.lam[None])[0]))
+            trial.in_truth.append(int(self._in_truth(walk.lam[None])[0]))
 
     def _in_truth_at(self, trial: _GapTrial, threshold: float) -> int:
         while not (trial.gaps and trial.gaps[-1] >= threshold):
@@ -218,10 +202,10 @@ class _GapSearch:
     def estimates(self, config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
         """What ``run_experiment(config).metrics`` reports, for a config
         that differs from the search's own only in the threshold."""
-        m, j = self.rule.num_signals, self.profile.j
+        m, j, signals = self.rule.num_signals, config.profile.j, len(config.truth)
         threshold = config.rule.threshold
         counts = [
-            ConfusionCounts(v=m - h, w=len(self.truth) - h, r=m, j=j)
+            ConfusionCounts(v=m - h, w=signals - h, r=m, j=j)
             for h in (self._in_truth_at(t, threshold) for t in self.trials)
         ]
         return aggregate_counts(config, counts)

@@ -312,41 +312,29 @@ def _parse_metrics(raw) -> tuple[MetricKind, ...]:
     return tuple(kinds)
 
 
+# Each ``calibrate:`` key and the parser of its value; an absent or null
+# key keeps the CalibrationSettings default.
+_CALIBRATION_KEYS = {
+    "grid_step": _as_number,
+    "threshold_cap": _as_number,
+    "sample_size_cap": _as_int,
+    "target_fnr": _as_number,
+    "full_scan": _as_bool,
+}
+
+
 def _parse_calibration(doc) -> CalibrationSettings:
     if doc is None:
         return CalibrationSettings()
     section = _mapping(doc, "calibrate")
-    defaults = CalibrationSettings()
-    grid_step = _pop(section, "calibrate", "grid_step", required=False)
-    threshold_cap = _pop(section, "calibrate", "threshold_cap", required=False)
-    sample_size_cap = _pop(section, "calibrate", "sample_size_cap", required=False)
-    target_fnr = _pop(section, "calibrate", "target_fnr", required=False)
-    full_scan = _pop(section, "calibrate", "full_scan", required=False)
+    raw = {key: section.pop(key, None) for key in _CALIBRATION_KEYS}
     _done(section, "calibrate")
     settings = CalibrationSettings(
-        grid_step=(
-            defaults.grid_step
-            if grid_step is None
-            else _as_number(grid_step, "calibrate.grid_step")
-        ),
-        threshold_cap=(
-            defaults.threshold_cap
-            if threshold_cap is None
-            else _as_number(threshold_cap, "calibrate.threshold_cap")
-        ),
-        sample_size_cap=(
-            defaults.sample_size_cap
-            if sample_size_cap is None
-            else _as_int(sample_size_cap, "calibrate.sample_size_cap")
-        ),
-        target_fnr=(
-            None if target_fnr is None else _as_number(target_fnr, "calibrate.target_fnr")
-        ),
-        full_scan=(
-            defaults.full_scan
-            if full_scan is None
-            else _as_bool(full_scan, "calibrate.full_scan")
-        ),
+        **{
+            key: _CALIBRATION_KEYS[key](value, f"calibrate.{key}")
+            for key, value in raw.items()
+            if value is not None
+        }
     )
     for name in ("grid_step", "threshold_cap"):
         value = getattr(settings, name)

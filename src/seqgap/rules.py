@@ -109,12 +109,17 @@ class OrderView:
         return frozenset(int(lbl) for lbl in self.index_map[:k])
 
 
+def ranking(lam: np.ndarray) -> np.ndarray:
+    """Column indices of each row of ``lam`` from the largest value down,
+    the lowest column first on ties."""
+    # A stable sort of the negated values breaks ties by column order.
+    return np.argsort(-lam, axis=-1, kind="stable")
+
+
 def order_view(lam: np.ndarray) -> OrderView:
     """Sort an LLR vector in decreasing order, lowest label first on ties."""
     lam = np.asarray(lam, dtype=float)
-    # argsort of the negated vector with a stable sort implements the
-    # decreasing order with lowest-stream-label tie-breaking.
-    order = np.argsort(-lam, kind="stable")
+    order = ranking(lam)
     return OrderView(
         sorted=lam[order],
         index_map=(order + 1).astype(int),
@@ -500,26 +505,51 @@ FIRST_BLOCK = 64
 MAX_BLOCK = 8192
 
 
-def path_block(
-    profile: StreamProfile,
-    truth: frozenset[int],
-    lam: np.ndarray,
-    steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The cumulative-LLR rows of the next ``steps`` observations after ``lam``.
+class Walk:
+    """One trial's cumulative-LLR path, drawn block by block.
 
-    Every sequential path is built from this step on the schedule of
-    ``next_block_size``, so a path resumed block by block holds the same
-    floats as the one ``run_sequential`` draws.
+    Blocks follow a fixed doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
+    ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms
+    consumed depend on the horizon alone.  The running sum ``lam`` is added
+    to the first increment row of each block before the cumulative sum, so
+    every row is summed in the same order as one cumulative sum over the
+    whole path, and the rows equal it bit for bit on any block schedule.
+    A class rather than a generator: a suspended generator would keep its
+    last block alive, and a search holds thousands of walks.
     """
-    x = profile.sample_block(truth, steps, rng)
-    return lam + np.cumsum(profile.increments(x), axis=0)
 
+    __slots__ = ("profile", "truth", "horizon", "rng", "lam", "taken", "block")
 
-def next_block_size(block: int, max_block: int = MAX_BLOCK) -> int:
-    """The block size after ``block`` on the doubling schedule."""
-    return min(block * 2, int(max_block))
+    def __init__(
+        self,
+        profile: StreamProfile,
+        truth: frozenset[int],
+        horizon: int,
+        rng: np.random.Generator,
+    ):
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        self.profile = profile
+        self.truth = profile.validate_signal_set(truth)
+        self.horizon = horizon
+        self.rng = rng
+        self.lam = np.zeros(profile.j)
+        self.taken = 0
+        self.block = FIRST_BLOCK
+
+    def next_block(self) -> np.ndarray | None:
+        """The cumulative-LLR rows of the next block, or None at the horizon."""
+        if self.taken == self.horizon:
+            return None
+        steps = min(self.block, self.horizon - self.taken)
+        x = self.profile.sample_block(self.truth, steps, self.rng)
+        path = self.profile.increments(x)
+        path[0] += self.lam
+        np.cumsum(path, axis=0, out=path)
+        self.lam = path[-1].copy()  # a view would keep the whole block alive
+        self.taken += steps
+        self.block = min(2 * self.block, MAX_BLOCK)
+        return path
 
 
 def run_sequential(
@@ -528,38 +558,24 @@ def run_sequential(
     truth: frozenset[int],
     horizon: int,
     rng: np.random.Generator,
-    *,
-    first_block: int = FIRST_BLOCK,
-    max_block: int = MAX_BLOCK,
 ) -> Decision:
-    """Sample a fresh path until the rule fires or the horizon is exhausted.
+    """Walk a fresh path until the rule fires or the horizon is exhausted.
 
-    Observations are drawn in blocks on a fixed doubling schedule
-    (first_block, 2*first_block, ..., max_block, max_block, ...), so the
-    stream of uniforms consumed is a deterministic function of the horizon
-    alone and the outcome is reproducible for a given generator state.
     If the horizon is exhausted the rule's decision is evaluated at the
     final state and tagged "horizon".
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    truth = profile.validate_signal_set(truth)
-    lam = np.zeros(profile.j)
-    taken = 0
-    block = int(first_block)
-    while taken < horizon:
-        steps = min(block, horizon - taken)
-        path = path_block(profile, truth, lam, steps, rng)
+    walk = Walk(profile, truth, horizon, rng)
+    while (path := walk.next_block()) is not None:
         hit = rule.scan_path(path)
         if hit is not None:
             row, tag = hit
+            stopping_time = walk.taken - len(path) + row + 1
             return rule.decide(
-                order_view(path[row]), stopping_time=taken + row + 1, stopped_by=tag
+                order_view(path[row]), stopping_time=stopping_time, stopped_by=tag
             )
-        lam = path[-1]
-        taken += steps
-        block = next_block_size(block, max_block)
-    return rule.decide(order_view(lam), stopping_time=horizon, stopped_by=STOP_HORIZON)
+    return rule.decide(
+        order_view(walk.lam), stopping_time=horizon, stopped_by=STOP_HORIZON
+    )
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:

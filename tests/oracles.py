@@ -1,11 +1,11 @@
 """One-state reference forms of the library's vectorized code.
 
-The library scans blocks of cumulative LLR rows (``scan_path``), maps
-observation blocks to increments (``StreamProfile.increments``) and turns
-observation sums into p-values (``engine.fixed_sample_pvalues``).  The
-functions here state the same conditions one state, one stream or one
-observation at a time, the way the definitions read, and the tests check
-the library against them.
+The library walks a path block by block (``rules.Walk``), scans blocks of
+cumulative LLR rows (``scan_path``), maps observation blocks to increments
+(``StreamProfile.increments``) and turns observation sums into p-values
+(``engine.fixed_sample_pvalues``).  The functions here state the same
+things one path, one state, one stream or one observation at a time, the
+way the definitions read, and the tests check the library against them.
 """
 
 import math
@@ -13,8 +13,29 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from seqgap import BERNOULLI, GAUSSIAN_MEAN, OrderView
-from seqgap.rules import STOP_TAU1, STOP_TAU2, STOP_TAU3
+from seqgap import (
+    BERNOULLI,
+    GAUSSIAN_MEAN,
+    GapIntersectionRule,
+    GapRule,
+    IntersectionRule,
+    OrderView,
+    order_view,
+)
+from seqgap.rules import (
+    STOP_GAP,
+    STOP_HORIZON,
+    STOP_INTERSECTION,
+    STOP_TAU1,
+    STOP_TAU2,
+    STOP_TAU3,
+)
+
+
+def one_shot_path(profile, truth, horizon: int, rng) -> np.ndarray:
+    """A trial's cumulative-LLR path as one cumulative sum over all its rows."""
+    x = profile.sample_block(truth, horizon, rng)
+    return np.cumsum(profile.increments(x), axis=0)
 
 
 def gap_at(view: OrderView, k: int) -> float:
@@ -69,6 +90,32 @@ def intersection_should_stop(rule, view: OrderView) -> bool:
             (view.sorted <= -rule.accept_barrier) | (view.sorted >= rule.reject_barrier)
         )
     )
+
+
+def stop_tag(rule, view: OrderView) -> str | None:
+    """The event a sequential rule's one-state condition names at this
+    state, or None if the rule does not stop there."""
+    if isinstance(rule, GapRule):
+        return STOP_GAP if gap_should_stop(rule, view) else None
+    if isinstance(rule, GapIntersectionRule):
+        return gi_should_stop(rule, view)
+    assert isinstance(rule, IntersectionRule)
+    return STOP_INTERSECTION if intersection_should_stop(rule, view) else None
+
+
+def stepwise_run(rule, path: np.ndarray) -> tuple[int, frozenset[int], str]:
+    """Stopping time, rejected labels and stop tag of a sequential rule on
+    a whole cumulative-LLR path, scanned one row at a time; a path that
+    ends without a stop is decided at its last row and tagged "horizon"."""
+    for t, row in enumerate(path):
+        view = order_view(row)
+        tag = stop_tag(rule, view)
+        if tag is not None:
+            break
+    else:
+        tag = STOP_HORIZON
+    decision = rule.decide(view, t + 1, tag)
+    return decision.stopping_time, decision.rejected, decision.stopped_by
 
 
 def p_value(total: float, n: int, model) -> float:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgap import (
     GAUSSIAN_MEAN,
@@ -15,6 +17,7 @@ from seqgap import (
     calibrate_gap_c,
     calibrate_topm_n,
 )
+from seqgap.calibrate import _bracket_min_feasible
 
 
 def small_profile(j=6, theta=0.6):
@@ -209,3 +212,36 @@ def test_calibrate_gap_c_rejects_a_non_finite_grid(override):
             budget=ErrorBudget(0.05, 0.05),
             **override,
         )
+
+
+def _min_feasible(cap: int, first: int | None, full_scan: bool):
+    """The search's index for the predicate ``i >= first`` (never true when
+    ``first`` is None), or its error message.  Every probe must lie on the
+    grid 1..cap, and the bracketed search may take about 2 log2(cap) probes:
+    doubling, then bisection."""
+    limit = cap if full_scan else 2 * max(cap, 1).bit_length() + 2
+    probes = []
+
+    def feasible(i: int) -> bool:
+        assert 1 <= i <= cap and len(probes) < limit, (i, probes)
+        probes.append(i)
+        return first is not None and i >= first
+
+    try:
+        return _bracket_min_feasible(feasible, cap, "the grid", full_scan)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cap=st.integers(-2, 300), data=st.data())
+def test_bracketed_search_matches_the_full_scan(cap, data):
+    """Doubling and bisection find the full scan's index on any monotone
+    predicate, or fail with the same message when no point is feasible."""
+    first = data.draw(st.none() | st.integers(1, max(cap, 1) + 1), label="first")
+    found = _min_feasible(cap, first, full_scan=False)
+    assert found == _min_feasible(cap, first, full_scan=True)
+    if first is not None and first <= cap:
+        assert found == first
+    else:
+        assert isinstance(found, str)

@@ -9,11 +9,11 @@ exception, message and probe trace, on every input.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import one_shot_path
 from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
@@ -236,15 +236,17 @@ def test_invalid_arguments_fail_as_the_oracle_does(override):
     assert isinstance(got, tuple) and issubclass(got[0], Exception)
 
 
-def test_resumed_paths_follow_the_run_sequential_schedule():
-    """Search trials resumed probe by probe end on the same floats as a
-    path drawn on the doubling schedule 64, 128, ... in one go."""
+@pytest.mark.parametrize("horizon", (1, 63, 64, 65, 300, 16_321))
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_search_trials_end_on_the_one_shot_path(family, horizon):
+    """Search trials resumed probe by probe end on the last row of one
+    cumulative sum over the whole path, bit for bit, with that path's
+    record gaps.  16,321 is one row past the block where the schedule
+    reaches its largest block."""
     from seqgap.calibrate import _GapSearch
     from seqgap.engine import trial_rng
 
-    profile = StreamProfile.homogeneous(MODELS["gaussian"], 5)
-    truth = frozenset({1, 2})
-    horizon = 300  # blocks of 64, 128 and a last one of 108
+    profile, truth = StreamProfile.homogeneous(MODELS[family], 5), frozenset({1, 2})
 
     def config(threshold):
         return ExperimentConfig(
@@ -260,10 +262,12 @@ def test_resumed_paths_follow_the_run_sequential_schedule():
     for threshold in (0.5, 1e6):  # the second one runs every path out
         search.estimates(config(threshold))
     for i, trial in enumerate(search.trials):
-        rng = trial_rng(11, i)
-        lam = np.zeros(5)
-        for steps in (64, 128, 108):
-            block = profile.increments(profile.sample_block(truth, steps, rng))
-            lam = (lam + block.cumsum(axis=0))[-1]
-        assert trial.taken == horizon
-        assert trial.lam.tobytes() == lam.tobytes()
+        path = one_shot_path(profile, truth, horizon, trial_rng(11, i))
+        assert trial.walk.taken == horizon
+        assert trial.walk.lam.tobytes() == path[-1].tobytes()
+        best, records = -math.inf, []
+        for gap in GapRule(num_signals=2, threshold=1.0).gap_column(path):
+            if gap > best:
+                best = gap
+                records.append(float(gap))
+        assert trial.gaps == records + [math.inf]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqgap import (
     BoundConstants,
@@ -204,3 +206,73 @@ def test_bound_constants_sandwich_property():
             fwe1 = 1.0 if v >= 1 else 0.0
             assert value <= bc.c1_type1 * fwe1 + 1e-12
             assert bc.c2 * fwe1 <= value + 1e-12
+
+
+# Metrics bounded through V (false rejections) and through W (missed signals).
+_V_SIDE = (
+    MetricKind.FWE1,
+    MetricKind.FDR,
+    MetricKind.PFDR,
+    MetricKind.PCER,
+    MetricKind.FPR,
+    MetricKind.PFER,
+)
+_W_SIDE = (MetricKind.FWE2, MetricKind.FNR, MetricKind.PFNR, MetricKind.PFER2)
+# Kinds whose constants need no bracket or signal-count condition.
+_ALWAYS_BOUNDED = {
+    MetricKind.FWE1,
+    MetricKind.FWE2,
+    MetricKind.FDR,
+    MetricKind.FNR,
+    MetricKind.PCER,
+    MetricKind.PFER,
+    MetricKind.PFER2,
+}
+
+
+@st.composite
+def _rule_and_counts(draw):
+    """A rule class with its bound-constant arguments, and one trial's
+    counts that the rule can produce: the gap rule rejects exactly m of J
+    streams with m signals, the bracketed rule between l and u of them."""
+    j = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, j - 1))
+        rule_class, kwargs, r, signals = "gap", {"num_signals": m}, m, m
+    else:
+        lo = draw(st.integers(0, j - 1))
+        hi = draw(st.integers(lo + 1, j))
+        r = draw(st.integers(lo, hi))
+        signals = draw(st.integers(0, j))
+        rule_class = "gap-intersection"
+        kwargs = {
+            "num_signals": signals or None,
+            "min_signals": lo,
+            "max_signals": hi,
+        }
+    v = draw(st.integers(max(0, r - signals), min(r, j - signals)))
+    counts = ConfusionCounts(v=v, w=signals - (r - v), r=r, j=j)
+    return rule_class, kwargs, counts, signals
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rule_and_counts())
+def test_bound_constants_sandwich_every_trial(case):
+    """c2 * 1{V >= 1} <= metric <= c1_type1 * 1{V >= 1} on every trial, for
+    every metric bounded through V, and the same through W with c1_type2;
+    so FDR <= FWE1 <= J * FDR holds trial by trial, exactly."""
+    rule_class, kwargs, counts, signals = case
+    covered = set()
+    for side, c1_of, fwe in (
+        (_V_SIDE, lambda bc: bc.c1_type1, float(counts.v >= 1)),
+        (_W_SIDE, lambda bc: bc.c1_type2, float(counts.w >= 1)),
+    ):
+        for kind in side:
+            try:
+                bc = bound_constants(kind, rule_class, counts.j, **kwargs)
+            except ValueError:
+                continue  # no constants for this bracket or signal count
+            covered.add(kind)
+            value = per_trial(kind, counts, signal_count=signals)
+            assert bc.c2 * fwe <= value <= c1_of(bc) * fwe, (kind, bc, value)
+    assert covered >= _ALWAYS_BOUNDED

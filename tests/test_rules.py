@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gap_should_stop, gi_should_stop, intersection_should_stop, p_value
+from oracles import (
+    gap_should_stop,
+    gi_should_stop,
+    one_shot_path,
+    p_value,
+    stepwise_run,
+    stop_tag,
+)
 from seqgap import (
+    BERNOULLI,
     GAUSSIAN_MEAN,
     BhRule,
     GapIntersectionRule,
@@ -29,6 +37,7 @@ from seqgap.rules import (
     STOP_TAU1,
     STOP_TAU2,
     STOP_TAU3,
+    Walk,
 )
 
 
@@ -241,14 +250,6 @@ def test_intersection_agrees_with_unclamped_bracket():
 # --- every sequential rule against its one-state oracle ---
 
 
-_ORACLES = {
-    GapRule: lambda rule, v: STOP_GAP if gap_should_stop(rule, v) else None,
-    GapIntersectionRule: gi_should_stop,
-    IntersectionRule: lambda rule, v: (
-        STOP_INTERSECTION if intersection_should_stop(rule, v) else None
-    ),
-}
-
 # Integer entries and thresholds make ties between statistics, and between a
 # gap and its threshold, common; infinite entries make infinite and NaN gaps.
 # A threshold of 100 is out of reach of finite entries, so only an infinite
@@ -277,9 +278,8 @@ def _rules(j, c):
 
 def _stepwise(rule, block):
     """First row where the rule's one-state oracle fires, with its tag."""
-    oracle = _ORACLES[type(rule)]
     for t, row in enumerate(block):
-        tag = oracle(rule, order_view(row))
+        tag = stop_tag(rule, order_view(row))
         if tag is not None:
             return t, tag
     return None
@@ -317,26 +317,46 @@ def test_run_sequential_gap_smoke():
     assert not decision.horizon_hit
 
 
-def test_run_sequential_block_schedule_invariance():
-    """Stopping decision cannot depend on the internal block sizes."""
-    profile = make_profile()
-    rule = GapRule(num_signals=2, threshold=3.0)
-    for seed in range(25):
-        one = run_sequential(
-            rule,
-            profile,
-            frozenset({1, 3}),
-            50_000,
-            np.random.default_rng(seed),
-            first_block=1,
-            max_block=1,
+# 16,320 = 64 + 128 + ... + 8192: past it the blocks are MAX_BLOCK rows.
+WALK_HORIZONS = (1, 63, 64, 65, 300, 16_321)
+WALK_PROFILES = {
+    "gaussian": make_profile(j=5),
+    "bernoulli": StreamProfile.homogeneous(
+        StreamModel(family=BERNOULLI, null=0.3, alt=0.6), 5
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", WALK_HORIZONS)
+@pytest.mark.parametrize("family", sorted(WALK_PROFILES))
+def test_walk_and_run_sequential_follow_the_one_shot_path(family, horizon):
+    """The walk's blocks concatenate to one cumulative sum over the whole
+    path, bit for bit, and ``run_sequential`` stops and decides as a
+    row-by-row scan of that path does."""
+    profile, truth = WALK_PROFILES[family], frozenset({1, 2})
+    path = one_shot_path(profile, truth, horizon, np.random.default_rng(5))
+
+    walk = Walk(profile, truth, horizon, np.random.default_rng(5))
+    blocks = []
+    while (block := walk.next_block()) is not None:
+        blocks.append(block)
+    assert np.concatenate(blocks).tobytes() == path.tobytes()
+    assert walk.taken == horizon and walk.lam.tobytes() == path[-1].tobytes()
+
+    # The largest gap of the path is met at its first row, and nowhere
+    # earlier by a hair, only if every row is summed as the one-shot path is.
+    top_gap = GapRule(num_signals=2, threshold=1.0).gap_column(path).max()
+    for rule in (
+        GapRule(num_signals=2, threshold=float(top_gap)),
+        GapRule(num_signals=2, threshold=1e9),
+        gi(1, 4, 3.0, 3.0, 1.0, 1.0),
+        IntersectionRule(accept_barrier=2.0, reject_barrier=2.0),
+    ):
+        decision = run_sequential(
+            rule, profile, truth, horizon, np.random.default_rng(5)
         )
-        blocked = run_sequential(
-            rule, profile, frozenset({1, 3}), 50_000, np.random.default_rng(seed)
-        )
-        assert one.stopping_time == blocked.stopping_time
-        assert one.rejected == blocked.rejected
-        assert one.stopped_by == blocked.stopped_by
+        got = (decision.stopping_time, decision.rejected, decision.stopped_by)
+        assert got == stepwise_run(rule, path), rule
 
 
 def test_run_sequential_horizon_decision():
