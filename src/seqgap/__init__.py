@@ -41,6 +41,7 @@ from .metrics import (
     ConfusionCounts,
     MetricEstimate,
     MetricKind,
+    NoBoundConstants,
     aggregate,
     bound_constants,
     confusion,

@@ -114,32 +114,6 @@ def _bracket_min_feasible(
     return hi
 
 
-def _probe_runner(measure, point_of):
-    """Memoized ``measure`` over grid indices, recording probe order."""
-    cache: dict[int, dict[MetricKind, MetricEstimate]] = {}
-    order: list[int] = []
-
-    def estimates_at(index: int) -> dict[MetricKind, MetricEstimate]:
-        if index not in cache:
-            cache[index] = measure(index)
-            order.append(index)
-        return cache[index]
-
-    def probes() -> tuple[CalibrationProbe, ...]:
-        return tuple(
-            CalibrationProbe(point=point_of(i), estimates=cache[i]) for i in order
-        )
-
-    return estimates_at, probes
-
-
-def _rerun(make_config, seed: int, workers: int):
-    """Probe by running the experiment at the grid point from step 0."""
-    return lambda index: run_experiment(
-        make_config(index, seed), workers=workers
-    ).metrics
-
-
 class _GapTrial:
     """One search trial: its walk, and the rows where the gap set a new
     record, with the gap there and the number of signals among that row's
@@ -211,34 +185,85 @@ class _GapSearch:
         return aggregate_counts(config, counts)
 
 
-def _search(feasible, cap_index: int, grid: str, full_scan: bool, probes) -> int:
-    try:
-        return _bracket_min_feasible(feasible, cap_index, grid, full_scan)
-    except ValueError as exc:
-        raise CalibrationError(str(exc), probes=probes()) from exc
+def _within(budget: ErrorBudget):
+    """Feasibility at a budget: estimated FDR <= alpha and FNR <= beta."""
+    return lambda est: (
+        est[MetricKind.FDR].value <= budget.alpha
+        and est[MetricKind.FNR].value <= budget.beta
+    )
 
 
-def _finish(
-    make_config,
-    chosen_index: int,
-    chosen_point: float | int,
+def _calibrate(
+    rule_at,
+    point,
+    grid: str,
+    cap_index: int,
+    accept,
+    *,
+    profile: StreamProfile,
+    truth: frozenset[int],
+    replications: int,
     seed: int,
     workers: int,
-    replications: int,
-    grid: str,
-    probes,
+    full_scan: bool,
+    horizon: int | None = None,
+    measure=None,
+    choose=None,
 ) -> CalibrationResult:
+    """Search grid indices 1..cap_index for the first whose estimates
+    ``accept``, and evaluate the chosen index at a fresh seed.
+
+    ``rule_at`` gives the rule at a grid index and ``point`` its grid point,
+    which probes record as a float.  ``measure`` maps a probe's config to
+    its estimates (by default, a rerun of the experiment); ``choose`` maps
+    the first accepted index and the memoized probe to the chosen index (by
+    default, that index).
+    """
+    kwargs = {} if horizon is None else {"horizon": horizon}
+
+    def config_at(index: int, master_seed: int) -> ExperimentConfig:
+        return ExperimentConfig(
+            profile=profile,
+            truth=truth,
+            rule=rule_at(index),
+            replications=replications,
+            master_seed=master_seed,
+            metrics=(MetricKind.FDR, MetricKind.FNR),
+            **kwargs,
+        )
+
+    def rerun(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
+        return run_experiment(config, workers=workers).metrics
+
+    measure = measure or rerun
+    cache: dict[int, dict[MetricKind, MetricEstimate]] = {}  # in probe order
+
+    def estimates_at(index: int) -> dict[MetricKind, MetricEstimate]:
+        if index not in cache:
+            cache[index] = measure(config_at(index, seed))
+        return cache[index]
+
+    def probes() -> tuple[CalibrationProbe, ...]:
+        return tuple(
+            CalibrationProbe(point=float(point(i)), estimates=est)
+            for i, est in cache.items()
+        )
+
+    try:
+        first = _bracket_min_feasible(
+            lambda i: accept(estimates_at(i)), cap_index, grid, full_scan
+        )
+    except ValueError as exc:
+        raise CalibrationError(str(exc), probes=probes()) from exc
+    chosen = first if choose is None else choose(first, estimates_at)
     evaluation_seed = derive_seed(seed, _EVALUATION_TAG)
-    achieved = run_experiment(
-        make_config(chosen_index, evaluation_seed), workers=workers
-    ).metrics
     return CalibrationResult(
-        chosen=chosen_point,
+        chosen=point(chosen),
         replications=replications,
         grid=grid,
         search_seed=seed,
         evaluation_seed=evaluation_seed,
-        achieved=achieved,
+        achieved=rerun(config_at(chosen, evaluation_seed)),
         probes=probes(),
     )
 
@@ -269,56 +294,36 @@ def calibrate_gap_c(
     for name, value in (("grid_step", grid_step), ("threshold_cap", threshold_cap)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    kwargs = {} if horizon is None else {"horizon": horizon}
 
     def point(index: int) -> float:
         # Round away binary float noise so reported grid points are clean.
         return round(index * grid_step, 12)
 
-    def make_config(index: int, master_seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            profile=profile,
-            truth=truth,
-            rule=GapRule(num_signals=num_signals, threshold=point(index)),
-            replications=replications,
-            master_seed=master_seed,
-            metrics=(MetricKind.FDR, MetricKind.FNR),
-            **kwargs,
-        )
-
     # Built at the first probe, after its config is checked, so invalid
     # arguments fail where and as a rerun would.
     search: _GapSearch | None = None
 
-    def measure(index: int) -> dict[MetricKind, MetricEstimate]:
+    def measure(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
         nonlocal search
-        config = make_config(index, seed)
         if search is None:
             check_workers(workers)
             search = _GapSearch(config)
         return search.estimates(config)
 
-    estimates_at, probes = _probe_runner(measure, point)
-
-    def feasible(index: int) -> bool:
-        est = estimates_at(index)
-        return (
-            est[MetricKind.FDR].value <= budget.alpha
-            and est[MetricKind.FNR].value <= budget.beta
-        )
-
-    cap_index = grid_points(grid_step, threshold_cap)
-    grid = f"thresholds {grid_step:g}, {2 * grid_step:g}, ... capped at {threshold_cap:g}"
-    chosen = _search(feasible, cap_index, grid, full_scan, probes)
-    return _finish(
-        make_config,
-        chosen,
-        point(chosen),
-        seed,
-        workers,
-        replications,
-        grid,
-        probes,
+    return _calibrate(
+        lambda i: GapRule(num_signals=num_signals, threshold=point(i)),
+        point,
+        f"thresholds {grid_step:g}, {2 * grid_step:g}, ... capped at {threshold_cap:g}",
+        grid_points(grid_step, threshold_cap),
+        _within(budget),
+        profile=profile,
+        truth=truth,
+        replications=replications,
+        seed=seed,
+        workers=workers,
+        full_scan=full_scan,
+        horizon=horizon,
+        measure=measure,
     )
 
 
@@ -334,30 +339,18 @@ def calibrate_topm_n(
     full_scan: bool = False,
 ) -> CalibrationResult:
     """Smallest sample size whose top-m decision meets both budget sides."""
-
-    def make_config(index: int, master_seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            profile=profile,
-            truth=truth,
-            rule=TopMRule(sample_size=index, num_signals=num_signals),
-            replications=replications,
-            master_seed=master_seed,
-            metrics=(MetricKind.FDR, MetricKind.FNR),
-        )
-
-    estimates_at, probes = _probe_runner(_rerun(make_config, seed, workers), float)
-
-    def feasible(index: int) -> bool:
-        est = estimates_at(index)
-        return (
-            est[MetricKind.FDR].value <= budget.alpha
-            and est[MetricKind.FNR].value <= budget.beta
-        )
-
-    grid = f"sample sizes 1..{sample_size_cap}"
-    chosen = _search(feasible, sample_size_cap, grid, full_scan, probes)
-    return _finish(
-        make_config, chosen, chosen, seed, workers, replications, grid, probes
+    return _calibrate(
+        lambda n: TopMRule(sample_size=n, num_signals=num_signals),
+        int,
+        f"sample sizes 1..{sample_size_cap}",
+        sample_size_cap,
+        _within(budget),
+        profile=profile,
+        truth=truth,
+        replications=replications,
+        seed=seed,
+        workers=workers,
+        full_scan=full_scan,
     )
 
 
@@ -381,27 +374,26 @@ def calibrate_bh_n(
     if not 0 < target_fnr < 1:
         raise ValueError(f"target_fnr must be in (0, 1), got {target_fnr}")
 
-    def make_config(index: int, master_seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            profile=profile,
-            truth=truth,
-            rule=BhRule(sample_size=index, level=level),
-            replications=replications,
-            master_seed=master_seed,
-            metrics=(MetricKind.FDR, MetricKind.FNR),
+    def fnr(est: dict[MetricKind, MetricEstimate]) -> float:
+        return est[MetricKind.FNR].value
+
+    def closest(crossing: int, estimates_at) -> int:
+        candidates = [c for c in (crossing - 1, crossing) if c >= 1]
+        return min(
+            candidates, key=lambda c: (abs(fnr(estimates_at(c)) - target_fnr), c)
         )
 
-    estimates_at, probes = _probe_runner(_rerun(make_config, seed, workers), float)
-
-    def fnr_at(index: int) -> float:
-        return estimates_at(index)[MetricKind.FNR].value
-
-    grid = f"sample sizes 1..{sample_size_cap}"
-    crossing = _search(
-        lambda i: fnr_at(i) <= target_fnr, sample_size_cap, grid, full_scan, probes
-    )
-    candidates = [c for c in (crossing - 1, crossing) if c >= 1]
-    chosen = min(candidates, key=lambda c: (abs(fnr_at(c) - target_fnr), c))
-    return _finish(
-        make_config, chosen, chosen, seed, workers, replications, grid, probes
+    return _calibrate(
+        lambda n: BhRule(sample_size=n, level=level),
+        int,
+        f"sample sizes 1..{sample_size_cap}",
+        sample_size_cap,
+        lambda est: fnr(est) <= target_fnr,
+        profile=profile,
+        truth=truth,
+        replications=replications,
+        seed=seed,
+        workers=workers,
+        full_scan=full_scan,
+        choose=closest,
     )

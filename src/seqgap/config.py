@@ -8,24 +8,28 @@ raise ConfigError (the CLI's configuration exit class).  Semantic errors
 that only the assembled experiment can detect (rule/metric compatibility,
 say) surface later from the engine as runtime errors.
 
-Threshold values may be the string "auto", which resolves them through the
-closed-form formulas at the configured budget (the rule's ``at_budget``),
-with the bound constant of the rule's ``control`` metric (default fdr).  The
-sweep command uses the same control metric.
+The ``rule`` section is read from the rule class that ``type`` names: its
+dataclass fields, with a barrier rule's thresholds nested under
+``thresholds``.  Threshold values may be the string "auto", which resolves
+them through the closed-form formulas at the configured budget (the rule's
+``at_budget``), with the bound constant of the rule's ``control`` metric
+(default fdr); a control metric without constants for the rule is a
+configuration error.  The sweep command uses the same control metric.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import yaml
 
 from .calibrate import grid_points
 from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
-from .metrics import MetricKind
+from .metrics import MetricKind, NoBoundConstants
 from .models import StreamModel, StreamProfile
-from .rules import BhRule, GapIntersectionRule, GapRule, IntersectionRule, Rule, TopMRule
+from .rules import Rule
 from .thresholds import ErrorBudget
 
 FORMATS = ("csv", "json", "text")
@@ -200,30 +204,12 @@ def _need_budget(budget: ErrorBudget | None, what: str) -> ErrorBudget:
     return budget
 
 
-def _wrap_rule(build, path: str) -> Rule:
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 # Stand-in for "auto" thresholds until the rule is resolved at the budget.
 _AUTO_PLACEHOLDER = 1.0
 
-
-def _parse_thresholds(section: dict, names: tuple[str, ...]) -> tuple[dict, bool]:
-    """The ``thresholds`` mapping of a barrier rule, and whether it is "auto"."""
-    raw = _pop(section, "rule", "thresholds")
-    _done(section, "rule")
-    if raw == "auto":
-        return dict.fromkeys(names, _AUTO_PLACEHOLDER), True
-    sub = _mapping(raw, "rule.thresholds")
-    values = {
-        key: _as_number(_pop(sub, "rule.thresholds", key), f"rule.thresholds.{key}")
-        for key in names
-    }
-    _done(sub, "rule.thresholds")
-    return values, False
+# Each rule class by its type tag, and the parser of each field annotation.
+_RULES = {cls.name: cls for cls in get_args(Rule)}
+_FIELD_PARSERS = {int: _as_int, float: _as_number}
 
 
 def _parse_rule(
@@ -232,66 +218,50 @@ def _parse_rule(
     truth: frozenset[int],
     budget: ErrorBudget | None,
 ) -> tuple[Rule, MetricKind]:
-    """The configured rule, "auto" thresholds resolved, and its control metric."""
+    """The configured rule, "auto" thresholds resolved, and its control metric.
+
+    Each field of the rule class is read by its annotation.  The fields in
+    ``threshold_names`` nest under ``thresholds``, which may be "auto", as
+    may a lone ``threshold``; only a rule with ``at_budget`` takes
+    ``control``; an omitted ``level`` is the budget's alpha.
+    """
     section = _mapping(doc, "rule")
     kind = _as_str(_pop(section, "rule", "type"), "rule.type")
-    control, auto = MetricKind.FDR, False
-
-    if kind == "gap":
-        num_signals = _as_int(_pop(section, "rule", "num_signals"), "rule.num_signals")
+    if kind not in _RULES:
+        raise ConfigError(f"rule.type must be one of {', '.join(_RULES)}; got {kind!r}")
+    cls = _RULES[kind]
+    types = get_type_hints(cls)
+    nested = getattr(cls, "threshold_names", ())
+    sub, auto = {}, None
+    if nested:
+        raw = _pop(section, "rule", "thresholds")
+        if raw == "auto":
+            raw, auto = dict.fromkeys(nested, _AUTO_PLACEHOLDER), "rule.thresholds"
+        sub = _mapping(raw, "rule.thresholds")
+    values = {}
+    for name in (f.name for f in fields(cls)):
+        where, path = (sub, "rule.thresholds") if name in nested else (section, "rule")
+        raw = _pop(where, path, name, required=name != "level")
+        if name == "level" and raw is None:
+            raw = _need_budget(budget, "rule.level (omitted)").alpha
+        elif name == "threshold" and raw == "auto":
+            raw, auto = _AUTO_PLACEHOLDER, "rule.threshold"
+        values[name] = _FIELD_PARSERS[types[name]](raw, f"{path}.{name}")
+    _done(sub, "rule.thresholds")
+    control = MetricKind.FDR
+    if hasattr(cls, "at_budget"):
         control = _control_metric(section)
-        raw = _pop(section, "rule", "threshold")
-        _done(section, "rule")
-        auto = raw == "auto"
-        threshold = _AUTO_PLACEHOLDER if auto else _as_number(raw, "rule.threshold")
-        rule = _wrap_rule(
-            lambda: GapRule(num_signals=num_signals, threshold=threshold), "rule"
-        )
-
-    elif kind == "gap-intersection":
-        min_signals = _as_int(_pop(section, "rule", "min_signals"), "rule.min_signals")
-        max_signals = _as_int(_pop(section, "rule", "max_signals"), "rule.max_signals")
-        control = _control_metric(section)
-        values, auto = _parse_thresholds(section, GapIntersectionRule.threshold_names)
-        rule = _wrap_rule(
-            lambda: GapIntersectionRule(
-                min_signals=min_signals, max_signals=max_signals, **values
-            ),
-            "rule",
-        )
-
-    elif kind == "intersection":
-        control = _control_metric(section)
-        values, auto = _parse_thresholds(section, IntersectionRule.threshold_names)
-        rule = _wrap_rule(lambda: IntersectionRule(**values), "rule")
-
-    elif kind == "bh":
-        sample_size = _as_int(_pop(section, "rule", "sample_size"), "rule.sample_size")
-        raw = _pop(section, "rule", "level", required=False)
-        _done(section, "rule")
-        if raw is None:
-            level = _need_budget(budget, "rule.level (omitted)").alpha
-        else:
-            level = _as_number(raw, "rule.level")
-        rule = _wrap_rule(lambda: BhRule(sample_size=sample_size, level=level), "rule")
-
-    elif kind == "top-m":
-        sample_size = _as_int(_pop(section, "rule", "sample_size"), "rule.sample_size")
-        num_signals = _as_int(_pop(section, "rule", "num_signals"), "rule.num_signals")
-        _done(section, "rule")
-        rule = _wrap_rule(
-            lambda: TopMRule(sample_size=sample_size, num_signals=num_signals), "rule"
-        )
-
-    else:
-        raise ConfigError(
-            "rule.type must be one of gap, gap-intersection, intersection, bh, "
-            f"top-m; got {kind!r}"
-        )
-
+    _done(section, "rule")
+    try:
+        rule = cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"rule: {exc}") from exc
     if auto:
-        field = "rule.threshold" if kind == "gap" else "rule.thresholds"
-        rule = rule.at_budget(_need_budget(budget, field), j, truth, control)
+        budget = _need_budget(budget, auto)
+        try:
+            rule = rule.at_budget(budget, j, truth, control)
+        except NoBoundConstants as exc:
+            raise ConfigError(f"rule.control: {exc}") from exc
     return rule, control
 
 

@@ -50,6 +50,11 @@ class ConditioningError(ValueError):
     """A conditional metric's conditioning event occurred in no trial."""
 
 
+class NoBoundConstants(ValueError):
+    """A metric has no bound constants for a rule's rejection range or for
+    the signal count."""
+
+
 @dataclass(frozen=True)
 class ConfusionCounts:
     """Confusion counts of one trial's terminal decision."""
@@ -196,72 +201,44 @@ def aggregate(
 
 
 def bound_constants(
-    kind: MetricKind,
-    rule_class: str,
-    j: int,
-    *,
-    num_signals: int | None = None,
-    min_signals: int | None = None,
-    max_signals: int | None = None,
+    kind: MetricKind, j: int, fewest: int, most: int, signal_count: int
 ) -> BoundConstants:
-    """Constants tying a metric to the family-wise rates for a rule class.
+    """Constants tying a metric to the family-wise rates for a rule that
+    rejects between ``fewest`` and ``most`` of ``j`` streams.
 
-    ``rule_class`` is "gap" (needs ``num_signals`` = m) or
-    "gap-intersection" (needs the bracket ``min_signals``/``max_signals``;
-    the plain intersection rule is the full bracket 0..J).  The
-    positive-conditional metrics admit constants under the bracketed rule
-    only when 1 <= min_signals and max_signals <= J - 1, because only then
-    are both conditioning events certain.
+    The gap rule rejects m..m, the bracketed rule l..u and the intersection
+    rule 0..J.  ``signal_count`` is |truth|, the FPR divisor ``aggregate``
+    uses.  The positive-conditional metrics admit constants only when
+    1 <= fewest and most <= J - 1, because only then are both conditioning
+    events certain.  A metric without constants raises NoBoundConstants.
     """
     kind = MetricKind(kind)
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
-    if rule_class == "gap":
-        if num_signals is None or not 1 <= num_signals <= j - 1:
-            raise ValueError(
-                f"gap rule needs num_signals in 1..{j - 1}, got {num_signals!r}"
-            )
-        m = num_signals
-        reject_cap, accept_cap = m, j - m
-    elif rule_class == "gap-intersection":
-        if (
-            min_signals is None
-            or max_signals is None
-            or not 0 <= min_signals < max_signals <= j
-        ):
-            raise ValueError(
-                "gap-intersection rule needs 0 <= min_signals < max_signals <= "
-                f"{j}, got {min_signals!r}..{max_signals!r}"
-            )
-        m = num_signals
-        reject_cap, accept_cap = max_signals, j - min_signals
-    else:
-        raise ValueError(f"unknown rule_class {rule_class!r}")
-
+    if not 0 <= fewest <= most <= j:
+        raise ValueError(
+            f"need 0 <= fewest <= most <= {j} rejections, got {fewest}..{most}"
+        )
     if kind in (MetricKind.FWE1, MetricKind.FWE2):
         return BoundConstants(1.0, 1.0, 1.0)
-    if kind in (MetricKind.FDR, MetricKind.FNR):
-        return BoundConstants(1.0, 1.0, 1.0 / j)
-    if kind in CONDITIONAL_KINDS:
-        if rule_class == "gap-intersection" and not (
-            min_signals >= 1 and max_signals <= j - 1
-        ):
-            raise ValueError(
-                f"{kind.value} bounds need 1 <= min_signals and max_signals <= "
-                f"J - 1 under the bracketed rule; got bracket "
-                f"{min_signals}..{max_signals} with J = {j}"
-            )
+    if kind in CONDITIONAL_KINDS and not (fewest >= 1 and most <= j - 1):
+        raise NoBoundConstants(
+            f"{kind.value} bounds need a rule that rejects at least 1 and at "
+            f"most J - 1 streams; this one rejects {fewest}..{most} of J = {j}"
+        )
+    if kind in (MetricKind.FDR, MetricKind.FNR) + CONDITIONAL_KINDS:
         return BoundConstants(1.0, 1.0, 1.0 / j)
     if kind in (MetricKind.PFER, MetricKind.PFER2):
-        return BoundConstants(float(reject_cap), float(accept_cap), 1.0)
+        return BoundConstants(float(most), float(j - fewest), 1.0)
     if kind is MetricKind.PCER:
-        return BoundConstants(reject_cap / j, accept_cap / j, 1.0 / j)
-    # FPR: the divisor is the configured signal count m, which must be a
-    # valid rejection count for the rule class.
-    if m is None or not 1 <= m <= j - 1:
-        raise ValueError(f"fpr bounds need num_signals in 1..{j - 1}, got {m!r}")
+        return BoundConstants(most / j, (j - fewest) / j, 1.0 / j)
+    # FPR is V / |truth|; its type-2 mirror is W / (J - |truth|).
+    if not 1 <= signal_count <= j - 1:
+        raise NoBoundConstants(
+            f"fpr bounds need a signal count in 1..{j - 1}, got {signal_count}"
+        )
     return BoundConstants(
-        c1_type1=reject_cap / m,
-        c1_type2=accept_cap / (j - m),
-        c2=1.0 / max(m, j - m),
+        c1_type1=most / signal_count,
+        c1_type2=(j - fewest) / (j - signal_count),
+        c2=1.0 / max(signal_count, j - signal_count),
     )

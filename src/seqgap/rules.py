@@ -50,7 +50,6 @@ from .metrics import MetricKind, bound_constants
 from .models import GAUSSIAN_MEAN, StreamProfile, eta
 from .thresholds import (
     ErrorBudget,
-    GiThresholds,
     gap_threshold,
     gi_thresholds,
     kappa_gap,
@@ -151,27 +150,6 @@ def _barrier_cells(rule) -> str:
     return ";".join(f"{name}={_fmt(getattr(rule, name))}" for name in names)
 
 
-def _bracket_thresholds(
-    budget: ErrorBudget,
-    j: int,
-    truth: frozenset[int],
-    control: MetricKind,
-    min_signals: int,
-    max_signals: int,
-) -> GiThresholds:
-    """Formula thresholds of the bracket min_signals..max_signals, with the
-    bound constant of the ``control`` metric."""
-    c1 = bound_constants(
-        control,
-        "gap-intersection",
-        j,
-        num_signals=len(truth) or None,
-        min_signals=min_signals,
-        max_signals=max_signals,
-    ).c1
-    return gi_thresholds(budget, j, min_signals, max_signals, c1)
-
-
 @dataclass(frozen=True)
 class GapRule:
     """Stop when the gap at position ``num_signals`` reaches ``threshold``."""
@@ -198,9 +176,12 @@ class GapRule:
     def at_budget(
         self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
     ) -> GapRule:
-        """This rule at the formula threshold controlling ``control``."""
-        c1 = bound_constants(control, "gap", j, num_signals=self.num_signals).c1
-        return replace(self, threshold=gap_threshold(budget, self.num_signals, j, c1))
+        """This rule at the formula threshold controlling ``control``, with
+        the bound constant of its rejection range m..m."""
+        self._check_j(j)
+        m = self.num_signals
+        c1 = bound_constants(control, j, m, m, len(truth)).c1
+        return replace(self, threshold=gap_threshold(budget, m, j, c1))
 
     def kappa(
         self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
@@ -299,10 +280,12 @@ class GapIntersectionRule:
     def at_budget(
         self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
     ) -> GapIntersectionRule:
-        """This bracket at the formula thresholds controlling ``control``."""
+        """This bracket at the formula thresholds controlling ``control``,
+        with the bound constant of its rejection range l..u."""
+        self._check_j(j)
         lo, hi = self.min_signals, self.max_signals
-        th = _bracket_thresholds(budget, j, truth, control, lo, hi)
-        return replace(self, **asdict(th))
+        c1 = bound_constants(control, j, lo, hi, len(truth)).c1
+        return replace(self, **asdict(gi_thresholds(budget, j, lo, hi, c1)))
 
     def kappa(
         self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
@@ -396,8 +379,10 @@ class IntersectionRule:
     def at_budget(
         self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
     ) -> IntersectionRule:
-        """This rule at the formula barriers of the full bracket 0..J."""
-        th = _bracket_thresholds(budget, j, truth, control, 0, j)
+        """This rule at the formula barriers of the full bracket 0..J, its
+        rejection range."""
+        c1 = bound_constants(control, j, 0, j, len(truth)).c1
+        th = gi_thresholds(budget, j, 0, j, c1)
         return IntersectionRule(
             accept_barrier=th.accept_barrier, reject_barrier=th.reject_barrier
         )

@@ -257,6 +257,22 @@ def test_runtime_error_exit_1(tmp_path, capsys):
     assert "min_signals >= 1" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_auto_rule_without_control_constants_exit_2(command, tmp_path, capsys):
+    """"auto" thresholds under a control metric that has no bound constants
+    for the rule are a configuration error naming rule.control."""
+    shipped = Path(__file__).parent.parent / "configs" / "gap-intersection.yaml"
+    text = shipped.read_text().replace("min_signals: 2", "min_signals: 0")
+    path = tmp_path / "pfdr.yaml"
+    path.write_text(text.replace("control: fdr", "control: pfdr"))
+    argv = [command, "--config", str(path), "--reps", "20"]
+    if command == "sweep":
+        argv += ["--alphas", "0.01:0.02"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: rule.control: pfdr bounds need")
+
+
 def test_calibrate_gap(gap_config_path, tmp_path):
     out_path = str(tmp_path / "cal.json")
     code = main(

@@ -2,13 +2,22 @@
 
 import math
 import textwrap
+from dataclasses import fields
+from typing import get_args
 
 import pytest
 import yaml
 
 from seqgap import ConfigError, MetricKind, load_config
 from seqgap.config import build_config
-from seqgap.rules import BhRule, GapIntersectionRule, GapRule, IntersectionRule, TopMRule
+from seqgap.rules import (
+    BhRule,
+    GapIntersectionRule,
+    GapRule,
+    IntersectionRule,
+    Rule,
+    TopMRule,
+)
 
 BASE = """
 streams:
@@ -67,6 +76,22 @@ def test_auto_threshold_with_pfer_control_rescales():
     assert loaded.experiment.rule.threshold == pytest.approx(
         plain + math.log(5), abs=1e-12
     )
+
+
+def test_auto_threshold_with_fpr_control_divides_by_the_signal_count():
+    """FPR is V / |truth|, so with m = 5 and |truth| = 2 its type-1 constant
+    is m / |truth| = 2.5, and "auto" controls FPR at alpha / 2.5."""
+    text = BASE.replace("threshold: 2.1", "threshold: auto\n  control: fpr")
+    loaded = parse(text.replace("truth:\n  count: 5", "truth:\n  count: 2"))
+    assert loaded.experiment.rule.threshold == 7.1308988302963465
+    plain = abs(math.log(0.05 / 2.5)) + math.log(25)
+    assert loaded.experiment.rule.threshold == pytest.approx(plain, abs=1e-12)
+
+
+def test_auto_threshold_without_control_constants_fails():
+    text = BASE.replace("threshold: 2.1", "threshold: auto\n  control: fpr")
+    with pytest.raises(ConfigError, match="^rule.control: fpr bounds need"):
+        parse(text.replace("truth:\n  count: 5", "truth:\n  count: 0"))
 
 
 def test_auto_threshold_without_budget_fails():
@@ -202,6 +227,45 @@ def test_metric_names_validated():
 def test_rule_type_validated():
     with pytest.raises(ConfigError, match="rule.type"):
         parse(BASE.replace("type: gap", "type: sprt"))
+    with pytest.raises(ConfigError) as err:
+        parse(BASE.replace("type: gap", "type: nope"))
+    assert str(err.value) == (
+        "rule.type must be one of gap, gap-intersection, intersection, bh, "
+        "top-m; got 'nope'"
+    )
+
+
+# One valid rule of each class for BASE's ten streams.
+_RULE_EXAMPLES = {
+    GapRule: GapRule(num_signals=4, threshold=2.5),
+    GapIntersectionRule: GapIntersectionRule(
+        min_signals=2,
+        max_signals=7,
+        accept_barrier=5.25,
+        reject_barrier=7.5,
+        accept_gap=7.0,
+        reject_gap=7.25,
+    ),
+    IntersectionRule: IntersectionRule(accept_barrier=4.0, reject_barrier=4.5),
+    BhRule: BhRule(sample_size=40, level=0.03),
+    TopMRule: TopMRule(sample_size=40, num_signals=3),
+}
+
+
+@pytest.mark.parametrize("cls", get_args(Rule), ids=lambda cls: cls.name)
+def test_every_rule_round_trips_through_its_section(cls):
+    """A rule section written from a rule's fields, barriers nested under
+    ``thresholds``, parses back to an equal rule."""
+    rule = _RULE_EXAMPLES[cls]
+    nested = getattr(cls, "threshold_names", ())
+    values = {f.name: getattr(rule, f.name) for f in fields(rule)}
+    section = {"type": cls.name}
+    section.update((k, v) for k, v in values.items() if k not in nested)
+    if nested:
+        section["thresholds"] = {k: values[k] for k in nested}
+    doc = yaml.safe_load(textwrap.dedent(BASE))
+    doc["rule"] = section
+    assert build_config(doc).experiment.rule == rule
 
 
 def test_calibrate_section_parsed():

@@ -17,7 +17,7 @@ from seqgap import (
     confusion,
     per_trial,
 )
-from seqgap.metrics import mean_se
+from seqgap.metrics import NoBoundConstants, mean_se
 from seqgap.rules import Decision
 
 
@@ -132,61 +132,48 @@ def test_aggregate_se_shrinks_with_n():
 
 
 def test_bound_constants_fwe():
-    bc = bound_constants(MetricKind.FWE1, "gap", 10, num_signals=5)
+    bc = bound_constants(MetricKind.FWE1, 10, 5, 5, 5)
     assert (bc.c1_type1, bc.c1_type2, bc.c2) == (1.0, 1.0, 1.0)
     assert bc.c1 == 1.0
 
 
 def test_bound_constants_fdr_fnr():
     for kind in (MetricKind.FDR, MetricKind.FNR):
-        bc = bound_constants(kind, "gap", 10, num_signals=5)
+        bc = bound_constants(kind, 10, 5, 5, 5)
         assert (bc.c1_type1, bc.c1_type2) == (1.0, 1.0)
         assert bc.c2 == pytest.approx(0.1)
 
 
 def test_bound_constants_pfer_scales_with_counts():
     """Expected-count metrics inflate C1 by the worst-case count."""
-    bc = bound_constants(MetricKind.PFER, "gap", 10, num_signals=3)
+    bc = bound_constants(MetricKind.PFER, 10, 3, 3, 3)
     assert bc.c1_type1 == 3.0  # at most m false positives
     assert bc.c1_type2 == 7.0  # at most J - m false negatives
     assert bc.c1 == 7.0
     assert bc.c2 == 1.0
-    gi = bound_constants(
-        MetricKind.PFER, "gap-intersection", 10, min_signals=2, max_signals=7
-    )
+    gi = bound_constants(MetricKind.PFER, 10, 2, 7, 4)
     assert gi.c1_type1 == 7.0  # up to u rejections
     assert gi.c1_type2 == 8.0  # up to J - l acceptances
 
 
 def test_bound_constants_pcer_and_fpr():
-    pcer = bound_constants(MetricKind.PCER, "gap", 10, num_signals=3)
+    pcer = bound_constants(MetricKind.PCER, 10, 3, 3, 3)
     assert pcer.c1_type1 == pytest.approx(0.3)
     assert pcer.c1_type2 == pytest.approx(0.7)
     assert pcer.c2 == pytest.approx(0.1)
-    fpr = bound_constants(MetricKind.FPR, "gap", 10, num_signals=3)
+    fpr = bound_constants(MetricKind.FPR, 10, 3, 3, 3)
     assert fpr.c1_type1 == pytest.approx(1.0)  # V <= m always
     assert fpr.c1_type2 == pytest.approx(1.0)
     assert fpr.c2 == pytest.approx(1 / 7)
 
 
 def test_bound_constants_pfdr_needs_interior_bracket():
-    bc = bound_constants(
-        MetricKind.PFDR, "gap-intersection", 10, min_signals=1, max_signals=9
-    )
+    bc = bound_constants(MetricKind.PFDR, 10, 1, 9, 4)
     assert bc.c2 == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        bound_constants(
-            MetricKind.PFDR, "gap-intersection", 10, min_signals=0, max_signals=9
-        )
-    with pytest.raises(ValueError):
-        bound_constants(
-            MetricKind.PFNR, "gap-intersection", 10, min_signals=1, max_signals=10
-        )
-
-
-def test_bound_constants_reject_unknown_rule_class():
-    with pytest.raises(ValueError):
-        bound_constants(MetricKind.FDR, "bh", 10, num_signals=3)
+    with pytest.raises(NoBoundConstants):
+        bound_constants(MetricKind.PFDR, 10, 0, 9, 4)
+    with pytest.raises(NoBoundConstants):
+        bound_constants(MetricKind.PFNR, 10, 1, 10, 4)
 
 
 def test_bound_constants_sandwich_property():
@@ -199,7 +186,7 @@ def test_bound_constants_sandwich_property():
         MetricKind.PFER,
         MetricKind.FPR,
     ):
-        bc = bound_constants(kind, "gap", 6, num_signals=2)
+        bc = bound_constants(kind, 6, 2, 2, 2)
         for v in range(0, 3):  # gap rule rejects exactly m=2, so V <= 2
             c = ConfusionCounts(v=v, w=v, r=2, j=6)  # W = V for this rule
             value = per_trial(kind, c, signal_count=2)
@@ -232,27 +219,20 @@ _ALWAYS_BOUNDED = {
 
 @st.composite
 def _rule_and_counts(draw):
-    """A rule class with its bound-constant arguments, and one trial's
-    counts that the rule can produce: the gap rule rejects exactly m of J
-    streams with m signals, the bracketed rule between l and u of them."""
+    """A rule's rejection range, and one trial's counts that the rule can
+    produce with any number of signals: the gap rule rejects exactly m of J
+    streams, the bracketed rule between l and u of them."""
     j = draw(st.integers(2, 12))
     if draw(st.booleans()):
-        m = draw(st.integers(1, j - 1))
-        rule_class, kwargs, r, signals = "gap", {"num_signals": m}, m, m
+        lo = hi = draw(st.integers(1, j - 1))
     else:
         lo = draw(st.integers(0, j - 1))
         hi = draw(st.integers(lo + 1, j))
-        r = draw(st.integers(lo, hi))
-        signals = draw(st.integers(0, j))
-        rule_class = "gap-intersection"
-        kwargs = {
-            "num_signals": signals or None,
-            "min_signals": lo,
-            "max_signals": hi,
-        }
+    r = draw(st.integers(lo, hi))
+    signals = draw(st.integers(0, j))
     v = draw(st.integers(max(0, r - signals), min(r, j - signals)))
     counts = ConfusionCounts(v=v, w=signals - (r - v), r=r, j=j)
-    return rule_class, kwargs, counts, signals
+    return lo, hi, counts, signals
 
 
 @settings(max_examples=500, deadline=None)
@@ -261,7 +241,7 @@ def test_bound_constants_sandwich_every_trial(case):
     """c2 * 1{V >= 1} <= metric <= c1_type1 * 1{V >= 1} on every trial, for
     every metric bounded through V, and the same through W with c1_type2;
     so FDR <= FWE1 <= J * FDR holds trial by trial, exactly."""
-    rule_class, kwargs, counts, signals = case
+    lo, hi, counts, signals = case
     covered = set()
     for side, c1_of, fwe in (
         (_V_SIDE, lambda bc: bc.c1_type1, float(counts.v >= 1)),
@@ -269,8 +249,8 @@ def test_bound_constants_sandwich_every_trial(case):
     ):
         for kind in side:
             try:
-                bc = bound_constants(kind, rule_class, counts.j, **kwargs)
-            except ValueError:
+                bc = bound_constants(kind, counts.j, lo, hi, signals)
+            except NoBoundConstants:
                 continue  # no constants for this bracket or signal count
             covered.add(kind)
             value = per_trial(kind, counts, signal_count=signals)
