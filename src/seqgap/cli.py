@@ -44,7 +44,7 @@ from .engine import (
     reproduce_table,
     run_experiment,
 )
-from .metrics import MetricEstimate, MetricKind
+from .metrics import MetricEstimate, MetricKind, NoBoundConstants
 from .rules import BhRule, GapRule, TopMRule, _fmt
 from .thresholds import ErrorBudget
 
@@ -336,17 +336,17 @@ def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
     return replace(loaded, experiment=experiment)
 
 
-def _out_path(args) -> str | None:
-    if args.out is None and args.loaded is not None:
-        return args.loaded.output_path
+def _out_path(args, loaded: LoadedConfig | None) -> str | None:
+    if args.out is None and loaded is not None:
+        return loaded.output_path
     return args.out
 
 
-def _resolve_format(args) -> str:
+def _resolve_format(args, loaded: LoadedConfig | None) -> str:
     if args.format is not None:
         return args.format
-    if args.loaded is not None and args.loaded.output_format is not None:
-        return args.loaded.output_format
+    if loaded is not None and loaded.output_format is not None:
+        return loaded.output_format
     return "text"
 
 
@@ -358,7 +358,7 @@ def _replaceable(st: os.stat_result) -> bool:
     )
 
 
-def _emit(args, write) -> None:
+def _emit(args, loaded: LoadedConfig | None, write) -> None:
     """Write the report to stdout, or to the output file as a whole.
 
     A new file, or an existing plain file of this user, is written under a
@@ -368,7 +368,7 @@ def _emit(args, write) -> None:
     or foreign file, a device or a FIFO) is written in place, through the
     name, as given.
     """
-    fmt, path = _resolve_format(args), _out_path(args)
+    fmt, path = _resolve_format(args, loaded), _out_path(args, loaded)
     if path is None:
         write(fmt, sys.stdout)
         return
@@ -396,15 +396,13 @@ def _emit(args, write) -> None:
 
 def _cmd_run(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
-    args.loaded = loaded
     report = run_experiment(loaded.experiment, workers=_resolve_workers(args))
-    _emit(args, lambda fmt, out: write_run_report(report, fmt, out))
+    _emit(args, loaded, lambda fmt, out: write_run_report(report, fmt, out))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
-    args.loaded = loaded
     experiment = loaded.experiment
     settings = loaded.calibration
     workers = _resolve_workers(args)
@@ -455,29 +453,30 @@ def _cmd_calibrate(args) -> int:
             "calibration supports rule types gap, top-m, and bh; got "
             f"{rule.name!r}"
         )
-    _emit(args, lambda fmt, out: write_calibration_report(result, fmt, out))
+    _emit(args, loaded, lambda fmt, out: write_calibration_report(result, fmt, out))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
-    args.loaded = None
     report = reproduce_table(
         args.which, rows=args.rows, workers=_resolve_workers(args), **_overrides(args)
     )
-    _emit(args, lambda fmt, out: write_benchmark_report(report, fmt, out))
+    _emit(args, None, lambda fmt, out: write_benchmark_report(report, fmt, out))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
-    args.loaded = loaded
-    report = asymptotic_sweep(
-        loaded.experiment,
-        args.alphas,
-        workers=_resolve_workers(args),
-        control=loaded.control,
-    )
-    _emit(args, lambda fmt, out: write_sweep_report(report, fmt, out))
+    try:
+        report = asymptotic_sweep(
+            loaded.experiment,
+            args.alphas,
+            workers=_resolve_workers(args),
+            control=loaded.control,
+        )
+    except NoBoundConstants as exc:
+        raise ConfigError(f"rule.control: {exc}") from exc
+    _emit(args, loaded, lambda fmt, out: write_sweep_report(report, fmt, out))
     return 0
 
 
@@ -582,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.loaded = None
     try:
         return args.handler(args)
     except ConfigError as exc:

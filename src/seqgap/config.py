@@ -182,10 +182,10 @@ def _parse_budget(doc) -> ErrorBudget:
     alpha = _as_number(_pop(section, "budget", "alpha"), "budget.alpha")
     beta = _as_number(_pop(section, "budget", "beta"), "budget.beta")
     _done(section, "budget")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"budget.{name} must be in (0, 1), got {value}")
-    return ErrorBudget(alpha=alpha, beta=beta)
+    try:
+        return ErrorBudget(alpha=alpha, beta=beta)
+    except ValueError as exc:
+        raise ConfigError(f"budget.{exc}") from exc
 
 
 def _control_metric(section: dict) -> MetricKind:

@@ -124,10 +124,8 @@ def fixed_sample_pvalues(
     profile: StreamProfile, totals: np.ndarray, n: int
 ) -> np.ndarray:
     """Vectorized one-sided p-values for all streams' observation sums."""
-    null = np.array([m.null for m in profile.models])
-    sign = np.array([1.0 if m.alt > m.null else -1.0 for m in profile.models])
-    z = (np.asarray(totals, dtype=float) - n * null) / math.sqrt(n)
-    return ndtr(-sign * z)
+    z = (np.asarray(totals, dtype=float) - n * profile.null) / math.sqrt(n)
+    return ndtr(np.where(profile.alt > profile.null, -z, z))
 
 
 def _run_fixed(

@@ -111,6 +111,13 @@ class StreamProfile:
 
     Stream labels are 1-based throughout the package: ``models[j - 1]`` is
     the model for stream j.
+
+    Construction also builds the read-only (J,) columns every consumer
+    reads: ``null``, ``alt``, ``llr_slope`` and ``llr_offset`` of each
+    ``StreamModel``, ``i0`` and ``i1`` of its ``info_numbers()``, and the
+    stream indices of each family, ``gaussian_columns`` and
+    ``bernoulli_columns``.  They are not dataclass fields, so eq, hash and
+    repr see only ``models``.
     """
 
     models: tuple[StreamModel, ...]
@@ -121,6 +128,26 @@ class StreamProfile:
         for model in self.models:
             if not isinstance(model, StreamModel):
                 raise TypeError(f"expected StreamModel, got {type(model).__name__}")
+        infos = [m.info_numbers() for m in self.models]
+        families = np.array([m.family for m in self.models])
+        columns = {
+            "null": [m.null for m in self.models],
+            "alt": [m.alt for m in self.models],
+            "llr_slope": [m.llr_slope for m in self.models],
+            "llr_offset": [m.llr_offset for m in self.models],
+            "i0": [f.i0 for f in infos],
+            "i1": [f.i1 for f in infos],
+            "gaussian_columns": np.flatnonzero(families == GAUSSIAN_MEAN),
+            "bernoulli_columns": np.flatnonzero(families == BERNOULLI),
+        }
+        for name, values in columns.items():
+            column = np.array(values)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __reduce__(self):
+        # Pickles carry only the models; the receiver rebuilds the columns.
+        return (type(self), (self.models,))
 
     @classmethod
     def homogeneous(cls, model: StreamModel, count: int) -> StreamProfile:
@@ -150,21 +177,12 @@ class StreamProfile:
         """Boolean (J,) array; True where the stream is a signal."""
         truth = self.validate_signal_set(truth)
         mask = np.zeros(self.j, dtype=bool)
-        for label in truth:
-            mask[label - 1] = True
+        mask[[label - 1 for label in truth]] = True
         return mask
-
-    def _family_columns(self, family: str) -> np.ndarray:
-        return np.array(
-            [k for k, m in enumerate(self.models) if m.family == family], dtype=int
-        )
 
     def active_params(self, truth: frozenset[int]) -> np.ndarray:
         """(J,) array of the active-state parameter of every stream."""
-        mask = self.signal_mask(truth)
-        null = np.array([m.null for m in self.models])
-        alt = np.array([m.alt for m in self.models])
-        return np.where(mask, alt, null)
+        return np.where(self.signal_mask(truth), self.alt, self.null)
 
     def sample_block(
         self, truth: frozenset[int], steps: int, rng: np.random.Generator
@@ -183,10 +201,10 @@ class StreamProfile:
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)
         x = np.empty_like(u)
-        cols = self._family_columns(GAUSSIAN_MEAN)
+        cols = self.gaussian_columns
         if cols.size:
             x[:, cols] = params[cols] + ndtri(u[:, cols])
-        cols = self._family_columns(BERNOULLI)
+        cols = self.bernoulli_columns
         if cols.size:
             x[:, cols] = (u[:, cols] < params[cols]).astype(float)
         return x
@@ -201,19 +219,7 @@ class StreamProfile:
             raise ValueError(
                 f"last axis must have length {self.j}, got {x.shape[-1]}"
             )
-        slope = np.array([m.llr_slope for m in self.models])
-        offset = np.array([m.llr_offset for m in self.models])
-        return x * slope + offset
-
-    def info_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked (i0, i1, v0, v1) arrays across streams."""
-        infos = [m.info_numbers() for m in self.models]
-        return (
-            np.array([f.i0 for f in infos]),
-            np.array([f.i1 for f in infos]),
-            np.array([f.v0 for f in infos]),
-            np.array([f.v1 for f in infos]),
-        )
+        return x * self.llr_slope + self.llr_offset
 
 
 @dataclass(frozen=True)
@@ -234,15 +240,11 @@ class WorstCaseInfo:
 
 def eta(profile: StreamProfile, truth: frozenset[int]) -> WorstCaseInfo:
     """Worst-case information numbers for a profile and signal set."""
-    truth = profile.validate_signal_set(truth)
-    i0, i1, _, _ = profile.info_table()
-    noise = [k for k in range(profile.j) if (k + 1) not in truth]
-    signal = [k for k in range(profile.j) if (k + 1) in truth]
-    eta0 = float(np.min(i0[noise])) if noise else math.inf
-    eta1 = float(np.min(i1[signal])) if signal else math.inf
+    signal = profile.signal_mask(truth)
+    i0, i1 = profile.i0[~signal], profile.i1[signal]
     return WorstCaseInfo(
-        eta0=eta0,
-        eta1=eta1,
-        eta0_defined=bool(noise),
-        eta1_defined=bool(signal),
+        eta0=float(i0.min()) if i0.size else math.inf,
+        eta1=float(i1.min()) if i1.size else math.inf,
+        eta0_defined=bool(i0.size),
+        eta1_defined=bool(i1.size),
     )

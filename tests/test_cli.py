@@ -273,6 +273,26 @@ def test_auto_rule_without_control_constants_exit_2(command, tmp_path, capsys):
     assert err.startswith("configuration error: rule.control: pfdr bounds need")
 
 
+def test_explicit_rule_without_control_constants_sweep_exit_2(tmp_path, capsys):
+    """The sweep derives thresholds under rule.control even when the file
+    spells them out, so a control without bound constants for the rule is a
+    configuration error there; run does not use the control."""
+    shipped = Path(__file__).parent.parent / "configs" / "gap-intersection.yaml"
+    text = shipped.read_text().replace("min_signals: 2", "min_signals: 0")
+    text = text.replace("control: fdr", "control: pfdr").replace(
+        "thresholds: auto",
+        "thresholds:\n    accept_barrier: 5.3\n    reject_barrier: 7.4\n"
+        "    accept_gap: 7.4\n    reject_gap: 7.2",
+    )
+    path = tmp_path / "pfdr.yaml"
+    path.write_text(text)
+    argv = ["--config", str(path), "--reps", "20"]
+    assert main(["sweep", *argv, "--alphas", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: rule.control: pfdr bounds need")
+    assert main(["run", *argv]) == 0
+
+
 def test_calibrate_gap(gap_config_path, tmp_path):
     out_path = str(tmp_path / "cal.json")
     code = main(

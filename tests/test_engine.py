@@ -136,6 +136,23 @@ def test_fixed_sample_pvalues_match_scalar():
     np.testing.assert_allclose(got, direct, atol=1e-14)
 
 
+def test_fixed_sample_pvalues_follow_each_streams_direction():
+    """Streams whose alternative lies below the null take the lower tail."""
+    profile = StreamProfile(
+        models=(
+            StreamModel(GAUSSIAN_MEAN, null=0.0, alt=0.5),
+            StreamModel(GAUSSIAN_MEAN, null=1.0, alt=0.2),
+            StreamModel(GAUSSIAN_MEAN, null=-0.5, alt=-2.0),
+            StreamModel(GAUSSIAN_MEAN, null=0.3, alt=0.8),
+        )
+    )
+    totals = np.array([1.2, 2.0, -9.0, 5.0])
+    got = fixed_sample_pvalues(profile, totals, 9)
+    expected = [p_value(t, 9, m) for t, m in zip(totals, profile.models)]
+    np.testing.assert_array_equal(got, expected)
+    assert got[1] < 0.5 and got[2] < 0.5
+
+
 def test_bh_rule_experiment_runs():
     config = ExperimentConfig(
         profile=profile10(),

@@ -1,6 +1,7 @@
 """Tests for observation models, profiles, and information numbers."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -244,3 +245,59 @@ def test_eta_empty_sides():
     assert no_signals.eta0_defined
     all_signals = eta(profile, frozenset({1, 2, 3, 4}))
     assert not all_signals.eta0_defined and math.isinf(all_signals.eta0)
+
+
+def mixed_profile():
+    return StreamProfile(
+        models=(
+            StreamModel(GAUSSIAN_MEAN, null=0.0, alt=0.5),
+            StreamModel(GAUSSIAN_MEAN, null=1.0, alt=0.2),
+            StreamModel(BERNOULLI, null=0.3, alt=0.6),
+        )
+    )
+
+
+def test_columns_give_each_stream_its_own_increments():
+    """Gaussian streams with alt above and below the null and a bernoulli
+    stream each map observations through their own model's LLR."""
+    profile = mixed_profile()
+    x = np.array([[0.7, -1.3, 1.0], [2.5, 0.4, 0.0]])
+    got = profile.increments(x)
+    for row in range(x.shape[0]):
+        for k, model in enumerate(profile.models):
+            assert got[row, k] == llr_increment(model, x[row, k])
+
+
+def test_columns_give_eta_the_per_model_minimum():
+    profile = mixed_profile()
+    infos = [model.info_numbers() for model in profile.models]
+    for truth in (frozenset(), frozenset({2}), frozenset({1, 3}), frozenset({1, 2, 3})):
+        info = eta(profile, truth)
+        noise = [infos[k].i0 for k in range(3) if k + 1 not in truth]
+        signal = [infos[k].i1 for k in range(3) if k + 1 in truth]
+        assert info.eta0 == (min(noise) if noise else math.inf)
+        assert info.eta1 == (min(signal) if signal else math.inf)
+        assert (info.eta0_defined, info.eta1_defined) == (bool(noise), bool(signal))
+
+
+def test_columns_are_read_only_and_outside_the_fields():
+    profile = mixed_profile()
+    columns = ("null", "alt", "llr_slope", "llr_offset", "i0", "i1")
+    for name in (*columns, "gaussian_columns", "bernoulli_columns"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(profile, name)[0] = 0
+    np.testing.assert_array_equal(profile.gaussian_columns, [0, 1])
+    np.testing.assert_array_equal(profile.bernoulli_columns, [2])
+    assert profile == mixed_profile()
+    assert repr(profile) == f"StreamProfile(models={profile.models!r})"
+
+
+def test_pickled_profile_rebuilds_read_only_columns():
+    """Pool workers get the profile by pickle; the copy equals the
+    original and its columns are read-only too."""
+    profile = mixed_profile()
+    copy = pickle.loads(pickle.dumps(profile))
+    assert copy == profile
+    np.testing.assert_array_equal(copy.llr_slope, profile.llr_slope)
+    with pytest.raises(ValueError, match="read-only"):
+        copy.llr_slope[0] = 0.0

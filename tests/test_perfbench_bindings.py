@@ -73,3 +73,31 @@ def test_tracer_installs_traces_calibrate_and_uninstalls(tmp_path):
     assert int(arrays["count"][searches][0]) == probes
     for layer in ("rules.scan_path", "llr.order_view", "models.sample_block"):
         assert (names == layer).any(), layer
+
+
+def test_tracer_records_every_per_trial_layer(tmp_path):
+    """A reproduce run reaches every per-trial layer through the binding
+    the tracer patches, so no layer of the benchmark reads zero."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = main(
+            [
+                "reproduce",
+                "--which",
+                "table1",
+                "--rows",
+                "1",
+                "--reps",
+                "20",
+                "--out",
+                str(tmp_path / "table1.txt"),
+            ]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    recorded = set(np.array(tracer.names)[tracer.arrays()["name"]])
+    missing = [layer for layer in spans.PER_TRIAL_LAYERS if layer not in recorded]
+    assert not missing

@@ -429,6 +429,45 @@ def test_bh_decide_matches_brute_force():
         assert bh_decide(p, level) == expected
 
 
+def _bh_brute_force(p, level: float) -> frozenset[int]:
+    order = sorted(range(len(p)), key=lambda i: p[i])
+    k = max(
+        (i for i in range(1, len(p) + 1) if p[order[i - 1]] <= i * level / len(p)),
+        default=0,
+    )
+    return frozenset(order[i] + 1 for i in range(k))
+
+
+@st.composite
+def _bh_cases(draw):
+    """P-values that sit on the step-up boundaries k * level / J, at 0 and 1
+    and on ties, with levels near both ends of (0, 1)."""
+    j = draw(st.integers(1, 12))
+    level = draw(
+        st.one_of(
+            st.sampled_from([1e-12, 1e-6, 0.01, 0.5, 0.99, 1 - 1e-6, 1 - 1e-12]),
+            st.floats(1e-12, 1 - 1e-12),
+        )
+    )
+    on_boundary = st.integers(1, j).map(lambda k: k * level / j)
+    pool = draw(
+        st.lists(
+            st.one_of(on_boundary, st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=j,
+        )
+    )
+    p = draw(st.lists(st.sampled_from(pool), min_size=j, max_size=j))
+    return p, level
+
+
+@given(_bh_cases())
+@settings(max_examples=400, deadline=None)
+def test_bh_decide_matches_brute_force_on_boundaries(case):
+    p, level = case
+    assert bh_decide(p, level) == _bh_brute_force(p, level)
+
+
 def test_top_m_decide_examples():
     assert top_m_decide((0.3, 0.1, 0.2), 2) == frozenset({2, 3})
     assert top_m_decide((0.1, 0.1), 1) == frozenset({1})  # tie -> lowest label
