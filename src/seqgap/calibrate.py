@@ -120,12 +120,12 @@ class _GapTrial:
     top m.  Once the horizon ends the walk, a last record of gap ``inf``
     holds the count of the final row's top m."""
 
-    __slots__ = ("walk", "gaps", "in_truth")
+    __slots__ = ("walk", "gaps", "hits")
 
     def __init__(self, walk: Walk):
         self.walk = walk
         self.gaps: list[float] = []
-        self.in_truth: list[int] = []
+        self.hits: list[int] = []
 
 
 class _GapSearch:
@@ -137,20 +137,20 @@ class _GapSearch:
     reaches c, and otherwise resumes the trial's walk until the gap reaches
     c or the horizon ends it.  The walk and the gap column are the ones
     ``run_sequential`` and ``GapRule`` use, so every comparison with c, and
-    every rejected set (the top m of the stopping row, or of the final row
+    every rejection (the top m of the stopping row, or of the final row
     at the horizon), is the one a rerun at c makes.
     """
 
     def __init__(self, config: ExperimentConfig):
         self.rule = config.rule  # only its gap column is used, at any threshold
-        profile, truth, horizon = config.profile, config.truth, config.horizon
-        self.signal = profile.signal_mask(truth)
+        profile, signal, horizon = config.profile, config.signal, config.horizon
+        self.signal = signal
         self.trials = [
-            _GapTrial(Walk(profile, truth, horizon, trial_rng(config.master_seed, i)))
+            _GapTrial(Walk(profile, signal, horizon, trial_rng(config.master_seed, i)))
             for i in range(config.replications)
         ]
 
-    def _in_truth(self, rows: np.ndarray) -> np.ndarray:
+    def _hits(self, rows: np.ndarray) -> np.ndarray:
         """Signals among the top m of each row, ranked as ``order_view`` ranks."""
         top = ranking(rows)[:, : self.rule.num_signals]
         return np.count_nonzero(self.signal[top], axis=1)
@@ -163,15 +163,15 @@ class _GapSearch:
         before = np.maximum.accumulate(np.concatenate(([best], gaps[:-1])))
         rows = np.nonzero(gaps > before)[0]
         trial.gaps.extend(gaps[rows].tolist())
-        trial.in_truth.extend(self._in_truth(path[rows]).tolist())
+        trial.hits.extend(self._hits(path[rows]).tolist())
         if walk.taken == walk.horizon:
             trial.gaps.append(math.inf)
-            trial.in_truth.append(int(self._in_truth(walk.lam[None])[0]))
+            trial.hits.append(int(self._hits(walk.lam[None])[0]))
 
-    def _in_truth_at(self, trial: _GapTrial, threshold: float) -> int:
+    def _hits_at(self, trial: _GapTrial, threshold: float) -> int:
         while not (trial.gaps and trial.gaps[-1] >= threshold):
             self._extend(trial)
-        return trial.in_truth[bisect_left(trial.gaps, threshold)]
+        return trial.hits[bisect_left(trial.gaps, threshold)]
 
     def estimates(self, config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
         """What ``run_experiment(config).metrics`` reports, for a config
@@ -179,8 +179,8 @@ class _GapSearch:
         m, j, signals = self.rule.num_signals, config.profile.j, len(config.truth)
         threshold = config.rule.threshold
         counts = [
-            ConfusionCounts(v=m - h, w=signals - h, r=m, j=j)
-            for h in (self._in_truth_at(t, threshold) for t in self.trials)
+            ConfusionCounts.of(self._hits_at(t, threshold), m, signals, j)
+            for t in self.trials
         ]
         return aggregate_counts(config, counts)
 

@@ -81,6 +81,10 @@ class ExperimentConfig:
 
     Worker count is deliberately not part of the configuration: it only
     schedules the work and must not affect any reported number.
+
+    Construction validates the 1-based labels of ``truth`` once and builds
+    ``signal``, the read-only (J,) boolean mask every trial reads; it is not
+    a field, so eq, hash and repr do not see it.
     """
 
     profile: StreamProfile
@@ -93,6 +97,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "truth", self.profile.validate_signal_set(self.truth))
+        object.__setattr__(self, "signal", self.profile.signal_mask(self.truth))
         object.__setattr__(
             self, "metrics", tuple(MetricKind(k) for k in self.metrics)
         )
@@ -104,6 +109,10 @@ class ExperimentConfig:
         self.rule.check(self.profile, self.metrics)
         if MetricKind.FPR in self.metrics and not self.truth:
             raise ValueError("fpr needs a nonempty signal set as its divisor")
+
+    def __reduce__(self):
+        # Pickles carry only the fields; the receiver rebuilds the mask.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -131,11 +140,11 @@ def fixed_sample_pvalues(
 def _run_fixed(
     rule: BhRule | TopMRule,
     profile: StreamProfile,
-    truth: frozenset[int],
+    signal: np.ndarray,
     rng: np.random.Generator,
 ) -> Decision:
     n = rule.sample_size
-    x = profile.sample_block(truth, n, rng)
+    x = profile.sample_block(signal, n, rng)
     pvalues = fixed_sample_pvalues(profile, x.sum(axis=0), n)
     if isinstance(rule, BhRule):
         rejected = bh_decide(pvalues, rule.level)
@@ -148,15 +157,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial on its own generator substream."""
     rng = trial_rng(config.master_seed, trial_index)
     if isinstance(config.rule, (BhRule, TopMRule)):
-        decision = _run_fixed(config.rule, config.profile, config.truth, rng)
+        decision = _run_fixed(config.rule, config.profile, config.signal, rng)
     else:
         decision = run_sequential(
-            config.rule, config.profile, config.truth, config.horizon, rng
+            config.rule, config.profile, config.signal, config.horizon, rng
         )
     return TrialRecord(
         trial_index=trial_index,
         stopping_time=decision.stopping_time,
-        counts=confusion(decision, config.truth, config.profile.j),
+        counts=confusion(decision, config.signal),
         stopped_by=decision.stopped_by,
     )
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:  # rules imports this module for its validation and thresholds
     from .rules import Decision
 
@@ -74,6 +76,11 @@ class ConfusionCounts:
                 f"need 0 <= w <= j - r, got w={self.w} r={self.r} j={self.j}"
             )
 
+    @classmethod
+    def of(cls, hits: int, rejections: int, signals: int, j: int) -> ConfusionCounts:
+        """Counts of ``rejections`` of ``j`` streams, ``hits`` of them signals."""
+        return cls(v=rejections - hits, w=signals - hits, r=rejections, j=j)
+
 
 @dataclass(frozen=True)
 class MetricEstimate:
@@ -108,21 +115,17 @@ class BoundConstants:
         return max(self.c1_type1, self.c1_type2)
 
 
-def confusion(decision: Decision, truth: frozenset[int], j: int) -> ConfusionCounts:
-    """Count a decision's errors against the true signal set."""
-    labels = range(1, j + 1)
-    rejected = frozenset(decision.rejected)
-    truth = frozenset(truth)
-    for name, group in (("rejected", rejected), ("truth", truth)):
-        bad = [lbl for lbl in group if lbl not in labels]
-        if bad:
-            raise ValueError(f"{name} labels outside 1..{j}: {sorted(bad)}")
-    return ConfusionCounts(
-        v=len(rejected - truth),
-        w=len(truth - rejected),
-        r=len(rejected),
-        j=j,
-    )
+def confusion(decision: Decision, signal: np.ndarray) -> ConfusionCounts:
+    """Count a decision's errors against a (J,) boolean signal mask."""
+    rejected = np.asarray(decision.rejected)
+    if rejected.shape != signal.shape or rejected.dtype != bool:
+        raise ValueError(
+            f"rejected must be a {signal.shape} boolean mask, got shape "
+            f"{rejected.shape} and dtype {rejected.dtype}"
+        )
+    hits = int(np.count_nonzero(rejected & signal))
+    r, s = int(np.count_nonzero(rejected)), int(np.count_nonzero(signal))
+    return ConfusionCounts.of(hits, r, s, signal.size)
 
 
 def per_trial(

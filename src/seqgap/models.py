@@ -109,8 +109,9 @@ class StreamModel:
 class StreamProfile:
     """The J ≥ 2 stream models under test, in stream-label order.
 
-    Stream labels are 1-based throughout the package: ``models[j - 1]`` is
-    the model for stream j.
+    Stream labels are 1-based in configs, signal sets and reports:
+    ``models[j - 1]``, and column j - 1 of every (J,) array, belong to
+    stream j.
 
     Construction also builds the read-only (J,) columns every consumer
     reads: ``null``, ``alt``, ``llr_slope`` and ``llr_offset`` of each
@@ -174,28 +175,28 @@ class StreamProfile:
         return truth
 
     def signal_mask(self, truth: frozenset[int]) -> np.ndarray:
-        """Boolean (J,) array; True where the stream is a signal."""
+        """Read-only (J,) boolean mask, True at column j - 1 for signal label j."""
         truth = self.validate_signal_set(truth)
         mask = np.zeros(self.j, dtype=bool)
         mask[[label - 1 for label in truth]] = True
+        mask.flags.writeable = False
         return mask
 
-    def active_params(self, truth: frozenset[int]) -> np.ndarray:
-        """(J,) array of the active-state parameter of every stream."""
-        return np.where(self.signal_mask(truth), self.alt, self.null)
-
     def sample_block(
-        self, truth: frozenset[int], steps: int, rng: np.random.Generator
+        self, signal: np.ndarray, steps: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Draw a (steps, J) observation block under the given signal set.
+        """Draw a (steps, J) observation block under a (J,) boolean signal mask.
 
         Consumes steps * J uniforms in row-major (time, stream) order and
         maps each through its stream's inverse CDF, so chunked draws from
         the same generator concatenate to the same path as one big draw.
         """
+        signal = np.asarray(signal)
+        if signal.shape != (self.j,) or signal.dtype != bool:
+            raise ValueError(f"need a ({self.j},) bool signal mask, got {signal.shape}")
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
-        params = self.active_params(truth)
+        params = np.where(signal, self.alt, self.null)
         u = rng.random(size=(int(steps), self.j))
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.

@@ -32,7 +32,7 @@ time).
 
 Every sequential rule scans blocks only: ``scan_path`` finds the first row
 of a (steps, J) block of cumulative LLRs where the rule fires, and
-``decide`` turns that row's order statistics into the rejected set.  The
+``decide`` turns that row's order statistics into a rejection mask.  The
 tests keep a one-state form of each stopping condition as an independent
 oracle and check, on random blocks with ties, infinite entries and every
 bracket edge, that ``scan_path`` stops at the same row with the same tag.
@@ -65,47 +65,45 @@ STOP_FIXED = "fixed-sample"
 STOP_HORIZON = "horizon"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decision:
     """Terminal outcome of one procedure run.
 
-    ``rejected`` holds 1-based stream labels.  ``stopped_by`` names the
-    event that ended sampling; "horizon" means the sampling budget ran out
-    and the decision was forced from the final state.
+    ``rejected`` is a (J,) boolean mask over 0-based stream columns, True
+    where the stream is rejected.  ``stopped_by`` names the event that
+    ended sampling; "horizon" means the sampling budget ran out and the
+    decision was forced from the final state.
     """
 
     stopping_time: int
-    rejected: frozenset[int]
+    rejected: np.ndarray
     stopped_by: str
-
-    @property
-    def horizon_hit(self) -> bool:
-        return self.stopped_by == STOP_HORIZON
 
 
 @dataclass(frozen=True)
 class OrderView:
     """Order statistics of one LLR vector.
 
-    ``sorted`` holds the values in decreasing order; ``index_map[k]`` is the
-    1-based stream label carrying ``sorted[k]``.  Equal values keep stream-
-    label order, so the lowest label wins the higher rank.
-    ``positive_count`` counts strictly positive statistics.
+    ``sorted`` holds the values in decreasing order; ``ranking[k]`` is the
+    0-based column carrying ``sorted[k]``.  Equal values keep column order,
+    so the lowest column wins the higher rank.  ``positive_count`` counts
+    strictly positive statistics.
     """
 
     sorted: np.ndarray
-    index_map: np.ndarray
+    ranking: np.ndarray
     positive_count: int
 
     @property
     def j(self) -> int:
         return int(self.sorted.size)
 
-    def top_labels(self, k: int) -> frozenset[int]:
-        """Stream labels holding the k largest statistics."""
-        if not 0 <= k <= self.j:
-            raise ValueError(f"k must be in 0..{self.j}, got {k}")
-        return frozenset(int(lbl) for lbl in self.index_map[:k])
+
+def _mask(j: int, columns: np.ndarray) -> np.ndarray:
+    """(J,) boolean mask, True at ``columns``."""
+    mask = np.zeros(j, dtype=bool)
+    mask[columns] = True
+    return mask
 
 
 def ranking(lam: np.ndarray) -> np.ndarray:
@@ -116,14 +114,10 @@ def ranking(lam: np.ndarray) -> np.ndarray:
 
 
 def order_view(lam: np.ndarray) -> OrderView:
-    """Sort an LLR vector in decreasing order, lowest label first on ties."""
+    """Sort an LLR vector in decreasing order, lowest column first on ties."""
     lam = np.asarray(lam, dtype=float)
     order = ranking(lam)
-    return OrderView(
-        sorted=lam[order],
-        index_map=(order + 1).astype(int),
-        positive_count=int(np.count_nonzero(lam > 0.0)),
-    )
+    return OrderView(lam[order], order, int(np.count_nonzero(lam > 0.0)))
 
 
 def _check_block(path: np.ndarray) -> np.ndarray:
@@ -214,11 +208,8 @@ class GapRule:
     def decide(self, view: OrderView, stopping_time: int, stopped_by: str) -> Decision:
         """Reject exactly the top ``num_signals`` streams."""
         self._check_j(view.j)
-        return Decision(
-            stopping_time=stopping_time,
-            rejected=view.top_labels(self.num_signals),
-            stopped_by=stopped_by,
-        )
+        rejected = _mask(view.j, view.ranking[: self.num_signals])
+        return Decision(stopping_time, rejected, stopped_by)
 
 
 @dataclass(frozen=True)
@@ -343,11 +334,8 @@ class GapIntersectionRule:
         """Reject the top p' streams, p' the positive count clamped into the bracket."""
         self._check_j(view.j)
         p_prime = min(max(view.positive_count, self.min_signals), self.max_signals)
-        return Decision(
-            stopping_time=stopping_time,
-            rejected=view.top_labels(p_prime),
-            stopped_by=stopped_by,
-        )
+        rejected = _mask(view.j, view.ranking[:p_prime])
+        return Decision(stopping_time, rejected, stopped_by)
 
 
 @dataclass(frozen=True)
@@ -410,11 +398,8 @@ class IntersectionRule:
         return int(hits[0]), STOP_INTERSECTION
 
     def decide(self, view: OrderView, stopping_time: int, stopped_by: str) -> Decision:
-        return Decision(
-            stopping_time=stopping_time,
-            rejected=view.top_labels(view.positive_count),
-            stopped_by=stopped_by,
-        )
+        rejected = _mask(view.j, view.ranking[: view.positive_count])
+        return Decision(stopping_time, rejected, stopped_by)
 
 
 def _check_pvalue_family(profile: StreamProfile) -> None:
@@ -503,19 +488,19 @@ class Walk:
     last block alive, and a search holds thousands of walks.
     """
 
-    __slots__ = ("profile", "truth", "horizon", "rng", "lam", "taken", "block")
+    __slots__ = ("profile", "signal", "horizon", "rng", "lam", "taken", "block")
 
     def __init__(
         self,
         profile: StreamProfile,
-        truth: frozenset[int],
+        signal: np.ndarray,
         horizon: int,
         rng: np.random.Generator,
     ):
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.profile = profile
-        self.truth = profile.validate_signal_set(truth)
+        self.signal = signal
         self.horizon = horizon
         self.rng = rng
         self.lam = np.zeros(profile.j)
@@ -527,7 +512,7 @@ class Walk:
         if self.taken == self.horizon:
             return None
         steps = min(self.block, self.horizon - self.taken)
-        x = self.profile.sample_block(self.truth, steps, self.rng)
+        x = self.profile.sample_block(self.signal, steps, self.rng)
         path = self.profile.increments(x)
         path[0] += self.lam
         np.cumsum(path, axis=0, out=path)
@@ -540,16 +525,18 @@ class Walk:
 def run_sequential(
     rule: SequentialRule,
     profile: StreamProfile,
-    truth: frozenset[int],
+    signal: np.ndarray,
     horizon: int,
     rng: np.random.Generator,
 ) -> Decision:
     """Walk a fresh path until the rule fires or the horizon is exhausted.
 
+    ``signal`` is the (J,) boolean signal mask the path is drawn under.
+
     If the horizon is exhausted the rule's decision is evaluated at the
     final state and tagged "horizon".
     """
-    walk = Walk(profile, truth, horizon, rng)
+    walk = Walk(profile, signal, horizon, rng)
     while (path := walk.next_block()) is not None:
         hit = rule.scan_path(path)
         if hit is not None:
@@ -572,26 +559,25 @@ def _checked_pvalues(pvalues) -> np.ndarray:
     return p
 
 
-def bh_decide(pvalues, level: float) -> frozenset[int]:
+def bh_decide(pvalues, level: float) -> np.ndarray:
     """Step-up procedure: reject the k smallest p-values where k is the
     largest i with p_(i) <= i * level / J (k = 0 rejects nothing).
 
-    Returns 1-based stream labels; ties go to the lower label.
+    Returns the (J,) rejection mask; ties go to the lower column.
     """
     p = _checked_pvalues(pvalues)
     j = p.size
     order = np.argsort(p, kind="stable")
     passing = np.nonzero(p[order] <= level * np.arange(1, j + 1) / j)[0]
-    k = int(passing[-1]) + 1 if passing.size else 0
-    return frozenset(int(lbl) for lbl in order[:k] + 1)
+    return _mask(j, order[: passing[-1] + 1 if passing.size else 0])
 
 
-def top_m_decide(pvalues, num_signals: int) -> frozenset[int]:
-    """Reject the ``num_signals`` smallest p-values, lower label first on ties."""
+def top_m_decide(pvalues, num_signals: int) -> np.ndarray:
+    """Mask rejecting the ``num_signals`` smallest p-values, lower column
+    first on ties."""
     p = _checked_pvalues(pvalues)
     if not 1 <= num_signals <= p.size - 1:
         raise ValueError(
             f"num_signals must be in 1..{p.size - 1}, got {num_signals}"
         )
-    order = np.argsort(p, kind="stable")
-    return frozenset(int(lbl) for lbl in order[:num_signals] + 1)
+    return _mask(p.size, np.argsort(p, kind="stable")[:num_signals])

@@ -2,10 +2,13 @@
 
 The library walks a path block by block (``rules.Walk``), scans blocks of
 cumulative LLR rows (``scan_path``), maps observation blocks to increments
-(``StreamProfile.increments``) and turns observation sums into p-values
-(``engine.fixed_sample_pvalues``).  The functions here state the same
-things one path, one state, one stream or one observation at a time, the
-way the definitions read, and the tests check the library against them.
+(``StreamProfile.increments``), turns observation sums into p-values
+(``engine.fixed_sample_pvalues``) and decides and counts with (J,) boolean
+masks over 0-based columns (``decide``, ``bh_decide``, ``top_m_decide``,
+``metrics.confusion``).  The functions here state the same things one path,
+one state, one stream or one observation at a time, and decisions as sets
+of 1-based stream labels, the way the definitions read, and the tests
+check the library against them.
 """
 
 import math
@@ -16,6 +19,7 @@ from scipy.special import ndtr
 from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
+    ConfusionCounts,
     GapIntersectionRule,
     GapRule,
     IntersectionRule,
@@ -32,9 +36,70 @@ from seqgap.rules import (
 )
 
 
-def one_shot_path(profile, truth, horizon: int, rng) -> np.ndarray:
+def labels(mask) -> frozenset[int]:
+    """1-based stream labels of the True columns of a (J,) mask."""
+    return frozenset(int(column) + 1 for column in np.flatnonzero(mask))
+
+
+def top_labels(lam, k: int) -> frozenset[int]:
+    """Stream labels holding the k largest statistics of ``lam``, the
+    lowest label first on ties."""
+    if not 0 <= k <= len(lam):
+        raise ValueError(f"k must be in 0..{len(lam)}, got {k}")
+    order = sorted(range(1, len(lam) + 1), key=lambda label: -lam[label - 1])
+    return frozenset(order[:k])
+
+
+def decide(rule, lam) -> frozenset[int]:
+    """Labels a sequential rule rejects when it stops at the state ``lam``:
+    the top m, the top p' for p' the positive count clamped into the
+    bracket, or every positive statistic."""
+    positives = sum(1 for x in lam if x > 0.0)
+    if isinstance(rule, GapRule):
+        return top_labels(lam, rule.num_signals)
+    if isinstance(rule, GapIntersectionRule):
+        lo, hi = rule.min_signals, rule.max_signals
+        return top_labels(lam, min(max(positives, lo), hi))
+    assert isinstance(rule, IntersectionRule)
+    return frozenset(label for label, x in enumerate(lam, 1) if x > 0.0)
+
+
+def bh_decide(pvalues, level: float) -> frozenset[int]:
+    """Step-up procedure: reject the k smallest p-values where k is the
+    largest i with p_(i) <= i * level / J; ties go to the lower label."""
+    p = np.asarray(pvalues, dtype=float)
+    j = p.size
+    order = np.argsort(p, kind="stable")
+    passing = np.nonzero(p[order] <= level * np.arange(1, j + 1) / j)[0]
+    k = int(passing[-1]) + 1 if passing.size else 0
+    return frozenset(int(lbl) for lbl in order[:k] + 1)
+
+
+def top_m_decide(pvalues, num_signals: int) -> frozenset[int]:
+    """Labels of the ``num_signals`` smallest p-values, lower label first
+    on ties."""
+    order = np.argsort(np.asarray(pvalues, dtype=float), kind="stable")
+    return frozenset(int(lbl) for lbl in order[:num_signals] + 1)
+
+
+def confusion(rejected: frozenset[int], truth: frozenset[int], j: int):
+    """Confusion counts of rejected labels against the true signal labels."""
+    streams = range(1, j + 1)
+    for name, group in (("rejected", rejected), ("truth", truth)):
+        bad = [lbl for lbl in group if lbl not in streams]
+        if bad:
+            raise ValueError(f"{name} labels outside 1..{j}: {sorted(bad)}")
+    return ConfusionCounts(
+        v=len(rejected - truth),
+        w=len(truth - rejected),
+        r=len(rejected),
+        j=j,
+    )
+
+
+def one_shot_path(profile, signal, horizon: int, rng) -> np.ndarray:
     """A trial's cumulative-LLR path as one cumulative sum over all its rows."""
-    x = profile.sample_block(truth, horizon, rng)
+    x = profile.sample_block(signal, horizon, rng)
     return np.cumsum(profile.increments(x), axis=0)
 
 
@@ -114,8 +179,7 @@ def stepwise_run(rule, path: np.ndarray) -> tuple[int, frozenset[int], str]:
             break
     else:
         tag = STOP_HORIZON
-    decision = rule.decide(view, t + 1, tag)
-    return decision.stopping_time, decision.rejected, decision.stopped_by
+    return t + 1, decide(rule, row), tag
 
 
 def p_value(total: float, n: int, model) -> float:

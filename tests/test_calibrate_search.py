@@ -247,6 +247,7 @@ def test_search_trials_end_on_the_one_shot_path(family, horizon):
     from seqgap.engine import trial_rng
 
     profile, truth = StreamProfile.homogeneous(MODELS[family], 5), frozenset({1, 2})
+    signal = profile.signal_mask(truth)
 
     def config(threshold):
         return ExperimentConfig(
@@ -262,7 +263,7 @@ def test_search_trials_end_on_the_one_shot_path(family, horizon):
     for threshold in (0.5, 1e6):  # the second one runs every path out
         search.estimates(config(threshold))
     for i, trial in enumerate(search.trials):
-        path = one_shot_path(profile, truth, horizon, trial_rng(11, i))
+        path = one_shot_path(profile, signal, horizon, trial_rng(11, i))
         assert trial.walk.taken == horizon
         assert trial.walk.lam.tobytes() == path[-1].tobytes()
         best, records = -math.inf, []

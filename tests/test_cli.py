@@ -120,7 +120,7 @@ def test_run_csv_rerun_identical_bytes(gap_config_path, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     main(["run", "--config", gap_config_path, "--format", "csv", "--out", a])
     main(["run", "--config", gap_config_path, "--format", "csv", "--out", b])
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_run_json_payload(gap_config_path, tmp_path):

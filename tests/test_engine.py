@@ -2,6 +2,8 @@
 
 import json
 import math
+import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -248,6 +250,27 @@ def test_config_truth_labels_validated():
             replications=10,
             master_seed=0,
         )
+
+
+def test_config_signal_mask_is_read_only_and_outside_the_fields():
+    """The config builds its (J,) signal mask once, read-only and outside
+    the fields, so eq, hash, repr and serialization see only ``truth``; a
+    pickled copy, as pool workers get, rebuilds it read-only."""
+    config = gap_config(reps=10, m=3)
+    assert "signal" not in {f.name for f in fields(config)}
+    twin = gap_config(reps=10, m=3)
+    assert config == twin and hash(config) == hash(twin)
+    assert "signal=" not in repr(config)
+    assert list(config_to_dict(config)) == [
+        "streams", "truth", "rule", "replications", "master_seed", "horizon", "metrics"
+    ]
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    for c in (config, copy):
+        np.testing.assert_array_equal(c.signal, [True] * 3 + [False] * 7)
+        assert c.signal.dtype == bool
+        with pytest.raises(ValueError, match="read-only"):
+            c.signal[0] = False
 
 
 def test_horizon_hits_counted():

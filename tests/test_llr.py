@@ -5,24 +5,25 @@ import math
 import numpy as np
 import pytest
 
-from oracles import gap_at
+from oracles import gap_at, labels
 from seqgap import order_view
 
 
 def test_order_view_hand_trace_with_ties():
-    """Ties break toward the lowest stream label."""
+    """Ties break toward the lowest column."""
     view = order_view(np.array([-2.0, 3.0, 3.0, -1.0]))
     np.testing.assert_allclose(view.sorted, [3.0, 3.0, -1.0, -2.0])
-    assert tuple(view.index_map) == (2, 3, 4, 1)
+    assert tuple(view.ranking) == (1, 2, 3, 0)
     assert view.positive_count == 2
 
 
 def test_order_view_top_labels():
+    """The first k columns of the ranking are the k largest statistics."""
     view = order_view(np.array([-2.0, 3.0, 3.0, -1.0]))
-    assert view.top_labels(0) == frozenset()
-    assert view.top_labels(1) == frozenset({2})
-    assert view.top_labels(2) == frozenset({2, 3})
-    assert view.top_labels(3) == frozenset({2, 3, 4})
+    assert labels(np.isin(range(4), view.ranking[:0])) == frozenset()
+    assert labels(np.isin(range(4), view.ranking[:1])) == frozenset({2})
+    assert labels(np.isin(range(4), view.ranking[:2])) == frozenset({2, 3})
+    assert labels(np.isin(range(4), view.ranking[:3])) == frozenset({2, 3, 4})
 
 
 def test_gap_at_interior():
@@ -48,16 +49,16 @@ def test_gap_at_rejects_out_of_range():
 
 
 def test_order_view_random_consistency():
-    """index_map inverts the sort and positive_count counts lam > 0."""
+    """ranking inverts the sort and positive_count counts lam > 0."""
     rng = np.random.default_rng(123)
     for _ in range(200):
         j = int(rng.integers(2, 12))
         lam = np.round(rng.normal(size=j), 2)  # rounding forces ties
         view = order_view(lam)
         np.testing.assert_allclose(np.sort(lam)[::-1], view.sorted)
-        np.testing.assert_allclose(lam[np.asarray(view.index_map) - 1], view.sorted)
+        np.testing.assert_allclose(lam[view.ranking], view.sorted)
         assert view.positive_count == int((lam > 0).sum())
-        # stable tie-break: equal values appear in increasing label order
+        # stable tie-break: equal values appear in increasing column order
         for k in range(j - 1):
             if view.sorted[k] == view.sorted[k + 1]:
-                assert view.index_map[k] < view.index_map[k + 1]
+                assert view.ranking[k] < view.ranking[k + 1]

@@ -27,13 +27,29 @@ def counts(v, r, j=4, truth_size=2):
     return ConfusionCounts(v=v, w=w, r=r, j=j)
 
 
+def _mask(labels, j):
+    """(j,) boolean mask, True at column k - 1 for each label k."""
+    return np.isin(np.arange(1, j + 1), sorted(labels))
+
+
 def test_confusion_from_decision():
-    decision = Decision(stopping_time=9, rejected=frozenset({1, 3}), stopped_by="gap")
-    c = confusion(decision, truth=frozenset({3, 4}), j=5)
+    decision = Decision(stopping_time=9, rejected=_mask({1, 3}, 5), stopped_by="gap")
+    c = confusion(decision, _mask({3, 4}, 5))
     assert c.v == 1  # stream 1 rejected but is noise
     assert c.w == 1  # stream 4 missed
     assert c.r == 2
     assert c.j == 5
+
+
+@pytest.mark.parametrize(
+    "rejected",
+    [np.zeros(4, dtype=bool), np.ones(5, dtype=int), np.zeros((1, 5), dtype=bool)],
+    ids=["short", "int", "2-d"],
+)
+def test_confusion_rejects_a_malformed_mask(rejected):
+    decision = Decision(stopping_time=1, rejected=rejected, stopped_by="gap")
+    with pytest.raises(ValueError, match=r"\(5,\) boolean mask"):
+        confusion(decision, _mask({3, 4}, 5))
 
 
 def test_confusion_counts_invariants():

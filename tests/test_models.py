@@ -124,7 +124,7 @@ def test_increment_mean_matches_info_numbers_monte_carlo():
         info = model.info_numbers()
         profile = StreamProfile.homogeneous(model, 2)
         # stream 1 draws under the alternative, stream 2 under the null
-        x = profile.sample_block(frozenset({1}), n, rng)
+        x = profile.sample_block(profile.signal_mask({1}), n, rng)
         means = profile.increments(x).mean(axis=0)
         assert abs(means[0] - info.i1) < 4 * math.sqrt(info.v1 / n)
         assert abs(means[1] + info.i0) < 4 * math.sqrt(info.v0 / n)
@@ -134,7 +134,7 @@ def test_empirical_means_of_draws():
     """Null draws average near 0, alt draws near theta (CLT bound)."""
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 2)
     n = 1_000_000
-    x = profile.sample_block(frozenset({2}), n, np.random.default_rng(7))
+    x = profile.sample_block(profile.signal_mask({2}), n, np.random.default_rng(7))
     # reference arithmetic; the model must agree with it pointwise
     u = np.random.default_rng(7).random((100, 2))
     np.testing.assert_allclose(
@@ -149,13 +149,32 @@ def test_profile_requires_two_streams():
         StreamProfile(models=(gaussian_model(),))
 
 
+class _HalfUniforms:
+    """Generator stand-in whose every uniform is exactly 0.5, the median."""
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
 def test_profile_signal_mask_and_state_params():
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 4)
-    truth = frozenset({2, 4})
-    mask = profile.signal_mask(truth)
+    mask = profile.signal_mask(frozenset({2, 4}))
     np.testing.assert_array_equal(mask, [False, True, False, True])
-    params = profile.active_params(truth)
-    np.testing.assert_allclose(params, [0.0, 0.5, 0.0, 0.5])
+    assert mask.dtype == bool and not mask.flags.writeable
+    # At the median uniform every observation is its stream's active mean.
+    params = profile.sample_block(mask, 1, _HalfUniforms())[0]
+    np.testing.assert_array_equal(params, [0.0, 0.5, 0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [frozenset({1, 2}), np.zeros(3, dtype=bool), np.zeros(4, dtype=int)],
+    ids=["label set", "short mask", "int mask"],
+)
+def test_sample_block_rejects_anything_but_a_signal_mask(signal):
+    profile = StreamProfile.homogeneous(gaussian_model(0.5), 4)
+    with pytest.raises(ValueError, match=r"\(4,\) bool signal mask"):
+        profile.sample_block(signal, 1, np.random.default_rng(0))
 
 
 def test_validate_signal_set_rejects_out_of_range():
@@ -170,20 +189,20 @@ def test_validate_signal_set_rejects_out_of_range():
 def test_sample_block_consumes_uniforms_row_major():
     """One uniform per (time, stream) cell, rows first, inverse-CDF mapped."""
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 3)
-    truth = frozenset({1})
     seed = 99
-    block = profile.sample_block(truth, 5, np.random.default_rng(seed))
+    signal = profile.signal_mask({1})
+    block = profile.sample_block(signal, 5, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random((5, 3))
-    expected = profile.active_params(truth)[None, :] + stats.norm.ppf(u)
+    expected = np.array([0.5, 0.0, 0.0])[None, :] + stats.norm.ppf(u)
     np.testing.assert_allclose(block, expected, atol=1e-12)
 
 
 def test_sample_block_bernoulli_protocol():
     model = StreamModel(family=BERNOULLI, null=0.3, alt=0.7)
     profile = StreamProfile.homogeneous(model, 2)
-    truth = frozenset({2})
     seed = 4242
-    block = profile.sample_block(truth, 8, np.random.default_rng(seed))
+    signal = profile.signal_mask({2})
+    block = profile.sample_block(signal, 8, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random((8, 2))
     expected = (u < np.array([0.3, 0.7])[None, :]).astype(float)
     np.testing.assert_array_equal(block, expected)
@@ -201,7 +220,7 @@ def test_sample_block_zero_uniform_gives_finite_observations():
     profile = StreamProfile(
         (gaussian_model(0.5), StreamModel(family=BERNOULLI, null=0.3, alt=0.7))
     )
-    block = profile.sample_block(frozenset({1}), 3, _ZeroUniforms())
+    block = profile.sample_block(profile.signal_mask({1}), 3, _ZeroUniforms())
     assert np.all(np.isfinite(block))
     assert np.all(np.isfinite(profile.increments(block)))
 

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     gap_should_stop,
     gi_should_stop,
+    labels,
     one_shot_path,
     p_value,
     stepwise_run,
@@ -26,17 +28,20 @@ from seqgap import (
     StreamProfile,
     TopMRule,
     bh_decide,
+    confusion,
     order_view,
     run_sequential,
     top_m_decide,
 )
 from seqgap.rules import (
+    STOP_FIXED,
     STOP_GAP,
     STOP_HORIZON,
     STOP_INTERSECTION,
     STOP_TAU1,
     STOP_TAU2,
     STOP_TAU3,
+    Decision,
     Walk,
 )
 
@@ -63,11 +68,11 @@ def test_gap_should_stop_hand_traces():
 def test_gap_decide_rejects_top_m():
     rule = GapRule(num_signals=1, threshold=2.0)
     decision = rule.decide(view(2.3, -0.1, -2.0), 7, STOP_GAP)
-    assert decision.rejected == frozenset({1})
+    assert labels(decision.rejected) == frozenset({1})
     assert decision.stopping_time == 7
     rule2 = GapRule(num_signals=2, threshold=7.0)
     decision2 = rule2.decide(view(5.0, 4.0, -3.0), 3, STOP_GAP)
-    assert decision2.rejected == frozenset({1, 2})
+    assert labels(decision2.rejected) == frozenset({1, 2})
 
 
 def test_gap_rule_validation():
@@ -168,10 +173,10 @@ def test_gi_decide_clamps_positive_count():
     rule = gi(1, 2, 2.0, 2.0, 3.0, 3.0)
     # tau1 with zero positives: p=0 clamps up to lo=1
     decision = rule.decide(view(-0.5, -4.0, -4.5), 9, STOP_TAU1)
-    assert decision.rejected == frozenset({1})
+    assert labels(decision.rejected) == frozenset({1})
     # tau3 with all positives: p=3 clamps down to hi=2
     decision = rule.decide(view(6.0, 5.0, 4.0), 9, STOP_TAU3)
-    assert decision.rejected == frozenset({1, 2})
+    assert labels(decision.rejected) == frozenset({1, 2})
 
 
 def test_gi_validation():
@@ -221,7 +226,7 @@ def test_intersection_requires_full_exit():
 def test_intersection_rejects_positives():
     rule = IntersectionRule(accept_barrier=2.0, reject_barrier=3.0)
     decision = rule.decide(view(3.5, -2.0, 4.0), 5, "intersection")
-    assert decision.rejected == frozenset({1, 3})
+    assert labels(decision.rejected) == frozenset({1, 3})
 
 
 def test_intersection_agrees_with_unclamped_bracket():
@@ -244,7 +249,7 @@ def test_intersection_agrees_with_unclamped_bracket():
         t = hit_plain[0]
         d_plain = plain.decide(order_view(path[t]), t + 1, hit_plain[1])
         d_bracketed = bracketed.decide(order_view(path[t]), t + 1, hit_bracketed[1])
-        assert d_plain.rejected == d_bracketed.rejected
+        assert labels(d_plain.rejected) == labels(d_bracketed.rejected)
 
 
 # --- every sequential rule against its one-state oracle ---
@@ -296,6 +301,44 @@ def test_scan_path_matches_stepwise_oracle(case):
         assert rule.scan_path(block) == _stepwise(rule, block), rule
 
 
+# --- decisions as masks against the label oracle ---
+
+
+def _truths(j):
+    """Signal label sets over J streams, the empty and the full set among them."""
+    streams = frozenset(range(1, j + 1))
+    subsets = st.frozensets(st.sampled_from(sorted(streams)))
+    return st.one_of(st.just(frozenset()), st.just(streams), subsets)
+
+
+@st.composite
+def _row_and_truth(draw):
+    j = draw(st.integers(2, 7))
+    row = np.array(draw(st.lists(_ENTRIES, min_size=j, max_size=j)))
+    return row, draw(_truths(j))
+
+
+def _assert_as_oracle(decision, expected, truth):
+    """The decision's mask rejects the oracle's labels, and ``confusion``
+    counts it as the oracle counts those labels against ``truth``."""
+    j = decision.rejected.size
+    signal = np.isin(np.arange(1, j + 1), sorted(truth))
+    assert labels(decision.rejected) == expected
+    assert confusion(decision, signal) == oracles.confusion(expected, truth, j)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_row_and_truth())
+def test_decide_matches_the_label_oracle(case):
+    """Every sequential rule, at every signal count and bracket, rejects
+    and counts on rows with ties and infinite entries as the label oracle."""
+    row, truth = case
+    view = order_view(row)
+    for rule in _rules(row.size, [1.0] * 4):
+        decision = rule.decide(view, 1, STOP_HORIZON)
+        _assert_as_oracle(decision, oracles.decide(rule, row), truth)
+
+
 # --- sequential driver ---
 
 
@@ -308,13 +351,11 @@ def make_profile(j=4, theta=0.5):
 def test_run_sequential_gap_smoke():
     profile = make_profile()
     rule = GapRule(num_signals=2, threshold=2.0)
-    decision = run_sequential(
-        rule, profile, frozenset({1, 2}), 100_000, np.random.default_rng(3)
-    )
+    signal = profile.signal_mask({1, 2})
+    decision = run_sequential(rule, profile, signal, 100_000, np.random.default_rng(3))
     assert decision.stopping_time >= 1
-    assert len(decision.rejected) == 2
+    assert len(labels(decision.rejected)) == 2
     assert decision.stopped_by == STOP_GAP
-    assert not decision.horizon_hit
 
 
 # 16,320 = 64 + 128 + ... + 8192: past it the blocks are MAX_BLOCK rows.
@@ -333,10 +374,11 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(family, horizon):
     """The walk's blocks concatenate to one cumulative sum over the whole
     path, bit for bit, and ``run_sequential`` stops and decides as a
     row-by-row scan of that path does."""
-    profile, truth = WALK_PROFILES[family], frozenset({1, 2})
-    path = one_shot_path(profile, truth, horizon, np.random.default_rng(5))
+    profile = WALK_PROFILES[family]
+    signal = profile.signal_mask({1, 2})
+    path = one_shot_path(profile, signal, horizon, np.random.default_rng(5))
 
-    walk = Walk(profile, truth, horizon, np.random.default_rng(5))
+    walk = Walk(profile, signal, horizon, np.random.default_rng(5))
     blocks = []
     while (block := walk.next_block()) is not None:
         blocks.append(block)
@@ -353,9 +395,9 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(family, horizon):
         IntersectionRule(accept_barrier=2.0, reject_barrier=2.0),
     ):
         decision = run_sequential(
-            rule, profile, truth, horizon, np.random.default_rng(5)
+            rule, profile, signal, horizon, np.random.default_rng(5)
         )
-        got = (decision.stopping_time, decision.rejected, decision.stopped_by)
+        got = (decision.stopping_time, labels(decision.rejected), decision.stopped_by)
         assert got == stepwise_run(rule, path), rule
 
 
@@ -363,13 +405,11 @@ def test_run_sequential_horizon_decision():
     """An unreachable gap forces the horizon decision at the cap."""
     profile = make_profile()
     rule = GapRule(num_signals=2, threshold=1e9)
-    decision = run_sequential(
-        rule, profile, frozenset({1, 2}), 500, np.random.default_rng(0)
-    )
+    signal = profile.signal_mask({1, 2})
+    decision = run_sequential(rule, profile, signal, 500, np.random.default_rng(0))
     assert decision.stopping_time == 500
     assert decision.stopped_by == STOP_HORIZON
-    assert decision.horizon_hit
-    assert len(decision.rejected) == 2  # gap rule still rejects its top m
+    assert len(labels(decision.rejected)) == 2  # gap rule still rejects its top m
 
 
 # --- p-values and fixed-sample baselines ---
@@ -403,12 +443,12 @@ def test_p_value_rejects_bernoulli():
 
 def test_bh_decide_hand_example():
     rejected = bh_decide((0.01, 0.02, 0.04, 0.5), 0.05)
-    assert rejected == frozenset({1, 2})
+    assert labels(rejected) == frozenset({1, 2})
 
 
 def test_bh_decide_extremes():
-    assert bh_decide((0.0, 0.0, 0.0), 0.05) == frozenset({1, 2, 3})
-    assert bh_decide((1.0, 1.0, 1.0), 0.05) == frozenset()
+    assert labels(bh_decide((0.0, 0.0, 0.0), 0.05)) == frozenset({1, 2, 3})
+    assert labels(bh_decide((1.0, 1.0, 1.0), 0.05)) == frozenset()
 
 
 def test_bh_decide_matches_brute_force():
@@ -426,7 +466,7 @@ def test_bh_decide_matches_brute_force():
             if p[order[i - 1]] <= i * level / j:
                 k = i
         expected = frozenset(int(order[i]) + 1 for i in range(k))
-        assert bh_decide(p, level) == expected
+        assert labels(bh_decide(p, level)) == expected
 
 
 def _bh_brute_force(p, level: float) -> frozenset[int]:
@@ -465,12 +505,26 @@ def _bh_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_bh_decide_matches_brute_force_on_boundaries(case):
     p, level = case
-    assert bh_decide(p, level) == _bh_brute_force(p, level)
+    assert labels(bh_decide(p, level)) == _bh_brute_force(p, level)
+
+
+@given(_bh_cases(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_fixed_sample_decisions_match_the_label_oracle(case, data):
+    """BH on the step-up boundaries, and top-m at every m, reject and count
+    as the label oracle."""
+    p, level = case
+    truth = data.draw(_truths(len(p)))
+    decision = Decision(1, bh_decide(p, level), STOP_FIXED)
+    _assert_as_oracle(decision, oracles.bh_decide(p, level), truth)
+    for m in range(1, len(p)):
+        decision = Decision(1, top_m_decide(p, m), STOP_FIXED)
+        _assert_as_oracle(decision, oracles.top_m_decide(p, m), truth)
 
 
 def test_top_m_decide_examples():
-    assert top_m_decide((0.3, 0.1, 0.2), 2) == frozenset({2, 3})
-    assert top_m_decide((0.1, 0.1), 1) == frozenset({1})  # tie -> lowest label
+    assert labels(top_m_decide((0.3, 0.1, 0.2), 2)) == frozenset({2, 3})
+    assert labels(top_m_decide((0.1, 0.1), 1)) == frozenset({1})  # tie -> lowest label
 
 
 def test_top_m_decide_validation():
