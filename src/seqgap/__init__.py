@@ -13,6 +13,7 @@ from .calibrate import (
     CalibrationError,
     CalibrationProbe,
     CalibrationResult,
+    CalibrationSettings,
     calibrate_bh_n,
     calibrate_gap_c,
     calibrate_topm_n,

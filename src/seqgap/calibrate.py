@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,11 +32,65 @@ from .engine import (
     trial_rng,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
-from .models import StreamProfile
-from .rules import BhRule, GapRule, TopMRule, Walk, ranking
+from .rules import Walk, ranking
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
+
+
+@dataclass(frozen=True)
+class CalibrationSettings:
+    """The search grids and how to walk them.
+
+    The gap search probes thresholds ``grid_step``, ``2 * grid_step``, ...
+    up to ``threshold_cap``; the sample-size searches probe 1 ..
+    ``sample_size_cap``.  The bh search aims at ``target_fnr``.
+    ``full_scan`` probes every grid point up to the first feasible one
+    instead of bracketing.  Construction rejects a grid with no positive
+    threshold, so every search starts from valid settings.
+    """
+
+    grid_step: float = 0.1
+    threshold_cap: float = 50.0
+    sample_size_cap: int = 10_000
+    target_fnr: float | None = None
+    full_scan: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("grid_step", "threshold_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        point, grid, count = self.grid("threshold")
+        if point(1) <= 0:
+            raise ValueError(
+                f"grid_step ({self.grid_step:g}) puts the first grid point at 0.0: "
+                "threshold must be positive, got 0.0"
+            )
+        if count < 1:
+            raise ValueError(
+                f"threshold_cap ({self.threshold_cap:g}) is below grid_step "
+                f"({self.grid_step:g}): search cap leaves no grid points for {grid}"
+            )
+        if self.sample_size_cap < 1:
+            raise ValueError(
+                f"sample_size_cap must be >= 1, got {self.sample_size_cap}"
+            )
+        if self.target_fnr is not None and not 0 < self.target_fnr < 1:
+            raise ValueError(f"target_fnr must be in (0, 1), got {self.target_fnr}")
+
+    def grid(self, field: str):
+        """The grid of the rule field ``field`` ("threshold" or
+        "sample_size"): its point at each index from 1, its description, and
+        its number of points.  Thresholds are rounded clear of binary float
+        noise, and the tolerance keeps a cap that is a multiple of the step
+        on the grid."""
+        if field == "threshold":
+            step, cap = self.grid_step, self.threshold_cap
+            grid = f"thresholds {step:g}, {2 * step:g}, ... capped at {cap:g}"
+            return lambda i: round(i * step, 12), grid, int(cap / step + 1e-9)
+        cap = self.sample_size_cap
+        return int, f"sample sizes 1..{cap}", cap
 
 
 class CalibrationError(ValueError):
@@ -74,13 +128,6 @@ class CalibrationResult:
 
     def payload(self) -> dict:
         return payload(self)
-
-
-def grid_points(grid_step: float, threshold_cap: float) -> int:
-    """Number of threshold grid points ``grid_step``, ``2 * grid_step``, ...
-    at or below ``threshold_cap``; the tolerance keeps a cap that is a
-    multiple of the step on the grid despite binary float noise."""
-    return int(threshold_cap / grid_step + 1e-9)
 
 
 def _bracket_min_feasible(
@@ -194,42 +241,39 @@ def _within(budget: ErrorBudget):
 
 
 def _calibrate(
-    rule_at,
-    point,
-    grid: str,
-    cap_index: int,
+    config: ExperimentConfig,
+    settings: CalibrationSettings,
+    kind: str,
     accept,
-    *,
-    profile: StreamProfile,
-    truth: frozenset[int],
-    replications: int,
-    seed: int,
     workers: int,
-    full_scan: bool,
-    horizon: int | None = None,
     measure=None,
     choose=None,
 ) -> CalibrationResult:
-    """Search grid indices 1..cap_index for the first whose estimates
-    ``accept``, and evaluate the chosen index at a fresh seed.
+    """Search the grid of the config's rule, which must be of type ``kind``,
+    for the first index whose estimates ``accept``, and evaluate the chosen
+    index at a fresh seed.
 
-    ``rule_at`` gives the rule at a grid index and ``point`` its grid point,
-    which probes record as a float.  ``measure`` maps a probe's config to
-    its estimates (by default, a rerun of the experiment); ``choose`` maps
-    the first accepted index and the memoized probe to the chosen index (by
+    Each probe is ``config`` with the rule's threshold (gap) or sample size
+    at the grid point, FDR and FNR as its metrics, and the search seed
+    (``config.master_seed``) or the evaluation seed; probes record their
+    grid point as a float.  ``measure`` maps a probe's config to its
+    estimates (by default, a rerun of the experiment); ``choose`` maps the
+    first accepted index and the memoized probe to the chosen index (by
     default, that index).
     """
-    kwargs = {} if horizon is None else {"horizon": horizon}
+    if config.rule.name != kind:
+        raise ValueError(f"this search needs a {kind} rule, got {config.rule.name!r}")
+    check_workers(workers)
+    field = "threshold" if kind == "gap" else "sample_size"
+    point, grid, cap_index = settings.grid(field)
+    seed = config.master_seed
 
     def config_at(index: int, master_seed: int) -> ExperimentConfig:
-        return ExperimentConfig(
-            profile=profile,
-            truth=truth,
-            rule=rule_at(index),
-            replications=replications,
+        return replace(
+            config,
+            rule=replace(config.rule, **{field: point(index)}),
             master_seed=master_seed,
             metrics=(MetricKind.FDR, MetricKind.FNR),
-            **kwargs,
         )
 
     def rerun(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
@@ -251,7 +295,7 @@ def _calibrate(
 
     try:
         first = _bracket_min_feasible(
-            lambda i: accept(estimates_at(i)), cap_index, grid, full_scan
+            lambda i: accept(estimates_at(i)), cap_index, grid, settings.full_scan
         )
     except ValueError as exc:
         raise CalibrationError(str(exc), probes=probes()) from exc
@@ -259,7 +303,7 @@ def _calibrate(
     evaluation_seed = derive_seed(seed, _EVALUATION_TAG)
     return CalibrationResult(
         chosen=point(chosen),
-        replications=replications,
+        replications=config.replications,
         grid=grid,
         search_seed=seed,
         evaluation_seed=evaluation_seed,
@@ -269,19 +313,13 @@ def _calibrate(
 
 
 def calibrate_gap_c(
-    profile: StreamProfile,
-    truth: frozenset[int],
-    num_signals: int,
+    config: ExperimentConfig,
+    settings: CalibrationSettings,
     budget: ErrorBudget,
-    replications: int = 10_000,
-    seed: int = 0,
-    grid_step: float = 0.1,
-    threshold_cap: float = 50.0,
-    horizon: int | None = None,
     workers: int = 1,
-    full_scan: bool = False,
 ) -> CalibrationResult:
-    """Smallest grid threshold with estimated FDR <= alpha and FNR <= beta.
+    """Smallest grid threshold of the config's gap rule with estimated
+    FDR <= alpha and FNR <= beta.
 
     The search runs in the calling process and samples each trial's path
     at most once (see ``_GapSearch``); its probe estimates equal, bit for
@@ -291,109 +329,46 @@ def calibrate_gap_c(
     replications with 1, 2 or 4 workers; with many more cores than that,
     the one-core search may fall behind, which is not measured.
     """
-    for name, value in (("grid_step", grid_step), ("threshold_cap", threshold_cap)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-
-    def point(index: int) -> float:
-        # Round away binary float noise so reported grid points are clean.
-        return round(index * grid_step, 12)
-
-    # Built at the first probe, after its config is checked, so invalid
-    # arguments fail where and as a rerun would.
-    search: _GapSearch | None = None
-
-    def measure(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
-        nonlocal search
-        if search is None:
-            check_workers(workers)
-            search = _GapSearch(config)
-        return search.estimates(config)
-
-    return _calibrate(
-        lambda i: GapRule(num_signals=num_signals, threshold=point(i)),
-        point,
-        f"thresholds {grid_step:g}, {2 * grid_step:g}, ... capped at {threshold_cap:g}",
-        grid_points(grid_step, threshold_cap),
-        _within(budget),
-        profile=profile,
-        truth=truth,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        full_scan=full_scan,
-        horizon=horizon,
-        measure=measure,
-    )
+    measure = _GapSearch(config).estimates
+    return _calibrate(config, settings, "gap", _within(budget), workers, measure)
 
 
 def calibrate_topm_n(
-    profile: StreamProfile,
-    truth: frozenset[int],
-    num_signals: int,
+    config: ExperimentConfig,
+    settings: CalibrationSettings,
     budget: ErrorBudget,
-    replications: int = 10_000,
-    seed: int = 0,
-    sample_size_cap: int = 10_000,
     workers: int = 1,
-    full_scan: bool = False,
 ) -> CalibrationResult:
     """Smallest sample size whose top-m decision meets both budget sides."""
-    return _calibrate(
-        lambda n: TopMRule(sample_size=n, num_signals=num_signals),
-        int,
-        f"sample sizes 1..{sample_size_cap}",
-        sample_size_cap,
-        _within(budget),
-        profile=profile,
-        truth=truth,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        full_scan=full_scan,
-    )
+    return _calibrate(config, settings, "top-m", _within(budget), workers)
 
 
 def calibrate_bh_n(
-    profile: StreamProfile,
-    truth: frozenset[int],
-    level: float,
-    target_fnr: float,
-    replications: int = 10_000,
-    seed: int = 0,
-    sample_size_cap: int = 10_000,
+    config: ExperimentConfig,
+    settings: CalibrationSettings,
+    budget: ErrorBudget | None,
     workers: int = 1,
-    full_scan: bool = False,
 ) -> CalibrationResult:
-    """Sample size whose step-up FNR estimate is closest to a target.
+    """Sample size whose step-up FNR estimate is closest to
+    ``settings.target_fnr``; the config's rule supplies the level, and
+    ``budget`` is not read.
 
     The estimated FNR decreases in the sample size, so the minimizer of
     |FNR - target| sits at the first size meeting the target or just below
     it; both are probed and ties go to the smaller size.
     """
-    if not 0 < target_fnr < 1:
-        raise ValueError(f"target_fnr must be in (0, 1), got {target_fnr}")
+    target = settings.target_fnr
+    if target is None:
+        raise ValueError("calibrate_bh_n needs settings.target_fnr")
 
     def fnr(est: dict[MetricKind, MetricEstimate]) -> float:
         return est[MetricKind.FNR].value
 
     def closest(crossing: int, estimates_at) -> int:
         candidates = [c for c in (crossing - 1, crossing) if c >= 1]
-        return min(
-            candidates, key=lambda c: (abs(fnr(estimates_at(c)) - target_fnr), c)
-        )
+        return min(candidates, key=lambda c: (abs(fnr(estimates_at(c)) - target), c))
 
-    return _calibrate(
-        lambda n: BhRule(sample_size=n, level=level),
-        int,
-        f"sample sizes 1..{sample_size_cap}",
-        sample_size_cap,
-        lambda est: fnr(est) <= target_fnr,
-        profile=profile,
-        truth=truth,
-        replications=replications,
-        seed=seed,
-        workers=workers,
-        full_scan=full_scan,
-        choose=closest,
-    )
+    def accept(est: dict[MetricKind, MetricEstimate]) -> bool:
+        return fnr(est) <= target
+
+    return _calibrate(config, settings, "bh", accept, workers, choose=closest)

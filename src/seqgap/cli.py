@@ -36,6 +36,7 @@ from .calibrate import (
 )
 from .config import ConfigError, LoadedConfig, check_count, check_seed, load_config
 from .engine import (
+    BENCHMARKS,
     BenchmarkReport,
     ExperimentReport,
     SweepReport,
@@ -45,7 +46,7 @@ from .engine import (
     run_experiment,
 )
 from .metrics import MetricEstimate, MetricKind, NoBoundConstants
-from .rules import BhRule, GapRule, TopMRule, _fmt
+from .rules import _fmt
 from .thresholds import ErrorBudget
 
 WORKERS_ENV = "SEQGAP_WORKERS"
@@ -403,61 +404,41 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
-    experiment = loaded.experiment
     settings = loaded.calibration
     workers = _resolve_workers(args)
-    rule = experiment.rule
-    common = dict(
-        profile=experiment.profile,
-        truth=experiment.truth,
-        replications=experiment.replications,
-        seed=experiment.master_seed,
-        workers=workers,
-    )
-    if isinstance(rule, GapRule):
-        if loaded.budget is None:
-            raise ConfigError("calibrating a gap rule needs a budget section")
-        result = calibrate_gap_c(
-            num_signals=rule.num_signals,
-            budget=loaded.budget,
-            grid_step=settings.grid_step,
-            threshold_cap=settings.threshold_cap,
-            horizon=experiment.horizon,
-            full_scan=settings.full_scan,
-            **common,
-        )
-    elif isinstance(rule, TopMRule):
-        if loaded.budget is None:
-            raise ConfigError("calibrating a top-m rule needs a budget section")
-        result = calibrate_topm_n(
-            num_signals=rule.num_signals,
-            budget=loaded.budget,
-            sample_size_cap=settings.sample_size_cap,
-            full_scan=settings.full_scan,
-            **common,
-        )
-    elif isinstance(rule, BhRule):
-        if settings.target_fnr is None:
-            raise ConfigError(
-                "calibrating a bh rule needs calibrate.target_fnr in the config"
-            )
-        result = calibrate_bh_n(
-            level=rule.level,
-            target_fnr=settings.target_fnr,
-            sample_size_cap=settings.sample_size_cap,
-            full_scan=settings.full_scan,
-            **common,
-        )
-    else:
+    rule = loaded.experiment.rule
+    # Per rule type: the search, read from this module's binding at call
+    # time, and the setting it needs, as the config file names it.
+    budget, target = loaded.budget, settings.target_fnr
+    searches = {
+        "gap": (calibrate_gap_c, budget, "a budget section"),
+        "top-m": (calibrate_topm_n, budget, "a budget section"),
+        "bh": (calibrate_bh_n, target, "calibrate.target_fnr in the config"),
+    }
+    if rule.name not in searches:
         raise ConfigError(
             "calibration supports rule types gap, top-m, and bh; got "
             f"{rule.name!r}"
         )
+    search, needed, what = searches[rule.name]
+    if needed is None:
+        raise ConfigError(f"calibrating a {rule.name} rule needs {what}")
+    result = search(loaded.experiment, settings, budget, workers)
     _emit(args, loaded, lambda fmt, out: write_calibration_report(result, fmt, out))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
+    if args.rows is not None:
+        available = sorted(BENCHMARKS[args.which].rows)
+        missing = sorted({m for m in args.rows if m not in available})
+        repeated = sorted({m for m in args.rows if args.rows.count(m) > 1})
+        if missing or repeated:
+            problem = f"no such rows {missing}" if missing else f"repeated {repeated}"
+            raise ConfigError(
+                f"--rows {','.join(map(str, args.rows))}: {problem}; "
+                f"{args.which} has rows {available}"
+            )
     report = reproduce_table(
         args.which, rows=args.rows, workers=_resolve_workers(args), **_overrides(args)
     )
@@ -467,6 +448,12 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_sweep(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
+    rule = loaded.experiment.rule
+    if not hasattr(rule, "at_budget"):
+        raise ConfigError(
+            "rule.type: the sweep needs a sequential rule with formula "
+            f"thresholds; got {rule.name!r}"
+        )
     try:
         report = asymptotic_sweep(
             loaded.experiment,

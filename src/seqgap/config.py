@@ -2,11 +2,12 @@
 
 YAML documents with six sections — ``streams``, ``truth``, ``rule``,
 ``budget``, ``run``, ``output`` — plus an optional ``calibrate`` section
-consumed by the calibrate command.  The schema is strict: unknown keys and
-wrong types are rejected with the offending field named, and such problems
-raise ConfigError (the CLI's configuration exit class).  Semantic errors
-that only the assembled experiment can detect (rule/metric compatibility,
-say) surface later from the engine as runtime errors.
+consumed by the calibrate command.  The schema is strict: unknown keys,
+keys repeated within a mapping, and wrong types are rejected with the
+offending field named, and such problems raise ConfigError (the CLI's
+configuration exit class).  Semantic errors that only the assembled
+experiment can detect (rule/metric compatibility, say) surface later from
+the engine as runtime errors.
 
 The ``rule`` section is read from the rule class that ``type`` names: its
 dataclass fields, with a barrier rule's thresholds nested under
@@ -15,17 +16,18 @@ them through the closed-form formulas at the configured budget (the rule's
 ``at_budget``), with the bound constant of the rule's ``control`` metric
 (default fdr); a control metric without constants for the rule is a
 configuration error.  The sweep command uses the same control metric.
+The ``calibrate`` section is read from the fields of CalibrationSettings,
+which checks its own values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
 import yaml
 
-from .calibrate import grid_points
+from .calibrate import CalibrationSettings
 from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
 from .metrics import MetricKind, NoBoundConstants
 from .models import StreamModel, StreamProfile
@@ -37,17 +39,6 @@ FORMATS = ("csv", "json", "text")
 
 class ConfigError(ValueError):
     """A configuration document is malformed; message names the field."""
-
-
-@dataclass(frozen=True)
-class CalibrationSettings:
-    """Knobs for the calibrate command."""
-
-    grid_step: float = 0.1
-    threshold_cap: float = 50.0
-    sample_size_cap: int = 10_000
-    target_fnr: float | None = None
-    full_scan: bool = False
 
 
 @dataclass(frozen=True)
@@ -207,9 +198,15 @@ def _need_budget(budget: ErrorBudget | None, what: str) -> ErrorBudget:
 # Stand-in for "auto" thresholds until the rule is resolved at the budget.
 _AUTO_PLACEHOLDER = 1.0
 
-# Each rule class by its type tag, and the parser of each field annotation.
+# Each rule class by its type tag, and the parser of each field annotation
+# (of a rule or of CalibrationSettings).
 _RULES = {cls.name: cls for cls in get_args(Rule)}
-_FIELD_PARSERS = {int: _as_int, float: _as_number}
+_FIELD_PARSERS = {
+    int: _as_int,
+    float: _as_number,
+    float | None: _as_number,
+    bool: _as_bool,
+}
 
 
 def _parse_rule(
@@ -282,48 +279,28 @@ def _parse_metrics(raw) -> tuple[MetricKind, ...]:
     return tuple(kinds)
 
 
-# Each ``calibrate:`` key and the parser of its value; an absent or null
-# key keeps the CalibrationSettings default.
-_CALIBRATION_KEYS = {
-    "grid_step": _as_number,
-    "threshold_cap": _as_number,
-    "sample_size_cap": _as_int,
-    "target_fnr": _as_number,
-    "full_scan": _as_bool,
-}
-
-
 def _parse_calibration(doc) -> CalibrationSettings:
+    """The ``calibrate`` section, read like a rule section from the fields of
+    CalibrationSettings; an absent or null key keeps the field's default."""
     if doc is None:
         return CalibrationSettings()
     section = _mapping(doc, "calibrate")
-    raw = {key: section.pop(key, None) for key in _CALIBRATION_KEYS}
+    types = get_type_hints(CalibrationSettings)
+    raw = {f.name: section.pop(f.name, None) for f in fields(CalibrationSettings)}
     _done(section, "calibrate")
-    settings = CalibrationSettings(
-        **{
-            key: _CALIBRATION_KEYS[key](value, f"calibrate.{key}")
-            for key, value in raw.items()
-            if value is not None
-        }
-    )
-    for name in ("grid_step", "threshold_cap"):
-        value = getattr(settings, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(
-                f"calibrate.{name} must be finite and positive, got {value}"
-            )
-    if grid_points(settings.grid_step, settings.threshold_cap) < 1:
-        raise ConfigError(
-            f"calibrate.threshold_cap ({settings.threshold_cap:g}) is below "
-            f"calibrate.grid_step ({settings.grid_step:g}): the threshold "
-            "search would have no grid points"
-        )
-    check_count(settings.sample_size_cap, "calibrate.sample_size_cap")
-    if settings.target_fnr is not None and not 0 < settings.target_fnr < 1:
-        raise ConfigError(
-            f"calibrate.target_fnr must be in (0, 1), got {settings.target_fnr}"
-        )
-    return settings
+    values = {
+        key: _FIELD_PARSERS[types[key]](value, f"calibrate.{key}")
+        for key, value in raw.items()
+        if value is not None
+    }
+    try:
+        return CalibrationSettings(**values)
+    except ValueError as exc:
+        # The settings name their fields; the file names its keys.
+        message = str(exc)
+        for key in raw:
+            message = message.replace(key, f"calibrate.{key}")
+        raise ConfigError(message) from exc
 
 
 def build_config(doc, source: str = "<config>") -> LoadedConfig:
@@ -394,11 +371,27 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated within one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep=deep)
+        seen = set()
+        for key_node in keys:  # scalars: other keys are unhashable
+            key = self.construct_object(key_node)
+            if key in seen:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"duplicate key {key_node.value!r} at line {line}")
+            seen.add(key)
+        return mapping
+
+
 def load_config(path: str) -> LoadedConfig:
     """Read and assemble a YAML configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -357,7 +357,7 @@ def asymptotic_sweep(
     if not hasattr(base.rule, "at_budget"):
         raise ValueError(
             "the sweep needs a sequential rule with formula thresholds; got "
-            f"{type(base.rule).__name__}"
+            f"{base.rule.name!r}"
         )
     profile, truth = base.profile, base.truth
     # Every point's rule, config and benchmark first, so an invalid point
@@ -481,14 +481,13 @@ def reproduce_table(
     replications: int = 10_000,
     master_seed: int = 20_260_816,
     workers: int = 1,
-    horizon: int = DEFAULT_HORIZON,
 ) -> BenchmarkReport:
     """Rerun a bundled benchmark study.
 
     ``rows`` selects signal counts (default: all rows of the study; an
     explicitly empty list yields a header-only report).  Each row runs the
-    gap rule plus both fixed-sample baselines on seeds derived from the
-    master seed and the row's parameters.
+    gap rule, at the default horizon, plus both fixed-sample baselines on
+    seeds derived from the master seed and the row's parameters.
     """
     if which not in BENCHMARKS:
         raise ValueError(
@@ -521,7 +520,6 @@ def reproduce_table(
                 rule=rule,
                 replications=replications,
                 master_seed=derive_seed(master_seed, m, sub),
-                horizon=horizon,
                 metrics=(MetricKind.FDR, MetricKind.FNR),
             )
             runs[sub] = run_experiment(config, workers=workers)

@@ -25,6 +25,7 @@ from scipy import integrate, stats
 from oracles import labels
 from seqgap import (
     GAUSSIAN_MEAN,
+    CalibrationSettings,
     ErrorBudget,
     ExperimentConfig,
     GapIntersectionRule,
@@ -32,6 +33,7 @@ from seqgap import (
     MetricKind,
     StreamModel,
     StreamProfile,
+    TopMRule,
     aggregate,
     asymptotic_sweep,
     bh_decide,
@@ -205,24 +207,22 @@ def test_criterion_3_table2_spot_checks(table2_report):
 def test_criterion_4_calibration_recovery():
     """Monte Carlo calibration lands on the published parameters."""
     budget = ErrorBudget(alpha=0.05, beta=0.05)
+    settings = CalibrationSettings(grid_step=0.1)
+
+    def config(rule):  # the search replaces the threshold or sample size
+        return ExperimentConfig(
+            profile=profile(),
+            truth=frozenset(range(1, 6)),
+            rule=rule,
+            replications=REPS,
+            master_seed=SEED,
+        )
+
     gap = calibrate_gap_c(
-        profile=profile(),
-        truth=frozenset(range(1, 6)),
-        num_signals=5,
-        budget=budget,
-        replications=REPS,
-        seed=SEED,
-        grid_step=0.1,
-        workers=WORKERS,
+        config(GapRule(num_signals=5, threshold=1.0)), settings, budget, WORKERS
     )
     topm = calibrate_topm_n(
-        profile=profile(),
-        truth=frozenset(range(1, 6)),
-        num_signals=5,
-        budget=budget,
-        replications=REPS,
-        seed=SEED,
-        workers=WORKERS,
+        config(TopMRule(sample_size=1, num_signals=5)), settings, budget, WORKERS
     )
     ok_gap = abs(gap.chosen - 2.1) <= 0.2
     ok_topm = abs(topm.chosen - 37) <= 2

@@ -8,11 +8,16 @@ from hypothesis import strategies as st
 
 from seqgap import (
     GAUSSIAN_MEAN,
+    BhRule,
     CalibrationError,
+    CalibrationSettings,
     ErrorBudget,
+    ExperimentConfig,
+    GapRule,
     MetricKind,
     StreamModel,
     StreamProfile,
+    TopMRule,
     calibrate_bh_n,
     calibrate_gap_c,
     calibrate_topm_n,
@@ -27,19 +32,26 @@ def small_profile(j=6, theta=0.6):
 
 
 TRUTH = frozenset({1, 2, 3})
+# The searches replace the threshold or sample size these rules carry.
+GAP = GapRule(num_signals=3, threshold=1.0)
+TOPM = TopMRule(sample_size=1, num_signals=3)
+BH = BhRule(sample_size=1, level=0.05)
+
+
+def config(rule, replications, seed, profile=None, truth=TRUTH):
+    return ExperimentConfig(
+        profile=profile or small_profile(),
+        truth=truth,
+        rule=rule,
+        replications=replications,
+        master_seed=seed,
+    )
 
 
 def test_calibrate_gap_c_reproducible():
-    kwargs = dict(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.05, 0.05),
-        replications=400,
-        seed=5,
-    )
-    a = calibrate_gap_c(**kwargs)
-    b = calibrate_gap_c(**kwargs)
+    args = (config(GAP, 400, 5), CalibrationSettings(), ErrorBudget(0.05, 0.05))
+    a = calibrate_gap_c(*args)
+    b = calibrate_gap_c(*args)
     assert a == b
     assert a.chosen > 0
     assert [p.point for p in a.probes] == [p.point for p in b.probes]
@@ -47,12 +59,7 @@ def test_calibrate_gap_c_reproducible():
 
 def test_calibrate_gap_c_feasible_at_choice():
     result = calibrate_gap_c(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.05, 0.05),
-        replications=400,
-        seed=5,
+        config(GAP, 400, 5), CalibrationSettings(), ErrorBudget(0.05, 0.05)
     )
     # the search probe at the chosen point met both targets
     final_probe = [p for p in result.probes if p.point == result.chosen]
@@ -68,13 +75,9 @@ def test_calibrate_gap_c_feasible_at_choice():
 def test_calibrate_gap_c_minimality_on_grid():
     """The grid point one step below the choice is infeasible."""
     result = calibrate_gap_c(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.05, 0.05),
-        replications=400,
-        seed=5,
-        grid_step=0.25,
+        config(GAP, 400, 5),
+        CalibrationSettings(grid_step=0.25),
+        ErrorBudget(0.05, 0.05),
     )
     by_point = {p.point: p.estimates for p in result.probes}
     below = round(result.chosen - 0.25, 12)
@@ -88,13 +91,9 @@ def test_calibrate_gap_c_minimality_on_grid():
 
 def test_calibrate_gap_c_vacuous_targets_choose_smallest_point():
     result = calibrate_gap_c(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.999, 0.999),
-        replications=100,
-        seed=2,
-        grid_step=0.5,
+        config(GAP, 100, 2),
+        CalibrationSettings(grid_step=0.5),
+        ErrorBudget(0.999, 0.999),
     )
     assert result.chosen == pytest.approx(0.5)
 
@@ -102,58 +101,39 @@ def test_calibrate_gap_c_vacuous_targets_choose_smallest_point():
 def test_calibrate_gap_c_cap_exceeded_raises_with_trace():
     with pytest.raises(CalibrationError) as err:
         calibrate_gap_c(
-            profile=small_profile(theta=0.05),  # nearly indistinguishable
-            truth=TRUTH,
-            num_signals=3,
-            budget=ErrorBudget(0.001, 0.001),
-            replications=60,
-            seed=1,
-            threshold_cap=2.0,
+            # nearly indistinguishable streams
+            config(GAP, 60, 1, profile=small_profile(theta=0.05)),
+            CalibrationSettings(threshold_cap=2.0),
+            ErrorBudget(0.001, 0.001),
         )
     assert err.value.probes  # the probe trace travels with the error
     assert all(p.point <= 2.0 for p in err.value.probes)
 
 
 def test_calibrate_topm_n_reproducible_and_sane():
-    kwargs = dict(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.05, 0.05),
-        replications=400,
-        seed=5,
-    )
-    a = calibrate_topm_n(**kwargs)
-    assert a == calibrate_topm_n(**kwargs)
+    args = (config(TOPM, 400, 5), CalibrationSettings(), ErrorBudget(0.05, 0.05))
+    a = calibrate_topm_n(*args)
+    assert a == calibrate_topm_n(*args)
     assert isinstance(a.chosen, int)
     assert 1 <= a.chosen <= 200
 
 
 def test_calibrate_topm_n_full_scan_matches_bracketing_here():
     """FDR/FNR fall monotonically in n, so both strategies agree."""
-    kwargs = dict(
-        profile=small_profile(),
-        truth=TRUTH,
-        num_signals=3,
-        budget=ErrorBudget(0.1, 0.1),
-        replications=300,
-        seed=8,
-        sample_size_cap=100,
-    )
-    assert (
-        calibrate_topm_n(**kwargs).chosen
-        == calibrate_topm_n(full_scan=True, **kwargs).chosen
-    )
+    experiment, budget = config(TOPM, 300, 8), ErrorBudget(0.1, 0.1)
+
+    def chosen(full_scan):
+        settings = CalibrationSettings(sample_size_cap=100, full_scan=full_scan)
+        return calibrate_topm_n(experiment, settings, budget).chosen
+
+    assert chosen(False) == chosen(True)
 
 
 def test_calibrate_bh_n_targets_fnr():
     result = calibrate_bh_n(
-        profile=small_profile(j=8),
-        truth=frozenset({1, 2, 3, 4}),
-        level=0.05,
-        target_fnr=0.05,
-        replications=500,
-        seed=13,
+        config(BH, 500, 13, profile=small_profile(j=8), truth=frozenset({1, 2, 3, 4})),
+        CalibrationSettings(target_fnr=0.05),
+        None,
     )
     assert isinstance(result.chosen, int)
     # chosen sample size comes from the two candidates around the crossing,
@@ -169,32 +149,32 @@ def test_calibrate_bh_n_targets_fnr():
 def test_calibrate_bh_n_cap_exceeded():
     with pytest.raises(CalibrationError):
         calibrate_bh_n(
-            profile=small_profile(theta=0.02),
-            truth=TRUTH,
-            level=0.05,
-            target_fnr=0.01,
-            replications=50,
-            seed=1,
-            sample_size_cap=32,
+            config(BH, 50, 1, profile=small_profile(theta=0.02)),
+            CalibrationSettings(target_fnr=0.01, sample_size_cap=32),
+            None,
         )
 
 
 def test_calibrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        calibrate_gap_c(
-            profile=small_profile(),
-            truth=TRUTH,
-            num_signals=3,
-            budget=ErrorBudget(0.05, 0.05),
-            grid_step=0.0,
-        )
+        CalibrationSettings(grid_step=0.0)
     with pytest.raises(ValueError):
-        calibrate_bh_n(
-            profile=small_profile(),
-            truth=TRUTH,
-            level=0.05,
-            target_fnr=1.5,
-        )
+        CalibrationSettings(target_fnr=1.5)
+    with pytest.raises(ValueError, match="needs settings.target_fnr"):
+        calibrate_bh_n(config(BH, 10, 0), CalibrationSettings(), None)
+
+
+@pytest.mark.parametrize(
+    "search,rule",
+    [(calibrate_gap_c, TOPM), (calibrate_topm_n, BH), (calibrate_bh_n, TOPM)],
+    ids=["gap-of-top-m", "top-m-of-bh", "bh-of-top-m"],
+)
+def test_each_search_needs_its_own_rule_type(search, rule):
+    """A search refuses a config whose rule it does not calibrate, before it
+    probes, instead of searching another rule's sample size."""
+    settings = CalibrationSettings(target_fnr=0.05)
+    with pytest.raises(ValueError, match=f"needs a .* rule, got {rule.name!r}$"):
+        search(config(rule, 10, 0), settings, ErrorBudget(0.05, 0.05))
 
 
 @pytest.mark.parametrize(
@@ -205,13 +185,7 @@ def test_calibrate_rejects_bad_arguments():
 def test_calibrate_gap_c_rejects_a_non_finite_grid(override):
     (name,) = override
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-        calibrate_gap_c(
-            profile=small_profile(),
-            truth=TRUTH,
-            num_signals=3,
-            budget=ErrorBudget(0.05, 0.05),
-            **override,
-        )
+        CalibrationSettings(**override)
 
 
 def _min_feasible(cap: int, first: int | None, full_scan: bool):

@@ -2,12 +2,17 @@
 
 ``oracle_calibrate_gap_c`` is the search as it was written before trials
 became resumable: every probe reruns the whole experiment from step 0
-through ``run_experiment``.  The library's ``calibrate_gap_c`` samples each
-search trial once and must give the same result, or fail with the same
-exception, message and probe trace, on every input.
+through ``run_experiment``, and it takes the search's inputs as keywords.
+The library's ``calibrate_gap_c`` takes them as an ``ExperimentConfig`` and
+``CalibrationSettings`` built from the same keywords, samples each search
+trial once, and must give the same result, or fail with the same exception,
+message and probe trace, on every input the constructors accept.  An input
+the oracle rejects before its first probe, the constructors (or the worker
+check) reject with the oracle's message.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +23,7 @@ from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
     CalibrationError,
+    CalibrationSettings,
     ErrorBudget,
     MetricKind,
     StreamModel,
@@ -129,17 +135,51 @@ def oracle_calibrate_gap_c(
     )
 
 
-def outcome(calibrate, **kwargs):
+def outcome(calibrate, *args, **kwargs):
     """The result, or the exception's type, message and probe trace."""
     try:
-        return calibrate(**kwargs)
+        return calibrate(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the comparison is the test
         return type(exc), str(exc), getattr(exc, "probes", None)
 
 
+def library_config(profile, truth, num_signals, replications, seed, horizon, **_):
+    """The oracle's arguments as the library's experiment config; the search
+    replaces the rule's threshold."""
+    return ExperimentConfig(
+        profile=profile,
+        truth=truth,
+        rule=GapRule(num_signals=num_signals, threshold=1.0),
+        replications=replications,
+        master_seed=seed,
+        **({} if horizon is None else {"horizon": horizon}),
+    )
+
+
+def library_settings(grid_step, threshold_cap, full_scan, **_):
+    return CalibrationSettings(
+        grid_step=grid_step, threshold_cap=threshold_cap, full_scan=full_scan
+    )
+
+
 def assert_same_as_oracle(**kwargs):
-    got = outcome(calibrate_gap_c, **kwargs)
-    assert got == outcome(oracle_calibrate_gap_c, **kwargs)
+    """The library, fed the config and settings built from the oracle's
+    arguments, gives the oracle's result or search failure bit for bit.  An
+    argument the oracle rejects before its first probe fails with a plain
+    ValueError, before any search, with the oracle's message; a grid that
+    CalibrationSettings rejects adds the settings it names in front."""
+    want = outcome(oracle_calibrate_gap_c, **kwargs)
+    try:
+        args = (library_config(**kwargs), library_settings(**kwargs))
+    except ValueError as exc:
+        got = type(exc), str(exc), None
+    else:
+        got = outcome(calibrate_gap_c, *args, kwargs["budget"], kwargs["workers"])
+    if isinstance(want, tuple) and not want[2]:
+        assert got[0] is ValueError and got[2] is None, got
+        assert got[1] == want[1] or got[1].endswith(f": {want[1]}"), (want, got)
+    else:
+        assert got == want
     return got
 
 
@@ -169,6 +209,7 @@ def search_cases(draw):
         grid_step=draw(st.sampled_from([0.1, 0.25, 0.7])),
         threshold_cap=draw(st.sampled_from([0.5, 2.0, 5.0])),
         horizon=draw(st.sampled_from([1, 5, 100, None])),
+        workers=1,
         full_scan=draw(st.booleans()),
     )
 
@@ -184,6 +225,7 @@ def _case(j, truth, m, alpha, cap, horizon, full_scan=False, family="gaussian"):
         grid_step=0.25,
         threshold_cap=cap,
         horizon=horizon,
+        workers=1,
         full_scan=full_scan,
     )
 
@@ -234,6 +276,19 @@ def test_invalid_arguments_fail_as_the_oracle_does(override):
     case = {**_case(6, {1, 2, 3}, 3, 0.05, 5.0, None), **override}
     got = assert_same_as_oracle(**case)
     assert isinstance(got, tuple) and issubclass(got[0], Exception)
+    # The constructor that owns the value rejects it, and only that one; the
+    # worker count is the search's own argument.
+    (name,) = override
+    owner = {
+        "grid_step": library_settings,
+        "threshold_cap": library_settings,
+        "workers": None,
+    }.get(name, library_config)
+    for builder in {library_config, library_settings} - {owner}:
+        builder(**case)
+    if owner is not None:
+        with pytest.raises(ValueError, match=re.escape(got[1])):
+            owner(**case)
 
 
 @pytest.mark.parametrize("horizon", (1, 63, 64, 65, 300, 16_321))

@@ -6,12 +6,13 @@ import os
 import stat
 import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import seqgap.engine
-from seqgap import calibrate_gap_c, load_config
+from seqgap import CalibrationSettings, calibrate_gap_c, load_config
 from seqgap.cli import RUN_CSV_COLUMNS, main
 from seqgap.engine import rule_to_dict
 
@@ -293,6 +294,17 @@ def test_explicit_rule_without_control_constants_sweep_exit_2(tmp_path, capsys):
     assert main(["run", *argv]) == 0
 
 
+@pytest.mark.parametrize("name", ["bh", "top-m"])
+def test_sweep_of_a_fixed_sample_rule_exit_2(name, capsys):
+    """The sweep needs formula thresholds; a fixed-sample rule is a
+    configuration error naming rule.type and the rule's config tag."""
+    path = Path(__file__).parent.parent / "configs" / f"{name}.yaml"
+    assert main(["sweep", "--config", str(path), "--alphas", "0.01"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: rule.type: ")
+    assert err.rstrip().endswith(f"got {name!r}")
+
+
 def test_calibrate_gap(gap_config_path, tmp_path):
     out_path = str(tmp_path / "cal.json")
     code = main(
@@ -330,13 +342,7 @@ def test_calibrate_honours_run_horizon(tmp_path):
     experiment = loaded.experiment
     assert experiment.horizon == 3
     want = calibrate_gap_c(
-        profile=experiment.profile,
-        truth=experiment.truth,
-        num_signals=5,
-        budget=loaded.budget,
-        replications=100,
-        seed=42,
-        horizon=3,
+        replace(experiment, replications=100), CalibrationSettings(), loaded.budget
     )
     assert doc["chosen"] == want.chosen
     assert doc["probes"] == want.payload()["probes"]
@@ -386,6 +392,16 @@ def test_calibrate_cap_below_grid_step_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert "calibrate.threshold_cap" in err and "calibrate.grid_step" in err
+
+
+def test_calibrate_grid_step_rounding_to_zero_exit_2(tmp_path, capsys):
+    """A grid step whose first threshold rounds to 0 is a configuration
+    error, not a probe that fails at run time."""
+    path = tmp_path / "cal.yaml"
+    path.write_text(GAP_CONFIG + "calibrate: {grid_step: 1.0e-13}\n")
+    assert main(["calibrate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: calibrate.grid_step (1e-13) ")
 
 
 def test_calibrate_bh_full_scan(tmp_path):
@@ -483,6 +499,22 @@ def test_reproduce_empty_rows_header_only(capsys):
 def test_reproduce_unknown_table_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["reproduce", "--which", "table3"])
+
+
+@pytest.mark.parametrize(
+    "rows,problem",
+    [("0", "no such rows [0]"), ("5,5", "repeated [5]"), ("1,10", "no such rows [10]")],
+)
+def test_reproduce_bad_rows_exit_2(rows, problem, capsys):
+    """A row the study lacks, or a row listed twice, is a configuration error
+    that lists the study's rows; nothing runs."""
+    assert main(["reproduce", "--which", "table1", "--rows", rows]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: --rows {rows}: {problem}; "
+        "table1 has rows [1, 2, 3, 4, 5, 6, 7, 8, 9]\n"
+    )
 
 
 def test_reproduce_text_table(capsys):

@@ -62,6 +62,24 @@ def test_unquoted_null_key_accepted():
     assert loaded.experiment.profile.models[0].null == 0.0
 
 
+@pytest.mark.parametrize(
+    "text,key,line",
+    [
+        (BASE + "run:\n  replications: 10\n  seed: 1\n", "run", 19),
+        (BASE.replace("alpha: 0.05", "alpha: 0.05\n  alpha: 0.5"), "alpha", 15),
+        (BASE.replace('"null": 0.0', "null: 0.0\n  null: 0.1"), "null", 5),
+    ],
+    ids=["section", "nested", "bare-null"],
+)
+def test_duplicate_key_is_a_config_error(text, key, line, tmp_path):
+    """A key repeated in one mapping names the key and its line, instead of
+    the last one silently winning."""
+    path = tmp_path / "dup.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"^duplicate key {key!r} at line {line}$"):
+        load_config(str(path))
+
+
 def test_auto_gap_threshold_resolves_formula():
     loaded = parse(BASE.replace("threshold: 2.1", "threshold: auto"))
     expected = abs(math.log(0.05)) + math.log(25)

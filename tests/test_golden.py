@@ -80,6 +80,24 @@ def test_cli_output_matches_golden(name, fmt, monkeypatch):
     assert got == _golden_path(name, fmt).read_text(encoding="utf-8")
 
 
+# Json cases rerun at two workers against the one-worker golden files: no
+# output byte may depend on the worker count.
+TWO_WORKER_CASES = [
+    "calibrate-gap",
+    "calibrate-top-m",
+    "calibrate-bh",
+    "sweep-gap-intersection",
+    "reproduce-table1-rows-1-5",
+]
+
+
+@pytest.mark.parametrize("name", TWO_WORKER_CASES)
+def test_cli_output_at_two_workers_matches_golden(name, monkeypatch):
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
+    got = _render(_commands()[name] + ["--format", "json", "--workers", "2"])
+    assert got == _golden_path(name, "json").read_text(encoding="utf-8")
+
+
 def _regenerate() -> None:
     os.environ.pop("SEQGAP_WORKERS", None)
     for name, fmt in CASES:
