@@ -25,11 +25,11 @@ import numpy as np
 from .engine import (
     ExperimentConfig,
     aggregate_counts,
-    check_workers,
     derive_seed,
     payload,
     run_experiment,
     trial_rng,
+    worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
 from .rules import Walk, ranking
@@ -259,11 +259,11 @@ def _calibrate(
     grid point as a float.  ``measure`` maps a probe's config to its
     estimates (by default, a rerun of the experiment); ``choose`` maps the
     first accepted index and the memoized probe to the chosen index (by
-    default, that index).
+    default, that index).  Every rerun, the probes' and the evaluation's,
+    runs on one pool of ``workers`` processes.
     """
     if config.rule.name != kind:
         raise ValueError(f"this search needs a {kind} rule, got {config.rule.name!r}")
-    check_workers(workers)
     field = "threshold" if kind == "gap" else "sample_size"
     point, grid, cap_index = settings.grid(field)
     seed = config.master_seed
@@ -277,7 +277,8 @@ def _calibrate(
         )
 
     def rerun(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
-        return run_experiment(config, workers=workers).metrics
+        # Called only inside the pool's block below.
+        return run_experiment(config, workers=workers, pool=pool).metrics
 
     measure = measure or rerun
     cache: dict[int, dict[MetricKind, MetricEstimate]] = {}  # in probe order
@@ -293,21 +294,23 @@ def _calibrate(
             for i, est in cache.items()
         )
 
-    try:
-        first = _bracket_min_feasible(
-            lambda i: accept(estimates_at(i)), cap_index, grid, settings.full_scan
-        )
-    except ValueError as exc:
-        raise CalibrationError(str(exc), probes=probes()) from exc
-    chosen = first if choose is None else choose(first, estimates_at)
-    evaluation_seed = derive_seed(seed, _EVALUATION_TAG)
+    with worker_pool(workers) as pool:
+        try:
+            first = _bracket_min_feasible(
+                lambda i: accept(estimates_at(i)), cap_index, grid, settings.full_scan
+            )
+        except ValueError as exc:
+            raise CalibrationError(str(exc), probes=probes()) from exc
+        chosen = first if choose is None else choose(first, estimates_at)
+        evaluation_seed = derive_seed(seed, _EVALUATION_TAG)
+        achieved = rerun(config_at(chosen, evaluation_seed))
     return CalibrationResult(
         chosen=point(chosen),
         replications=config.replications,
         grid=grid,
         search_seed=seed,
         evaluation_seed=evaluation_seed,
-        achieved=rerun(config_at(chosen, evaluation_seed)),
+        achieved=achieved,
         probes=probes(),
     )
 
@@ -324,7 +327,8 @@ def calibrate_gap_c(
     The search runs in the calling process and samples each trial's path
     at most once (see ``_GapSearch``); its probe estimates equal, bit for
     bit, those of rerunning the experiment at every probe.  ``workers``
-    drives only the evaluation run at the fresh seed.  On two cores this
+    drives only the evaluation run at the fresh seed, on the one pool the
+    search opens (none at one worker).  On two cores this
     beats spreading every probe's rerun over a pool at 400 and at 10,000
     replications with 1, 2 or 4 workers; with many more cores than that,
     the one-core search may fall behind, which is not measured.

@@ -13,7 +13,8 @@ shortest exact repr), and they omit wall time so identical runs produce
 identical files; the text format is for humans and prints proportions as
 percentages with two decimals plus the wall time.
 
-Exit codes: 0 success, 1 runtime error, 2 configuration error.
+Exit codes: 0 success, 1 runtime error, 2 configuration error, 130
+interrupted.
 """
 
 from __future__ import annotations
@@ -585,6 +586,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # engine/library runtime errors -> exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

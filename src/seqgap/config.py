@@ -67,9 +67,15 @@ def _pop(section: dict, path: str, key: str, required: bool = True, default=None
     return section.pop(key)
 
 
+def _names(keys) -> str:
+    """Keys as the file spells them: YAML reads a bare `null` key as None,
+    and a number key as a number."""
+    return ", ".join(sorted("null" if key is None else str(key) for key in keys))
+
+
 def _done(section: dict, path: str) -> None:
     if section:
-        raise ConfigError(f"unknown key(s) under {path}: {', '.join(sorted(section))}")
+        raise ConfigError(f"unknown key(s) under {path}: {_names(section)}")
 
 
 def check_count(value: int, name: str) -> int:
@@ -114,6 +120,8 @@ def _as_bool(value, path: str) -> bool:
 def _parse_model(doc: dict, path: str) -> StreamModel:
     section = _mapping(doc, path)
     if None in section:  # YAML reads an unquoted `null:` key as None
+        if "null" in section:
+            raise ConfigError(f"duplicate key 'null' under {path} (bare and quoted)")
         section["null"] = section.pop(None)
     family = _as_str(_pop(section, path, "family"), f"{path}.family")
     null = _as_number(_pop(section, path, "null"), f"{path}.null")
@@ -309,7 +317,7 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     known = {"streams", "truth", "rule", "budget", "run", "calibrate", "output"}
     unknown = set(top) - known
     if unknown:
-        raise ConfigError(f"unknown top-level section(s): {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown top-level section(s): {_names(unknown)}")
     for required in ("streams", "truth", "rule", "run"):
         if required not in top:
             raise ConfigError(f"missing required section: {required}")

@@ -11,8 +11,10 @@ physical measurement, varies, and it is excluded from ``payload()``.
 from __future__ import annotations
 
 import math
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from typing import get_args
 
@@ -174,23 +176,52 @@ def _run_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialRec
     return [run_trial(config, i) for i in range(start, stop)]
 
 
-def _run_all(config: ExperimentConfig, workers: int) -> list[TrialRecord]:
+def _ignore_interrupts() -> None:
+    # Workers leave a Ctrl-C to the parent, which owns the pool.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@contextmanager
+def worker_pool(workers: int):
+    """One process pool for every experiment of a call, or ``None`` at one
+    worker, which runs the trials in the calling process.
+
+    On any exception, including an interrupt, the chunks not yet handed to
+    a worker are cancelled, and the pool waits only for those already
+    handed out, so that no worker outlives the call.
+    """
+    check_workers(workers)
+    if workers == 1:
+        yield None
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_ignore_interrupts
+    ) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _run_all(
+    config: ExperimentConfig, workers: int, pool: ProcessPoolExecutor | None
+) -> list[TrialRecord]:
     n = config.replications
-    if workers <= 1:
+    if pool is None:
         return _run_range(config, 0, n)
     # Contiguous index ranges, gathered in submission order, keep the
     # records in ascending trial order without a sort.
     chunks = min(n, workers * 4)
     bounds = [round(k * n / chunks) for k in range(chunks + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_range, config, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        records: list[TrialRecord] = []
-        for future in futures:
-            records.extend(future.result())
+    futures = [
+        pool.submit(_run_range, config, lo, hi)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    records: list[TrialRecord] = []
+    for future in futures:
+        records.extend(future.result())
     return records
 
 
@@ -230,11 +261,21 @@ def aggregate_counts(
     }
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Run all trials and aggregate in trial order."""
+def run_experiment(
+    config: ExperimentConfig,
+    workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> ExperimentReport:
+    """Run all trials and aggregate in trial order.
+
+    The trials run in ``workers * 4`` chunks on ``pool`` if one is given
+    (a call that runs several experiments shares one ``worker_pool``), and
+    otherwise on a ``worker_pool(workers)`` of this run's own.
+    """
     check_workers(workers)
     started = time.perf_counter()
-    records = _run_all(config, workers)
+    with nullcontext(pool) if pool is not None else worker_pool(workers) as pool:
+        records = _run_all(config, workers, pool)
     return ExperimentReport(
         config=config,
         mean_stopping_time=mean_se([float(r.stopping_time) for r in records]),
@@ -350,7 +391,8 @@ def asymptotic_sweep(
     thresholds with the same master seed (common random numbers across
     points, which sharpens the comparison), and reports the ratio of the
     estimated expected stopping time to the benchmark.  The ratio should
-    decrease toward 1 as the budget shrinks.
+    decrease toward 1 as the budget shrinks.  All points run on one pool
+    of ``workers`` processes.
     """
     if not budgets:
         raise ValueError("need at least one budget point")
@@ -368,19 +410,20 @@ def asymptotic_sweep(
         kappa = rule.kappa(budget, profile, truth)
         points.append((budget, replace(base, rule=rule), kappa))
     rows = []
-    for budget, config, kappa in points:
-        report = run_experiment(config, workers=workers)
-        rows.append(
-            SweepRow(
-                alpha=budget.alpha,
-                beta=budget.beta,
-                rule=config.rule,
-                mean_stopping_time=report.mean_stopping_time,
-                kappa=kappa,
-                ratio=report.mean_stopping_time.value / kappa,
-                horizon_hits=report.horizon_hits,
+    with worker_pool(workers) as pool:
+        for budget, config, kappa in points:
+            report = run_experiment(config, workers=workers, pool=pool)
+            rows.append(
+                SweepRow(
+                    alpha=budget.alpha,
+                    beta=budget.beta,
+                    rule=config.rule,
+                    mean_stopping_time=report.mean_stopping_time,
+                    kappa=kappa,
+                    ratio=report.mean_stopping_time.value / kappa,
+                    horizon_hits=report.horizon_hits,
+                )
             )
-        )
     return SweepReport(base=base, control=control, rows=tuple(rows))
 
 
@@ -487,7 +530,8 @@ def reproduce_table(
     ``rows`` selects signal counts (default: all rows of the study; an
     explicitly empty list yields a header-only report).  Each row runs the
     gap rule, at the default horizon, plus both fixed-sample baselines on
-    seeds derived from the master seed and the row's parameters.
+    seeds derived from the master seed and the row's parameters.  All
+    rows run on one pool of ``workers`` processes.
     """
     if which not in BENCHMARKS:
         raise ValueError(
@@ -503,44 +547,45 @@ def reproduce_table(
         )
     profile = StreamProfile.homogeneous(spec.model, spec.j)
     out = []
-    for m in selected:
-        threshold, bh_n, topm_n = spec.rows[m]
-        truth = frozenset(range(1, m + 1))
-        runs = {}
-        for sub, rule in enumerate(
-            (
-                GapRule(num_signals=m, threshold=threshold),
-                BhRule(sample_size=bh_n, level=spec.level),
-                TopMRule(sample_size=topm_n, num_signals=m),
+    with worker_pool(workers) as pool:
+        for m in selected:
+            threshold, bh_n, topm_n = spec.rows[m]
+            truth = frozenset(range(1, m + 1))
+            runs = {}
+            for sub, rule in enumerate(
+                (
+                    GapRule(num_signals=m, threshold=threshold),
+                    BhRule(sample_size=bh_n, level=spec.level),
+                    TopMRule(sample_size=topm_n, num_signals=m),
+                )
+            ):
+                config = ExperimentConfig(
+                    profile=profile,
+                    truth=truth,
+                    rule=rule,
+                    replications=replications,
+                    master_seed=derive_seed(master_seed, m, sub),
+                    metrics=(MetricKind.FDR, MetricKind.FNR),
+                )
+                runs[sub] = run_experiment(config, workers=workers, pool=pool)
+            gap_et = runs[0].mean_stopping_time.value
+            out.append(
+                BenchmarkRow(
+                    num_signals=m,
+                    threshold=threshold,
+                    gap_et=runs[0].mean_stopping_time,
+                    gap_fdr=runs[0].metrics[MetricKind.FDR],
+                    gap_fnr=runs[0].metrics[MetricKind.FNR],
+                    bh_sample_size=bh_n,
+                    bh_savings=1.0 - gap_et / bh_n,
+                    bh_fdr=runs[1].metrics[MetricKind.FDR],
+                    bh_fnr=runs[1].metrics[MetricKind.FNR],
+                    topm_sample_size=topm_n,
+                    topm_savings=1.0 - gap_et / topm_n,
+                    topm_fdr=runs[2].metrics[MetricKind.FDR],
+                    topm_fnr=runs[2].metrics[MetricKind.FNR],
+                )
             )
-        ):
-            config = ExperimentConfig(
-                profile=profile,
-                truth=truth,
-                rule=rule,
-                replications=replications,
-                master_seed=derive_seed(master_seed, m, sub),
-                metrics=(MetricKind.FDR, MetricKind.FNR),
-            )
-            runs[sub] = run_experiment(config, workers=workers)
-        gap_et = runs[0].mean_stopping_time.value
-        out.append(
-            BenchmarkRow(
-                num_signals=m,
-                threshold=threshold,
-                gap_et=runs[0].mean_stopping_time,
-                gap_fdr=runs[0].metrics[MetricKind.FDR],
-                gap_fnr=runs[0].metrics[MetricKind.FNR],
-                bh_sample_size=bh_n,
-                bh_savings=1.0 - gap_et / bh_n,
-                bh_fdr=runs[1].metrics[MetricKind.FDR],
-                bh_fnr=runs[1].metrics[MetricKind.FNR],
-                topm_sample_size=topm_n,
-                topm_savings=1.0 - gap_et / topm_n,
-                topm_fdr=runs[2].metrics[MetricKind.FDR],
-                topm_fnr=runs[2].metrics[MetricKind.FNR],
-            )
-        )
     return BenchmarkReport(
         which=which,
         j=spec.j,

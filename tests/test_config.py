@@ -1,6 +1,7 @@
 """Tests for the YAML configuration schema."""
 
 import math
+import re
 import textwrap
 from dataclasses import fields
 from typing import get_args
@@ -77,6 +78,17 @@ def test_duplicate_key_is_a_config_error(text, key, line, tmp_path):
     path = tmp_path / "dup.yaml"
     path.write_text(text)
     with pytest.raises(ConfigError, match=rf"^duplicate key {key!r} at line {line}$"):
+        load_config(str(path))
+
+
+def test_bare_and_quoted_null_keys_are_a_config_error(tmp_path):
+    """YAML reads a bare `null:` key as None and a quoted one as "null", so
+    the loader sees two keys; the stream parser names the repeated one
+    instead of keeping either value."""
+    streams = '{family: gaussian-mean, null: 0.0, "null": 0.3, alt: 0.5, count: 10}'
+    path = tmp_path / "nulls.yaml"
+    path.write_text(f"streams: {streams}\n" + BASE[BASE.index("truth:") :])
+    with pytest.raises(ConfigError, match="^duplicate key 'null' under streams "):
         load_config(str(path))
 
 
@@ -218,6 +230,21 @@ def test_unknown_keys_are_named():
         parse(BASE.replace("threshold: 2.1", "threshold: 2.1\n  extra: 1"))
     with pytest.raises(ConfigError, match="top-level"):
         parse(BASE + "\nbogus_section: {}\n")
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ("  null: 3\n  7: 1\n", "unknown key(s) under run: 7, null"),
+        ("null: {}\n7: {}\n", "unknown top-level section(s): 7, null"),
+    ],
+    ids=["section", "top-level"],
+)
+def test_unknown_null_and_number_keys_are_named(extra, message):
+    """A bare `null:` key reads as None and `7:` as a number; the message
+    spells them as the file does instead of failing to sort them."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse(BASE + extra)
 
 
 def test_missing_sections_are_named():
