@@ -44,16 +44,14 @@ class CalibrationSettings:
 
     The gap search probes thresholds ``grid_step``, ``2 * grid_step``, ...
     up to ``threshold_cap``; the sample-size searches probe 1 ..
-    ``sample_size_cap``.  The bh search aims at ``target_fnr``.
-    ``full_scan`` probes every grid point up to the first feasible one
-    instead of bracketing.  Construction rejects a grid with no positive
-    threshold, so every search starts from valid settings.
+    ``sample_size_cap``.  ``full_scan`` probes every grid point up to the
+    first feasible one instead of bracketing.  Construction rejects a grid
+    with no positive threshold, so every search starts from valid settings.
     """
 
     grid_step: float = 0.1
     threshold_cap: float = 50.0
     sample_size_cap: int = 10_000
-    target_fnr: float | None = None
     full_scan: bool = False
 
     def __post_init__(self) -> None:
@@ -76,8 +74,6 @@ class CalibrationSettings:
             raise ValueError(
                 f"sample_size_cap must be >= 1, got {self.sample_size_cap}"
             )
-        if self.target_fnr is not None and not 0 < self.target_fnr < 1:
-            raise ValueError(f"target_fnr must be in (0, 1), got {self.target_fnr}")
 
     def grid(self, field: str):
         """The grid of the rule field ``field`` ("threshold" or
@@ -350,20 +346,17 @@ def calibrate_topm_n(
 def calibrate_bh_n(
     config: ExperimentConfig,
     settings: CalibrationSettings,
-    budget: ErrorBudget | None,
+    budget: ErrorBudget,
     workers: int = 1,
 ) -> CalibrationResult:
-    """Sample size whose step-up FNR estimate is closest to
-    ``settings.target_fnr``; the config's rule supplies the level, and
-    ``budget`` is not read.
+    """Sample size whose step-up FNR estimate is closest to ``budget.beta``;
+    the config's rule supplies the level, which pins FDR.
 
     The estimated FNR decreases in the sample size, so the minimizer of
-    |FNR - target| sits at the first size meeting the target or just below
-    it; both are probed and ties go to the smaller size.
+    |FNR - beta| sits at the first size meeting beta or just below it; both
+    are probed and ties go to the smaller size.
     """
-    target = settings.target_fnr
-    if target is None:
-        raise ValueError("calibrate_bh_n needs settings.target_fnr")
+    target = budget.beta
 
     def fnr(est: dict[MetricKind, MetricEstimate]) -> float:
         return est[MetricKind.FNR].value

@@ -405,26 +405,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
-    settings = loaded.calibration
     workers = _resolve_workers(args)
     rule = loaded.experiment.rule
-    # Per rule type: the search, read from this module's binding at call
-    # time, and the setting it needs, as the config file names it.
-    budget, target = loaded.budget, settings.target_fnr
-    searches = {
-        "gap": (calibrate_gap_c, budget, "a budget section"),
-        "top-m": (calibrate_topm_n, budget, "a budget section"),
-        "bh": (calibrate_bh_n, target, "calibrate.target_fnr in the config"),
-    }
+    # The search per rule type, read from this module's bindings at call time.
+    searches = {"gap": calibrate_gap_c, "top-m": calibrate_topm_n, "bh": calibrate_bh_n}
     if rule.name not in searches:
         raise ConfigError(
             "calibration supports rule types gap, top-m, and bh; got "
             f"{rule.name!r}"
         )
-    search, needed, what = searches[rule.name]
-    if needed is None:
-        raise ConfigError(f"calibrating a {rule.name} rule needs {what}")
-    result = search(loaded.experiment, settings, budget, workers)
+    if loaded.budget is None:
+        raise ConfigError(f"calibrating a {rule.name} rule needs a budget section")
+    search = searches[rule.name]
+    result = search(loaded.experiment, loaded.calibration, loaded.budget, workers)
     _emit(args, loaded, lambda fmt, out: write_calibration_report(result, fmt, out))
     return 0
 

@@ -212,7 +212,6 @@ _RULES = {cls.name: cls for cls in get_args(Rule)}
 _FIELD_PARSERS = {
     int: _as_int,
     float: _as_number,
-    float | None: _as_number,
     bool: _as_bool,
 }
 
@@ -284,6 +283,9 @@ def _parse_metrics(raw) -> tuple[MetricKind, ...]:
                 f"run.metrics: unknown metric {name!r}; expected one of "
                 f"{[k.value for k in MetricKind]}"
             ) from exc
+    repeated = sorted({kind.value for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ConfigError(f"run.metrics: repeated {repeated}")
     return tuple(kinds)
 
 

@@ -11,6 +11,7 @@ physical measurement, varies, and it is excluded from ``payload()``.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -121,7 +122,6 @@ class ExperimentConfig:
 class TrialRecord:
     """Outcome of one trial."""
 
-    trial_index: int
     stopping_time: int
     counts: ConfusionCounts
     stopped_by: str
@@ -165,19 +165,31 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
             config.rule, config.profile, config.signal, config.horizon, rng
         )
     return TrialRecord(
-        trial_index=trial_index,
         stopping_time=decision.stopping_time,
-        counts=confusion(decision, config.signal),
+        counts=confusion(decision.rejected, config.signal),
         stopped_by=decision.stopped_by,
     )
 
 
+# A worker's copy of its pool's abort event, set by ``_start_worker``; the
+# calling process, which runs trials without a pool, has none.
+_abort = None
+
+
 def _run_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
-    return [run_trial(config, i) for i in range(start, stop)]
+    records = []
+    for i in range(start, stop):
+        if _abort is not None and _abort.is_set():
+            break  # the pool's owner is raising and never reads this chunk
+        records.append(run_trial(config, i))
+    return records
 
 
-def _ignore_interrupts() -> None:
-    # Workers leave a Ctrl-C to the parent, which owns the pool.
+def _start_worker(abort) -> None:
+    # Workers leave a Ctrl-C to the parent, which owns the pool, and stop
+    # between trials once it sets ``abort``.
+    global _abort
+    _abort = abort
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
@@ -186,20 +198,22 @@ def worker_pool(workers: int):
     """One process pool for every experiment of a call, or ``None`` at one
     worker, which runs the trials in the calling process.
 
-    On any exception, including an interrupt, the chunks not yet handed to
-    a worker are cancelled, and the pool waits only for those already
-    handed out, so that no worker outlives the call.
+    On any exception, including an interrupt, the pool sets its abort event,
+    which ends the chunks already handed to a worker after their current
+    trial, and cancels the rest, so that no worker outlives the call.
     """
     check_workers(workers)
     if workers == 1:
         yield None
         return
+    abort = multiprocessing.Event()
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_ignore_interrupts
+        max_workers=workers, initializer=_start_worker, initargs=(abort,)
     ) as pool:
         try:
             yield pool
         except BaseException:
+            abort.set()
             pool.shutdown(cancel_futures=True)
             raise
 
@@ -254,11 +268,7 @@ def aggregate_counts(
     config: ExperimentConfig, counts: list[ConfusionCounts]
 ) -> dict[MetricKind, MetricEstimate]:
     """The config's metric estimates over per-trial counts in trial order."""
-    signal_count = len(config.truth) if config.truth else None
-    return {
-        kind: aggregate(kind, counts, signal_count=signal_count)
-        for kind in config.metrics
-    }
+    return {kind: aggregate(kind, counts) for kind in config.metrics}
 
 
 def run_experiment(

@@ -14,12 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # rules imports this module for its validation and thresholds
-    from .rules import Decision
 
 
 class MetricKind(str, Enum):
@@ -29,7 +26,7 @@ class MetricKind(str, Enum):
     fdr/fnr: expected false-discovery / false-non-discovery proportion with
     the 0/0 := 0 convention.  pfdr/pfnr: the same proportions conditional on
     at least one rejection / one non-rejection.  pcer: expected v / J.
-    fpr: expected v divided by the configured signal count.  pfer: expected
+    fpr: expected v divided by the signal count, w + r - v.  pfer: expected
     v; pfer2 is its type-2 counterpart, expected w.
     """
 
@@ -115,9 +112,10 @@ class BoundConstants:
         return max(self.c1_type1, self.c1_type2)
 
 
-def confusion(decision: Decision, signal: np.ndarray) -> ConfusionCounts:
-    """Count a decision's errors against a (J,) boolean signal mask."""
-    rejected = np.asarray(decision.rejected)
+def confusion(rejected: np.ndarray, signal: np.ndarray) -> ConfusionCounts:
+    """Count the errors of a (J,) boolean rejection mask against a (J,)
+    boolean signal mask."""
+    rejected = np.asarray(rejected)
     if rejected.shape != signal.shape or rejected.dtype != bool:
         raise ValueError(
             f"rejected must be a {signal.shape} boolean mask, got shape "
@@ -128,13 +126,11 @@ def confusion(decision: Decision, signal: np.ndarray) -> ConfusionCounts:
     return ConfusionCounts.of(hits, r, s, signal.size)
 
 
-def per_trial(
-    kind: MetricKind, counts: ConfusionCounts, signal_count: int | None = None
-) -> float | None:
+def per_trial(kind: MetricKind, counts: ConfusionCounts) -> float | None:
     """One trial's contribution to a metric, or None when undefined.
 
-    ``signal_count`` is the configured |signal set| and is required only
-    for the FPR divisor.
+    FPR divides by the trial's signal count w + r - v, which must be
+    positive.
     """
     kind = MetricKind(kind)
     v, w, r, j = counts.v, counts.w, counts.r, counts.j
@@ -153,11 +149,9 @@ def per_trial(
     if kind is MetricKind.PCER:
         return v / j
     if kind is MetricKind.FPR:
-        if signal_count is None or signal_count < 1:
-            raise ValueError(
-                f"fpr needs a positive signal_count divisor, got {signal_count!r}"
-            )
-        return v / signal_count
+        if w + r - v < 1:
+            raise ValueError("fpr needs at least one signal as its divisor")
+        return v / (w + r - v)
     if kind is MetricKind.PFER:
         return float(v)
     return float(w)  # PFER2
@@ -180,11 +174,7 @@ def mean_se(values: Sequence[float]) -> MetricEstimate:
     return MetricEstimate(value=mean, se=math.sqrt(var / n), n_effective=n)
 
 
-def aggregate(
-    kind: MetricKind,
-    trials: Iterable[ConfusionCounts],
-    signal_count: int | None = None,
-) -> MetricEstimate:
+def aggregate(kind: MetricKind, trials: Iterable[ConfusionCounts]) -> MetricEstimate:
     """Average a metric over trials, in trial order.
 
     Conditional metrics drop trials where they are undefined; if that
@@ -192,7 +182,7 @@ def aggregate(
     returning a silent NaN.
     """
     kind = MetricKind(kind)
-    contributions = [per_trial(kind, t, signal_count) for t in trials]
+    contributions = [per_trial(kind, t) for t in trials]
     if not contributions:
         raise ValueError("no trials to aggregate")
     kept = [x for x in contributions if x is not None]
@@ -210,8 +200,8 @@ def bound_constants(
     rejects between ``fewest`` and ``most`` of ``j`` streams.
 
     The gap rule rejects m..m, the bracketed rule l..u and the intersection
-    rule 0..J.  ``signal_count`` is |truth|, the FPR divisor ``aggregate``
-    uses.  The positive-conditional metrics admit constants only when
+    rule 0..J.  ``signal_count`` is |truth|, the FPR divisor of every
+    trial.  The positive-conditional metrics admit constants only when
     1 <= fewest and most <= J - 1, because only then are both conditioning
     events certain.  A metric without constants raises NoBoundConstants.
     """

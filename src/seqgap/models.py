@@ -229,14 +229,11 @@ class WorstCaseInfo:
 
     ``eta0`` is the minimum null-side information over noise streams,
     ``eta1`` the minimum alternative-side information over signal streams.
-    When a side is empty its minimum is vacuously +inf and the matching
-    ``*_defined`` flag is False.
+    When a side is empty its minimum is vacuously +inf.
     """
 
     eta0: float
     eta1: float
-    eta0_defined: bool
-    eta1_defined: bool
 
 
 def eta(profile: StreamProfile, truth: frozenset[int]) -> WorstCaseInfo:
@@ -246,6 +243,4 @@ def eta(profile: StreamProfile, truth: frozenset[int]) -> WorstCaseInfo:
     return WorstCaseInfo(
         eta0=float(i0.min()) if i0.size else math.inf,
         eta1=float(i1.min()) if i1.size else math.inf,
-        eta0_defined=bool(i0.size),
-        eta1_defined=bool(i1.size),
     )

@@ -84,19 +84,17 @@ class Decision:
 class OrderView:
     """Order statistics of one LLR vector.
 
-    ``sorted`` holds the values in decreasing order; ``ranking[k]`` is the
-    0-based column carrying ``sorted[k]``.  Equal values keep column order,
-    so the lowest column wins the higher rank.  ``positive_count`` counts
-    strictly positive statistics.
+    ``ranking[k]`` is the 0-based column carrying the (k+1)-th largest
+    value.  Equal values keep column order, so the lowest column wins the
+    higher rank.  ``positive_count`` counts strictly positive statistics.
     """
 
-    sorted: np.ndarray
     ranking: np.ndarray
     positive_count: int
 
     @property
     def j(self) -> int:
-        return int(self.sorted.size)
+        return int(self.ranking.size)
 
 
 def _mask(j: int, columns: np.ndarray) -> np.ndarray:
@@ -116,8 +114,7 @@ def ranking(lam: np.ndarray) -> np.ndarray:
 def order_view(lam: np.ndarray) -> OrderView:
     """Sort an LLR vector in decreasing order, lowest column first on ties."""
     lam = np.asarray(lam, dtype=float)
-    order = ranking(lam)
-    return OrderView(lam[order], order, int(np.count_nonzero(lam > 0.0)))
+    return OrderView(ranking(lam), int(np.count_nonzero(lam > 0.0)))
 
 
 def _check_block(path: np.ndarray) -> np.ndarray:
@@ -205,11 +202,10 @@ class GapRule:
             return None
         return int(hits[0]), STOP_GAP
 
-    def decide(self, view: OrderView, stopping_time: int, stopped_by: str) -> Decision:
-        """Reject exactly the top ``num_signals`` streams."""
+    def decide(self, view: OrderView) -> np.ndarray:
+        """Mask rejecting exactly the top ``num_signals`` streams."""
         self._check_j(view.j)
-        rejected = _mask(view.j, view.ranking[: self.num_signals])
-        return Decision(stopping_time, rejected, stopped_by)
+        return _mask(view.j, view.ranking[: self.num_signals])
 
 
 @dataclass(frozen=True)
@@ -330,12 +326,12 @@ class GapIntersectionRule:
             return row, STOP_TAU2
         return row, STOP_TAU3
 
-    def decide(self, view: OrderView, stopping_time: int, stopped_by: str) -> Decision:
-        """Reject the top p' streams, p' the positive count clamped into the bracket."""
+    def decide(self, view: OrderView) -> np.ndarray:
+        """Mask rejecting the top p' streams, p' the positive count clamped
+        into the bracket."""
         self._check_j(view.j)
         p_prime = min(max(view.positive_count, self.min_signals), self.max_signals)
-        rejected = _mask(view.j, view.ranking[:p_prime])
-        return Decision(stopping_time, rejected, stopped_by)
+        return _mask(view.j, view.ranking[:p_prime])
 
 
 @dataclass(frozen=True)
@@ -397,9 +393,9 @@ class IntersectionRule:
             return None
         return int(hits[0]), STOP_INTERSECTION
 
-    def decide(self, view: OrderView, stopping_time: int, stopped_by: str) -> Decision:
-        rejected = _mask(view.j, view.ranking[: view.positive_count])
-        return Decision(stopping_time, rejected, stopped_by)
+    def decide(self, view: OrderView) -> np.ndarray:
+        """Mask rejecting every stream with a positive statistic."""
+        return _mask(view.j, view.ranking[: view.positive_count])
 
 
 def _check_pvalue_family(profile: StreamProfile) -> None:
@@ -541,13 +537,9 @@ def run_sequential(
         hit = rule.scan_path(path)
         if hit is not None:
             row, tag = hit
-            stopping_time = walk.taken - len(path) + row + 1
-            return rule.decide(
-                order_view(path[row]), stopping_time=stopping_time, stopped_by=tag
-            )
-    return rule.decide(
-        order_view(walk.lam), stopping_time=horizon, stopped_by=STOP_HORIZON
-    )
+            rejected = rule.decide(order_view(path[row]))
+            return Decision(walk.taken - len(path) + row + 1, rejected, tag)
+    return Decision(horizon, rule.decide(order_view(walk.lam)), STOP_HORIZON)
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:

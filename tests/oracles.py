@@ -23,8 +23,6 @@ from seqgap import (
     GapIntersectionRule,
     GapRule,
     IntersectionRule,
-    OrderView,
-    order_view,
 )
 from seqgap.rules import (
     STOP_GAP,
@@ -103,28 +101,41 @@ def one_shot_path(profile, signal, horizon: int, rng) -> np.ndarray:
     return np.cumsum(profile.increments(x), axis=0)
 
 
-def gap_at(view: OrderView, k: int) -> float:
-    """Gap between the k-th and (k+1)-th largest statistics.
+def _descending(lam) -> list[float]:
+    """The statistics of ``lam`` from the largest down."""
+    return sorted((float(x) for x in lam), reverse=True)
+
+
+def _outside(rule, lam) -> bool:
+    """Whether every statistic is outside (-accept_barrier, reject_barrier)."""
+    a, b = rule.accept_barrier, rule.reject_barrier
+    return all(x <= -a or x >= b for x in lam)
+
+
+def gap_at(lam, k: int) -> float:
+    """Gap between the k-th and (k+1)-th largest statistics of ``lam``.
 
     Positions 0 and J sit against the sentinels +inf above the largest and
     -inf below the smallest value, so both boundary gaps are +inf.
     """
-    if not 0 <= k <= view.j:
-        raise ValueError(f"k must be in 0..{view.j}, got {k}")
-    if k == 0 or k == view.j:
+    j = len(lam)
+    if not 0 <= k <= j:
+        raise ValueError(f"k must be in 0..{j}, got {k}")
+    if k == 0 or k == j:
         return math.inf
-    return float(view.sorted[k - 1] - view.sorted[k])
+    s = _descending(lam)
+    return s[k - 1] - s[k]
 
 
-def gap_should_stop(rule, view: OrderView) -> bool:
-    """The gap rule's stopping condition at one state."""
-    rule._check_j(view.j)
-    return gap_at(view, rule.num_signals) >= rule.threshold
+def gap_should_stop(rule, lam) -> bool:
+    """The gap rule's stopping condition at the state ``lam``."""
+    rule._check_j(len(lam))
+    return gap_at(lam, rule.num_signals) >= rule.threshold
 
 
-def gi_should_stop(rule, view: OrderView) -> str | None:
-    """Name of the first gap-intersection sub-event that fires at this
-    state, if any.
+def gi_should_stop(rule, lam) -> str | None:
+    """Name of the first gap-intersection sub-event that fires at the state
+    ``lam``, if any.
 
     Order statistics at positions 0 and J+1 act as +inf / -inf sentinels,
     so with min_signals = 0 the accept-side event reduces to "every
@@ -132,40 +143,36 @@ def gi_should_stop(rule, view: OrderView) -> str | None:
     the reject-side event reduces to "every statistic is at or above the
     upper barrier".
     """
-    rule._check_j(view.j)
+    j = len(lam)
+    rule._check_j(j)
+    s = _descending(lam)
     lo, hi = rule.min_signals, rule.max_signals
-    lam_below_lo = float(view.sorted[lo]) if lo < view.j else -math.inf
-    if lam_below_lo <= -rule.accept_barrier and gap_at(view, lo) >= rule.accept_gap:
+    lam_below_lo = s[lo] if lo < j else -math.inf
+    if lam_below_lo <= -rule.accept_barrier and gap_at(lam, lo) >= rule.accept_gap:
         return STOP_TAU1
-    outside = np.all(
-        (view.sorted <= -rule.accept_barrier) | (view.sorted >= rule.reject_barrier)
-    )
-    if outside and lo <= view.positive_count <= hi:
+    positives = sum(1 for x in lam if x > 0.0)
+    if _outside(rule, lam) and lo <= positives <= hi:
         return STOP_TAU2
-    lam_at_hi = float(view.sorted[hi - 1]) if hi >= 1 else math.inf
-    if lam_at_hi >= rule.reject_barrier and gap_at(view, hi) >= rule.reject_gap:
+    lam_at_hi = s[hi - 1] if hi >= 1 else math.inf
+    if lam_at_hi >= rule.reject_barrier and gap_at(lam, hi) >= rule.reject_gap:
         return STOP_TAU3
     return None
 
 
-def intersection_should_stop(rule, view: OrderView) -> bool:
-    """The intersection rule's corridor condition at one state."""
-    return bool(
-        np.all(
-            (view.sorted <= -rule.accept_barrier) | (view.sorted >= rule.reject_barrier)
-        )
-    )
+def intersection_should_stop(rule, lam) -> bool:
+    """The intersection rule's corridor condition at the state ``lam``."""
+    return _outside(rule, lam)
 
 
-def stop_tag(rule, view: OrderView) -> str | None:
-    """The event a sequential rule's one-state condition names at this
-    state, or None if the rule does not stop there."""
+def stop_tag(rule, lam) -> str | None:
+    """The event a sequential rule's one-state condition names at the state
+    ``lam``, or None if the rule does not stop there."""
     if isinstance(rule, GapRule):
-        return STOP_GAP if gap_should_stop(rule, view) else None
+        return STOP_GAP if gap_should_stop(rule, lam) else None
     if isinstance(rule, GapIntersectionRule):
-        return gi_should_stop(rule, view)
+        return gi_should_stop(rule, lam)
     assert isinstance(rule, IntersectionRule)
-    return STOP_INTERSECTION if intersection_should_stop(rule, view) else None
+    return STOP_INTERSECTION if intersection_should_stop(rule, lam) else None
 
 
 def stepwise_run(rule, path: np.ndarray) -> tuple[int, frozenset[int], str]:
@@ -173,8 +180,7 @@ def stepwise_run(rule, path: np.ndarray) -> tuple[int, frozenset[int], str]:
     a whole cumulative-LLR path, scanned one row at a time; a path that
     ends without a stop is decided at its last row and tagged "horizon"."""
     for t, row in enumerate(path):
-        view = order_view(row)
-        tag = stop_tag(rule, view)
+        tag = stop_tag(rule, row)
         if tag is not None:
             break
     else:

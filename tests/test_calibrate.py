@@ -132,8 +132,8 @@ def test_calibrate_topm_n_full_scan_matches_bracketing_here():
 def test_calibrate_bh_n_targets_fnr():
     result = calibrate_bh_n(
         config(BH, 500, 13, profile=small_profile(j=8), truth=frozenset({1, 2, 3, 4})),
-        CalibrationSettings(target_fnr=0.05),
-        None,
+        CalibrationSettings(),
+        ErrorBudget(0.05, 0.05),
     )
     assert isinstance(result.chosen, int)
     # chosen sample size comes from the two candidates around the crossing,
@@ -150,18 +150,16 @@ def test_calibrate_bh_n_cap_exceeded():
     with pytest.raises(CalibrationError):
         calibrate_bh_n(
             config(BH, 50, 1, profile=small_profile(theta=0.02)),
-            CalibrationSettings(target_fnr=0.01, sample_size_cap=32),
-            None,
+            CalibrationSettings(sample_size_cap=32),
+            ErrorBudget(0.05, 0.01),
         )
 
 
 def test_calibrate_rejects_bad_arguments():
     with pytest.raises(ValueError):
         CalibrationSettings(grid_step=0.0)
-    with pytest.raises(ValueError):
-        CalibrationSettings(target_fnr=1.5)
-    with pytest.raises(ValueError, match="needs settings.target_fnr"):
-        calibrate_bh_n(config(BH, 10, 0), CalibrationSettings(), None)
+    with pytest.raises(ValueError, match="beta must be in"):
+        ErrorBudget(0.05, 1.5)  # the FNR target of the bh search
 
 
 @pytest.mark.parametrize(
@@ -172,7 +170,7 @@ def test_calibrate_rejects_bad_arguments():
 def test_each_search_needs_its_own_rule_type(search, rule):
     """A search refuses a config whose rule it does not calibrate, before it
     probes, instead of searching another rule's sample size."""
-    settings = CalibrationSettings(target_fnr=0.05)
+    settings = CalibrationSettings()
     with pytest.raises(ValueError, match=f"needs a .* rule, got {rule.name!r}$"):
         search(config(rule, 10, 0), settings, ErrorBudget(0.05, 0.05))
 

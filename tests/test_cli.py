@@ -406,7 +406,7 @@ def test_calibrate_grid_step_rounding_to_zero_exit_2(tmp_path, capsys):
 
 def test_calibrate_bh_full_scan(tmp_path):
     """calibrate.full_scan makes the bh search probe 1, 2, ... up to the first
-    size meeting target_fnr, in order; here it picks what bracketing picks."""
+    size meeting budget.beta, in order; here it picks what bracketing picks."""
     bh = (Path(__file__).parent.parent / "configs" / "bh.yaml").read_text()
     chosen = {}
     for full_scan in (False, True):
@@ -426,6 +426,7 @@ def test_calibrate_bh_full_scan(tmp_path):
 
 
 def test_calibrate_bh_requires_target(tmp_path, capsys):
+    """The bh search aims its FNR at budget.beta, so it needs a budget."""
     path = tmp_path / "bh.yaml"
     path.write_text(
         textwrap.dedent(
@@ -438,7 +439,21 @@ def test_calibrate_bh_requires_target(tmp_path, capsys):
         )
     )
     assert main(["calibrate", "--config", str(path)]) == 2
-    assert "target_fnr" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: calibrating a bh rule needs a budget section\n"
+    )
+
+
+def test_calibrate_target_fnr_is_an_unknown_key(tmp_path, capsys):
+    """The bh search aims at budget.beta, so calibrate.target_fnr is an
+    unknown key."""
+    bh = (Path(__file__).parent.parent / "configs" / "bh.yaml").read_text()
+    path = tmp_path / "bh.yaml"
+    path.write_text(bh.replace("calibrate:\n", "calibrate:\n  target_fnr: 0.08\n"))
+    assert main(["calibrate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: unknown key(s) under calibrate: target_fnr\n"
+    )
 
 
 def test_calibrate_unsupported_rule(tmp_path, capsys):

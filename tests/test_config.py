@@ -267,6 +267,8 @@ def test_field_type_errors_are_named():
 def test_metric_names_validated():
     with pytest.raises(ConfigError, match="run.metrics"):
         parse(BASE.replace("seed: 42", "seed: 42\n  metrics: [fdr, nope]"))
+    with pytest.raises(ConfigError, match=r"^run\.metrics: repeated \['fdr'\]$"):
+        parse(BASE.replace("seed: 42", "seed: 42\n  metrics: [fdr, fdr, fnr]"))
 
 
 def test_rule_type_validated():
@@ -319,14 +321,12 @@ def test_calibrate_section_parsed():
         calibrate:
           grid_step: 0.2
           threshold_cap: 9.0
-          target_fnr: 0.04
           full_scan: true
         """
     )
     settings = parse(text).calibration
     assert settings.grid_step == 0.2
     assert settings.threshold_cap == 9.0
-    assert settings.target_fnr == 0.04
     assert settings.full_scan is True
 
 

@@ -100,6 +100,40 @@ def test_gap_rule_rejects_exactly_m_every_trial():
         assert record.stopped_by == STOP_GAP
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        GapRule(num_signals=3, threshold=1.5),
+        GapIntersectionRule(
+            min_signals=2,
+            max_signals=5,
+            accept_barrier=2.0,
+            reject_barrier=2.0,
+            accept_gap=2.0,
+            reject_gap=2.0,
+        ),
+        BhRule(sample_size=20, level=0.1),
+        TopMRule(sample_size=20, num_signals=3),
+    ],
+    ids=lambda rule: rule.name,
+)
+def test_every_trial_counts_the_truth_as_its_signals(rule):
+    """W + R - V, the FPR divisor, is |truth| on every trial, whatever the
+    rule rejects; this truth is not the first streams."""
+    truth = frozenset({2, 7, 9})
+    config = ExperimentConfig(
+        profile=profile10(),
+        truth=truth,
+        rule=rule,
+        replications=100,
+        master_seed=7,
+        metrics=(MetricKind.FPR,),
+    )
+    for i in range(config.replications):
+        counts = run_trial(config, i).counts
+        assert counts.w + counts.r - counts.v == len(truth)
+
+
 def test_run_experiment_report_shape():
     config = gap_config(reps=150)
     report = run_experiment(config)

@@ -18,7 +18,6 @@ from seqgap import (
     per_trial,
 )
 from seqgap.metrics import NoBoundConstants, mean_se
-from seqgap.rules import Decision
 
 
 def counts(v, r, j=4, truth_size=2):
@@ -33,8 +32,7 @@ def _mask(labels, j):
 
 
 def test_confusion_from_decision():
-    decision = Decision(stopping_time=9, rejected=_mask({1, 3}, 5), stopped_by="gap")
-    c = confusion(decision, _mask({3, 4}, 5))
+    c = confusion(_mask({1, 3}, 5), _mask({3, 4}, 5))
     assert c.v == 1  # stream 1 rejected but is noise
     assert c.w == 1  # stream 4 missed
     assert c.r == 2
@@ -47,9 +45,8 @@ def test_confusion_from_decision():
     ids=["short", "int", "2-d"],
 )
 def test_confusion_rejects_a_malformed_mask(rejected):
-    decision = Decision(stopping_time=1, rejected=rejected, stopped_by="gap")
     with pytest.raises(ValueError, match=r"\(5,\) boolean mask"):
-        confusion(decision, _mask({3, 4}, 5))
+        confusion(rejected, _mask({3, 4}, 5))
 
 
 def test_confusion_counts_invariants():
@@ -70,7 +67,7 @@ def test_per_trial_values():
     assert per_trial(MetricKind.PCER, c) == pytest.approx(0.25)
     assert per_trial(MetricKind.PFER, c) == 1.0
     assert per_trial(MetricKind.PFER2, c) == 1.0
-    assert per_trial(MetricKind.FPR, c, signal_count=2) == pytest.approx(0.5)
+    assert per_trial(MetricKind.FPR, c) == pytest.approx(0.5)  # V / (W + R - V)
 
 
 def test_per_trial_zero_rejections():
@@ -108,10 +105,11 @@ def test_pfdr_conditioning_error_when_event_never_happens():
 
 
 def test_fpr_requires_signal_count():
-    rows = [counts(1, 2)]
-    with pytest.raises(ValueError):
-        aggregate(MetricKind.FPR, rows)
-    est = aggregate(MetricKind.FPR, rows, signal_count=2)
+    """FPR divides by the trial's signal count W + R - V; with no signal
+    there is no divisor."""
+    with pytest.raises(ValueError, match="at least one signal"):
+        aggregate(MetricKind.FPR, [counts(1, 2), counts(1, 1, truth_size=0)])
+    est = aggregate(MetricKind.FPR, [counts(1, 2)])
     assert est.value == pytest.approx(0.5)
 
 
@@ -205,7 +203,7 @@ def test_bound_constants_sandwich_property():
         bc = bound_constants(kind, 6, 2, 2, 2)
         for v in range(0, 3):  # gap rule rejects exactly m=2, so V <= 2
             c = ConfusionCounts(v=v, w=v, r=2, j=6)  # W = V for this rule
-            value = per_trial(kind, c, signal_count=2)
+            value = per_trial(kind, c)
             fwe1 = 1.0 if v >= 1 else 0.0
             assert value <= bc.c1_type1 * fwe1 + 1e-12
             assert bc.c2 * fwe1 <= value + 1e-12
@@ -269,6 +267,6 @@ def test_bound_constants_sandwich_every_trial(case):
             except NoBoundConstants:
                 continue  # no constants for this bracket or signal count
             covered.add(kind)
-            value = per_trial(kind, counts, signal_count=signals)
+            value = per_trial(kind, counts)
             assert bc.c2 * fwe <= value <= c1_of(bc) * fwe, (kind, bc, value)
     assert covered >= _ALWAYS_BOUNDED

@@ -246,7 +246,7 @@ def test_eta_worst_case_over_both_sides():
     info = eta(profile, frozenset({2, 4}))  # signals are the strong pair
     assert info.eta1 == pytest.approx(0.5, abs=1e-12)  # 1.0^2/2
     assert info.eta0 == pytest.approx(0.03125, abs=1e-12)  # 0.25^2/2
-    assert info.eta0_defined and info.eta1_defined
+    assert math.isfinite(info.eta0) and math.isfinite(info.eta1)
 
 
 def test_eta_homogeneous_case():
@@ -260,10 +260,10 @@ def test_eta_empty_sides():
     """No signals: eta1 is undefined (infinite); no noise: eta0 is."""
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 4)
     no_signals = eta(profile, frozenset())
-    assert not no_signals.eta1_defined and math.isinf(no_signals.eta1)
-    assert no_signals.eta0_defined
+    assert math.isinf(no_signals.eta1)
+    assert math.isfinite(no_signals.eta0)
     all_signals = eta(profile, frozenset({1, 2, 3, 4}))
-    assert not all_signals.eta0_defined and math.isinf(all_signals.eta0)
+    assert math.isinf(all_signals.eta0)
 
 
 def mixed_profile():
@@ -296,7 +296,8 @@ def test_columns_give_eta_the_per_model_minimum():
         signal = [infos[k].i1 for k in range(3) if k + 1 in truth]
         assert info.eta0 == (min(noise) if noise else math.inf)
         assert info.eta1 == (min(signal) if signal else math.inf)
-        assert (info.eta0_defined, info.eta1_defined) == (bool(noise), bool(signal))
+        defined = (math.isfinite(info.eta0), math.isfinite(info.eta1))
+        assert defined == (bool(noise), bool(signal))
 
 
 def test_columns_are_read_only_and_outside_the_fields():

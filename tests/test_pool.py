@@ -111,3 +111,35 @@ def test_an_interrupt_cancels_pending_chunks(monkeypatch, tmp_path, capsys):
     assert len(list(marks.iterdir())) <= 5
     assert multiprocessing.active_children() == []
     assert not out.exists()
+
+
+_TRIAL_S = 0.05
+
+
+def _interrupting_trial(config, trial_index):
+    """A slow trial that leaves a mark; trial 0 sends the parent a Ctrl-C."""
+    (_MARKS / str(trial_index)).touch()
+    if trial_index == 0:
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(_TRIAL_S)
+
+
+def test_an_interrupt_stops_the_chunks_already_handed_out(
+    monkeypatch, tmp_path, capsys
+):
+    """The chunks of a run at 2 workers hold 12 or 13 trials each.  Once the
+    parent is interrupted, the chunks running and queued in the workers
+    stop before their next trial, so fewer trials run than the smallest
+    chunk holds."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setitem(globals(), "_MARKS", marks)
+    monkeypatch.setattr(seqgap.engine, "run_trial", _interrupting_trial)
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
+    out = tmp_path / "report.json"
+    argv = COMMANDS["run"] + ["--workers", "2", "--out", str(out)]
+    assert main(argv) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert len(list(marks.iterdir())) < 12
+    assert multiprocessing.active_children() == []
+    assert not out.exists()

@@ -1,14 +1,21 @@
-"""README's Library example runs against the current public API.
+"""README's Library example runs against the current public API, and its
+config schema loads.
 
 The code block under "## Library" is executed as written, except that its
 replication count drops to 200 and its worker count to 1 to keep the test
-fast; a public call that the docs get wrong fails here.
+fast; a public call that the docs get wrong fails here.  The yaml block
+under "### Config files" is loaded as a config file is, so a key the docs
+keep after the code dropped it fails here too.
 """
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import yaml
+
+from seqgap.config import _UniqueKeyLoader, build_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +38,11 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().strip()
+
+
+def test_readme_config_schema_loads():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n### Config files\n", 1)[1]
+    block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+    loaded = build_config(yaml.load(block, Loader=_UniqueKeyLoader), "README")
+    assert loaded.experiment.rule.name == "gap"

@@ -34,14 +34,12 @@ from seqgap import (
     top_m_decide,
 )
 from seqgap.rules import (
-    STOP_FIXED,
     STOP_GAP,
     STOP_HORIZON,
     STOP_INTERSECTION,
     STOP_TAU1,
     STOP_TAU2,
     STOP_TAU3,
-    Decision,
     Walk,
 )
 
@@ -67,12 +65,9 @@ def test_gap_should_stop_hand_traces():
 
 def test_gap_decide_rejects_top_m():
     rule = GapRule(num_signals=1, threshold=2.0)
-    decision = rule.decide(view(2.3, -0.1, -2.0), 7, STOP_GAP)
-    assert labels(decision.rejected) == frozenset({1})
-    assert decision.stopping_time == 7
+    assert labels(rule.decide(view(2.3, -0.1, -2.0))) == frozenset({1})
     rule2 = GapRule(num_signals=2, threshold=7.0)
-    decision2 = rule2.decide(view(5.0, 4.0, -3.0), 3, STOP_GAP)
-    assert labels(decision2.rejected) == frozenset({1, 2})
+    assert labels(rule2.decide(view(5.0, 4.0, -3.0))) == frozenset({1, 2})
 
 
 def test_gap_rule_validation():
@@ -95,7 +90,7 @@ def test_gap_scan_path_matches_stepwise():
         hit = rule.scan_path(path)
         stepwise = None
         for t in range(60):
-            if gap_should_stop(rule, order_view(path[t])):
+            if gap_should_stop(rule, path[t]):
                 stepwise = t
                 break
         if stepwise is None:
@@ -172,11 +167,9 @@ def test_gi_high_edge_reject_gap_is_vacuous():
 def test_gi_decide_clamps_positive_count():
     rule = gi(1, 2, 2.0, 2.0, 3.0, 3.0)
     # tau1 with zero positives: p=0 clamps up to lo=1
-    decision = rule.decide(view(-0.5, -4.0, -4.5), 9, STOP_TAU1)
-    assert labels(decision.rejected) == frozenset({1})
+    assert labels(rule.decide(view(-0.5, -4.0, -4.5))) == frozenset({1})
     # tau3 with all positives: p=3 clamps down to hi=2
-    decision = rule.decide(view(6.0, 5.0, 4.0), 9, STOP_TAU3)
-    assert labels(decision.rejected) == frozenset({1, 2})
+    assert labels(rule.decide(view(6.0, 5.0, 4.0))) == frozenset({1, 2})
 
 
 def test_gi_validation():
@@ -206,7 +199,7 @@ def test_gi_scan_path_matches_stepwise():
         hit = rule.scan_path(path)
         stepwise = None
         for t in range(80):
-            tag = gi_should_stop(rule, order_view(path[t]))
+            tag = gi_should_stop(rule, path[t])
             if tag is not None:
                 stepwise = (t, tag)
                 break
@@ -225,8 +218,7 @@ def test_intersection_requires_full_exit():
 
 def test_intersection_rejects_positives():
     rule = IntersectionRule(accept_barrier=2.0, reject_barrier=3.0)
-    decision = rule.decide(view(3.5, -2.0, 4.0), 5, "intersection")
-    assert labels(decision.rejected) == frozenset({1, 3})
+    assert labels(rule.decide(view(3.5, -2.0, 4.0))) == frozenset({1, 3})
 
 
 def test_intersection_agrees_with_unclamped_bracket():
@@ -247,9 +239,8 @@ def test_intersection_agrees_with_unclamped_bracket():
         assert hit_bracketed is not None
         assert hit_plain[0] == hit_bracketed[0]
         t = hit_plain[0]
-        d_plain = plain.decide(order_view(path[t]), t + 1, hit_plain[1])
-        d_bracketed = bracketed.decide(order_view(path[t]), t + 1, hit_bracketed[1])
-        assert labels(d_plain.rejected) == labels(d_bracketed.rejected)
+        at_stop = order_view(path[t])
+        assert labels(plain.decide(at_stop)) == labels(bracketed.decide(at_stop))
 
 
 # --- every sequential rule against its one-state oracle ---
@@ -284,7 +275,7 @@ def _rules(j, c):
 def _stepwise(rule, block):
     """First row where the rule's one-state oracle fires, with its tag."""
     for t, row in enumerate(block):
-        tag = stop_tag(rule, order_view(row))
+        tag = stop_tag(rule, row)
         if tag is not None:
             return t, tag
     return None
@@ -318,13 +309,13 @@ def _row_and_truth(draw):
     return row, draw(_truths(j))
 
 
-def _assert_as_oracle(decision, expected, truth):
-    """The decision's mask rejects the oracle's labels, and ``confusion``
+def _assert_as_oracle(rejected, expected, truth):
+    """The rejection mask rejects the oracle's labels, and ``confusion``
     counts it as the oracle counts those labels against ``truth``."""
-    j = decision.rejected.size
+    j = rejected.size
     signal = np.isin(np.arange(1, j + 1), sorted(truth))
-    assert labels(decision.rejected) == expected
-    assert confusion(decision, signal) == oracles.confusion(expected, truth, j)
+    assert labels(rejected) == expected
+    assert confusion(rejected, signal) == oracles.confusion(expected, truth, j)
 
 
 @settings(max_examples=500, deadline=None)
@@ -335,8 +326,7 @@ def test_decide_matches_the_label_oracle(case):
     row, truth = case
     view = order_view(row)
     for rule in _rules(row.size, [1.0] * 4):
-        decision = rule.decide(view, 1, STOP_HORIZON)
-        _assert_as_oracle(decision, oracles.decide(rule, row), truth)
+        _assert_as_oracle(rule.decide(view), oracles.decide(rule, row), truth)
 
 
 # --- sequential driver ---
@@ -515,11 +505,9 @@ def test_fixed_sample_decisions_match_the_label_oracle(case, data):
     as the label oracle."""
     p, level = case
     truth = data.draw(_truths(len(p)))
-    decision = Decision(1, bh_decide(p, level), STOP_FIXED)
-    _assert_as_oracle(decision, oracles.bh_decide(p, level), truth)
+    _assert_as_oracle(bh_decide(p, level), oracles.bh_decide(p, level), truth)
     for m in range(1, len(p)):
-        decision = Decision(1, top_m_decide(p, m), STOP_FIXED)
-        _assert_as_oracle(decision, oracles.top_m_decide(p, m), truth)
+        _assert_as_oracle(top_m_decide(p, m), oracles.top_m_decide(p, m), truth)
 
 
 def test_top_m_decide_examples():
