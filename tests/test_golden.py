@@ -45,6 +45,9 @@ def _commands() -> dict[str, list[str]]:
         cases[f"calibrate-{name}"] = [
             "calibrate", "--config", _config(name), "--reps", "20",
         ]
+    cases["sweep-gap"] = [
+        "sweep", "--config", _config("gap"), "--alphas", "1e-2,1e-4", "--reps", "20",
+    ]
     cases["sweep-gap-intersection"] = [
         "sweep", "--config", _config("gap-intersection"),
         "--alphas", "0.05:0.1,1e-3:2e-3", "--reps", "20",
@@ -86,6 +89,7 @@ TWO_WORKER_CASES = [
     "calibrate-gap",
     "calibrate-top-m",
     "calibrate-bh",
+    "sweep-gap",
     "sweep-gap-intersection",
     "reproduce-table1-rows-1-5",
 ]
