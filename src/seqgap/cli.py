@@ -5,9 +5,10 @@ Subcommands: ``run`` (one experiment from a config file), ``calibrate``
 (bundled benchmark studies), and ``sweep`` (expected stopping time against
 its asymptotic benchmark over a budget grid).
 
-Every report is written by ``write_report``: csv rows come from one row
-function per report type, json is the report's ``payload()``, and text has
-one layout per report type.  The machine formats (csv, json) read back to
+Every report is written by ``write_report``: json is the report's
+``payload()``; a ``reproduce`` or ``sweep`` csv row is its json row
+flattened, and ``run`` and ``calibrate`` have a csv row function each; text
+has one layout per report type.  The machine formats (csv, json) read back to
 every float exactly (csv cells carry 17 significant digits, json the
 shortest exact repr), and they omit wall time so identical runs produce
 identical files; the text format is for humans and prints proportions as
@@ -26,7 +27,8 @@ import json
 import os
 import stat
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 from .calibrate import (
     CalibrationError,
@@ -39,15 +41,18 @@ from .config import ConfigError, LoadedConfig, check_count, check_seed, load_con
 from .engine import (
     BENCHMARKS,
     BenchmarkReport,
+    BenchmarkRow,
     ExperimentReport,
     SweepReport,
+    SweepRow,
     asymptotic_sweep,
     config_to_dict,
     reproduce_table,
     run_experiment,
+    study_rows,
 )
 from .metrics import MetricEstimate, MetricKind, NoBoundConstants
-from .rules import _fmt
+from .rules import Rule, _fmt
 from .thresholds import ErrorBudget
 
 WORKERS_ENV = "SEQGAP_WORKERS"
@@ -164,45 +169,6 @@ def write_calibration_text(result: CalibrationResult, out) -> None:
         out.write(f"    point {probe.point:g}: {cells}\n")
 
 
-BENCHMARK_CSV_COLUMNS = [
-    "num_signals",
-    "threshold",
-    "gap_et",
-    "gap_et_se",
-    "gap_fdr",
-    "gap_fdr_se",
-    "gap_fnr",
-    "gap_fnr_se",
-    "bh_n",
-    "bh_savings",
-    "bh_fdr",
-    "bh_fdr_se",
-    "bh_fnr",
-    "bh_fnr_se",
-    "topm_n",
-    "topm_savings",
-    "topm_fdr",
-    "topm_fdr_se",
-    "topm_fnr",
-    "topm_fnr_se",
-]
-
-
-def _benchmark_rows(report: BenchmarkReport):
-    for r in report.rows:
-        yield [
-            r.num_signals,
-            r.threshold,
-            *_value_se(r.gap_et, r.gap_fdr, r.gap_fnr),
-            r.bh_sample_size,
-            r.bh_savings,
-            *_value_se(r.bh_fdr, r.bh_fnr),
-            r.topm_sample_size,
-            r.topm_savings,
-            *_value_se(r.topm_fdr, r.topm_fnr),
-        ]
-
-
 def write_benchmark_text(report: BenchmarkReport, out) -> None:
     out.write(
         f"benchmark study {report.which} (J={report.j}, "
@@ -225,33 +191,6 @@ def write_benchmark_text(report: BenchmarkReport, out) -> None:
         )
 
 
-SWEEP_CSV_COLUMNS = [
-    "alpha",
-    "beta",
-    "rule",
-    "thresholds",
-    "ET",
-    "ET_se",
-    "kappa",
-    "ratio",
-    "horizon_hits",
-]
-
-
-def _sweep_rows(report: SweepReport):
-    for row in report.rows:
-        yield [
-            row.alpha,
-            row.beta,
-            row.rule.name,
-            row.rule.threshold_cell(),
-            *_value_se(row.mean_stopping_time),
-            row.kappa,
-            row.ratio,
-            row.horizon_hits,
-        ]
-
-
 def write_sweep_text(report: SweepReport, out) -> None:
     out.write(
         f"asymptotic sweep (control metric {report.control.value}, "
@@ -269,6 +208,40 @@ def write_sweep_text(report: SweepReport, out) -> None:
         )
 
 
+# Table-row fields of these types take two csv cells: the column names for
+# the field's csv name, and the cells of its value.
+_TWO_CELL_FIELDS = {
+    MetricEstimate: (lambda name: [name, f"{name}_se"], _value_se),
+    Rule: (lambda name: [name, "thresholds"], lambda r: [r.name, r.threshold_cell()]),
+}
+_ONE_CELL = (lambda name: [name], lambda value: [value])
+
+# The table-row fields whose csv name is not their json key.
+_CSV_NAMES = {
+    "bh_sample_size": "bh_n",
+    "topm_sample_size": "topm_n",
+    "mean_stopping_time": "ET",
+}
+
+
+def _table_csv(row_type):
+    """The csv header and row function of a report whose ``rows`` are
+    ``row_type``: one walk over its fields in declaration order, so that a
+    csv row is the json row flattened."""
+    hints = get_type_hints(row_type)
+    walk = [
+        (f.name, *_TWO_CELL_FIELDS.get(hints[f.name], _ONE_CELL))
+        for f in fields(row_type)
+    ]
+    columns = [c for name, names, _ in walk for c in names(_CSV_NAMES.get(name, name))]
+
+    def rows(report):
+        for row in report.rows:
+            yield [c for name, _, cells in walk for c in cells(getattr(row, name))]
+
+    return columns, rows
+
+
 # Per report type: the csv header, the csv row function and the text layout.
 _LAYOUTS = {
     ExperimentReport: (RUN_CSV_COLUMNS, _run_rows, write_run_text),
@@ -277,8 +250,8 @@ _LAYOUTS = {
         _calibration_rows,
         write_calibration_text,
     ),
-    BenchmarkReport: (BENCHMARK_CSV_COLUMNS, _benchmark_rows, write_benchmark_text),
-    SweepReport: (SWEEP_CSV_COLUMNS, _sweep_rows, write_sweep_text),
+    BenchmarkReport: (*_table_csv(BenchmarkRow), write_benchmark_text),
+    SweepReport: (*_table_csv(SweepRow), write_sweep_text),
 }
 
 
@@ -423,16 +396,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    if args.rows is not None:
-        available = sorted(BENCHMARKS[args.which].rows)
-        missing = sorted({m for m in args.rows if m not in available})
-        repeated = sorted({m for m in args.rows if args.rows.count(m) > 1})
-        if missing or repeated:
-            problem = f"no such rows {missing}" if missing else f"repeated {repeated}"
-            raise ConfigError(
-                f"--rows {','.join(map(str, args.rows))}: {problem}; "
-                f"{args.which} has rows {available}"
-            )
+    try:
+        study_rows(args.which, args.rows)
+    except ValueError as exc:
+        raise ConfigError(f"--rows {','.join(map(str, args.rows))}: {exc}") from None
     report = reproduce_table(
         args.which, rows=args.rows, workers=_resolve_workers(args), **_overrides(args)
     )
@@ -535,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="rerun a bundled benchmark study")
     p_rep.add_argument(
-        "--which", required=True, choices=["table1", "table2"], help="which study"
+        "--which", required=True, choices=list(BENCHMARKS), help="which study"
     )
     p_rep.add_argument(
         "--rows",

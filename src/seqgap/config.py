@@ -29,7 +29,7 @@ import yaml
 
 from .calibrate import CalibrationSettings
 from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
-from .metrics import MetricKind, NoBoundConstants
+from .metrics import MetricKind, NoBoundConstants, check_distinct
 from .models import StreamModel, StreamProfile
 from .rules import Rule
 from .thresholds import ErrorBudget
@@ -283,9 +283,10 @@ def _parse_metrics(raw) -> tuple[MetricKind, ...]:
                 f"run.metrics: unknown metric {name!r}; expected one of "
                 f"{[k.value for k in MetricKind]}"
             ) from exc
-    repeated = sorted({kind.value for kind in kinds if kinds.count(kind) > 1})
-    if repeated:
-        raise ConfigError(f"run.metrics: repeated {repeated}")
+    try:
+        check_distinct(kinds, "run.metrics")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return tuple(kinds)
 
 

@@ -27,6 +27,7 @@ from .metrics import (
     MetricKind,
     ConfusionCounts,
     aggregate,
+    check_distinct,
     confusion,
     mean_se,
 )
@@ -104,6 +105,7 @@ class ExperimentConfig:
         object.__setattr__(
             self, "metrics", tuple(MetricKind(k) for k in self.metrics)
         )
+        check_distinct(self.metrics)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.horizon < 1:
@@ -528,6 +530,25 @@ class BenchmarkReport:
         return payload(self)
 
 
+def study_rows(which: str, rows: list[int] | None = None) -> list[int]:
+    """The signal counts that ``reproduce_table`` runs: every row of the
+    study, or ``rows`` in the order given, each a row of the study, once."""
+    if which not in BENCHMARKS:
+        raise ValueError(
+            f"unknown benchmark {which!r}; expected one of {sorted(BENCHMARKS)}"
+        )
+    available = BENCHMARKS[which].rows
+    if rows is None:
+        return list(available)
+    selected = [int(m) for m in rows]
+    missing = sorted({m for m in selected if m not in available})
+    repeated = sorted({m for m in selected if selected.count(m) > 1})
+    if missing or repeated:
+        problem = f"no such rows {missing}" if missing else f"repeated {repeated}"
+        raise ValueError(f"{problem}; {which} has rows {sorted(available)}")
+    return selected
+
+
 def reproduce_table(
     which: str,
     rows: list[int] | None = None,
@@ -543,18 +564,8 @@ def reproduce_table(
     seeds derived from the master seed and the row's parameters.  All
     rows run on one pool of ``workers`` processes.
     """
-    if which not in BENCHMARKS:
-        raise ValueError(
-            f"unknown benchmark {which!r}; expected one of {sorted(BENCHMARKS)}"
-        )
+    selected = study_rows(which, rows)
     spec = BENCHMARKS[which]
-    selected = list(spec.rows) if rows is None else [int(m) for m in rows]
-    bad = [m for m in selected if m not in spec.rows]
-    if bad:
-        raise ValueError(
-            f"benchmark {which} has no rows {sorted(bad)}; "
-            f"available: {sorted(spec.rows)}"
-        )
     profile = StreamProfile.homogeneous(spec.model, spec.j)
     out = []
     with worker_pool(workers) as pool:

@@ -45,6 +45,13 @@ class MetricKind(str, Enum):
 CONDITIONAL_KINDS = (MetricKind.PFDR, MetricKind.PFNR)
 
 
+def check_distinct(kinds: Sequence[MetricKind], name: str = "metrics") -> None:
+    """Reject a metric requested twice, naming ``name`` and the repeats."""
+    repeated = sorted({kind.value for kind in kinds if kinds.count(kind) > 1})
+    if repeated:
+        raise ValueError(f"{name}: repeated {repeated}")
+
+
 class ConditioningError(ValueError):
     """A conditional metric's conditioning event occurred in no trial."""
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: formats, exit codes, round trips."""
 
 import csv
+import io
 import json
 import os
 import stat
@@ -12,8 +13,15 @@ from pathlib import Path
 import pytest
 
 import seqgap.engine
-from seqgap import CalibrationSettings, calibrate_gap_c, load_config
-from seqgap.cli import RUN_CSV_COLUMNS, main
+from seqgap import (
+    CalibrationSettings,
+    ErrorBudget,
+    asymptotic_sweep,
+    calibrate_gap_c,
+    load_config,
+    reproduce_table,
+)
+from seqgap.cli import RUN_CSV_COLUMNS, main, write_report
 from seqgap.engine import rule_to_dict
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
@@ -539,6 +547,56 @@ def test_reproduce_text_table(capsys):
     out = capsys.readouterr().out
     assert "benchmark study table1" in out
     assert "FDR%" in out
+
+
+# The csv columns of the table reports that are not named after a json key.
+RENAMED_COLUMNS = {
+    "bh_n": "bh_sample_size",
+    "topm_n": "topm_sample_size",
+    "ET": "mean_stopping_time",
+}
+
+
+def _csv_and_json_rows(report):
+    """The csv header, the csv rows and the json rows of a table report."""
+    csv_out, json_out = io.StringIO(), io.StringIO()
+    write_report(report, "csv", csv_out)
+    write_report(report, "json", json_out)
+    header, *rows = csv.reader(io.StringIO(csv_out.getvalue()))
+    return header, rows, json.loads(json_out.getvalue())["rows"]
+
+
+def _table_report(case):
+    if case.startswith("reproduce"):
+        rows = [] if case == "reproduce-no-rows" else [1, 5]
+        return reproduce_table("table1", rows=rows, replications=10)
+    loaded = load_config(str(SHIPPED_CONFIGS[0].parent / f"{case[6:]}.yaml"))
+    base = replace(loaded.experiment, replications=10)
+    return asymptotic_sweep(base, [ErrorBudget(0.01, 0.01)], control=loaded.control)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["reproduce-rows", "reproduce-no-rows", "sweep-gap", "sweep-gap-intersection"],
+)
+def test_table_csv_row_is_the_json_row_flattened(case):
+    """Every csv row has a cell per header name, and the header names are
+    the json row keys, in order, a metric estimate's with its ``_se``
+    column, the rule's as ``rule`` and ``thresholds``, and three renamed."""
+    header, rows, json_rows = _csv_and_json_rows(_table_report(case))
+    assert len(rows) == len(json_rows)
+    assert all(len(row) == len(header) for row in rows)
+    if not json_rows:  # the header comes from the row class, not from a row
+        assert header == _csv_and_json_rows(_table_report("reproduce-rows"))[0]
+        return
+    keys = []
+    for name in header:
+        base = "rule" if name == "thresholds" else name.removesuffix("_se")
+        key = RENAMED_COLUMNS.get(base, base)
+        assert key in json_rows[0], name
+        if key not in keys:
+            keys.append(key)
+    assert keys == list(json_rows[0])
 
 
 def test_sweep_csv(gap_config_path, tmp_path):

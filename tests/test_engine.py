@@ -249,6 +249,13 @@ def test_config_validation_conditional_metrics_under_bracket():
     build(1, 9, MetricKind.PFNR)
 
 
+def test_config_validation_rejects_a_repeated_metric():
+    """A metric listed twice would be echoed twice in the payload but
+    estimated once."""
+    with pytest.raises(ValueError, match=r"^metrics: repeated \['fdr'\]$"):
+        gap_config(metrics=(MetricKind.FDR, MetricKind.FDR, MetricKind.FNR))
+
+
 def test_config_validation_fpr_needs_signals():
     with pytest.raises(ValueError):
         ExperimentConfig(
@@ -382,6 +389,13 @@ def test_reproduce_table_unknown_row_rejected():
         reproduce_table("table1", rows=[4, 11], replications=10)
     with pytest.raises(ValueError):
         reproduce_table("table9", rows=[1])
+
+
+def test_reproduce_table_repeated_row_rejected():
+    """A row listed twice is rejected, in the command line's words."""
+    rows = r"\[1, 2, 3, 4, 5, 6, 7, 8, 9\]"
+    with pytest.raises(ValueError, match=rf"^repeated \[5\]; table1 has rows {rows}$"):
+        reproduce_table("table1", rows=[5, 5], replications=10)
 
 
 def test_reproduce_table_empty_rows():
