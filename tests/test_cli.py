@@ -570,7 +570,8 @@ def _table_report(case):
     if case.startswith("reproduce"):
         rows = [] if case == "reproduce-no-rows" else [1, 5]
         return reproduce_table("table1", rows=rows, replications=10)
-    loaded = load_config(str(SHIPPED_CONFIGS[0].parent / f"{case[6:]}.yaml"))
+    name = case.removeprefix("sweep-")
+    loaded = load_config(str(SHIPPED_CONFIGS[0].parent / f"{name}.yaml"))
     base = replace(loaded.experiment, replications=10)
     return asymptotic_sweep(base, [ErrorBudget(0.01, 0.01)], control=loaded.control)
 
