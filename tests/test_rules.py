@@ -522,6 +522,35 @@ def test_top_m_decide_validation():
         top_m_decide((0.1, 0.2), 2)
 
 
+@pytest.mark.parametrize(
+    "pvalues",
+    [
+        [0.1, math.nan, 0.3],
+        [0.1, math.inf, 0.3],
+        [0.1, -math.inf, 0.3],
+        [0.1, -0.1, 0.3],
+        [0.1, 1.1, 0.3],
+        [],
+        [[0.1, 0.2], [0.3, 0.4]],
+    ],
+    ids=["nan", "+inf", "-inf", "below 0", "above 1", "empty", "2-D"],
+)
+@pytest.mark.parametrize(
+    "decide",
+    [lambda p: bh_decide(p, 0.05), lambda p: top_m_decide(p, 1)],
+    ids=["bh", "top-m"],
+)
+def test_fixed_sample_decisions_reject_bad_pvalues(decide, pvalues):
+    with pytest.raises(ValueError, match="pvalues must"):
+        decide(pvalues)
+
+
+def test_fixed_sample_decisions_accept_the_closed_unit_interval():
+    p = [0.0, -0.0, 1.0, 0.5]
+    assert labels(bh_decide(p, 0.05)) == frozenset({1, 2})
+    assert labels(top_m_decide(p, 3)) == frozenset({1, 2, 4})
+
+
 def test_fixed_rule_validation():
     with pytest.raises(ValueError):
         BhRule(sample_size=0, level=0.05)
