@@ -188,6 +188,8 @@ class _GapSearch:
         self.rule = config.rule  # only its gap column is used, at any threshold
         profile, signal, horizon = config.profile, config.signal, config.horizon
         self.signal = signal
+        # One new generator per trial, not run_trial's rekeyed one: every
+        # walk stays alive until the search ends.
         self.trials = [
             _GapTrial(Walk(profile, signal, horizon, trial_rng(config.master_seed, i)))
             for i in range(config.replications)

@@ -1,8 +1,11 @@
 """Monte Carlo experiment engine.
 
-Every trial owns a counter-based generator keyed by (master seed, trial
-index), so trial i's sample path is a pure function of the configuration —
-independent of execution order, batching, and worker count.  Aggregation
+Every trial draws from a counter-based generator keyed by (master seed,
+trial index), so trial i's sample path is a pure function of the
+configuration — independent of execution order, batching, and worker count.
+Each process holds one Philox generator and rekeys it for every trial it
+runs, with the same draws as a fresh generator of that key; so
+``run_trial`` must not run in two threads of one process.  Aggregation
 uses compensated summation in trial order.  Reports are therefore
 bit-identical across reruns and worker counts; only ``wall_time``, a
 physical measurement, varies, and it is excluded from ``payload()``.
@@ -56,19 +59,42 @@ def _check_seed(master_seed: int) -> int:
     return int(master_seed)
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+def trial_rng(
+    master_seed: int, trial_index: int, rng: np.random.Generator | None = None
+) -> np.random.Generator:
     """Counter-based generator for one trial.
 
     The 128-bit key is master_seed in the high word and the trial index in
     the low word, so distinct trials of one experiment — and trials of
     experiments with distinct master seeds — never share a stream.
+
+    Without ``rng`` this builds a new generator.  With ``rng``, a Philox
+    generator, it rekeys that one in place and returns it: the key, a zero
+    counter, an empty buffer and no held-back 32-bit half are the whole
+    state of a new generator with this key, so the draws are the same bit
+    for bit, without the OS entropy a new ``Philox`` reads and never uses.
+    ``run_trial`` rekeys one generator per process for each trial, so it
+    must not run in two threads of one process.
     """
     master_seed = _check_seed(master_seed)
     if not 0 <= int(trial_index) < _SEED_SPAN:
         raise ValueError(f"trial_index must be a 64-bit integer, got {trial_index!r}")
-    return np.random.Generator(
-        np.random.Philox(key=(master_seed << 64) + int(trial_index))
-    )
+    if rng is None:
+        return np.random.Generator(
+            np.random.Philox(key=(master_seed << 64) + int(trial_index))
+        )
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([int(trial_index), master_seed], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty, so the first draw fills it from the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def derive_seed(master_seed: int, *path: int) -> int:
@@ -157,9 +183,13 @@ def _run_fixed(
     return Decision(stopping_time=n, rejected=rejected, stopped_by=STOP_FIXED)
 
 
+# The one generator ``run_trial`` rekeys for each trial of this process.
+_trial_generator = np.random.Generator(np.random.Philox(0))
+
+
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial on its own generator substream."""
-    rng = trial_rng(config.master_seed, trial_index)
+    rng = trial_rng(config.master_seed, trial_index, _trial_generator)
     if isinstance(config.rule, (BhRule, TopMRule)):
         decision = _run_fixed(config.rule, config.profile, config.signal, rng)
     else:

@@ -190,6 +190,9 @@ class StreamProfile:
         Consumes steps * J uniforms in row-major (time, stream) order and
         maps each through its stream's inverse CDF, so chunked draws from
         the same generator concatenate to the same path as one big draw.
+        The block is the uniform array ``rng.random`` returned, transformed
+        in place: the inverse CDF and the mean run over it whole when every
+        stream is gaussian, and over each family's columns otherwise.
         """
         signal = np.asarray(signal)
         if signal.shape != (self.j,) or signal.dtype != bool:
@@ -201,26 +204,33 @@ class StreamProfile:
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)
-        x = np.empty_like(u)
-        cols = self.gaussian_columns
-        if cols.size:
-            x[:, cols] = params[cols] + ndtri(u[:, cols])
-        cols = self.bernoulli_columns
-        if cols.size:
-            x[:, cols] = (u[:, cols] < params[cols]).astype(float)
-        return x
+        gaussian, bernoulli = self.gaussian_columns, self.bernoulli_columns
+        if not bernoulli.size:
+            ndtri(u, out=u)
+            u += params
+            return u
+        if not gaussian.size:
+            return np.less(u, params, out=u)
+        # ndtri costs more than the gather on bernoulli columns, so it runs
+        # on the gaussian ones only.
+        u[:, gaussian] = params[gaussian] + ndtri(u[:, gaussian])
+        u[:, bernoulli] = u[:, bernoulli] < params[bernoulli]
+        return u
 
-    def increments(self, x: np.ndarray) -> np.ndarray:
+    def increments(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Per-stream LLR increments for an observation block.
 
-        ``x`` has shape (..., J); the result has the same shape.
+        ``x`` has shape (..., J); the result has the same shape.  It is
+        written to ``out`` when given, which may be ``x`` itself.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.j:
             raise ValueError(
                 f"last axis must have length {self.j}, got {x.shape[-1]}"
             )
-        return x * self.llr_slope + self.llr_offset
+        y = np.multiply(x, self.llr_slope, out=out)
+        y += self.llr_offset
+        return y
 
 
 @dataclass(frozen=True)

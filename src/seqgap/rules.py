@@ -509,7 +509,7 @@ class Walk:
             return None
         steps = min(self.block, self.horizon - self.taken)
         x = self.profile.sample_block(self.signal, steps, self.rng)
-        path = self.profile.increments(x)
+        path = self.profile.increments(x, out=x)
         path[0] += self.lam
         np.cumsum(path, axis=0, out=path)
         self.lam = path[-1].copy()  # a view would keep the whole block alive
@@ -546,7 +546,8 @@ def _checked_pvalues(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("pvalues must be a non-empty 1-D vector")
-    if np.any((p < 0.0) | (p > 1.0)) or not np.all(np.isfinite(p)):
+    # Both comparisons are false on NaN, and a NaN is the min and the max.
+    if not (0.0 <= p.min() and p.max() <= 1.0):
         raise ValueError("pvalues must lie in [0, 1]")
     return p
 

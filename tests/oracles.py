@@ -1,20 +1,22 @@
 """One-state reference forms of the library's vectorized code.
 
-The library walks a path block by block (``rules.Walk``), scans blocks of
-cumulative LLR rows (``scan_path``), maps observation blocks to increments
-(``StreamProfile.increments``), turns observation sums into p-values
-(``engine.fixed_sample_pvalues``) and decides and counts with (J,) boolean
-masks over 0-based columns (``decide``, ``bh_decide``, ``top_m_decide``,
-``metrics.confusion``).  The functions here state the same things one path,
-one state, one stream or one observation at a time, and decisions as sets
-of 1-based stream labels, the way the definitions read, and the tests
-check the library against them.
+The library walks a path block by block (``rules.Walk``), draws
+observation blocks in place (``StreamProfile.sample_block``), scans blocks
+of cumulative LLR rows (``scan_path``), maps observation blocks to
+increments (``StreamProfile.increments``), turns observation sums into
+p-values (``engine.fixed_sample_pvalues``) and decides and counts with
+(J,) boolean masks over 0-based columns (``decide``, ``bh_decide``,
+``top_m_decide``, ``metrics.confusion``).  The functions here state the
+same things one path, one state, one stream, one column family or one
+observation at a time, and decisions as sets of 1-based stream labels,
+the way the definitions read, and the tests check the library against
+them.
 """
 
 import math
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from seqgap import (
     BERNOULLI,
@@ -93,6 +95,23 @@ def confusion(rejected: frozenset[int], truth: frozenset[int], j: int):
         r=len(rejected),
         j=j,
     )
+
+
+def sample_block(profile, signal, steps: int, rng) -> np.ndarray:
+    """A (steps, J) observation block written column family by column
+    family into a new array: each stream's inverse CDF of its column of
+    clamped uniforms."""
+    u = rng.random(size=(int(steps), profile.j))
+    np.maximum(u, 2.0**-53, out=u)
+    params = np.where(signal, profile.alt, profile.null)
+    x = np.empty_like(u)
+    cols = profile.gaussian_columns
+    if cols.size:
+        x[:, cols] = params[cols] + ndtri(u[:, cols])
+    cols = profile.bernoulli_columns
+    if cols.size:
+        x[:, cols] = (u[:, cols] < params[cols]).astype(float)
+    return x
 
 
 def one_shot_path(profile, signal, horizon: int, rng) -> np.ndarray:

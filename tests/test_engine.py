@@ -7,6 +7,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from oracles import p_value
@@ -58,6 +60,41 @@ def test_trial_rng_distinct_indices_differ():
     a = trial_rng(42, 7).random(5)
     b = trial_rng(42, 8).random(5)
     assert not np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=st.integers(0, 2**64 - 1),
+    trial_index=st.integers(0, 2**64 - 1),
+    buffers=st.integers(0, 3),
+    words=st.integers(0, 2),
+)
+@example(master_seed=0, trial_index=0, buffers=0, words=0)
+@example(master_seed=2**64 - 1, trial_index=2**64 - 1, buffers=0, words=0)
+@example(master_seed=0, trial_index=2**64 - 1, buffers=1, words=2)
+@example(master_seed=2**64 - 1, trial_index=0, buffers=1, words=2)
+def test_rekeyed_generator_equals_a_fresh_one(
+    master_seed, trial_index, buffers, words
+):
+    """A generator rekeyed after use draws what a new one of that key draws."""
+    shared = trial_rng(derive_seed(master_seed, 1), 3)
+    # An odd count of 32-bit draws leaves half a 64-bit word held back, and
+    # 1 to 3 words of the last four-word Philox buffer read.
+    shared.integers(2**32, size=8 * buffers + 2 * words + 1, dtype=np.uint32)
+    state = shared.bit_generator.state
+    assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
+    rekeyed = trial_rng(master_seed, trial_index, shared)
+    assert rekeyed is shared
+    fresh = trial_rng(master_seed, trial_index)
+    assert rekeyed.bit_generator.state["has_uint32"] == 0
+    # Odd lengths and a span past one buffer cover the held-back word and a
+    # buffer refill.
+    for size in (1, 3, 8, 1):
+        assert rekeyed.random(size).tobytes() == fresh.random(size).tobytes()
+    assert rekeyed.integers(2**32, dtype=np.uint32) == fresh.integers(
+        2**32, dtype=np.uint32
+    )
+    assert rekeyed.random(5).tobytes() == fresh.random(5).tobytes()
 
 
 def test_trial_rng_validates_seed_range():

@@ -5,8 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import oracles
 from oracles import llr_increment
 from seqgap import (
     BERNOULLI,
@@ -223,6 +226,54 @@ def test_sample_block_zero_uniform_gives_finite_observations():
     block = profile.sample_block(profile.signal_mask({1}), 3, _ZeroUniforms())
     assert np.all(np.isfinite(block))
     assert np.all(np.isfinite(profile.increments(block)))
+
+
+_FAMILIES = (GAUSSIAN_MEAN, BERNOULLI)
+
+
+@st.composite
+def _profile_blocks(draw):
+    """An all-gaussian, mixed or all-bernoulli profile, a signal mask, a
+    row count and a uniform source: a seeded generator or all zeros."""
+    j = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["gaussian", "mixed", "bernoulli"]))
+    families = {
+        "gaussian": [GAUSSIAN_MEAN] * j,
+        "bernoulli": [BERNOULLI] * j,
+        "mixed": [GAUSSIAN_MEAN, BERNOULLI]
+        + draw(st.lists(st.sampled_from(_FAMILIES), min_size=j - 2, max_size=j - 2)),
+    }[kind]
+    models = []
+    for family in draw(st.permutations(families)):
+        low, high = (-3.0, 3.0) if family == GAUSSIAN_MEAN else (0.01, 0.99)
+        pair = st.floats(low, high, allow_subnormal=False)
+        null, alt = draw(
+            st.tuples(pair, pair).filter(lambda params: params[0] != params[1])
+        )
+        models.append(StreamModel(family=family, null=null, alt=alt))
+    signal = np.array(draw(st.lists(st.booleans(), min_size=j, max_size=j)))
+    steps = draw(st.integers(1, 70))
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return StreamProfile(tuple(models)), signal, steps, seed
+
+
+def _uniforms(seed):
+    return _ZeroUniforms() if seed is None else np.random.default_rng(seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profile_blocks())
+def test_sample_block_matches_the_column_oracle(case):
+    """The in-place block equals the gather-and-scatter form bit for bit,
+    and so do its increments written over it."""
+    profile, signal, steps, seed = case
+    block = profile.sample_block(signal, steps, _uniforms(seed))
+    expected = oracles.sample_block(profile, signal, steps, _uniforms(seed))
+    assert block.shape == expected.shape == (steps, profile.j)
+    assert block.tobytes() == expected.tobytes()
+    increments = profile.increments(block)
+    assert profile.increments(block, out=block) is block
+    assert block.tobytes() == increments.tobytes()
 
 
 def test_profile_increments_matches_scalar_llr():
