@@ -3,12 +3,12 @@
 Every trial draws from a counter-based generator keyed by (master seed,
 trial index), so trial i's sample path is a pure function of the
 configuration — independent of execution order, batching, and worker count.
-Each process holds one Philox generator and rekeys it for every trial it
-runs, with the same draws as a fresh generator of that key; so
-``run_trial`` must not run in two threads of one process.  Aggregation
-uses compensated summation in trial order.  Reports are therefore
-bit-identical across reruns and worker counts; only ``wall_time``, a
-physical measurement, varies, and it is excluded from ``payload()``.
+Each thread that runs trials holds one Philox generator and rekeys it for
+every trial it runs, with the same draws as a fresh generator of that
+key.  Aggregation uses compensated summation in trial order.  Reports are
+therefore bit-identical across reruns and worker counts; only
+``wall_time``, a physical measurement, varies, and it is excluded from
+``payload()``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -73,8 +74,7 @@ def trial_rng(
     counter, an empty buffer and no held-back 32-bit half are the whole
     state of a new generator with this key, so the draws are the same bit
     for bit, without the OS entropy a new ``Philox`` reads and never uses.
-    ``run_trial`` rekeys one generator per process for each trial, so it
-    must not run in two threads of one process.
+    ``run_trial`` rekeys one generator per thread for each trial.
     """
     master_seed = _check_seed(master_seed)
     if not 0 <= int(trial_index) < _SEED_SPAN:
@@ -183,13 +183,21 @@ def _run_fixed(
     return Decision(stopping_time=n, rejected=rejected, stopped_by=STOP_FIXED)
 
 
-# The one generator ``run_trial`` rekeys for each trial of this process.
-_trial_generator = np.random.Generator(np.random.Philox(0))
+# Holds, as ``generator``, the one generator ``run_trial`` rekeys for each
+# trial that its thread runs.
+_thread_state = threading.local()
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Run one trial on its own generator substream."""
-    rng = trial_rng(config.master_seed, trial_index, _trial_generator)
+    """Run one trial on its own generator substream.
+
+    The generator is the calling thread's own, rekeyed for this trial, so
+    threads may run trials side by side.
+    """
+    rng = getattr(_thread_state, "generator", None)
+    if rng is None:
+        rng = _thread_state.generator = np.random.Generator(np.random.Philox(0))
+    rng = trial_rng(config.master_seed, trial_index, rng)
     if isinstance(config.rule, (BhRule, TopMRule)):
         decision = _run_fixed(config.rule, config.profile, config.signal, rng)
     else:

@@ -209,12 +209,13 @@ class StreamProfile:
             ndtri(u, out=u)
             u += params
             return u
-        if not gaussian.size:
-            return np.less(u, params, out=u)
         # ndtri costs more than the gather on bernoulli columns, so it runs
         # on the gaussian ones only.
-        u[:, gaussian] = params[gaussian] + ndtri(u[:, gaussian])
-        u[:, bernoulli] = u[:, bernoulli] < params[bernoulli]
+        if gaussian.size:
+            u[:, gaussian] = params[gaussian] + ndtri(u[:, gaussian])
+        # A bool right-hand side would make the scatter cast element by
+        # element, which is slower than casting it whole first.
+        u[:, bernoulli] = (u[:, bernoulli] < params[bernoulli]).astype(float)
         return u
 
     def increments(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -3,6 +3,8 @@
 import json
 import math
 import pickle
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -115,6 +117,31 @@ def test_run_trial_deterministic():
     first = run_trial(config, 3)
     second = run_trial(config, 3)
     assert first == second
+
+
+def test_run_trial_in_two_threads_matches_one_thread():
+    """Each thread rekeys its own generator, so threads cannot mix draws."""
+    config = gap_config()
+    expected = [run_trial(config, i) for i in range(200)]
+    got = [None] * 200
+    start = threading.Barrier(2)
+
+    def run(first):
+        start.wait()
+        for i in range(first, 200, 2):
+            got[i] = run_trial(config, i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-trial included
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
 
 
 def test_trial_stopping_times_uncorrelated_across_indices():
