@@ -37,7 +37,9 @@ from .calibrate import (
     calibrate_gap_c,
     calibrate_topm_n,
 )
-from .config import ConfigError, LoadedConfig, check_count, check_seed, load_config
+from .config import (
+    FORMATS, ConfigError, LoadedConfig, check_count, check_seed, load_config
+)
 from .engine import (
     BENCHMARKS,
     BenchmarkReport,
@@ -472,7 +474,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["csv", "json", "text"],
+        choices=FORMATS,
         help="output format (default: config file's, else text)",
     )
     parser.add_argument("--out", help="output file (default: config file's, else stdout)")

@@ -171,6 +171,9 @@ def _parse_truth(doc, j: int) -> frozenset[int]:
             raise ConfigError(
                 f"truth.indices must be in 1..{j}, got {sorted(set(bad))}"
             )
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        if repeated:
+            raise ConfigError(f"truth.indices: repeated {repeated}")
         truth = frozenset(labels)
     _done(section, "truth")
     return truth

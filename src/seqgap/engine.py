@@ -131,6 +131,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "metrics", tuple(MetricKind(k) for k in self.metrics)
         )
+        if not self.metrics:
+            raise ValueError("metrics: need at least one metric, got none")
         check_distinct(self.metrics)
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
@@ -258,27 +260,6 @@ def worker_pool(workers: int):
             raise
 
 
-def _run_all(
-    config: ExperimentConfig, workers: int, pool: ProcessPoolExecutor | None
-) -> list[TrialRecord]:
-    n = config.replications
-    if pool is None:
-        return _run_range(config, 0, n)
-    # Contiguous index ranges, gathered in submission order, keep the
-    # records in ascending trial order without a sort.
-    chunks = min(n, workers * 4)
-    bounds = [round(k * n / chunks) for k in range(chunks + 1)]
-    futures = [
-        pool.submit(_run_range, config, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    records: list[TrialRecord] = []
-    for future in futures:
-        records.extend(future.result())
-    return records
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     """Results of one experiment.
@@ -318,14 +299,22 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run all trials and aggregate in trial order.
 
-    The trials run in ``workers * 4`` chunks on ``pool`` if one is given
-    (a call that runs several experiments shares one ``worker_pool``), and
-    otherwise on a ``worker_pool(workers)`` of this run's own.
+    The n trials run in ``min(n, workers * 4)`` contiguous index ranges:
+    in the calling process at one worker, otherwise on ``pool`` if one is
+    given (a call that runs several experiments shares one
+    ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
+    The ranges come back in order, so the records are in trial order.
     """
     check_workers(workers)
     started = time.perf_counter()
+    n = config.replications
+    chunks = min(n, workers * 4)
+    bounds = [round(k * n / chunks) for k in range(chunks + 1)]
     with nullcontext(pool) if pool is not None else worker_pool(workers) as pool:
-        records = _run_all(config, workers, pool)
+        ranges = (pool.map if pool is not None else map)(
+            _run_range, [config] * chunks, bounds[:-1], bounds[1:]
+        )
+        records = [record for chunk in ranges for record in chunk]
     return ExperimentReport(
         config=config,
         mean_stopping_time=mean_se([float(r.stopping_time) for r in records]),

@@ -235,6 +235,16 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert "configuration error" in err and "budget.alpha" in err
 
 
+def test_repeated_truth_label_exit_2(tmp_path, capsys):
+    """A label listed twice is a typo, not a smaller signal set."""
+    path = tmp_path / "repeated.yaml"
+    path.write_text(GAP_CONFIG.replace("count: 5", "indices: [2, 3, 3, 7]", 1))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: truth.indices: repeated [3]\n"
+    )
+
+
 def test_missing_config_file_exit_2(capsys):
     assert main(["run", "--config", "/no/such/file.yaml"]) == 2
 

@@ -5,7 +5,7 @@ import math
 import pickle
 import sys
 import threading
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from oracles import p_value
+import seqgap.engine
 from seqgap import (
     GAUSSIAN_MEAN,
     BhRule,
@@ -218,6 +219,26 @@ def test_worker_invariance_bitwise():
     assert run_experiment(config, workers=8).payload() == base
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
+def test_one_worker_runs_the_ranges_a_pool_would(n, monkeypatch):
+    """At one worker the trials run in min(n, workers * 4) contiguous,
+    nonempty ranges, in order, as they do on a pool."""
+    calls = []
+    original = seqgap.engine._run_range
+
+    def recording(config, start, stop):
+        calls.append((start, stop))
+        return original(config, start, stop)
+
+    monkeypatch.setattr(seqgap.engine, "_run_range", recording)
+    report = run_experiment(gap_config(reps=n), workers=1)
+    assert len(calls) == min(n, 4)
+    assert calls[0][0] == 0 and calls[-1][1] == n
+    assert all(start < stop for start, stop in calls)
+    assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+    assert report.metrics[MetricKind.FDR].n_effective == n
+
+
 def test_run_experiment_seed_sensitivity():
     config_a = gap_config(reps=150, seed=1)
     config_b = gap_config(reps=150, seed=2)
@@ -318,6 +339,13 @@ def test_config_validation_rejects_a_repeated_metric():
     estimated once."""
     with pytest.raises(ValueError, match=r"^metrics: repeated \['fdr'\]$"):
         gap_config(metrics=(MetricKind.FDR, MetricKind.FDR, MetricKind.FNR))
+
+
+def test_config_validation_rejects_no_metrics():
+    """Without a metric the run CSV would hold only its header, and lose
+    the E[T] estimate with the rows."""
+    with pytest.raises(ValueError, match=r"^metrics: need at least one"):
+        replace(gap_config(), metrics=())
 
 
 def test_config_validation_fpr_needs_signals():

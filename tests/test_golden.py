@@ -92,6 +92,7 @@ TWO_WORKER_CASES = [
     "sweep-gap",
     "sweep-gap-intersection",
     "reproduce-table1-rows-1-5",
+    "run-mixed",
 ]
 
 
