@@ -5,8 +5,12 @@ trial index), so trial i's sample path is a pure function of the
 configuration — independent of execution order, batching, and worker count.
 Each thread that runs trials holds one Philox generator and rekeys it for
 every trial it runs, with the same draws as a fresh generator of that
-key.  Aggregation uses compensated summation in trial order.  Reports are
-therefore bit-identical across reruns and worker counts; only
+key.  Sequential trials run one at a time.  Fixed-sample trials (bh,
+top-m) run a batch of whole trials at a time: each trial draws its own
+slice of one buffer, and the inverse CDF, the totals and the p-values run
+once per batch, each value on its own, so a trial's record is the one it
+gets alone.  Aggregation uses compensated summation in trial order.
+Reports are therefore bit-identical across reruns and worker counts; only
 ``wall_time``, a physical measurement, varies, and it is excluded from
 ``payload()``.
 """
@@ -40,7 +44,6 @@ from .rules import (
     STOP_FIXED,
     STOP_HORIZON,
     BhRule,
-    Decision,
     GapRule,
     Rule,
     TopMRule,
@@ -74,7 +77,7 @@ def trial_rng(
     counter, an empty buffer and no held-back 32-bit half are the whole
     state of a new generator with this key, so the draws are the same bit
     for bit, without the OS entropy a new ``Philox`` reads and never uses.
-    ``run_trial`` rekeys one generator per thread for each trial.
+    Each thread that runs trials rekeys one generator for every trial.
     """
     master_seed = _check_seed(master_seed)
     if not 0 <= int(trial_index) < _SEED_SPAN:
@@ -83,13 +86,12 @@ def trial_rng(
         return np.random.Generator(
             np.random.Philox(key=(master_seed << 64) + int(trial_index))
         )
+    # The setter reads the words one by one, so tuples do, without three
+    # new arrays per trial.
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([int(trial_index), master_seed], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (int(trial_index), master_seed)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # empty, so the first draw fills it from the counter
         "has_uint32": 0,
         "uinteger": 0,
@@ -164,48 +166,82 @@ class TrialRecord:
 def fixed_sample_pvalues(
     profile: StreamProfile, totals: np.ndarray, n: int
 ) -> np.ndarray:
-    """Vectorized one-sided p-values for all streams' observation sums."""
+    """One-sided p-values of observation sums after n steps.
+
+    ``totals`` has shape (..., J): one trial's (J,) sums or a (trials, J)
+    stack.  Each p-value depends on its own sum only, so a stack gives
+    each trial the p-values it would get alone.
+    """
     z = (np.asarray(totals, dtype=float) - n * profile.null) / math.sqrt(n)
     return ndtr(np.where(profile.alt > profile.null, -z, z))
 
 
-def _run_fixed(
-    rule: BhRule | TopMRule,
-    profile: StreamProfile,
-    signal: np.ndarray,
-    rng: np.random.Generator,
-) -> Decision:
-    n = rule.sample_size
-    x = profile.sample_block(signal, n, rng)
-    pvalues = fixed_sample_pvalues(profile, x.sum(axis=0), n)
-    if isinstance(rule, BhRule):
-        rejected = bh_decide(pvalues, rule.level)
-    else:
-        rejected = top_m_decide(pvalues, rule.num_signals)
-    return Decision(stopping_time=n, rejected=rejected, stopped_by=STOP_FIXED)
-
-
-# Holds, as ``generator``, the one generator ``run_trial`` rekeys for each
-# trial that its thread runs.
+# Holds, as ``generator``, the one generator each thread rekeys for every
+# trial it runs.
 _thread_state = threading.local()
+
+
+def _thread_generator() -> np.random.Generator:
+    rng = getattr(_thread_state, "generator", None)
+    if rng is None:
+        rng = _thread_state.generator = np.random.Generator(np.random.Philox(0))
+    return rng
+
+
+# A worker's copy of its pool's abort event, set by ``_start_worker``; the
+# calling process, which runs trials without a pool, has none.
+_abort = None
+
+# Uniforms in one batch of fixed-sample trials (512 KiB); a batch holds as
+# many whole trials as fit, and at least one.
+_FIXED_BATCH_VALUES = 2**16
+
+
+def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
+    """Trials ``start .. stop - 1`` of a fixed-sample rule, a batch at a time.
+
+    Each trial of a batch fills its own (n, J) slice of one buffer from its
+    own rekeyed generator, so it draws what it would alone.  The inverse
+    CDF, the totals and the p-values then run once over the batch; each of
+    them treats a trial's values apart from the others', bit for bit.  The
+    abort event is checked between batches.
+    """
+    rule, profile, signal = config.rule, config.profile, config.signal
+    n = rule.sample_size
+    if isinstance(rule, BhRule):
+        decide, parameter = bh_decide, rule.level
+    else:
+        decide, parameter = top_m_decide, rule.num_signals
+    batch = max(1, min(stop - start, _FIXED_BATCH_VALUES // (n * profile.j)))
+    block = np.empty((batch, n, profile.j))
+    rng = _thread_generator()
+    records = []
+    for first in range(start, stop, batch):
+        if _abort is not None and _abort.is_set():
+            break  # the pool's owner is raising and never reads this chunk
+        trials = block[: min(batch, stop - first)]
+        for i, uniforms in enumerate(trials, first):
+            trial_rng(config.master_seed, i, rng).random(out=uniforms)
+        profile.from_uniforms(trials, signal)
+        for pvalues in fixed_sample_pvalues(profile, trials.sum(axis=1), n):
+            rejected = decide(pvalues, parameter)
+            records.append(TrialRecord(n, confusion(rejected, signal), STOP_FIXED))
+    return records
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Run one trial on its own generator substream.
 
     The generator is the calling thread's own, rekeyed for this trial, so
-    threads may run trials side by side.
+    threads may run trials side by side.  A fixed-sample trial runs as a
+    batch of one, the path every fixed-sample trial of an experiment takes.
     """
-    rng = getattr(_thread_state, "generator", None)
-    if rng is None:
-        rng = _thread_state.generator = np.random.Generator(np.random.Philox(0))
-    rng = trial_rng(config.master_seed, trial_index, rng)
     if isinstance(config.rule, (BhRule, TopMRule)):
-        decision = _run_fixed(config.rule, config.profile, config.signal, rng)
-    else:
-        decision = run_sequential(
-            config.rule, config.profile, config.signal, config.horizon, rng
-        )
+        return _run_fixed(config, trial_index, trial_index + 1)[0]
+    rng = trial_rng(config.master_seed, trial_index, _thread_generator())
+    decision = run_sequential(
+        config.rule, config.profile, config.signal, config.horizon, rng
+    )
     return TrialRecord(
         stopping_time=decision.stopping_time,
         counts=confusion(decision.rejected, config.signal),
@@ -213,12 +249,9 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     )
 
 
-# A worker's copy of its pool's abort event, set by ``_start_worker``; the
-# calling process, which runs trials without a pool, has none.
-_abort = None
-
-
 def _run_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
+    if isinstance(config.rule, (BhRule, TopMRule)):
+        return _run_fixed(config, start, stop)
     records = []
     for i in range(start, stop):
         if _abort is not None and _abort.is_set():
@@ -229,7 +262,7 @@ def _run_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialRec
 
 def _start_worker(abort) -> None:
     # Workers leave a Ctrl-C to the parent, which owns the pool, and stop
-    # between trials once it sets ``abort``.
+    # between trials (or batches) once it sets ``abort``.
     global _abort
     _abort = abort
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -242,7 +275,8 @@ def worker_pool(workers: int):
 
     On any exception, including an interrupt, the pool sets its abort event,
     which ends the chunks already handed to a worker after their current
-    trial, and cancels the rest, so that no worker outlives the call.
+    trial (or batch of fixed-sample trials), and cancels the rest, so that
+    no worker outlives the call.
     """
     check_workers(workers)
     if workers == 1:
@@ -303,7 +337,9 @@ def run_experiment(
     in the calling process at one worker, otherwise on ``pool`` if one is
     given (a call that runs several experiments shares one
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
-    The ranges come back in order, so the records are in trial order.
+    A range of sequential trials runs one trial at a time, a range of
+    fixed-sample trials a batch of whole trials at a time.  The ranges
+    come back in order, so the records are in trial order.
     """
     check_workers(workers)
     started = time.perf_counter()

@@ -191,16 +191,25 @@ class StreamProfile:
         maps each through its stream's inverse CDF, so chunked draws from
         the same generator concatenate to the same path as one big draw.
         The block is the uniform array ``rng.random`` returned, transformed
-        in place: the inverse CDF and the mean run over it whole when every
-        stream is gaussian, and over each family's columns otherwise.
+        in place by ``from_uniforms``.
+        """
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        return self.from_uniforms(rng.random(size=(int(steps), self.j)), signal)
+
+    def from_uniforms(self, u: np.ndarray, signal: np.ndarray) -> np.ndarray:
+        """Map a float array of uniforms, shape (..., J), to observations
+        under a (J,) boolean signal mask, in place, and return it.
+
+        Each value goes through its stream's inverse CDF on its own, so a
+        stack of trials' blocks maps to the same values as each block
+        alone.  The inverse CDF and the mean run over ``u`` whole when
+        every stream is gaussian, and over each family's columns otherwise.
         """
         signal = np.asarray(signal)
         if signal.shape != (self.j,) or signal.dtype != bool:
             raise ValueError(f"need a ({self.j},) bool signal mask, got {signal.shape}")
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
         params = np.where(signal, self.alt, self.null)
-        u = rng.random(size=(int(steps), self.j))
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)
@@ -212,10 +221,10 @@ class StreamProfile:
         # ndtri costs more than the gather on bernoulli columns, so it runs
         # on the gaussian ones only.
         if gaussian.size:
-            u[:, gaussian] = params[gaussian] + ndtri(u[:, gaussian])
+            u[..., gaussian] = params[gaussian] + ndtri(u[..., gaussian])
         # A bool right-hand side would make the scatter cast element by
         # element, which is slower than casting it whole first.
-        u[:, bernoulli] = (u[:, bernoulli] < params[bernoulli]).astype(float)
+        u[..., bernoulli] = (u[..., bernoulli] < params[bernoulli]).astype(float)
         return u
 
     def increments(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

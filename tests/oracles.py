@@ -3,14 +3,15 @@
 The library walks a path block by block (``rules.Walk``), draws
 observation blocks in place (``StreamProfile.sample_block``), scans blocks
 of cumulative LLR rows (``scan_path``), maps observation blocks to
-increments (``StreamProfile.increments``), turns observation sums into
-p-values (``engine.fixed_sample_pvalues``) and decides and counts with
-(J,) boolean masks over 0-based columns (``decide``, ``bh_decide``,
-``top_m_decide``, ``metrics.confusion``).  The functions here state the
-same things one path, one state, one stream, one column family or one
-observation at a time, and decisions as sets of 1-based stream labels,
-the way the definitions read, and the tests check the library against
-them.
+increments (``StreamProfile.increments``), runs fixed-sample trials a
+batch at a time with one transform, one sum and one p-value pass per
+batch (``engine._run_fixed``, ``engine.fixed_sample_pvalues``) and
+decides and counts with (J,) boolean masks over 0-based columns
+(``decide``, ``bh_decide``, ``top_m_decide``, ``metrics.confusion``).
+The functions here state the same things one path, one trial, one state,
+one stream, one column family or one observation at a time, and
+decisions as sets of 1-based stream labels, the way the definitions
+read, and the tests check the library against them.
 """
 
 import math
@@ -21,12 +22,16 @@ from scipy.special import ndtr, ndtri
 from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
+    BhRule,
     ConfusionCounts,
     GapIntersectionRule,
     GapRule,
     IntersectionRule,
+    TrialRecord,
+    trial_rng,
 )
 from seqgap.rules import (
+    STOP_FIXED,
     STOP_GAP,
     STOP_HORIZON,
     STOP_INTERSECTION,
@@ -224,6 +229,24 @@ def p_value(total: float, n: int, model) -> float:
     if model.alt > model.null:
         return float(ndtr(-z))
     return float(ndtr(z))
+
+
+def fixed_trial(config, trial_index: int):
+    """The record of one fixed-sample trial run on its own: a new generator
+    of the trial's key, its (n, J) block, each stream's sum and p-value,
+    and the rule's rejected labels counted against the truth."""
+    rule, profile = config.rule, config.profile
+    n = rule.sample_size
+    x = sample_block(
+        profile, config.signal, n, trial_rng(config.master_seed, trial_index)
+    )
+    totals = x.sum(axis=0)
+    pvalues = [p_value(t, n, model) for t, model in zip(totals, profile.models)]
+    if isinstance(rule, BhRule):
+        rejected = bh_decide(pvalues, rule.level)
+    else:
+        rejected = top_m_decide(pvalues, rule.num_signals)
+    return TrialRecord(n, confusion(rejected, config.truth, profile.j), STOP_FIXED)
 
 
 def llr_increment(model, x: float) -> float:

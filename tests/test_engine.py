@@ -6,13 +6,15 @@ import pickle
 import sys
 import threading
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import oracles
 from oracles import p_value
 import seqgap.engine
 from seqgap import (
@@ -286,6 +288,80 @@ def test_bh_rule_experiment_runs():
     assert report.mean_stopping_time.value == 52.0
     assert report.mean_stopping_time.se == 0.0
     assert 0 <= report.metrics[MetricKind.FDR].value < 0.2
+
+
+@st.composite
+def _fixed_configs(draw):
+    """A bh or top-m experiment on J = 2..12 gaussian streams, each with its
+    own null and alternative in either direction, n = 1..80 and 1..40
+    replications."""
+    j = draw(st.integers(2, 12))
+    mean = st.floats(-2.0, 2.0, allow_subnormal=False)
+    models = tuple(
+        StreamModel(GAUSSIAN_MEAN, null=null, alt=alt)
+        for null, alt in draw(
+            st.lists(
+                st.tuples(mean, mean).filter(lambda pair: pair[0] != pair[1]),
+                min_size=j,
+                max_size=j,
+            )
+        )
+    )
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        rule = BhRule(sample_size=n, level=draw(st.floats(0.001, 0.999)))
+    else:
+        rule = TopMRule(sample_size=n, num_signals=draw(st.integers(1, j - 1)))
+    return ExperimentConfig(
+        profile=StreamProfile(models),
+        truth=draw(st.frozensets(st.integers(1, j))),
+        rule=rule,
+        replications=draw(st.integers(1, 40)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+@pytest.mark.parametrize("cap", ["one value", "partial last batch", "default"])
+@settings(max_examples=40, deadline=None)
+@given(config=_fixed_configs(), data=st.data())
+def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
+    """A range of fixed-sample trials run in batches gives, record for
+    record, what each trial gives run alone, whatever the batch size:
+    one trial (a cap below one trial's values), batches that leave a
+    partial last one, or the default."""
+    n, j, reps = config.rule.sample_size, config.profile.j, config.replications
+    if cap == "one value":
+        values = 1
+    elif cap == "partial last batch":
+        assume(reps >= 3)
+        per_batch = data.draw(st.integers(2, reps - 1).filter(lambda b: reps % b))
+        # Not a multiple of one trial's values, so the cap is rounded down.
+        values = per_batch * n * j + n * j - 1
+    else:
+        values = seqgap.engine._FIXED_BATCH_VALUES
+    expected = [oracles.fixed_trial(config, i) for i in range(reps)]
+    with mock.patch.object(seqgap.engine, "_FIXED_BATCH_VALUES", values):
+        assert seqgap.engine._run_range(config, 0, reps) == expected
+        assert [run_trial(config, i) for i in range(reps)] == expected
+
+
+@pytest.mark.parametrize("j", [2, 10, 100, 1000])
+def test_batch_totals_are_each_trials_left_fold_over_its_rows(j):
+    """The premise under a batch's totals: numpy sums a (B, n, J) stack over
+    axis 1 exactly as it sums each trial's (n, J) block over axis 0, a left
+    fold over the rows, bit for bit, also across mixed magnitudes, where
+    another summation order would round differently."""
+    rng = np.random.default_rng(j)
+    for n in (1, 2, 7, 64, 1000, 3000 if j < 1000 else 1000):
+        block = rng.standard_normal((2, n, j)) * 10.0 ** rng.integers(
+            -8, 9, size=(2, n, j)
+        )
+        totals = block.sum(axis=1)
+        for trial, x in zip(totals, block):
+            fold = x[0].copy()
+            for row in x[1:]:
+                fold += row
+            assert trial.tobytes() == x.sum(axis=0).tobytes() == fold.tobytes()
 
 
 def test_config_validation_rejects_mismatched_rule():

@@ -127,8 +127,8 @@ def _interrupting_trial(config, trial_index):
 def test_an_interrupt_stops_the_chunks_already_handed_out(
     monkeypatch, tmp_path, capsys
 ):
-    """The chunks of a run at 2 workers hold 12 or 13 trials each.  Once the
-    parent is interrupted, the chunks running and queued in the workers
+    """The chunks of a gap run at 2 workers hold 12 or 13 trials each.  Once
+    the parent is interrupted, the chunks running and queued in the workers
     stop before their next trial, so fewer trials run than the smallest
     chunk holds."""
     marks = tmp_path / "marks"
@@ -141,5 +141,43 @@ def test_an_interrupt_stops_the_chunks_already_handed_out(
     assert main(argv) == 130
     assert capsys.readouterr().err == "interrupted\n"
     assert len(list(marks.iterdir())) < 12
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
+_trial_rng = seqgap.engine.trial_rng
+
+
+def _interrupting_draw(master_seed, trial_index, rng=None):
+    """A slow trial draw that leaves a mark; trial 0 sends the parent a
+    Ctrl-C."""
+    (_MARKS / str(trial_index)).touch()
+    if trial_index == 0:
+        os.kill(os.getppid(), signal.SIGINT)
+    time.sleep(_TRIAL_S)
+    return _trial_rng(master_seed, trial_index, rng)
+
+
+def test_an_interrupt_stops_fixed_sample_chunks_between_batches(
+    monkeypatch, tmp_path, capsys
+):
+    """A bh run at 2 workers has chunks of 12 trials, drawn in batches of
+    2.  Once the parent is interrupted, the chunks running and queued in
+    the workers stop before their next batch: fewer trials are drawn than
+    the smallest chunk holds, and only whole batches."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setitem(globals(), "_MARKS", marks)
+    monkeypatch.setattr(seqgap.engine, "trial_rng", _interrupting_draw)
+    # bh.yaml has J = 10 and n = 52; the chunks start at multiples of 12.
+    monkeypatch.setattr(seqgap.engine, "_FIXED_BATCH_VALUES", 2 * 52 * 10)
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
+    out = tmp_path / "report.json"
+    argv = ["run", "--config", f"{CONFIGS}/bh.yaml", "--reps", "96"]
+    assert main(argv + ["--workers", "2", "--out", str(out)]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    marked = {int(path.name) for path in marks.iterdir()}
+    assert 0 < len(marked) < 12
+    assert len(marked) == 2 * len({i // 2 for i in marked})  # whole batches
     assert multiprocessing.active_children() == []
     assert not out.exists()

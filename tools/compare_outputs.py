@@ -5,8 +5,10 @@
 Runs the same commands in both trees, each as
 ``PYTHONPATH=<tree>/src python -m seqgap.cli`` from the tree's root, so each
 tree reads its own ``configs/``.  The commands: ``run`` of every
-``configs/*.yaml``, ``reproduce`` of table1 (all rows) and table2 (rows
-10,50,90), ``calibrate`` of gap, top-m and bh, and ``sweep`` of gap and
+``configs/*.yaml``, ``run`` of bh and top-m at 2,000 replications (so a
+chunk of fixed-sample trials spans several batches and ends on a partial
+one), ``reproduce`` of table1 (all rows) and table2 (rows 10,50,90),
+``calibrate`` of gap, top-m and bh, and ``sweep`` of gap and
 gap-intersection, each in csv, json and text at ``--workers 1`` and ``2``.
 It compares exit code, stdout and stderr, with the text report's wall-time
 line masked, prints one line per run and a diff of the first differing
@@ -33,6 +35,10 @@ def commands(tree: Path) -> dict[str, list[str]]:
         f"run-{path.stem}": ["run", "--config", f"configs/{path.name}", "--reps", "200"]
         for path in sorted((tree / "configs").glob("*.yaml"))
     }
+    for name in ("bh", "top-m"):
+        cases[f"run-{name}-batches"] = [
+            "run", "--config", f"configs/{name}.yaml", "--reps", "2000",
+        ]
     cases["reproduce-table1"] = ["reproduce", "--which", "table1", "--reps", "200"]
     cases["reproduce-table2"] = [
         "reproduce", "--which", "table2", "--rows", "10,50,90", "--reps", "150",
