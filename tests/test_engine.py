@@ -350,7 +350,9 @@ def test_batch_totals_are_each_trials_left_fold_over_its_rows(j):
     """The premise under a batch's totals: numpy sums a (B, n, J) stack over
     axis 1 exactly as it sums each trial's (n, J) block over axis 0, a left
     fold over the rows, bit for bit, also across mixed magnitudes, where
-    another summation order would round differently."""
+    another summation order would round differently.  A cumulative sum
+    over axis 0 is the same fold: its last row and an interior prefix row
+    equal the fold's total and partial total."""
     rng = np.random.default_rng(j)
     for n in (1, 2, 7, 64, 1000, 3000 if j < 1000 else 1000):
         block = rng.standard_normal((2, n, j)) * 10.0 ** rng.integers(
@@ -358,10 +360,14 @@ def test_batch_totals_are_each_trials_left_fold_over_its_rows(j):
         )
         totals = block.sum(axis=1)
         for trial, x in zip(totals, block):
+            cumulative = np.cumsum(x, axis=0)
             fold = x[0].copy()
-            for row in x[1:]:
+            for k, row in enumerate(x[1:], start=1):
                 fold += row
+                if k == n // 2:
+                    assert cumulative[k].tobytes() == fold.tobytes()
             assert trial.tobytes() == x.sum(axis=0).tobytes() == fold.tobytes()
+            assert cumulative[-1].tobytes() == fold.tobytes()
 
 
 def test_config_validation_rejects_mismatched_rule():
@@ -408,6 +414,16 @@ def test_config_validation_conditional_metrics_under_bracket():
         build(1, 10, MetricKind.PFNR)
     build(1, 9, MetricKind.PFDR)  # interior bracket is fine
     build(1, 9, MetricKind.PFNR)
+    for metric in (MetricKind.PFDR, MetricKind.PFNR):
+        with pytest.raises(ValueError, match="conditioning event can fail"):
+            ExperimentConfig(
+                profile=profile10(),
+                truth=frozenset({1, 2, 3}),
+                rule=IntersectionRule(accept_barrier=2.0, reject_barrier=2.0),
+                replications=10,
+                master_seed=0,
+                metrics=(metric,),
+            )
 
 
 def test_config_validation_rejects_a_repeated_metric():

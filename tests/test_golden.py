@@ -52,6 +52,10 @@ def _commands() -> dict[str, list[str]]:
         "sweep", "--config", _config("gap-intersection"),
         "--alphas", "0.05:0.1,1e-3:2e-3", "--reps", "20",
     ]
+    cases["sweep-intersection"] = [
+        "sweep", "--config", _config("intersection"),
+        "--alphas", "1e-2,1e-4", "--reps", "20",
+    ]
     cases["calibrate-gap-capped"] = [
         "calibrate", "--config", str(GOLDEN / "capped-gap.yaml"),
     ]

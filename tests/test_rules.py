@@ -33,6 +33,7 @@ from seqgap import (
     run_sequential,
     top_m_decide,
 )
+from seqgap.metrics import MetricKind, NoBoundConstants
 from seqgap.rules import (
     STOP_GAP,
     STOP_HORIZON,
@@ -42,6 +43,7 @@ from seqgap.rules import (
     STOP_TAU3,
     Walk,
 )
+from seqgap.thresholds import ErrorBudget
 
 
 def view(*lam):
@@ -241,6 +243,48 @@ def test_intersection_agrees_with_unclamped_bracket():
         t = hit_plain[0]
         at_stop = order_view(path[t])
         assert labels(plain.decide(at_stop)) == labels(bracketed.decide(at_stop))
+
+
+@st.composite
+def _budget_cases(draw):
+    j = draw(st.integers(2, 12))
+    alts = draw(st.lists(st.floats(0.1, 2.0), min_size=j, max_size=j))
+    profile = StreamProfile(
+        tuple(StreamModel(family=GAUSSIAN_MEAN, null=0.0, alt=x) for x in alts)
+    )
+    levels = st.floats(1e-8, 0.5)
+    alpha = draw(levels)
+    beta = draw(levels.filter(lambda x: x != alpha))
+    control = draw(st.sampled_from(list(MetricKind)))
+    return profile, draw(_truths(j)), ErrorBudget(alpha, beta), control
+
+
+@settings(max_examples=300, deadline=None)
+@given(_budget_cases())
+def test_intersection_rule_is_the_full_bracket_at_a_budget(case):
+    """At any budget and control metric the intersection rule takes the
+    barriers, the benchmark and the bounds cell of the bracket 0..J, and
+    lacks bound constants exactly where that bracket does."""
+    profile, truth, budget, control = case
+    j = profile.j
+    plain = IntersectionRule(accept_barrier=1.0, reject_barrier=2.0)
+    bracketed = gi(0, j, 1.0, 2.0, 3.0, 3.0)
+    assert plain.bounds_cell(j) == bracketed.bounds_cell(j)
+    outcomes = []
+    for rule in (plain, bracketed):
+        try:
+            outcomes.append(rule.at_budget(budget, j, truth, control))
+        except NoBoundConstants:
+            outcomes.append(None)
+    if outcomes[0] is None or outcomes[1] is None:
+        assert outcomes == [None, None]
+    else:
+        at_plain, at_bracketed = outcomes
+        assert at_plain.accept_barrier == at_bracketed.accept_barrier
+        assert at_plain.reject_barrier == at_bracketed.reject_barrier
+    assert plain.kappa(budget, profile, truth) == bracketed.kappa(
+        budget, profile, truth
+    )
 
 
 # --- every sequential rule against its one-state oracle ---

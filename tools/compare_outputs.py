@@ -8,8 +8,8 @@ tree reads its own ``configs/``.  The commands: ``run`` of every
 ``configs/*.yaml``, ``run`` of bh and top-m at 2,000 replications (so a
 chunk of fixed-sample trials spans several batches and ends on a partial
 one), ``reproduce`` of table1 (all rows) and table2 (rows 10,50,90),
-``calibrate`` of gap, top-m and bh, and ``sweep`` of gap and
-gap-intersection, each in csv, json and text at ``--workers 1`` and ``2``.
+``calibrate`` of gap, top-m and bh, and ``sweep`` of gap,
+gap-intersection and intersection, each in csv, json and text at ``--workers 1`` and ``2``.
 It compares exit code, stdout and stderr, with the text report's wall-time
 line masked, prints one line per run and a diff of the first differing
 output, and exits 1 if any run differs.  Nothing is written to either tree.
@@ -47,7 +47,7 @@ def commands(tree: Path) -> dict[str, list[str]]:
         cases[f"calibrate-{name}"] = [
             "calibrate", "--config", f"configs/{name}.yaml", "--reps", "200",
         ]
-    for name in ("gap", "gap-intersection"):
+    for name in ("gap", "gap-intersection", "intersection"):
         cases[f"sweep-{name}"] = [
             "sweep", "--config", f"configs/{name}.yaml",
             "--alphas", "1e-2,1e-4,1e-6", "--reps", "50",
