@@ -20,28 +20,41 @@ Fixed-sample baselines observe a fixed number of steps per stream, convert
 the per-stream sums to one-sided p-values, and apply either the step-up
 false-discovery procedure at a given level or a reject-the-smallest-m rule.
 
-Each rule class holds everything particular to its rule: ``name`` (its
-type tag in configs and reports, and with the dataclass fields its
-serialized form), ``check`` (compatibility with a stream profile and the
-requested metrics), and ``bounds_cell`` / ``threshold_cell`` (its cells in
-the command-line reports).  The sequential rules add ``at_budget`` (the
-closed-form thresholds at an error budget, with the bound constant of a
-controlled metric; both "auto" config thresholds and the asymptotic sweep
-use it) and ``kappa`` (the first-order benchmark for the expected stopping
-time).
+Every rule class has ``name`` (its type tag in configs and reports, and
+with the dataclass fields its serialized form), ``check`` (compatibility
+with a stream profile and the requested metrics) and ``bounds_cell`` /
+``threshold_cell`` (its cells in the command-line reports).  The
+sequential rules add ``at_budget`` (the closed-form thresholds at an error
+budget, with the bound constant of a controlled metric; both "auto" config
+thresholds and the asymptotic sweep use it) and ``kappa`` (the first-order
+benchmark for the expected stopping time).
 
-Every sequential rule scans blocks only: ``scan_path`` finds the first row
-of a (steps, J) block of cumulative LLRs where the rule fires, and
-``decide`` turns that row's order statistics into a rejection mask.  The
-tests keep a one-state form of each stopping condition as an independent
-oracle and check, on random blocks with ties, infinite entries and every
-bracket edge, that ``scan_path`` stops at the same row with the same tag.
+A sequential rule is its scan plus its rejection range, and the three
+rules differ only in the range: ``rejections(j)`` is m..m, l..u or 0..J.
+``scan_path`` finds the first row of a (steps, J) block of cumulative LLRs
+where the rule fires, and ``decide`` turns that row's order statistics
+into a rejection mask.  Two private bases derive the rest from the range:
+
+* ``_SequentialRule``: ``check`` (pfdr needs lo >= 1, pfnr hi <= J - 1),
+  ``decide`` (the top p' streams, p' the positive count clamped into the
+  range) and the bound constant of a controlled metric over the range.
+* ``_BarrierRule``, for the two rules with corridor barriers: the barrier
+  check, ``at_budget`` and ``kappa`` of the range as a bracket, both
+  report cells, and the corridor test that both scans use.
+
+``GapRule`` keeps its gap scan, its threshold formula and benchmark, and
+its ``m=`` cell; ``GapIntersectionRule`` its bracket fields and three-event
+scan; ``IntersectionRule`` its two barriers and a corridor-only scan,
+which sorts nothing.  The tests keep a one-state form of each stopping
+condition as an independent oracle and check, on random blocks with ties,
+infinite entries and every bracket edge, that ``scan_path`` stops at the
+same row with the same tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -129,20 +142,81 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_barriers(rule) -> None:
-    for name in rule.threshold_names:
-        value = getattr(rule, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive, got {value}")
+class _SequentialRule:
+    """What a sequential rule derives from its rejection range.
+
+    ``rejections(j)`` is the range lo..hi of how many of J streams the
+    rule may reject from a row, and raises if the rule does not fit J.
+    """
+
+    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
+        j = profile.j
+        lo, hi = self.rejections(j)
+        for kind, needs, fails in (
+            (MetricKind.PFDR, "min_signals >= 1", lo < 1),
+            (MetricKind.PFNR, "max_signals <= J - 1", hi > j - 1),
+        ):
+            if fails and kind in metrics:
+                raise ValueError(
+                    f"{kind.value} needs {needs}: the {self.name} rule rejects "
+                    f"{lo}..{hi} of J = {j}, so the conditioning event can fail"
+                )
+
+    def decide(self, view: OrderView) -> np.ndarray:
+        """Mask rejecting the top p' streams, p' the positive count clamped
+        into the rejection range."""
+        j = view.j
+        lo, hi = self.rejections(j)
+        return _mask(j, view.ranking[: min(max(view.positive_count, lo), hi)])
+
+    def _c1(self, control: MetricKind, j: int, truth: frozenset[int]) -> float:
+        """Bound constant of ``control`` over the rejection range."""
+        lo, hi = self.rejections(j)
+        return bound_constants(control, j, lo, hi, len(truth)).c1
 
 
-def _barrier_cells(rule) -> str:
-    names = rule.threshold_names
-    return ";".join(f"{name}={_fmt(getattr(rule, name))}" for name in names)
+class _BarrierRule(_SequentialRule):
+    """A sequential rule with the corridor (-accept_barrier, reject_barrier)
+    and the formula thresholds of its rejection range as a bracket."""
+
+    def __post_init__(self) -> None:
+        for name in self.threshold_names:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive, got {value}")
+
+    def at_budget(
+        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
+    ) -> _BarrierRule:
+        """This rule at the formula thresholds controlling ``control``, with
+        the bound constant of its rejection range."""
+        th = gi_thresholds(budget, j, *self.rejections(j), self._c1(control, j, truth))
+        return replace(self, **{n: getattr(th, n) for n in self.threshold_names})
+
+    def kappa(
+        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
+    ) -> float:
+        info = eta(profile, truth)
+        lo, hi = self.rejections(profile.j)
+        return kappa_gi(budget, info.eta0, info.eta1, len(truth), lo, hi)
+
+    def bounds_cell(self, j: int) -> str:
+        lo, hi = self.rejections(j)
+        return f"l={lo},u={hi}"
+
+    def threshold_cell(self) -> str:
+        names = self.threshold_names
+        return ";".join(f"{name}={_fmt(getattr(self, name))}" for name in names)
+
+    def _outside(self, path: np.ndarray) -> np.ndarray:
+        """Rows of a block where every statistic has left the corridor."""
+        return np.all(
+            (path <= -self.accept_barrier) | (path >= self.reject_barrier), axis=1
+        )
 
 
 @dataclass(frozen=True)
-class GapRule:
+class GapRule(_SequentialRule):
     """Stop when the gap at position ``num_signals`` reaches ``threshold``."""
 
     name: ClassVar[str] = "gap"
@@ -155,24 +229,19 @@ class GapRule:
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be positive, got {self.threshold}")
 
-    def _check_j(self, j: int) -> None:
-        if not self.num_signals <= j - 1:
-            raise ValueError(
-                f"num_signals must be <= J - 1 (= {j - 1}), got {self.num_signals}"
-            )
-
-    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
-        self._check_j(profile.j)
+    def rejections(self, j: int) -> tuple[int, int]:
+        m = self.num_signals
+        if not m <= j - 1:
+            raise ValueError(f"num_signals must be <= J - 1 (= {j - 1}), got {m}")
+        return m, m
 
     def at_budget(
         self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
     ) -> GapRule:
         """This rule at the formula threshold controlling ``control``, with
         the bound constant of its rejection range m..m."""
-        self._check_j(j)
-        m = self.num_signals
-        c1 = bound_constants(control, j, m, m, len(truth)).c1
-        return replace(self, threshold=gap_threshold(budget, m, j, c1))
+        c1 = self._c1(control, j, truth)
+        return replace(self, threshold=gap_threshold(budget, self.num_signals, j, c1))
 
     def kappa(
         self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
@@ -191,9 +260,9 @@ class GapRule:
         block; the threshold plays no part, so one rule serves any threshold."""
         path = _check_block(path)
         j = path.shape[1]
-        self._check_j(j)
+        m, _ = self.rejections(j)
         s = np.sort(path, axis=1)  # ascending; descending k-th is column J - k
-        return s[:, j - self.num_signals] - s[:, j - self.num_signals - 1]
+        return s[:, j - m] - s[:, j - m - 1]
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         """First row of a cumulative-LLR block where the rule fires."""
@@ -202,14 +271,13 @@ class GapRule:
             return None
         return int(hits[0]), STOP_GAP
 
-    def decide(self, view: OrderView) -> np.ndarray:
-        """Mask rejecting exactly the top ``num_signals`` streams."""
-        self._check_j(view.j)
-        return _mask(view.j, view.ranking[: self.num_signals])
+    # Bound here, not only inherited, so the layer trace can patch it on
+    # this class.
+    decide = _SequentialRule.decide
 
 
 @dataclass(frozen=True)
-class GapIntersectionRule:
+class GapIntersectionRule(_BarrierRule):
     """Bracketed rule for ``min_signals`` <= |signals| <= ``max_signals``.
 
     ``accept_barrier`` and ``reject_barrier`` are the magnitudes of the
@@ -241,51 +309,14 @@ class GapIntersectionRule:
                 "min_signals must be strictly below max_signals, got "
                 f"{self.min_signals} >= {self.max_signals}"
             )
-        _check_barriers(self)
+        super().__post_init__()
 
-    def _check_j(self, j: int) -> None:
+    def rejections(self, j: int) -> tuple[int, int]:
         if self.max_signals > j:
             raise ValueError(
                 f"max_signals must be <= J (= {j}), got {self.max_signals}"
             )
-
-    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
-        self._check_j(profile.j)
-        if MetricKind.PFDR in metrics and self.min_signals == 0:
-            raise ValueError(
-                "pfdr under the bracketed rule needs min_signals >= 1: with "
-                "min_signals = 0 the rule can reject nothing, so the "
-                "conditioning event can fail"
-            )
-        if MetricKind.PFNR in metrics and self.max_signals == profile.j:
-            raise ValueError(
-                "pfnr under the bracketed rule needs max_signals <= J - 1: "
-                "with max_signals = J the rule can reject everything, so "
-                "the conditioning event can fail"
-            )
-
-    def at_budget(
-        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
-    ) -> GapIntersectionRule:
-        """This bracket at the formula thresholds controlling ``control``,
-        with the bound constant of its rejection range l..u."""
-        self._check_j(j)
-        lo, hi = self.min_signals, self.max_signals
-        c1 = bound_constants(control, j, lo, hi, len(truth)).c1
-        return replace(self, **asdict(gi_thresholds(budget, j, lo, hi, c1)))
-
-    def kappa(
-        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
-    ) -> float:
-        info = eta(profile, truth)
-        lo, hi = self.min_signals, self.max_signals
-        return kappa_gi(budget, info.eta0, info.eta1, len(truth), lo, hi)
-
-    def bounds_cell(self, j: int) -> str:
-        return f"l={self.min_signals},u={self.max_signals}"
-
-    def threshold_cell(self) -> str:
-        return _barrier_cells(self)
+        return self.min_signals, self.max_signals
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         """First row of a cumulative-LLR block where a sub-event fires, and
@@ -299,8 +330,7 @@ class GapIntersectionRule:
         """
         path = _check_block(path)
         j = path.shape[1]
-        self._check_j(j)
-        lo, hi = self.min_signals, self.max_signals
+        lo, hi = self.rejections(j)
         s = np.sort(path, axis=1)
         a, b = self.accept_barrier, self.reject_barrier
 
@@ -309,8 +339,7 @@ class GapIntersectionRule:
         tau1 = (lam_below_lo <= -a) & (lam_lo - lam_below_lo >= self.accept_gap)
 
         positives = np.count_nonzero(path > 0.0, axis=1)
-        outside = np.all((path <= -a) | (path >= b), axis=1)
-        tau2 = outside & (positives >= lo) & (positives <= hi)
+        tau2 = self._outside(path) & (positives >= lo) & (positives <= hi)
 
         lam_hi = s[:, j - hi]
         lam_below_hi = s[:, j - hi - 1] if hi <= j - 1 else np.full(len(s), -math.inf)
@@ -326,22 +355,20 @@ class GapIntersectionRule:
             return row, STOP_TAU2
         return row, STOP_TAU3
 
-    def decide(self, view: OrderView) -> np.ndarray:
-        """Mask rejecting the top p' streams, p' the positive count clamped
-        into the bracket."""
-        self._check_j(view.j)
-        p_prime = min(max(view.positive_count, self.min_signals), self.max_signals)
-        return _mask(view.j, view.ranking[:p_prime])
+    # Bound here, not only inherited, so the layer trace can patch it on
+    # this class.
+    decide = _SequentialRule.decide
 
 
 @dataclass(frozen=True)
-class IntersectionRule:
+class IntersectionRule(_BarrierRule):
     """Stop once every statistic leaves (-accept_barrier, reject_barrier).
 
-    Rejects every stream with a strictly positive statistic.  Decision-
-    equivalent to the bracketed rule with min_signals = 0 and
-    max_signals = J: inside the full bracket both side events imply the
-    corridor event, and the clamp is the identity on the positive count.
+    Rejects every stream with a strictly positive statistic: its rejection
+    range is 0..J, so the clamp is the identity on the positive count.
+    Decision-equivalent to the bracketed rule with min_signals = 0 and
+    max_signals = J, where both side events imply the corridor event; its
+    own scan tests the corridor alone and sorts nothing.
     """
 
     name: ClassVar[str] = "intersection"
@@ -349,53 +376,14 @@ class IntersectionRule:
     accept_barrier: float
     reject_barrier: float
 
-    def __post_init__(self) -> None:
-        _check_barriers(self)
-
-    def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
-        for kind in (MetricKind.PFDR, MetricKind.PFNR):
-            if kind in metrics:
-                raise ValueError(
-                    f"{kind.value} is not a valid metric for the intersection "
-                    "rule: its conditioning event can fail"
-                )
-
-    def at_budget(
-        self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
-    ) -> IntersectionRule:
-        """This rule at the formula barriers of the full bracket 0..J, its
-        rejection range."""
-        c1 = bound_constants(control, j, 0, j, len(truth)).c1
-        th = gi_thresholds(budget, j, 0, j, c1)
-        return IntersectionRule(
-            accept_barrier=th.accept_barrier, reject_barrier=th.reject_barrier
-        )
-
-    def kappa(
-        self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
-    ) -> float:
-        info = eta(profile, truth)
-        return kappa_gi(budget, info.eta0, info.eta1, len(truth), 0, profile.j)
-
-    def bounds_cell(self, j: int) -> str:
-        return f"l=0,u={j}"
-
-    def threshold_cell(self) -> str:
-        return _barrier_cells(self)
+    def rejections(self, j: int) -> tuple[int, int]:
+        return 0, j
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
-        path = _check_block(path)
-        outside = np.all(
-            (path <= -self.accept_barrier) | (path >= self.reject_barrier), axis=1
-        )
-        hits = np.nonzero(outside)[0]
+        hits = np.nonzero(self._outside(_check_block(path)))[0]
         if hits.size == 0:
             return None
         return int(hits[0]), STOP_INTERSECTION
-
-    def decide(self, view: OrderView) -> np.ndarray:
-        """Mask rejecting every stream with a positive statistic."""
-        return _mask(view.j, view.ranking[: view.positive_count])
 
 
 def _check_pvalue_family(profile: StreamProfile) -> None:

@@ -153,7 +153,7 @@ def gap_at(lam, k: int) -> float:
 
 def gap_should_stop(rule, lam) -> bool:
     """The gap rule's stopping condition at the state ``lam``."""
-    rule._check_j(len(lam))
+    rule.rejections(len(lam))  # raises if the rule does not fit J
     return gap_at(lam, rule.num_signals) >= rule.threshold
 
 
@@ -168,7 +168,7 @@ def gi_should_stop(rule, lam) -> str | None:
     upper barrier".
     """
     j = len(lam)
-    rule._check_j(j)
+    rule.rejections(j)  # raises if the rule does not fit J
     s = _descending(lam)
     lo, hi = rule.min_signals, rule.max_signals
     lam_below_lo = s[lo] if lo < j else -math.inf

@@ -373,6 +373,20 @@ def test_decide_matches_the_label_oracle(case):
         _assert_as_oracle(rule.decide(view), oracles.decide(rule, row), truth)
 
 
+def test_rejection_ranges():
+    """The gap rule rejects m..m, the bracketed rule l..u and the
+    intersection rule 0..J; a rule that does not fit J raises."""
+    assert GapRule(num_signals=3, threshold=1.0).rejections(10) == (3, 3)
+    assert gi(2, 7, 1.0, 1.0, 1.0, 1.0).rejections(10) == (2, 7)
+    assert gi(0, 10, 1.0, 1.0, 1.0, 1.0).rejections(10) == (0, 10)
+    plain = IntersectionRule(accept_barrier=1.0, reject_barrier=1.0)
+    assert plain.rejections(10) == (0, 10)
+    with pytest.raises(ValueError, match="num_signals must be <= J - 1"):
+        GapRule(num_signals=10, threshold=1.0).rejections(10)
+    with pytest.raises(ValueError, match="max_signals must be <= J"):
+        gi(2, 11, 1.0, 1.0, 1.0, 1.0).rejections(10)
+
+
 # --- sequential driver ---
 
 
