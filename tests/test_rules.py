@@ -270,16 +270,16 @@ def test_intersection_rule_is_the_full_bracket_at_a_budget(case):
     plain = IntersectionRule(accept_barrier=1.0, reject_barrier=2.0)
     bracketed = gi(0, j, 1.0, 2.0, 3.0, 3.0)
     assert plain.bounds_cell(j) == bracketed.bounds_cell(j)
-    outcomes = []
-    for rule in (plain, bracketed):
+
+    def at_budget(rule):
         try:
-            outcomes.append(rule.at_budget(budget, j, truth, control))
+            return rule.at_budget(budget, j, truth, control)
         except NoBoundConstants:
-            outcomes.append(None)
-    if outcomes[0] is None or outcomes[1] is None:
-        assert outcomes == [None, None]
-    else:
-        at_plain, at_bracketed = outcomes
+            return None
+
+    at_plain, at_bracketed = at_budget(plain), at_budget(bracketed)
+    assert (at_plain is None) == (at_bracketed is None)
+    if at_plain is not None:
         assert at_plain.accept_barrier == at_bracketed.accept_barrier
         assert at_plain.reject_barrier == at_bracketed.reject_barrier
     assert plain.kappa(budget, profile, truth) == bracketed.kappa(
