@@ -25,6 +25,7 @@ from seqgap.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("csv", "json", "text")
+ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
 
 
 def _config(name: str) -> str:
@@ -59,6 +60,12 @@ def _commands() -> dict[str, list[str]]:
     cases["calibrate-gap-capped"] = [
         "calibrate", "--config", str(GOLDEN / "capped-gap.yaml"),
     ]
+    # Every metric at once, under a rule that rejects m streams, one whose
+    # rejection count varies, and one that can reject nothing.
+    for name in ALL_METRIC_RULES:
+        cases[f"run-all-metrics-{name}"] = [
+            "run", "--config", str(GOLDEN / f"all-metrics-{name}.yaml"),
+        ]
     return cases
 
 
@@ -97,6 +104,7 @@ TWO_WORKER_CASES = [
     "sweep-gap-intersection",
     "reproduce-table1-rows-1-5",
     "run-mixed",
+    *(f"run-all-metrics-{name}" for name in ALL_METRIC_RULES),
 ]
 
 

@@ -8,8 +8,12 @@ tree reads its own ``configs/``.  The commands: ``run`` of every
 ``configs/*.yaml``, ``run`` of bh and top-m at 2,000 replications (so a
 chunk of fixed-sample trials spans several batches and ends on a partial
 one), ``reproduce`` of table1 (all rows) and table2 (rows 10,50,90),
-``calibrate`` of gap, top-m and bh, and ``sweep`` of gap,
-gap-intersection and intersection, each in csv, json and text at ``--workers 1`` and ``2``.
+``calibrate`` of gap, top-m and bh, ``sweep`` of gap, gap-intersection
+and intersection, and ``run`` of the three all-metric configs of
+``tests/golden/`` (gap, gap-intersection and bh, every metric) at 2,000
+replications, each in csv, json and text at ``--workers 1`` and ``2``.
+The all-metric configs are read from CHANGE and copied to a temporary
+directory outside both trees, so PARENT needs no copy of them.
 It compares exit code, stdout and stderr, with the text report's wall-time
 line masked, prints one line per run and a diff of the first differing
 output, and exits 1 if any run differs.  Nothing is written to either tree.
@@ -21,16 +25,20 @@ import argparse
 import difflib
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 FORMATS = ("csv", "json", "text")
 WORKERS = (1, 2)
+ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
 
 
-def commands(tree: Path) -> dict[str, list[str]]:
-    """Case name -> argv, without the format and worker flags."""
+def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
+    """Case name -> argv, without the format and worker flags; ``shared``
+    holds the all-metric configs."""
     cases = {
         f"run-{path.stem}": ["run", "--config", f"configs/{path.name}", "--reps", "200"]
         for path in sorted((tree / "configs").glob("*.yaml"))
@@ -51,6 +59,11 @@ def commands(tree: Path) -> dict[str, list[str]]:
         cases[f"sweep-{name}"] = [
             "sweep", "--config", f"configs/{name}.yaml",
             "--alphas", "1e-2,1e-4,1e-6", "--reps", "50",
+        ]
+    for name in ALL_METRIC_RULES:
+        cases[f"run-all-metrics-{name}"] = [
+            "run", "--config", str(shared / f"all-metrics-{name}.yaml"),
+            "--reps", "2000",
         ]
     return cases
 
@@ -83,8 +96,16 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "seqgap").is_dir():
             parser.error(f"{tree} has no src/seqgap")
-    cases = commands(trees[1])
-    if set(cases) != set(commands(trees[0])):
+    with tempfile.TemporaryDirectory() as shared:
+        for name in ALL_METRIC_RULES:
+            shutil.copy(trees[1] / "tests" / "golden" / f"all-metrics-{name}.yaml", shared)
+        return compare(trees, Path(shared))
+
+
+def compare(trees: list[Path], shared: Path) -> int:
+    """Run every case in both trees; 1 if any run differs."""
+    cases = commands(trees[1], shared)
+    if set(cases) != set(commands(trees[0], shared)):
         print("the two trees ship different configs/*.yaml", file=sys.stderr)
         return 1
     differing = []
