@@ -28,7 +28,6 @@ from .engine import (
     ExperimentReport,
     SweepReport,
     SweepRow,
-    TrialRecord,
     asymptotic_sweep,
     derive_seed,
     reproduce_table,
@@ -46,7 +45,6 @@ from .metrics import (
     aggregate,
     bound_constants,
     confusion,
-    per_trial,
 )
 from .models import (
     BERNOULLI,

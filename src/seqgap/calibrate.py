@@ -223,11 +223,8 @@ class _GapSearch:
         that differs from the search's own only in the threshold."""
         m, j, signals = self.rule.num_signals, config.profile.j, len(config.truth)
         threshold = config.rule.threshold
-        counts = [
-            ConfusionCounts.of(self._hits_at(t, threshold), m, signals, j)
-            for t in self.trials
-        ]
-        return aggregate_counts(config, counts)
+        hits = np.array([self._hits_at(t, threshold) for t in self.trials])
+        return aggregate_counts(config, ConfusionCounts.of(hits, m, signals, j))
 
 
 def _within(budget: ErrorBudget):

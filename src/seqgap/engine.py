@@ -7,9 +7,12 @@ Each thread that runs trials holds one Philox generator and rekeys it for
 every trial it runs, with the same draws as a fresh generator of that
 key.  Sequential trials run one at a time.  Fixed-sample trials (bh,
 top-m) run a batch of whole trials at a time: each trial draws its own
-slice of one buffer, and the inverse CDF, the totals and the p-values run
-once per batch, each value on its own, so a trial's record is the one it
-gets alone.  Aggregation uses compensated summation in trial order.
+slice of one buffer, and the inverse CDF, the totals, the p-values and
+the decisions run once per batch, each trial on its own, so a trial's
+outcome is the one it gets alone.  A run of trials keeps its outcomes as
+columns (stopping times, horizon hits and confusion counts), counted once
+per batch of rejection masks.  Aggregation uses compensated summation in
+trial order.
 Reports are therefore bit-identical across reruns and worker counts; only
 ``wall_time``, a physical measurement, varies, and it is excluded from
 ``payload()``.
@@ -31,9 +34,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .metrics import (
+    ConfusionCounts,
     MetricEstimate,
     MetricKind,
-    ConfusionCounts,
     aggregate,
     check_distinct,
     confusion,
@@ -44,6 +47,7 @@ from .rules import (
     STOP_FIXED,
     STOP_HORIZON,
     BhRule,
+    Decision,
     GapRule,
     Rule,
     TopMRule,
@@ -150,17 +154,23 @@ class ExperimentConfig:
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one trial."""
+@dataclass(frozen=True, eq=False)
+class _Trials:
+    """Outcomes of a run of trials as columns, one entry per trial in
+    trial order: the stopping time, whether the horizon ended the trial,
+    and the confusion counts."""
 
-    stopping_time: int
+    stopping_time: np.ndarray
+    horizon_hit: np.ndarray
     counts: ConfusionCounts
-    stopped_by: str
 
-    @property
-    def horizon_hit(self) -> bool:
-        return self.stopped_by == STOP_HORIZON
+    @classmethod
+    def concatenate(cls, parts: list[_Trials]) -> _Trials:
+        return cls(
+            np.concatenate([p.stopping_time for p in parts]),
+            np.concatenate([p.horizon_hit for p in parts]),
+            ConfusionCounts.concatenate([p.counts for p in parts]),
+        )
 
 
 def fixed_sample_pvalues(
@@ -192,72 +202,103 @@ def _thread_generator() -> np.random.Generator:
 # calling process, which runs trials without a pool, has none.
 _abort = None
 
+
+def _aborted() -> bool:
+    return _abort is not None and _abort.is_set()
+
+
 # Uniforms in one batch of fixed-sample trials (512 KiB); a batch holds as
-# many whole trials as fit, and at least one.
+# many whole trials as fit, and at least one.  A batch of sequential trials
+# holds as many (J,) rejection masks.
 _FIXED_BATCH_VALUES = 2**16
 
 
-def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
-    """Trials ``start .. stop - 1`` of a fixed-sample rule, a batch at a time.
+def _fixed_decisions(
+    config: ExperimentConfig, first: int, trials: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Rejection masks of fixed-sample trials ``first, first + 1, ...``, a
+    (batch, J) stack, drawn into ``trials``, a (batch, n, J) buffer.
 
-    Each trial of a batch fills its own (n, J) slice of one buffer from its
-    own rekeyed generator, so it draws what it would alone.  The inverse
-    CDF, the totals and the p-values then run once over the batch; each of
-    them treats a trial's values apart from the others', bit for bit.  The
-    abort event is checked between batches.
+    Each trial fills its own (n, J) slice from its own rekeyed generator,
+    so it draws what it would alone.  The inverse CDF, the totals, the
+    p-values and the decisions then run once over the batch; each of them
+    treats a trial's values apart from the others', bit for bit.
     """
-    rule, profile, signal = config.rule, config.profile, config.signal
-    n = rule.sample_size
+    rule, profile = config.rule, config.profile
+    for i, uniforms in enumerate(trials, first):
+        trial_rng(config.master_seed, i, rng).random(out=uniforms)
+    profile.from_uniforms(trials, config.signal)
+    pvalues = fixed_sample_pvalues(profile, trials.sum(axis=1), rule.sample_size)
     if isinstance(rule, BhRule):
-        decide, parameter = bh_decide, rule.level
-    else:
-        decide, parameter = top_m_decide, rule.num_signals
-    batch = max(1, min(stop - start, _FIXED_BATCH_VALUES // (n * profile.j)))
-    block = np.empty((batch, n, profile.j))
+        return bh_decide(pvalues, rule.level)
+    return top_m_decide(pvalues, rule.num_signals)
+
+
+def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> _Trials | None:
+    """Trials ``start .. stop - 1`` of a fixed-sample rule, a batch at a
+    time, each batch decided and counted at once.  The abort event is
+    checked between batches."""
+    n, j = config.rule.sample_size, config.profile.j
+    batch = max(1, min(stop - start, _FIXED_BATCH_VALUES // (n * j)))
+    block = np.empty((batch, n, j))
     rng = _thread_generator()
-    records = []
+    counts = []
     for first in range(start, stop, batch):
-        if _abort is not None and _abort.is_set():
-            break  # the pool's owner is raising and never reads this chunk
+        if _aborted():
+            return None  # the pool's owner is raising and never reads this chunk
         trials = block[: min(batch, stop - first)]
-        for i, uniforms in enumerate(trials, first):
-            trial_rng(config.master_seed, i, rng).random(out=uniforms)
-        profile.from_uniforms(trials, signal)
-        for pvalues in fixed_sample_pvalues(profile, trials.sum(axis=1), n):
-            rejected = decide(pvalues, parameter)
-            records.append(TrialRecord(n, confusion(rejected, signal), STOP_FIXED))
-    return records
+        rejected = _fixed_decisions(config, first, trials, rng)
+        counts.append(confusion(rejected, config.signal))
+    return _Trials(
+        np.full(stop - start, n),
+        np.zeros(stop - start, dtype=bool),
+        ConfusionCounts.concatenate(counts),
+    )
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
-    """Run one trial on its own generator substream.
+def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
+    """Run one trial on its own generator substream and return its
+    decision: stopping time, rejection mask and the event that fired.
 
     The generator is the calling thread's own, rekeyed for this trial, so
     threads may run trials side by side.  A fixed-sample trial runs as a
     batch of one, the path every fixed-sample trial of an experiment takes.
     """
+    rng = _thread_generator()
     if isinstance(config.rule, (BhRule, TopMRule)):
-        return _run_fixed(config, trial_index, trial_index + 1)[0]
-    rng = trial_rng(config.master_seed, trial_index, _thread_generator())
-    decision = run_sequential(
-        config.rule, config.profile, config.signal, config.horizon, rng
-    )
-    return TrialRecord(
-        stopping_time=decision.stopping_time,
-        counts=confusion(decision.rejected, config.signal),
-        stopped_by=decision.stopped_by,
-    )
+        n = config.rule.sample_size
+        trials = np.empty((1, n, config.profile.j))
+        rejected = _fixed_decisions(config, trial_index, trials, rng)[0]
+        return Decision(n, rejected, STOP_FIXED)
+    rng = trial_rng(config.master_seed, trial_index, rng)
+    return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
 
 
-def _run_range(config: ExperimentConfig, start: int, stop: int) -> list[TrialRecord]:
+def _run_range(config: ExperimentConfig, start: int, stop: int) -> _Trials | None:
+    """Trials ``start .. stop - 1`` as columns.
+
+    Sequential trials run one ``run_trial`` at a time, and each batch of
+    their rejection masks is stacked and counted at once.  The abort event
+    is checked between trials.
+    """
     if isinstance(config.rule, (BhRule, TopMRule)):
         return _run_fixed(config, start, stop)
-    records = []
-    for i in range(start, stop):
-        if _abort is not None and _abort.is_set():
-            break  # the pool's owner is raising and never reads this chunk
-        records.append(run_trial(config, i))
-    return records
+    batch = max(1, _FIXED_BATCH_VALUES // config.profile.j)
+    parts = []
+    for first in range(start, stop, batch):
+        decisions = []
+        for i in range(first, min(first + batch, stop)):
+            if _aborted():
+                return None  # the pool's owner is raising and never reads this chunk
+            decisions.append(run_trial(config, i))
+        parts.append(
+            _Trials(
+                np.array([d.stopping_time for d in decisions]),
+                np.array([d.stopped_by == STOP_HORIZON for d in decisions]),
+                confusion(np.stack([d.rejected for d in decisions]), config.signal),
+            )
+        )
+    return _Trials.concatenate(parts)
 
 
 def _start_worker(abort) -> None:
@@ -320,9 +361,9 @@ def check_workers(workers: int) -> None:
 
 
 def aggregate_counts(
-    config: ExperimentConfig, counts: list[ConfusionCounts]
+    config: ExperimentConfig, counts: ConfusionCounts
 ) -> dict[MetricKind, MetricEstimate]:
-    """The config's metric estimates over per-trial counts in trial order."""
+    """The config's metric estimates over count columns in trial order."""
     return {kind: aggregate(kind, counts) for kind in config.metrics}
 
 
@@ -338,8 +379,9 @@ def run_experiment(
     given (a call that runs several experiments shares one
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
     A range of sequential trials runs one trial at a time, a range of
-    fixed-sample trials a batch of whole trials at a time.  The ranges
-    come back in order, so the records are in trial order.
+    fixed-sample trials a batch of whole trials at a time; each range
+    comes back as columns.  The ranges come back in order, so the joined
+    columns are in trial order.
     """
     check_workers(workers)
     started = time.perf_counter()
@@ -350,12 +392,12 @@ def run_experiment(
         ranges = (pool.map if pool is not None else map)(
             _run_range, [config] * chunks, bounds[:-1], bounds[1:]
         )
-        records = [record for chunk in ranges for record in chunk]
+        trials = _Trials.concatenate(list(ranges))
     return ExperimentReport(
         config=config,
-        mean_stopping_time=mean_se([float(r.stopping_time) for r in records]),
-        metrics=aggregate_counts(config, [r.counts for r in records]),
-        horizon_hits=sum(r.horizon_hit for r in records),
+        mean_stopping_time=mean_se(trials.stopping_time.astype(float).tolist()),
+        metrics=aggregate_counts(config, trials.counts),
+        horizon_hits=int(np.count_nonzero(trials.horizon_hit)),
         wall_time=time.perf_counter() - started,
     )
 

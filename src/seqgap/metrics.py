@@ -6,7 +6,9 @@ rejections, out of j streams.  Family-wise rates, false discovery /
 non-discovery proportions (plain, positive-conditional, per-comparison,
 per-family) are all simple functionals of these counts; the conditional
 variants are undefined on trials where the conditioning event fails and
-such trials are dropped from their average.
+such trials are dropped from their average.  Counts are held as columns,
+one entry per trial in trial order, and each metric's contributions are
+computed a column at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,29 +63,52 @@ class NoBoundConstants(ValueError):
     the signal count."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionCounts:
-    """Confusion counts of one trial's terminal decision."""
+    """Confusion counts of a run of trials' terminal decisions.
 
-    v: int
-    w: int
-    r: int
+    ``v``, ``w`` and ``r`` are integer columns with one entry per trial,
+    in trial order, each trial out of ``j`` streams.  Construction checks
+    every trial at once and names the first bad one by its position.
+    """
+
+    v: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
     j: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.v <= self.r <= self.j:
+        v, w, r, j = self.v, self.w, self.r, self.j
+        if not v.ndim == 1 or not v.shape == w.shape == r.shape:
             raise ValueError(
-                f"need 0 <= v <= r <= j, got v={self.v} r={self.r} j={self.j}"
+                "v, w and r must be columns of one length, got shapes "
+                f"{v.shape}, {w.shape} and {r.shape}"
             )
-        if not 0 <= self.w <= self.j - self.r:
-            raise ValueError(
-                f"need 0 <= w <= j - r, got w={self.w} r={self.r} j={self.j}"
-            )
+        for bad, need in (
+            ((v < 0) | (v > r) | (r > j), "0 <= v <= r <= j"),
+            ((w < 0) | (w > j - r), "0 <= w <= j - r"),
+        ):
+            if bad.any():
+                t = int(np.argmax(bad))
+                raise ValueError(
+                    f"need {need}, got v={v[t]} w={w[t]} r={r[t]} j={j} in trial {t}"
+                )
 
     @classmethod
-    def of(cls, hits: int, rejections: int, signals: int, j: int) -> ConfusionCounts:
-        """Counts of ``rejections`` of ``j`` streams, ``hits`` of them signals."""
-        return cls(v=rejections - hits, w=signals - hits, r=rejections, j=j)
+    def of(cls, hits: np.ndarray, rejections, signals: int, j: int) -> ConfusionCounts:
+        """Counts of trials that reject ``rejections`` of ``j`` streams,
+        ``hits`` of them signals, with ``signals`` signals each; ``hits``
+        is a column and ``rejections`` a column or one count for all."""
+        r = np.broadcast_to(rejections, hits.shape)
+        return cls(v=r - hits, w=signals - hits, r=r, j=j)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[ConfusionCounts]) -> ConfusionCounts:
+        """The trials of ``parts``, which share one j, one after another."""
+        return cls(
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in "vwr"),
+            j=parts[0].j,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,48 +145,19 @@ class BoundConstants:
 
 
 def confusion(rejected: np.ndarray, signal: np.ndarray) -> ConfusionCounts:
-    """Count the errors of a (J,) boolean rejection mask against a (J,)
-    boolean signal mask."""
+    """Count the errors of each (J,) boolean rejection mask of a (..., J)
+    stack against a (J,) boolean signal mask, one entry per mask in order
+    (a single mask gives columns of one entry)."""
     rejected = np.asarray(rejected)
-    if rejected.shape != signal.shape or rejected.dtype != bool:
+    if rejected.shape[-1:] != signal.shape or rejected.dtype != bool:
         raise ValueError(
-            f"rejected must be a {signal.shape} boolean mask, got shape "
-            f"{rejected.shape} and dtype {rejected.dtype}"
+            f"rejected must be a stack of {signal.shape} boolean masks, got "
+            f"shape {rejected.shape} and dtype {rejected.dtype}"
         )
-    hits = int(np.count_nonzero(rejected & signal))
-    r, s = int(np.count_nonzero(rejected)), int(np.count_nonzero(signal))
-    return ConfusionCounts.of(hits, r, s, signal.size)
-
-
-def per_trial(kind: MetricKind, counts: ConfusionCounts) -> float | None:
-    """One trial's contribution to a metric, or None when undefined.
-
-    FPR divides by the trial's signal count w + r - v, which must be
-    positive.
-    """
-    kind = MetricKind(kind)
-    v, w, r, j = counts.v, counts.w, counts.r, counts.j
-    if kind is MetricKind.FWE1:
-        return float(v >= 1)
-    if kind is MetricKind.FWE2:
-        return float(w >= 1)
-    if kind is MetricKind.FDR:
-        return v / max(r, 1)
-    if kind is MetricKind.FNR:
-        return w / max(j - r, 1)
-    if kind is MetricKind.PFDR:
-        return None if r == 0 else v / r
-    if kind is MetricKind.PFNR:
-        return None if j - r == 0 else w / (j - r)
-    if kind is MetricKind.PCER:
-        return v / j
-    if kind is MetricKind.FPR:
-        if w + r - v < 1:
-            raise ValueError("fpr needs at least one signal as its divisor")
-        return v / (w + r - v)
-    if kind is MetricKind.PFER:
-        return float(v)
-    return float(w)  # PFER2
+    rejected = rejected.reshape(-1, signal.size)
+    hits = np.count_nonzero(rejected & signal, axis=1)
+    rejections = np.count_nonzero(rejected, axis=1)
+    return ConfusionCounts.of(hits, rejections, int(np.count_nonzero(signal)), signal.size)
 
 
 def mean_se(values: Sequence[float]) -> MetricEstimate:
@@ -181,23 +177,58 @@ def mean_se(values: Sequence[float]) -> MetricEstimate:
     return MetricEstimate(value=mean, se=math.sqrt(var / n), n_effective=n)
 
 
-def aggregate(kind: MetricKind, trials: Iterable[ConfusionCounts]) -> MetricEstimate:
-    """Average a metric over trials, in trial order.
+def _contributions(kind: MetricKind, counts: ConfusionCounts) -> np.ndarray:
+    """Each trial's contribution to a metric, as a float column, without
+    the trials where a conditional metric is undefined.
+
+    FPR divides by the trial's signal count w + r - v, which must be
+    positive.
+    """
+    v, w, r, j = counts.v, counts.w, counts.r, counts.j
+    if kind is MetricKind.FWE1:
+        return (v >= 1).astype(float)
+    if kind is MetricKind.FWE2:
+        return (w >= 1).astype(float)
+    if kind is MetricKind.FDR:
+        return v / np.maximum(r, 1)
+    if kind is MetricKind.FNR:
+        return w / np.maximum(j - r, 1)
+    if kind is MetricKind.PFDR:
+        kept = r > 0
+        return v[kept] / r[kept]
+    if kind is MetricKind.PFNR:
+        kept = r < j
+        return w[kept] / (j - r[kept])
+    if kind is MetricKind.PCER:
+        return v / j
+    if kind is MetricKind.FPR:
+        divisor = w + r - v
+        if (divisor < 1).any():
+            raise ValueError("fpr needs at least one signal as its divisor")
+        return v / divisor
+    if kind is MetricKind.PFER:
+        return v.astype(float)
+    return w.astype(float)  # PFER2
+
+
+def aggregate(kind: MetricKind, counts: ConfusionCounts) -> MetricEstimate:
+    """Average a metric over the trials of ``counts``, in trial order.
 
     Conditional metrics drop trials where they are undefined; if that
     leaves nothing, a ConditioningError names the metric instead of
-    returning a silent NaN.
+    returning a silent NaN.  Each quotient is one IEEE division of two
+    integers, as in scalar arithmetic, so the estimate is the one a
+    trial-by-trial average gives, bit for bit.
     """
     kind = MetricKind(kind)
-    contributions = [per_trial(kind, t) for t in trials]
-    if not contributions:
+    if not counts.r.size:
         raise ValueError("no trials to aggregate")
-    kept = [x for x in contributions if x is not None]
-    if not kept:
+    kept = _contributions(kind, counts)
+    if not kept.size:
         raise ConditioningError(
             f"{kind.value} is undefined: its conditioning event occurred in no trial"
         )
-    return mean_se(kept)
+    return mean_se(kept.tolist())
 
 
 def bound_constants(

@@ -532,33 +532,45 @@ def run_sequential(
 
 def _checked_pvalues(pvalues) -> np.ndarray:
     p = np.asarray(pvalues, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("pvalues must be a non-empty 1-D vector")
+    if p.ndim < 1 or p.size < 1:
+        raise ValueError("pvalues must be a non-empty (..., J) stack")
     # Both comparisons are false on NaN, and a NaN is the min and the max.
     if not (0.0 <= p.min() and p.max() <= 1.0):
         raise ValueError("pvalues must lie in [0, 1]")
     return p
 
 
+def _first(order: np.ndarray, k) -> np.ndarray:
+    """Masks True at the first ``k`` columns of each row of ``order``, a
+    (..., J) stack of column permutations; ``k`` is one count or one per
+    row."""
+    mask = np.empty(order.shape, dtype=bool)
+    ranks = np.arange(order.shape[-1])
+    np.put_along_axis(mask, order, ranks < np.expand_dims(k, -1), axis=-1)
+    return mask
+
+
 def bh_decide(pvalues, level: float) -> np.ndarray:
     """Step-up procedure: reject the k smallest p-values where k is the
     largest i with p_(i) <= i * level / J (k = 0 rejects nothing).
 
-    Returns the (J,) rejection mask; ties go to the lower column.
+    Takes one (J,) vector or a (..., J) stack, each row on its own, and
+    returns the rejection masks in its shape; ties go to the lower column.
     """
     p = _checked_pvalues(pvalues)
-    j = p.size
-    order = np.argsort(p, kind="stable")
-    passing = np.nonzero(p[order] <= level * np.arange(1, j + 1) / j)[0]
-    return _mask(j, order[: passing[-1] + 1 if passing.size else 0])
+    j = p.shape[-1]
+    order = np.argsort(p, axis=-1, kind="stable")
+    passing = np.take_along_axis(p, order, axis=-1) <= level * np.arange(1, j + 1) / j
+    # k is one past the last passing rank, or 0 where none passes.
+    last = j - np.argmax(passing[..., ::-1], axis=-1)
+    return _first(order, np.where(passing.any(axis=-1), last, 0))
 
 
 def top_m_decide(pvalues, num_signals: int) -> np.ndarray:
-    """Mask rejecting the ``num_signals`` smallest p-values, lower column
-    first on ties."""
+    """Masks rejecting the ``num_signals`` smallest p-values of each row of
+    a (J,) vector or a (..., J) stack, lower column first on ties."""
     p = _checked_pvalues(pvalues)
-    if not 1 <= num_signals <= p.size - 1:
-        raise ValueError(
-            f"num_signals must be in 1..{p.size - 1}, got {num_signals}"
-        )
-    return _mask(p.size, np.argsort(p, kind="stable")[:num_signals])
+    j = p.shape[-1]
+    if not 1 <= num_signals <= j - 1:
+        raise ValueError(f"num_signals must be in 1..{j - 1}, got {num_signals}")
+    return _first(np.argsort(p, axis=-1, kind="stable"), num_signals)

@@ -4,17 +4,20 @@ The library walks a path block by block (``rules.Walk``), draws
 observation blocks in place (``StreamProfile.sample_block``), scans blocks
 of cumulative LLR rows (``scan_path``), maps observation blocks to
 increments (``StreamProfile.increments``), runs fixed-sample trials a
-batch at a time with one transform, one sum and one p-value pass per
-batch (``engine._run_fixed``, ``engine.fixed_sample_pvalues``) and
-decides and counts with (J,) boolean masks over 0-based columns
-(``decide``, ``bh_decide``, ``top_m_decide``, ``metrics.confusion``).
-The functions here state the same things one path, one trial, one state,
-one stream, one column family or one observation at a time, and
-decisions as sets of 1-based stream labels, the way the definitions
-read, and the tests check the library against them.
+batch at a time with one transform, one sum, one p-value pass and one
+decision per batch (``engine._run_fixed``,
+``engine.fixed_sample_pvalues``), decides and counts with stacks of (J,)
+boolean masks over 0-based columns (``decide``, ``bh_decide``,
+``top_m_decide``, ``metrics.confusion``) and aggregates columns of
+counts (``metrics.aggregate``).  The functions here state the same things
+one path, one trial, one state, one stream, one column family or one
+observation at a time, decisions as sets of 1-based stream labels and
+counts as one trial's four integers, the way the definitions read, and
+the tests check the library against them.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -23,13 +26,14 @@ from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
     BhRule,
-    ConfusionCounts,
+    ConditioningError,
     GapIntersectionRule,
     GapRule,
     IntersectionRule,
-    TrialRecord,
+    MetricKind,
     trial_rng,
 )
+from seqgap.metrics import mean_se
 from seqgap.rules import (
     STOP_FIXED,
     STOP_GAP,
@@ -44,6 +48,12 @@ from seqgap.rules import (
 def labels(mask) -> frozenset[int]:
     """1-based stream labels of the True columns of a (J,) mask."""
     return frozenset(int(column) + 1 for column in np.flatnonzero(mask))
+
+
+def outcome(decision) -> tuple[int, frozenset[int], str]:
+    """Stopping time, rejected labels and stop tag of a ``Decision``, the
+    form ``stepwise_run`` and ``fixed_trial`` return."""
+    return decision.stopping_time, labels(decision.rejected), decision.stopped_by
 
 
 def top_labels(lam, k: int) -> frozenset[int]:
@@ -87,19 +97,83 @@ def top_m_decide(pvalues, num_signals: int) -> frozenset[int]:
     return frozenset(int(lbl) for lbl in order[:num_signals] + 1)
 
 
-def confusion(rejected: frozenset[int], truth: frozenset[int], j: int):
+class Counts(NamedTuple):
+    """One trial's confusion counts: false rejections, missed signals and
+    rejections, out of j streams."""
+
+    v: int
+    w: int
+    r: int
+    j: int
+
+
+def rows(counts) -> list[Counts]:
+    """The library's count columns, one ``Counts`` per trial."""
+    return [
+        Counts(int(v), int(w), int(r), counts.j)
+        for v, w, r in zip(counts.v, counts.w, counts.r)
+    ]
+
+
+def confusion(rejected: frozenset[int], truth: frozenset[int], j: int) -> Counts:
     """Confusion counts of rejected labels against the true signal labels."""
     streams = range(1, j + 1)
     for name, group in (("rejected", rejected), ("truth", truth)):
         bad = [lbl for lbl in group if lbl not in streams]
         if bad:
             raise ValueError(f"{name} labels outside 1..{j}: {sorted(bad)}")
-    return ConfusionCounts(
+    return Counts(
         v=len(rejected - truth),
         w=len(truth - rejected),
         r=len(rejected),
         j=j,
     )
+
+
+def per_trial(kind: MetricKind, counts: Counts) -> float | None:
+    """One trial's contribution to a metric, or None when undefined.
+
+    FPR divides by the trial's signal count w + r - v, which must be
+    positive.
+    """
+    kind = MetricKind(kind)
+    v, w, r, j = counts
+    if kind is MetricKind.FWE1:
+        return float(v >= 1)
+    if kind is MetricKind.FWE2:
+        return float(w >= 1)
+    if kind is MetricKind.FDR:
+        return v / max(r, 1)
+    if kind is MetricKind.FNR:
+        return w / max(j - r, 1)
+    if kind is MetricKind.PFDR:
+        return None if r == 0 else v / r
+    if kind is MetricKind.PFNR:
+        return None if j - r == 0 else w / (j - r)
+    if kind is MetricKind.PCER:
+        return v / j
+    if kind is MetricKind.FPR:
+        if w + r - v < 1:
+            raise ValueError("fpr needs at least one signal as its divisor")
+        return v / (w + r - v)
+    if kind is MetricKind.PFER:
+        return float(v)
+    return float(w)  # PFER2
+
+
+def aggregate(kind: MetricKind, trials: list[Counts]):
+    """A metric's estimate over trials, one ``per_trial`` contribution at a
+    time in trial order, without the trials where it is undefined."""
+    kind = MetricKind(kind)
+    contributions = [per_trial(kind, t) for t in trials]
+    if not contributions:
+        raise ValueError("no trials to aggregate")
+    kept = [x for x in contributions if x is not None]
+    if not kept:
+        raise ConditioningError(
+            f"{kind.value} is undefined: its conditioning event occurred in no trial"
+        )
+    return mean_se(kept)
 
 
 def sample_block(profile, signal, steps: int, rng) -> np.ndarray:
@@ -231,10 +305,10 @@ def p_value(total: float, n: int, model) -> float:
     return float(ndtr(z))
 
 
-def fixed_trial(config, trial_index: int):
-    """The record of one fixed-sample trial run on its own: a new generator
-    of the trial's key, its (n, J) block, each stream's sum and p-value,
-    and the rule's rejected labels counted against the truth."""
+def fixed_trial(config, trial_index: int) -> tuple[int, frozenset[int], str]:
+    """Stopping time, rejected labels and stop tag of one fixed-sample
+    trial run on its own: a new generator of the trial's key, its (n, J)
+    block, each stream's sum and p-value, and the rule's rejected labels."""
     rule, profile = config.rule, config.profile
     n = rule.sample_size
     x = sample_block(
@@ -246,7 +320,7 @@ def fixed_trial(config, trial_index: int):
         rejected = bh_decide(pvalues, rule.level)
     else:
         rejected = top_m_decide(pvalues, rule.num_signals)
-    return TrialRecord(n, confusion(rejected, config.truth, profile.j), STOP_FIXED)
+    return n, rejected, STOP_FIXED
 
 
 def llr_increment(model, x: float) -> float:

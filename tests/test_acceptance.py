@@ -39,6 +39,7 @@ from seqgap import (
     bh_decide,
     calibrate_gap_c,
     calibrate_topm_n,
+    confusion,
     gap_threshold,
     gi_thresholds,
     kappa_gap,
@@ -236,7 +237,9 @@ def test_criterion_4_calibration_recovery():
 
 
 def _trial_counts(config, n):
-    return [run_trial(config, i) for i in range(n)]
+    """The count columns of trials 0 .. n - 1, each run on its own."""
+    masks = np.stack([run_trial(config, i).rejected for i in range(n)])
+    return confusion(masks, config.signal)
 
 
 def test_criterion_5_exact_pointwise_invariants():
@@ -251,9 +254,8 @@ def test_criterion_5_exact_pointwise_invariants():
         master_seed=SEED,
         metrics=(MetricKind.FDR,),
     )
-    gap_records = _trial_counts(gap_config, 2_000)
-    counts = [r.counts for r in gap_records]
-    if any(c.r != 5 for c in counts):
+    counts = _trial_counts(gap_config, 2_000)
+    if np.any(counts.r != 5):
         failures.append("gap rule rejected a count different from m")
     fdr = aggregate(MetricKind.FDR, counts).value
     fwe1 = aggregate(MetricKind.FWE1, counts).value
@@ -284,8 +286,8 @@ def test_criterion_5_exact_pointwise_invariants():
         master_seed=SEED,
         metrics=(MetricKind.FDR,),
     )
-    gi_counts = [r.counts for r in _trial_counts(gi_config, 1_500)]
-    if any(not 2 <= c.r <= 7 for c in gi_counts):
+    gi_counts = _trial_counts(gi_config, 1_500)
+    if np.any((gi_counts.r < 2) | (gi_counts.r > 7)):
         failures.append("bracketed rule rejected outside [l, u]")
 
     slip = gi_thresholds(ErrorBudget(0.1, 0.1), j=5, min_signals=0, max_signals=1)
@@ -304,7 +306,7 @@ def test_criterion_5_exact_pointwise_invariants():
         master_seed=SEED + 1,
         metrics=(MetricKind.FDR,),
     )
-    slip_counts = [r.counts for r in _trial_counts(slip_config, 2_000)]
+    slip_counts = _trial_counts(slip_config, 2_000)
     slip_fdr = aggregate(MetricKind.FDR, slip_counts)
     slip_fwe1 = aggregate(MetricKind.FWE1, slip_counts)
     if slip_fdr.value != slip_fwe1.value:
@@ -312,16 +314,16 @@ def test_criterion_5_exact_pointwise_invariants():
 
     # exact-rational cross-check of the FDR aggregation itself
     exact = Fraction(0)
-    for c in counts:
-        exact += Fraction(c.v, max(c.r, 1))
-    if float(exact / len(counts)) != fdr:
+    for v, r in zip(counts.v.tolist(), counts.r.tolist()):
+        exact += Fraction(v, max(r, 1))
+    if float(exact / counts.r.size) != fdr:
         failures.append("aggregation differs from exact rational arithmetic")
 
     _line(
         "5 (exact pointwise invariants)",
         not failures,
-        f"gap R=m over {len(counts)} trials, bracket in [2,7] over"
-        f" {len(gi_counts)}, slippage FDR=FWE1 over {len(slip_counts)}",
+        f"gap R=m over {counts.r.size} trials, bracket in [2,7] over"
+        f" {gi_counts.r.size}, slippage FDR=FWE1 over {slip_counts.r.size}",
     )
     assert not failures, failures
 

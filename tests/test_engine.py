@@ -117,22 +117,22 @@ def test_derive_seed_is_stable_and_path_dependent():
 
 def test_run_trial_deterministic():
     config = gap_config()
-    first = run_trial(config, 3)
-    second = run_trial(config, 3)
+    first = oracles.outcome(run_trial(config, 3))
+    second = oracles.outcome(run_trial(config, 3))
     assert first == second
 
 
 def test_run_trial_in_two_threads_matches_one_thread():
     """Each thread rekeys its own generator, so threads cannot mix draws."""
     config = gap_config()
-    expected = [run_trial(config, i) for i in range(200)]
+    expected = [oracles.outcome(run_trial(config, i)) for i in range(200)]
     got = [None] * 200
     start = threading.Barrier(2)
 
     def run(first):
         start.wait()
         for i in range(first, 200, 2):
-            got[i] = run_trial(config, i)
+            got[i] = oracles.outcome(run_trial(config, i))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-trial included
@@ -162,9 +162,9 @@ def test_trial_stopping_times_uncorrelated_across_indices():
 def test_gap_rule_rejects_exactly_m_every_trial():
     config = gap_config(reps=300)
     for i in range(300):
-        record = run_trial(config, i)
-        assert record.counts.r == 5
-        assert record.stopped_by == STOP_GAP
+        decision = run_trial(config, i)
+        assert np.count_nonzero(decision.rejected) == 5
+        assert decision.stopped_by == STOP_GAP
 
 
 @pytest.mark.parametrize(
@@ -196,9 +196,9 @@ def test_every_trial_counts_the_truth_as_its_signals(rule):
         master_seed=7,
         metrics=(MetricKind.FPR,),
     )
-    for i in range(config.replications):
-        counts = run_trial(config, i).counts
-        assert counts.w + counts.r - counts.v == len(truth)
+    counts = seqgap.engine._run_range(config, 0, config.replications).counts
+    assert counts.r.size == config.replications
+    assert np.all(counts.w + counts.r - counts.v == len(truth))
 
 
 def test_run_experiment_report_shape():
@@ -340,9 +340,15 @@ def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
     else:
         values = seqgap.engine._FIXED_BATCH_VALUES
     expected = [oracles.fixed_trial(config, i) for i in range(reps)]
+    expected_counts = [
+        oracles.confusion(rejected, config.truth, j) for _, rejected, _ in expected
+    ]
     with mock.patch.object(seqgap.engine, "_FIXED_BATCH_VALUES", values):
-        assert seqgap.engine._run_range(config, 0, reps) == expected
-        assert [run_trial(config, i) for i in range(reps)] == expected
+        trials = seqgap.engine._run_range(config, 0, reps)
+        assert trials.stopping_time.tolist() == [n] * reps
+        assert not trials.horizon_hit.any()
+        assert oracles.rows(trials.counts) == expected_counts
+        assert [oracles.outcome(run_trial(config, i)) for i in range(reps)] == expected
 
 
 @pytest.mark.parametrize("j", [2, 10, 100, 1000])

@@ -1,12 +1,15 @@
 """Tests for confusion counting, error metrics, and bound constants."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import Counts
 from seqgap import (
     BoundConstants,
     ConditioningError,
@@ -15,15 +18,29 @@ from seqgap import (
     aggregate,
     bound_constants,
     confusion,
-    per_trial,
 )
 from seqgap.metrics import NoBoundConstants, mean_se
 
 
 def counts(v, r, j=4, truth_size=2):
-    """Build ConfusionCounts from (false positives, rejections)."""
+    """One trial's counts from (false positives, rejections)."""
     w = truth_size - (r - v)  # missed signals
+    return Counts(v=v, w=w, r=r, j=j)
+
+
+def columns(trials):
+    """The count columns of a list of one-trial ``Counts`` over one j."""
+    j = trials[0].j if trials else 1
+    v, w, r = (np.array([t[k] for t in trials], dtype=np.int64) for k in range(3))
     return ConfusionCounts(v=v, w=w, r=r, j=j)
+
+
+def one_trial(kind, c):
+    """A metric's value on the one trial ``c``, or None when undefined."""
+    try:
+        return aggregate(kind, columns([c])).value
+    except ConditioningError:
+        return None
 
 
 def _mask(labels, j):
@@ -33,16 +50,29 @@ def _mask(labels, j):
 
 def test_confusion_from_decision():
     c = confusion(_mask({1, 3}, 5), _mask({3, 4}, 5))
-    assert c.v == 1  # stream 1 rejected but is noise
-    assert c.w == 1  # stream 4 missed
-    assert c.r == 2
+    assert c.v.tolist() == [1]  # stream 1 rejected but is noise
+    assert c.w.tolist() == [1]  # stream 4 missed
+    assert c.r.tolist() == [2]
     assert c.j == 5
+
+
+def test_confusion_counts_a_stack_mask_by_mask():
+    signal = _mask({3, 4}, 5)
+    stack = np.array([_mask(s, 5) for s in ({1, 3}, set(), {1, 2, 3, 4, 5})])
+    expected = [oracles.confusion(s, {3, 4}, 5) for s in ({1, 3}, set(), {1, 2, 3, 4, 5})]
+    assert oracles.rows(confusion(stack, signal)) == expected
+    assert oracles.rows(confusion(stack.reshape(3, 1, 5), signal)) == expected
 
 
 @pytest.mark.parametrize(
     "rejected",
-    [np.zeros(4, dtype=bool), np.ones(5, dtype=int), np.zeros((1, 5), dtype=bool)],
-    ids=["short", "int", "2-d"],
+    [
+        np.zeros(4, dtype=bool),
+        np.ones(5, dtype=int),
+        np.zeros((3, 4), dtype=bool),
+        np.bool_(True),
+    ],
+    ids=["short", "int", "2-d", "0-d"],
 )
 def test_confusion_rejects_a_malformed_mask(rejected):
     with pytest.raises(ValueError, match=r"\(5,\) boolean mask"):
@@ -50,57 +80,116 @@ def test_confusion_rejects_a_malformed_mask(rejected):
 
 
 def test_confusion_counts_invariants():
-    with pytest.raises(ValueError):
-        ConfusionCounts(v=3, w=0, r=2, j=4)  # v > r
-    with pytest.raises(ValueError):
-        ConfusionCounts(v=0, w=3, r=2, j=4)  # w > j - r
-    with pytest.raises(ValueError):
-        ConfusionCounts(v=0, w=0, r=5, j=4)  # r > j
+    for bad in (
+        counts(3, 2),  # v > r
+        Counts(v=0, w=3, r=2, j=4),  # w > j - r
+        Counts(v=0, w=0, r=5, j=4),  # r > j
+    ):
+        with pytest.raises(ValueError, match="in trial 1"):
+            columns([counts(1, 2), bad, counts(0, 1)])
+    with pytest.raises(ValueError, match="columns of one length"):
+        ConfusionCounts(v=np.zeros(2, int), w=np.zeros(3, int), r=np.zeros(2, int), j=4)
+    with pytest.raises(ValueError, match="columns of one length"):
+        ConfusionCounts(v=np.zeros((2, 1), int), w=np.zeros((2, 1), int), r=np.zeros((2, 1), int), j=4)
+
+
+@st.composite
+def _valid_trials(draw, min_size=0):
+    """Count rows a run of trials can produce over one J: each trial has
+    its own signal count, which may be 0 or J."""
+    j = draw(st.integers(1, 12))
+    trials = []
+    for _ in range(draw(st.integers(min_size, 30))):
+        r = draw(st.integers(0, j))
+        signals = draw(st.integers(0, j))
+        v = draw(st.integers(max(0, r - signals), min(r, j - signals)))
+        trials.append(Counts(v=v, w=signals - (r - v), r=r, j=j))
+    return trials
+
+
+def _bits(estimate):
+    return estimate.value.hex(), estimate.se.hex(), estimate.n_effective
+
+
+@settings(max_examples=400, deadline=None)
+@given(_valid_trials())
+@example([Counts(v=0, w=2, r=0, j=4)] * 3)  # pfdr drops every trial
+@example([Counts(v=2, w=0, r=4, j=4)] * 2)  # pfnr drops every trial
+@example([Counts(v=1, w=1, r=2, j=4), Counts(v=0, w=0, r=0, j=4)])  # fpr divisor 0
+@example([])
+def test_column_aggregate_is_the_scalar_oracle_bit_for_bit(trials):
+    """For every metric, ``aggregate`` over count columns equals
+    ``mean_se`` over the one-trial oracle's contributions in trial order,
+    bit for bit, and fails where the oracle fails, with its message."""
+    counts_ = columns(trials)
+    for kind in MetricKind:
+        try:
+            expected = oracles.aggregate(kind, trials)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))) as raised:
+                aggregate(kind, counts_)
+            assert type(raised.value) is type(error)
+            continue
+        assert _bits(aggregate(kind, counts_)) == _bits(expected), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=_valid_trials(min_size=1), data=st.data())
+def test_count_columns_name_the_first_bad_trial(trials, data):
+    """A trial with v > r or w > J - r fails the columns, which name it."""
+    t = data.draw(st.integers(0, len(trials) - 1))
+    v, w, r, j = trials[t]
+    if data.draw(st.booleans()):
+        bad, need = Counts(r + data.draw(st.integers(1, 3)), w, r, j), "v <= r"
+    else:
+        bad, need = Counts(v, j - r + data.draw(st.integers(1, 3)), r, j), "w <= j - r"
+    with pytest.raises(ValueError, match=f"{re.escape(need)}.* in trial {t}$"):
+        columns(trials[:t] + [bad] + trials[t + 1 :])
 
 
 def test_per_trial_values():
-    c = ConfusionCounts(v=1, w=1, r=2, j=4)
-    assert per_trial(MetricKind.FDR, c) == pytest.approx(0.5)
-    assert per_trial(MetricKind.FNR, c) == pytest.approx(0.5)
-    assert per_trial(MetricKind.FWE1, c) == 1.0
-    assert per_trial(MetricKind.FWE2, c) == 1.0
-    assert per_trial(MetricKind.PCER, c) == pytest.approx(0.25)
-    assert per_trial(MetricKind.PFER, c) == 1.0
-    assert per_trial(MetricKind.PFER2, c) == 1.0
-    assert per_trial(MetricKind.FPR, c) == pytest.approx(0.5)  # V / (W + R - V)
+    c = Counts(v=1, w=1, r=2, j=4)
+    assert one_trial(MetricKind.FDR, c) == pytest.approx(0.5)
+    assert one_trial(MetricKind.FNR, c) == pytest.approx(0.5)
+    assert one_trial(MetricKind.FWE1, c) == 1.0
+    assert one_trial(MetricKind.FWE2, c) == 1.0
+    assert one_trial(MetricKind.PCER, c) == pytest.approx(0.25)
+    assert one_trial(MetricKind.PFER, c) == 1.0
+    assert one_trial(MetricKind.PFER2, c) == 1.0
+    assert one_trial(MetricKind.FPR, c) == pytest.approx(0.5)  # V / (W + R - V)
 
 
 def test_per_trial_zero_rejections():
-    c = ConfusionCounts(v=0, w=2, r=0, j=4)
-    assert per_trial(MetricKind.FDR, c) == 0.0  # V/(R or 1)
-    assert per_trial(MetricKind.PFDR, c) is None  # conditioning event fails
-    assert per_trial(MetricKind.FNR, c) == pytest.approx(0.5)
+    c = Counts(v=0, w=2, r=0, j=4)
+    assert one_trial(MetricKind.FDR, c) == 0.0  # V/(R or 1)
+    assert one_trial(MetricKind.PFDR, c) is None  # conditioning event fails
+    assert one_trial(MetricKind.FNR, c) == pytest.approx(0.5)
 
 
 def test_per_trial_all_rejected():
-    c = ConfusionCounts(v=2, w=0, r=4, j=4)
-    assert per_trial(MetricKind.PFNR, c) is None
-    assert per_trial(MetricKind.FNR, c) == 0.0
+    c = Counts(v=2, w=0, r=4, j=4)
+    assert one_trial(MetricKind.PFNR, c) is None
+    assert one_trial(MetricKind.FNR, c) == 0.0
 
 
 def test_fdr_aggregation_example():
     rows = [counts(1, 2), counts(0, 1), counts(1, 1)]
-    est = aggregate(MetricKind.FDR, rows)
+    est = aggregate(MetricKind.FDR, columns(rows))
     assert est.value == pytest.approx(0.5)
     assert est.n_effective == 3
 
 
 def test_pfdr_aggregation_example():
-    rows = [counts(1, 2), ConfusionCounts(v=0, w=2, r=0, j=4), counts(1, 1)]
-    est = aggregate(MetricKind.PFDR, rows)
+    rows = [counts(1, 2), Counts(v=0, w=2, r=0, j=4), counts(1, 1)]
+    est = aggregate(MetricKind.PFDR, columns(rows))
     assert est.value == pytest.approx(0.75)
     assert est.n_effective == 2
 
 
 def test_pfdr_conditioning_error_when_event_never_happens():
-    rows = [ConfusionCounts(v=0, w=2, r=0, j=4)] * 3
+    rows = [Counts(v=0, w=2, r=0, j=4)] * 3
     with pytest.raises(ConditioningError) as err:
-        aggregate(MetricKind.PFDR, rows)
+        aggregate(MetricKind.PFDR, columns(rows))
     assert "pfdr" in str(err.value)
 
 
@@ -108,8 +197,8 @@ def test_fpr_requires_signal_count():
     """FPR divides by the trial's signal count W + R - V; with no signal
     there is no divisor."""
     with pytest.raises(ValueError, match="at least one signal"):
-        aggregate(MetricKind.FPR, [counts(1, 2), counts(1, 1, truth_size=0)])
-    est = aggregate(MetricKind.FPR, [counts(1, 2)])
+        aggregate(MetricKind.FPR, columns([counts(1, 2), counts(1, 1, truth_size=0)]))
+    est = aggregate(MetricKind.FPR, columns([counts(1, 2)]))
     assert est.value == pytest.approx(0.5)
 
 
@@ -137,8 +226,8 @@ def test_mean_se_single_value():
 def test_aggregate_se_shrinks_with_n():
     rng = np.random.default_rng(3)
     rows = [counts(int(rng.integers(0, 2)), 2) for _ in range(400)]
-    small = aggregate(MetricKind.FDR, rows[:100])
-    large = aggregate(MetricKind.FDR, rows)
+    small = aggregate(MetricKind.FDR, columns(rows[:100]))
+    large = aggregate(MetricKind.FDR, columns(rows))
     assert large.se < small.se
 
 
@@ -202,8 +291,8 @@ def test_bound_constants_sandwich_property():
     ):
         bc = bound_constants(kind, 6, 2, 2, 2)
         for v in range(0, 3):  # gap rule rejects exactly m=2, so V <= 2
-            c = ConfusionCounts(v=v, w=v, r=2, j=6)  # W = V for this rule
-            value = per_trial(kind, c)
+            c = Counts(v=v, w=v, r=2, j=6)  # W = V for this rule
+            value = oracles.per_trial(kind, c)
             fwe1 = 1.0 if v >= 1 else 0.0
             assert value <= bc.c1_type1 * fwe1 + 1e-12
             assert bc.c2 * fwe1 <= value + 1e-12
@@ -245,7 +334,7 @@ def _rule_and_counts(draw):
     r = draw(st.integers(lo, hi))
     signals = draw(st.integers(0, j))
     v = draw(st.integers(max(0, r - signals), min(r, j - signals)))
-    counts = ConfusionCounts(v=v, w=signals - (r - v), r=r, j=j)
+    counts = Counts(v=v, w=signals - (r - v), r=r, j=j)
     return lo, hi, counts, signals
 
 
@@ -267,6 +356,6 @@ def test_bound_constants_sandwich_every_trial(case):
             except NoBoundConstants:
                 continue  # no constants for this bracket or signal count
             covered.add(kind)
-            value = per_trial(kind, counts)
+            value = oracles.per_trial(kind, counts)
             assert bc.c2 * fwe <= value <= c1_of(bc) * fwe, (kind, bc, value)
     assert covered >= _ALWAYS_BOUNDED

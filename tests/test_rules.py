@@ -1,6 +1,7 @@
 """Tests for stopping rules, fixed-sample baselines, and p-values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,7 +360,9 @@ def _assert_as_oracle(rejected, expected, truth):
     j = rejected.size
     signal = np.isin(np.arange(1, j + 1), sorted(truth))
     assert labels(rejected) == expected
-    assert confusion(rejected, signal) == oracles.confusion(expected, truth, j)
+    assert oracles.rows(confusion(rejected, signal)) == [
+        oracles.confusion(expected, truth, j)
+    ]
 
 
 @settings(max_examples=500, deadline=None)
@@ -568,6 +571,54 @@ def test_fixed_sample_decisions_match_the_label_oracle(case, data):
         _assert_as_oracle(top_m_decide(p, m), oracles.top_m_decide(p, m), truth)
 
 
+@st.composite
+def _pvalue_stacks(draw):
+    """A (rows, J) stack of p-values, J in 2..100, with ties, exact 0 and 1."""
+    j = draw(st.integers(2, 100))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from([0.0, 1.0, *pool]), st.floats(0.0, 1.0))
+    rows = draw(st.integers(1, 6))
+    return np.array(draw(st.lists(value, min_size=rows * j, max_size=rows * j))).reshape(
+        rows, j
+    )
+
+
+@given(_pvalue_stacks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_stacked_decisions_are_the_label_oracle_row_by_row(stack, data):
+    """A (rows, J) or (1, rows, J) stack gets, row by row, the masks the
+    label oracles give each row alone."""
+    rows, j = stack.shape
+    level = data.draw(st.floats(1e-6, 1 - 1e-6))
+    m = data.draw(st.integers(1, j - 1))
+    for decide, oracle, parameter in (
+        (bh_decide, oracles.bh_decide, level),
+        (top_m_decide, oracles.top_m_decide, m),
+    ):
+        masks = decide(stack, parameter)
+        assert masks.shape == stack.shape and masks.dtype == bool
+        assert [labels(mask) for mask in masks] == [oracle(p, parameter) for p in stack]
+        deeper = decide(stack[None], parameter)
+        assert np.array_equal(deeper, masks[None])
+
+
+@given(_pvalue_stacks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_bad_pvalue_in_any_row_fails_the_stack(stack, data):
+    """A NaN or out-of-range value in one row fails the whole stack with
+    the error that row gets alone."""
+    rows, j = stack.shape
+    row, column = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, j - 1))
+    stack[row, column] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.1, 1.1, -1e-300, 1 + 1e-15])
+    )
+    for decide in (lambda p: bh_decide(p, 0.05), lambda p: top_m_decide(p, 1)):
+        with pytest.raises(ValueError) as alone:
+            decide(stack[row])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            decide(stack)
+
+
 def test_top_m_decide_examples():
     assert labels(top_m_decide((0.3, 0.1, 0.2), 2)) == frozenset({2, 3})
     assert labels(top_m_decide((0.1, 0.1), 1)) == frozenset({1})  # tie -> lowest label
@@ -589,9 +640,10 @@ def test_top_m_decide_validation():
         [0.1, -0.1, 0.3],
         [0.1, 1.1, 0.3],
         [],
-        [[0.1, 0.2], [0.3, 0.4]],
+        [[0.1, 0.2], [0.3, math.nan]],
+        0.5,
     ],
-    ids=["nan", "+inf", "-inf", "below 0", "above 1", "empty", "2-D"],
+    ids=["nan", "+inf", "-inf", "below 0", "above 1", "empty", "2-D", "0-D"],
 )
 @pytest.mark.parametrize(
     "decide",
