@@ -573,14 +573,14 @@ def test_fixed_sample_decisions_match_the_label_oracle(case, data):
 
 @st.composite
 def _pvalue_stacks(draw):
-    """A (rows, J) stack of p-values, J in 2..100, with ties, exact 0 and 1."""
-    j = draw(st.integers(2, 100))
-    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    value = st.one_of(st.sampled_from([0.0, 1.0, *pool]), st.floats(0.0, 1.0))
-    rows = draw(st.integers(1, 6))
-    return np.array(draw(st.lists(value, min_size=rows * j, max_size=rows * j))).reshape(
-        rows, j
-    )
+    """A (rows, J) stack of p-values, J in 2..100: each value is drawn from
+    a small pool that holds exact 0 and 1 (so rows have ties), or is
+    uniform, in a share of the values that varies from stack to stack."""
+    j, rows = draw(st.integers(2, 100)), draw(st.integers(1, 6))
+    pool = np.array([0.0, 1.0, *draw(st.lists(st.floats(0.0, 1.0), max_size=3))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pooled = rng.random((rows, j)) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    return np.where(pooled, rng.choice(pool, size=(rows, j)), rng.random((rows, j)))
 
 
 @given(_pvalue_stacks(), st.data())
