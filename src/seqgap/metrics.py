@@ -160,23 +160,6 @@ def confusion(rejected: np.ndarray, signal: np.ndarray) -> ConfusionCounts:
     return ConfusionCounts.of(hits, rejections, int(np.count_nonzero(signal)), signal.size)
 
 
-def mean_se(values: Sequence[float]) -> MetricEstimate:
-    """Compensated mean and standard error of a sample.
-
-    Sums use exact compensated summation so the result is independent of
-    how trials were batched across workers.  A single observation gets
-    se = 0 rather than a division by zero.
-    """
-    n = len(values)
-    if n == 0:
-        raise ValueError("cannot average an empty sample")
-    mean = math.fsum(values) / n
-    if n == 1:
-        return MetricEstimate(value=mean, se=0.0, n_effective=1)
-    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
-    return MetricEstimate(value=mean, se=math.sqrt(var / n), n_effective=n)
-
-
 def _contributions(kind: MetricKind, counts: ConfusionCounts) -> np.ndarray:
     """Each trial's contribution to a metric, as a float column, without
     the trials where a conditional metric is undefined.
@@ -209,6 +192,23 @@ def _contributions(kind: MetricKind, counts: ConfusionCounts) -> np.ndarray:
     if kind is MetricKind.PFER:
         return v.astype(float)
     return w.astype(float)  # PFER2
+
+
+def mean_se(values: Sequence[float]) -> MetricEstimate:
+    """Compensated mean and standard error of a sample.
+
+    Sums use exact compensated summation so the result is independent of
+    how trials were batched across workers.  A single observation gets
+    se = 0 rather than a division by zero.
+    """
+    n = len(values)
+    if n == 0:
+        raise ValueError("cannot average an empty sample")
+    mean = math.fsum(values) / n
+    if n == 1:
+        return MetricEstimate(value=mean, se=0.0, n_effective=1)
+    var = math.fsum((x - mean) ** 2 for x in values) / (n - 1)
+    return MetricEstimate(value=mean, se=math.sqrt(var / n), n_effective=n)
 
 
 def aggregate(kind: MetricKind, counts: ConfusionCounts) -> MetricEstimate:

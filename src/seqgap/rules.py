@@ -560,10 +560,9 @@ def bh_decide(pvalues, level: float) -> np.ndarray:
     p = _checked_pvalues(pvalues)
     j = p.shape[-1]
     order = np.argsort(p, axis=-1, kind="stable")
-    passing = np.take_along_axis(p, order, axis=-1) <= level * np.arange(1, j + 1) / j
-    # k is one past the last passing rank, or 0 where none passes.
-    last = j - np.argmax(passing[..., ::-1], axis=-1)
-    return _first(order, np.where(passing.any(axis=-1), last, 0))
+    ranks = np.arange(1, j + 1)
+    passing = np.take_along_axis(p, order, axis=-1) <= level * ranks / j
+    return _first(order, np.max(passing * ranks, axis=-1))  # the largest passing i
 
 
 def top_m_decide(pvalues, num_signals: int) -> np.ndarray:
