@@ -35,7 +35,7 @@ from seqgap import (
     trial_rng,
 )
 from seqgap.engine import config_to_dict, fixed_sample_pvalues, rule_to_dict
-from seqgap.rules import STOP_GAP
+from seqgap.rules import STOP_GAP, STOP_HORIZON
 
 
 def profile10(theta=0.5, j=10):
@@ -516,6 +516,27 @@ def test_horizon_hits_counted():
     report = run_experiment(config)
     assert report.horizon_hits == 25
     assert report.mean_stopping_time.value == 40.0
+
+
+@pytest.mark.parametrize("per_batch", [1, 3, None], ids=["one", "three", "default"])
+def test_sequential_range_columns_are_each_trials_decision(per_batch):
+    """A range of sequential trials, counted a stack of masks at a time,
+    holds trial by trial the stopping time, horizon flag and counts of
+    each ``run_trial`` alone, also when the last stack is partial; the
+    horizon ends some trials and the gap others."""
+    config = gap_config(reps=11, threshold=3.0)
+    config = replace(config, horizon=30)
+    values = seqgap.engine._FIXED_BATCH_VALUES if per_batch is None else per_batch * 10
+    decisions = [run_trial(config, i) for i in range(2, 13)]
+    with mock.patch.object(seqgap.engine, "_FIXED_BATCH_VALUES", values):
+        trials = seqgap.engine._run_range(config, 2, 13)
+    assert trials.stopping_time.tolist() == [d.stopping_time for d in decisions]
+    hits = [d.stopped_by == STOP_HORIZON for d in decisions]
+    assert trials.horizon_hit.tolist() == hits
+    assert 0 < sum(hits) < len(hits)
+    assert oracles.rows(trials.counts) == [
+        oracles.confusion(oracles.labels(d.rejected), config.truth, 10) for d in decisions
+    ]
 
 
 def test_rule_and_config_serialization_round_trip_fields():
