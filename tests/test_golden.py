@@ -60,6 +60,11 @@ def _commands() -> dict[str, list[str]]:
     cases["calibrate-gap-capped"] = [
         "calibrate", "--config", str(GOLDEN / "capped-gap.yaml"),
     ]
+    # A gap calibration on a gaussian/bernoulli profile, whose bernoulli
+    # statistics tie.
+    cases["calibrate-gap-mixed"] = [
+        "calibrate", "--config", str(GOLDEN / "calibrate-gap-mixed.yaml"),
+    ]
     # Every metric at once, under a rule that rejects m streams, one whose
     # rejection count varies, and one that can reject nothing.
     for name in ALL_METRIC_RULES:
@@ -98,6 +103,7 @@ def test_cli_output_matches_golden(name, fmt, monkeypatch):
 # output byte may depend on the worker count.
 TWO_WORKER_CASES = [
     "calibrate-gap",
+    "calibrate-gap-mixed",
     "calibrate-top-m",
     "calibrate-bh",
     "sweep-gap",
