@@ -6,10 +6,12 @@ bisect down to the smallest feasible grid point.  Every probe replays the
 trials of one common master seed, so probes share their sample paths and
 the feasibility boundary is not blurred by probe-to-probe noise.  The
 sample-size searches rerun the experiment at each probe.  The gap-threshold
-search samples each trial's path at most once: a probe reads a trial's
-stopping row from the record of its gap, or resumes the path where an
-earlier probe left it, and gets the estimates a rerun would report, bit for
-bit.  The reported achieved estimates come from a fresh evaluation seed,
+search samples each trial's path at most once and holds its trials as
+columns: a probe reads a trial's stopping row from the records of its gap,
+or extends the path where an earlier probe left it, a batch of trials at a
+time, each drawing its rows by counter from its own stream.  It gets the
+estimates a rerun would report, bit for bit.  The reported achieved
+estimates come from a fresh evaluation seed,
 because the estimates that guided the search are biased at the selected
 point.
 """
@@ -17,12 +19,12 @@ point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .engine import (
+    _BATCH_VALUES,
     ExperimentConfig,
     aggregate_counts,
     derive_seed,
@@ -32,7 +34,7 @@ from .engine import (
     worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
-from .rules import Walk, ranking
+from .rules import FIRST_BLOCK, MAX_BLOCK, cumulate, ranking
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
@@ -157,73 +159,120 @@ def _bracket_min_feasible(
     return hi
 
 
-class _GapTrial:
-    """One search trial: its walk, and the rows where the gap set a new
-    record, with the gap there and the number of signals among that row's
-    top m.  Once the horizon ends the walk, a last record of gap ``inf``
-    holds the count of the final row's top m."""
-
-    __slots__ = ("walk", "gaps", "hits")
-
-    def __init__(self, walk: Walk):
-        self.walk = walk
-        self.gaps: list[float] = []
-        self.hits: list[int] = []
-
-
 class _GapSearch:
-    """The search trials of ``calibrate_gap_c``, each path sampled once.
+    """The search trials of ``calibrate_gap_c`` as columns, each path
+    sampled once.
 
     At threshold c a trial stops at the first row whose gap reaches c, and
     that row always sets a new record of the running maximum of the gap.
-    So a probe answers from a trial's record when the best gap so far
-    reaches c, and otherwise resumes the trial's walk until the gap reaches
-    c or the horizon ends it.  The walk and the gap column are the ones
-    ``run_sequential`` and ``GapRule`` use, so every comparison with c, and
-    every rejection (the top m of the stopping row, or of the final row
-    at the horizon), is the one a rerun at c makes.
+    So the search keeps, for every row where a trial's gap set a record,
+    the trial, the gap and the number of signals among that row's top m,
+    as record columns in trial order and, within a trial, row order.  A
+    probe answers a trial from its records once its best gap reaches c,
+    and otherwise extends its path until the gap reaches c or the horizon
+    ends it; the horizon adds a last record of gap ``inf`` with the count
+    of the final row's top m.
+
+    Each trial's state is one entry of the columns ``lam`` (its running
+    sums, (n, J)), ``taken`` (rows drawn), ``best`` (its largest gap, or
+    ``inf`` once the horizon ended it) and ``block`` (its next block on
+    ``Walk``'s doubling schedule).  The trials a probe extends go a batch
+    at a time: those with the same next block share one buffer, each
+    drawing its rows by counter from its own stream, and the inverse CDF,
+    the increments, ``cumulate``, the gap column and the record ranking
+    run once per batch, each trial on its own.  So a trial's rows, every
+    comparison with c, and every rejection (the top m of the stopping row,
+    or of the final row at the horizon) are the ones a rerun at c makes.
     """
 
     def __init__(self, config: ExperimentConfig):
-        self.rule = config.rule  # only its gap column is used, at any threshold
-        profile, signal, horizon = config.profile, config.signal, config.horizon
-        self.signal = signal
-        # One new generator per trial, not run_trial's rekeyed one: every
-        # walk stays alive until the search ends.
-        self.trials = [
-            _GapTrial(Walk(profile, signal, horizon, trial_rng(config.master_seed, i)))
-            for i in range(config.replications)
-        ]
+        self.config = config  # its rule's gap column serves any threshold
+        n, j = config.replications, config.profile.j
+        self.lam = np.zeros((n, j))
+        self.taken = np.zeros(n, dtype=np.int64)
+        self.best = np.full(n, -math.inf)
+        self.block = np.full(n, FIRST_BLOCK, dtype=np.int64)
+        self.trial = np.empty(0, dtype=np.int64)
+        self.gap = np.empty(0)
+        self.hits = np.empty(0, dtype=np.int64)
+        self.rng = np.random.Generator(np.random.Philox(0))  # rekeyed per draw
+        self.buffer = np.empty(_BATCH_VALUES)  # every batch that fits draws here
 
     def _hits(self, rows: np.ndarray) -> np.ndarray:
         """Signals among the top m of each row, ranked as ``order_view`` ranks."""
-        top = ranking(rows)[:, : self.rule.num_signals]
-        return np.count_nonzero(self.signal[top], axis=1)
+        top = ranking(rows)[:, : self.config.rule.num_signals]
+        return np.count_nonzero(self.config.signal[top], axis=1)
 
-    def _extend(self, trial: _GapTrial) -> None:
-        walk = trial.walk
-        path = walk.next_block()
-        gaps = self.rule.gap_column(path)
-        best = trial.gaps[-1] if trial.gaps else -math.inf
-        before = np.maximum.accumulate(np.concatenate(([best], gaps[:-1])))
-        rows = np.nonzero(gaps > before)[0]
-        trial.gaps.extend(gaps[rows].tolist())
-        trial.hits.extend(self._hits(path[rows]).tolist())
-        if walk.taken == walk.horizon:
-            trial.gaps.append(math.inf)
-            trial.hits.append(int(self._hits(walk.lam[None])[0]))
+    def _advance(self, trials: np.ndarray, path: np.ndarray) -> list[tuple]:
+        """Draw the next rows of each of ``trials`` into ``path``, a
+        (trials, steps, J) buffer, and return their new records as
+        (trial, gap, hits) columns, the horizon's last."""
+        config = self.config
+        profile, j = config.profile, config.profile.j
+        starts = (self.taken[trials] * j).tolist()
+        for trial, start, rows in zip(trials.tolist(), starts, path):
+            trial_rng(config.master_seed, trial, self.rng, start).random(out=rows)
+        profile.from_uniforms(path, config.signal)
+        cumulate(profile.increments(path, out=path), self.lam[trials])
+        self.lam[trials] = path[:, -1]
+        self.taken[trials] += path.shape[1]
+        self.block[trials] = np.minimum(2 * self.block[trials], MAX_BLOCK)
+        gaps = config.rule.gap_column(path)
+        best = self.best[trials]
+        before = np.maximum.accumulate(
+            np.concatenate((best[:, None], gaps[:, :-1]), axis=1), axis=1
+        )
+        at, row = np.nonzero(gaps > before)
+        self.best[trials] = np.maximum(best, gaps.max(axis=1))
+        records = [(trials[at], gaps[at, row], self._hits(path[at, row]))]
+        ended = trials[self.taken[trials] == config.horizon]
+        if ended.size:
+            records.append(
+                (ended, np.full(ended.size, math.inf), self._hits(self.lam[ended]))
+            )
+            self.best[ended] = math.inf
+        return records
 
-    def _hits_at(self, trial: _GapTrial, threshold: float) -> int:
-        while not (trial.gaps and trial.gaps[-1] >= threshold):
-            self._extend(trial)
-        return trial.hits[bisect_left(trial.gaps, threshold)]
+    def _extend(self, threshold: float) -> None:
+        """Extend every trial whose best gap is below ``threshold`` until it
+        is not, then merge the new records into the record columns."""
+        horizon, j = self.config.horizon, self.config.profile.j
+        records = []
+        live = np.flatnonzero(self.best < threshold)
+        while live.size:
+            steps = np.minimum(self.block[live], horizon - self.taken[live])
+            for k in np.unique(steps).tolist():
+                group = live[steps == k]
+                batch = max(1, min(group.size, _BATCH_VALUES // (k * j)))
+                buffer = self.buffer
+                if batch * k * j > buffer.size:  # one trial's block is larger
+                    buffer = np.empty(batch * k * j)
+                for first in range(0, group.size, batch):
+                    trials = group[first : first + batch]
+                    path = buffer[: trials.size * k * j].reshape(trials.size, k, j)
+                    records += self._advance(trials, path)
+            live = live[self.best[live] < threshold]
+        if records:
+            # A stable sort by trial keeps each trial's records in row order.
+            trial, gap, hits = (
+                np.concatenate([old, *new])
+                for old, new in zip((self.trial, self.gap, self.hits), zip(*records))
+            )
+            order = np.argsort(trial, kind="stable")
+            self.trial, self.gap, self.hits = trial[order], gap[order], hits[order]
 
     def estimates(self, config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
         """What ``run_experiment(config).metrics`` reports, for a config
         that differs from the search's own only in the threshold."""
-        m, j, signals = self.rule.num_signals, config.profile.j, len(config.truth)
         threshold = config.rule.threshold
-        hits = np.array([self._hits_at(t, threshold) for t in self.trials])
+        self._extend(threshold)
+        # Each trial's records rise, so its first record whose gap reaches
+        # the threshold follows the ones below it.
+        n = config.replications
+        counts = np.bincount(self.trial, minlength=n)
+        below = np.bincount(self.trial[self.gap < threshold], minlength=n)
+        hits = self.hits[np.cumsum(counts) - counts + below]
+        m, j, signals = config.rule.num_signals, config.profile.j, len(config.truth)
         return aggregate_counts(config, ConfusionCounts.of(hits, m, signals, j))
 
 
@@ -325,8 +374,10 @@ def calibrate_gap_c(
     drives only the evaluation run at the fresh seed, on the one pool the
     search opens (none at one worker).  On two cores this
     beats spreading every probe's rerun over a pool at 400 and at 10,000
-    replications with 1, 2 or 4 workers; with many more cores than that,
-    the one-core search may fall behind, which is not measured.
+    replications with 1, 2 or 4 workers (``configs/gap.yaml`` at 10,000
+    replications, search and evaluation: 0.63, 0.47 and 0.48 s against
+    3.9, 2.3 and 2.4 s); with many more cores than that, the one-core
+    search may fall behind, which is not measured.
     """
     measure = _GapSearch(config).estimates
     return _calibrate(config, settings, "gap", _within(budget), workers, measure)

@@ -68,9 +68,13 @@ def _check_seed(master_seed: int) -> int:
 
 
 def trial_rng(
-    master_seed: int, trial_index: int, rng: np.random.Generator | None = None
+    master_seed: int,
+    trial_index: int,
+    rng: np.random.Generator | None = None,
+    start: int = 0,
 ) -> np.random.Generator:
-    """Counter-based generator for one trial.
+    """Counter-based generator for one trial, positioned at value ``start``
+    of its stream.
 
     The 128-bit key is master_seed in the high word and the trial index in
     the low word, so distinct trials of one experiment — and trials of
@@ -82,24 +86,43 @@ def trial_rng(
     state of a new generator with this key, so the draws are the same bit
     for bit, without the OS entropy a new ``Philox`` reads and never uses.
     Each thread that runs trials rekeys one generator for every trial.
+
+    Philox draws its values four at a time, stepping its counter first, so
+    value k of the stream is word k mod 4 of counter k div 4 + 1.  A
+    ``start`` sets the counter to start div 4 and discards start mod 4
+    values, and the draws are values ``start, start + 1, ...`` of the
+    stream: a trial's rows t.. of J values are ``start = t * J``, drawn
+    without a generator that drew the rows before them.
     """
     master_seed = _check_seed(master_seed)
     if not 0 <= int(trial_index) < _SEED_SPAN:
         raise ValueError(f"trial_index must be a 64-bit integer, got {trial_index!r}")
+    if start:
+        if not 0 < int(start) < _SEED_SPAN:
+            raise ValueError(f"start must be a 64-bit integer, got {start!r}")
+        start = int(start)
     if rng is None:
-        return np.random.Generator(
+        rng = np.random.Generator(
             np.random.Philox(key=(master_seed << 64) + int(trial_index))
         )
+        if not start:
+            return rng
     # The setter reads the words one by one, so tuples do, without three
-    # new arrays per trial.
+    # new arrays per trial.  A start below 2**64 fills the counter's low
+    # word alone.
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (int(trial_index), master_seed)},
+        "state": {
+            "counter": (start >> 2, 0, 0, 0),
+            "key": (int(trial_index), master_seed),
+        },
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # empty, so the first draw fills it from the counter
         "has_uint32": 0,
         "uinteger": 0,
     }
+    if start & 3:
+        rng.bit_generator.random_raw(start & 3)
     return rng
 
 
@@ -207,10 +230,11 @@ def _aborted() -> bool:
     return _abort is not None and _abort.is_set()
 
 
-# Uniforms in one batch of fixed-sample trials (512 KiB); a batch holds as
-# many whole trials as fit, and at least one.  A batch of sequential trials
-# holds as many (J,) rejection masks.
-_FIXED_BATCH_VALUES = 2**16
+# Values in one batch (512 KiB of floats).  A batch of fixed-sample trials
+# holds as many whole trials' uniforms as fit, and at least one; a batch of
+# sequential trials as many (J,) rejection masks; a batch of the gap
+# search as many trials' next blocks.
+_BATCH_VALUES = 2**16
 
 
 def _fixed_decisions(
@@ -239,7 +263,7 @@ def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> _Trials | Non
     time, each batch decided and counted at once.  The abort event is
     checked between batches."""
     n, j = config.rule.sample_size, config.profile.j
-    batch = max(1, min(stop - start, _FIXED_BATCH_VALUES // (n * j)))
+    batch = max(1, min(stop - start, _BATCH_VALUES // (n * j)))
     block = np.empty((batch, n, j))
     rng = _thread_generator()
     counts = []
@@ -283,7 +307,7 @@ def _run_range(config: ExperimentConfig, start: int, stop: int) -> _Trials | Non
     """
     if isinstance(config.rule, (BhRule, TopMRule)):
         return _run_fixed(config, start, stop)
-    batch = max(1, _FIXED_BATCH_VALUES // config.profile.j)
+    batch = max(1, _BATCH_VALUES // config.profile.j)
     parts = []
     for first in range(start, stop, batch):
         decisions = []

@@ -130,10 +130,13 @@ def order_view(lam: np.ndarray) -> OrderView:
     return OrderView(ranking(lam), int(np.count_nonzero(lam > 0.0)))
 
 
-def _check_block(path: np.ndarray) -> np.ndarray:
+def _check_block(path: np.ndarray, stack: bool = False) -> np.ndarray:
+    """``path`` as floats: one (steps, J) block, or with ``stack`` a
+    (..., steps, J) stack of blocks, with J >= 2."""
     path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or path.shape[1] < 2:
-        raise ValueError("path must be a (steps, J) block with J >= 2")
+    if (path.ndim < 2 if stack else path.ndim != 2) or path.shape[-1] < 2:
+        shape = "(..., steps, J) stack" if stack else "(steps, J) block"
+        raise ValueError(f"path must be a {shape} with J >= 2")
     return path
 
 
@@ -257,16 +260,17 @@ class GapRule(_SequentialRule):
 
     def gap_column(self, path: np.ndarray) -> np.ndarray:
         """Gap at position ``num_signals`` in every row of a cumulative-LLR
-        block; the threshold plays no part, so one rule serves any threshold."""
-        path = _check_block(path)
-        j = path.shape[1]
+        block, or of each block of a (..., steps, J) stack, each row on its
+        own; the threshold plays no part, so one rule serves any threshold."""
+        path = _check_block(path, stack=True)
+        j = path.shape[-1]
         m, _ = self.rejections(j)
-        s = np.sort(path, axis=1)  # ascending; descending k-th is column J - k
-        return s[:, j - m] - s[:, j - m - 1]
+        s = np.sort(path, axis=-1)  # ascending; descending k-th is column J - k
+        return s[..., j - m] - s[..., j - m - 1]
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         """First row of a cumulative-LLR block where the rule fires."""
-        hits = np.nonzero(self.gap_column(path) >= self.threshold)[0]
+        hits = np.nonzero(self.gap_column(_check_block(path)) >= self.threshold)[0]
         if hits.size == 0:
             return None
         return int(hits[0]), STOP_GAP
@@ -459,17 +463,27 @@ FIRST_BLOCK = 64
 MAX_BLOCK = 8192
 
 
+def cumulate(path: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Turn a block of LLR increments into cumulative-LLR rows, in place.
+
+    ``path`` is a (steps, J) block or a (..., steps, J) stack of blocks,
+    and ``lam`` the running sums each block's path reached before it, (J,)
+    or (..., J).  The running sum is added to the first increment row
+    before the cumulative sum, so every row is summed in the same order as
+    one cumulative sum over the whole path, and the rows equal it bit for
+    bit on any block schedule.
+    """
+    path[..., 0, :] += lam
+    return np.cumsum(path, axis=-2, out=path)
+
+
 class Walk:
     """One trial's cumulative-LLR path, drawn block by block.
 
     Blocks follow a fixed doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
     ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms
-    consumed depend on the horizon alone.  The running sum ``lam`` is added
-    to the first increment row of each block before the cumulative sum, so
-    every row is summed in the same order as one cumulative sum over the
-    whole path, and the rows equal it bit for bit on any block schedule.
-    A class rather than a generator: a suspended generator would keep its
-    last block alive, and a search holds thousands of walks.
+    consumed depend on the horizon alone; ``cumulate`` carries the running
+    sum ``lam`` from block to block.
     """
 
     __slots__ = ("profile", "signal", "horizon", "rng", "lam", "taken", "block")
@@ -497,9 +511,7 @@ class Walk:
             return None
         steps = min(self.block, self.horizon - self.taken)
         x = self.profile.sample_block(self.signal, steps, self.rng)
-        path = self.profile.increments(x, out=x)
-        path[0] += self.lam
-        np.cumsum(path, axis=0, out=path)
+        path = cumulate(self.profile.increments(x, out=x), self.lam)
         self.lam = path[-1].copy()  # a view would keep the whole block alive
         self.taken += steps
         self.block = min(2 * self.block, MAX_BLOCK)

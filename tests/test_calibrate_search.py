@@ -13,11 +13,13 @@ check) reject with the oracle's message.
 
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqgap.calibrate
 from oracles import one_shot_path
 from seqgap import (
     BERNOULLI,
@@ -241,6 +243,29 @@ def test_resumable_search_matches_the_oracle(case):
     assert_same_as_oracle(**case)
 
 
+# A weak signal, whose paths need several blocks to reach the thresholds.
+WEAK = StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, null=0.0, alt=0.2), 3)
+
+
+@pytest.mark.parametrize("cap", ["one value", "mid", "default"])
+@settings(max_examples=30, deadline=None)
+@given(case=search_cases())
+@example(case={**_case(8, {1, 2, 3, 4}, 4, 0.05, 5.0, None), "replications": 150})
+@example(case={**_case(3, {1}, 1, 0.01, 5.0, 300), "profile": WEAK, "replications": 60})
+@example(case={**_case(3, {1}, 1, 0.001, 5.0, None), "profile": WEAK, "replications": 60})
+@example(case=_case(4, {1, 2}, 2, 0.05, 5.0, 70, family="bernoulli"))
+def test_search_batches_match_the_oracle_at_any_value_cap(cap, case):
+    """The search's batches, cut at one trial's block, at a few trials'
+    blocks or at the default cap, give the oracle's result or failure bit
+    for bit.  The examples split the default cap's first batch (150 trials
+    of J = 8), and extend weak-signal trials through four blocks, with
+    trials at different blocks in one probe and the horizon cutting the
+    third block to 108 rows."""
+    values = {"one value": 1, "mid": 700, "default": seqgap.calibrate._BATCH_VALUES}
+    with mock.patch.object(seqgap.calibrate, "_BATCH_VALUES", values[cap]):
+        assert_same_as_oracle(**case)
+
+
 def test_oracle_cases_reach_both_outcomes():
     """The explicit examples above reach a result and an exceeded cap."""
     found = assert_same_as_oracle(**_case(6, {1, 2, 3}, 3, 0.05, 5.0, 100))
@@ -294,10 +319,10 @@ def test_invalid_arguments_fail_as_the_oracle_does(override):
 @pytest.mark.parametrize("horizon", (1, 63, 64, 65, 300, 16_321))
 @pytest.mark.parametrize("family", sorted(MODELS))
 def test_search_trials_end_on_the_one_shot_path(family, horizon):
-    """Search trials resumed probe by probe end on the last row of one
+    """Search trials extended probe by probe end on the last row of one
     cumulative sum over the whole path, bit for bit, with that path's
-    record gaps.  16,321 is one row past the block where the schedule
-    reaches its largest block."""
+    record gaps, each with the signals among its row's top m.  16,321 is
+    one row past the block where the schedule reaches its largest block."""
     from seqgap.calibrate import _GapSearch
     from seqgap.engine import trial_rng
 
@@ -317,13 +342,25 @@ def test_search_trials_end_on_the_one_shot_path(family, horizon):
     search = _GapSearch(config(0.5))
     for threshold in (0.5, 1e6):  # the second one runs every path out
         search.estimates(config(threshold))
-    for i, trial in enumerate(search.trials):
+    assert search.taken.tolist() == [horizon] * 4
+    assert search.best.tolist() == [math.inf] * 4
+    assert search.trial.tolist() == sorted(search.trial.tolist())
+    for i in range(4):
         path = one_shot_path(profile, signal, horizon, trial_rng(11, i))
-        assert trial.walk.taken == horizon
-        assert trial.walk.lam.tobytes() == path[-1].tobytes()
-        best, records = -math.inf, []
-        for gap in GapRule(num_signals=2, threshold=1.0).gap_column(path):
+        assert search.lam[i].tobytes() == path[-1].tobytes()
+        best, records, hits = -math.inf, [], []
+        for row, gap in zip(path, GapRule(num_signals=2, threshold=1.0).gap_column(path)):
             if gap > best:
                 best = gap
                 records.append(float(gap))
-        assert trial.gaps == records + [math.inf]
+                hits.append(top_m_hits(row, signal, 2))
+        mine = search.trial == i
+        assert search.gap[mine].tolist() == records + [math.inf]
+        assert search.hits[mine].tolist() == hits + [top_m_hits(path[-1], signal, 2)]
+
+
+def top_m_hits(row, signal, m):
+    """Signals among the m largest entries of ``row``, the lower column first
+    on ties."""
+    top = sorted(range(len(row)), key=lambda c: (-row[c], c))[:m]
+    return sum(bool(signal[c]) for c in top)

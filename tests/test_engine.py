@@ -109,6 +109,64 @@ def test_trial_rng_validates_seed_range():
         trial_rng(2**64, 0)
 
 
+EDGE_KEYS = st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=EDGE_KEYS,
+    trial_index=EDGE_KEYS,
+    j=st.integers(2, 100),
+    row=st.integers(0, 40),
+    offset=st.integers(0, 3),
+    rows=st.integers(1, 4),
+    rekey=st.booleans(),
+)
+@example(master_seed=0, trial_index=0, j=2, row=0, offset=0, rows=1, rekey=False)
+@example(
+    master_seed=2**64 - 1, trial_index=2**64 - 1, j=3, row=7, offset=1, rows=2,
+    rekey=True,
+)
+@example(master_seed=0, trial_index=2**64 - 1, j=10, row=3, offset=2, rows=3, rekey=True)
+@example(master_seed=2**64 - 1, trial_index=0, j=100, row=40, offset=3, rows=1, rekey=False)
+def test_counter_addressed_rows_are_the_stream_from_their_start(
+    master_seed, trial_index, j, row, offset, rows, rekey
+):
+    """Values drawn from ``trial_rng(seed, i, rng, start)`` are values
+    start.. of a new generator's stream for (seed, i), bit for bit, with
+    or without a used generator to rekey.  ``offset`` puts the start off
+    a row boundary, and with J odd the row starts themselves fall at
+    every position in a four-value Philox block."""
+    start = row * j + offset
+    stream = trial_rng(master_seed, trial_index).random(start + rows * j)
+    shared = None
+    if rekey:
+        shared = trial_rng(derive_seed(master_seed, 1), 3)
+        shared.integers(2**32, size=5, dtype=np.uint32)  # a held-back half word
+    drawn = trial_rng(master_seed, trial_index, shared, start).random((rows, j))
+    assert drawn.tobytes() == stream[start:].tobytes()
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((0, -1), "trial_index"),
+        ((0, 2**64), "trial_index"),
+        ((0, 0, None, -1), "start"),
+        ((0, 0, None, 2**64), "start"),
+        ((0, 0, "rekey", -5), "start"),
+    ],
+)
+def test_trial_rng_rejects_an_index_or_start_out_of_range(args, name):
+    """A start outside 0..2**64 - 1 fails as a bad trial index does, also
+    when a generator would be rekeyed; the largest start draws."""
+    if args[2:3] == ("rekey",):
+        args = (*args[:2], trial_rng(1, 1), *args[3:])
+    with pytest.raises(ValueError, match=f"^{name} must be a 64-bit integer, got"):
+        trial_rng(*args)
+    assert trial_rng(0, 2**64 - 1, None, 2**64 - 1).random(3).shape == (3,)
+
+
 def test_derive_seed_is_stable_and_path_dependent():
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
@@ -338,12 +396,12 @@ def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
         # Not a multiple of one trial's values, so the cap is rounded down.
         values = per_batch * n * j + n * j - 1
     else:
-        values = seqgap.engine._FIXED_BATCH_VALUES
+        values = seqgap.engine._BATCH_VALUES
     expected = [oracles.fixed_trial(config, i) for i in range(reps)]
     expected_counts = [
         oracles.confusion(rejected, config.truth, j) for _, rejected, _ in expected
     ]
-    with mock.patch.object(seqgap.engine, "_FIXED_BATCH_VALUES", values):
+    with mock.patch.object(seqgap.engine, "_BATCH_VALUES", values):
         trials = seqgap.engine._run_range(config, 0, reps)
         assert trials.stopping_time.tolist() == [n] * reps
         assert not trials.horizon_hit.any()
@@ -526,9 +584,9 @@ def test_sequential_range_columns_are_each_trials_decision(per_batch):
     horizon ends some trials and the gap others."""
     config = gap_config(reps=11, threshold=3.0)
     config = replace(config, horizon=30)
-    values = seqgap.engine._FIXED_BATCH_VALUES if per_batch is None else per_batch * 10
+    values = seqgap.engine._BATCH_VALUES if per_batch is None else per_batch * 10
     decisions = [run_trial(config, i) for i in range(2, 13)]
-    with mock.patch.object(seqgap.engine, "_FIXED_BATCH_VALUES", values):
+    with mock.patch.object(seqgap.engine, "_BATCH_VALUES", values):
         trials = seqgap.engine._run_range(config, 2, 13)
     assert trials.stopping_time.tolist() == [d.stopping_time for d in decisions]
     hits = [d.stopped_by == STOP_HORIZON for d in decisions]

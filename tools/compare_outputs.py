@@ -8,12 +8,16 @@ tree reads its own ``configs/``.  The commands: ``run`` of every
 ``configs/*.yaml``, ``run`` of bh and top-m at 2,000 replications (so a
 chunk of fixed-sample trials spans several batches and ends on a partial
 one), ``reproduce`` of table1 (all rows) and table2 (rows 10,50,90),
-``calibrate`` of gap, top-m and bh, ``sweep`` of gap, gap-intersection
-and intersection, and ``run`` of the three all-metric configs of
-``tests/golden/`` (gap, gap-intersection and bh, every metric) at 2,000
-replications, each in csv, json and text at ``--workers 1`` and ``2``.
-The all-metric configs are read from CHANGE and copied to a temporary
-directory outside both trees, so PARENT needs no copy of them.
+``calibrate`` of gap, top-m and bh, ``calibrate`` of gap at 2,000
+replications (so the gap search cuts its trials into several batches and
+extends some of them past their first block), ``sweep`` of gap,
+gap-intersection and intersection, ``run`` of the three all-metric
+configs of ``tests/golden/`` (gap, gap-intersection and bh, every metric)
+at 2,000 replications, and ``calibrate`` of the golden mixed
+gaussian/bernoulli gap config at 200 replications, each in csv, json and
+text at ``--workers 1`` and ``2``.  The golden configs are read from
+CHANGE and copied to a temporary directory outside both trees, so PARENT
+needs no copy of them.
 It compares exit code, stdout and stderr, with the text report's wall-time
 line masked, prints one line per run and a diff of the first differing
 output, and exits 1 if any run differs.  Nothing is written to either tree.
@@ -34,11 +38,14 @@ from pathlib import Path
 FORMATS = ("csv", "json", "text")
 WORKERS = (1, 2)
 ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
+# The golden configs both trees run from a shared copy.
+SHARED = (*(f"all-metrics-{name}.yaml" for name in ALL_METRIC_RULES),
+          "calibrate-gap-mixed.yaml")
 
 
 def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
     """Case name -> argv, without the format and worker flags; ``shared``
-    holds the all-metric configs."""
+    holds the golden configs."""
     cases = {
         f"run-{path.stem}": ["run", "--config", f"configs/{path.name}", "--reps", "200"]
         for path in sorted((tree / "configs").glob("*.yaml"))
@@ -55,6 +62,9 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
         cases[f"calibrate-{name}"] = [
             "calibrate", "--config", f"configs/{name}.yaml", "--reps", "200",
         ]
+    cases["calibrate-gap-batches"] = [
+        "calibrate", "--config", "configs/gap.yaml", "--reps", "2000",
+    ]
     for name in ("gap", "gap-intersection", "intersection"):
         cases[f"sweep-{name}"] = [
             "sweep", "--config", f"configs/{name}.yaml",
@@ -65,6 +75,10 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
             "run", "--config", str(shared / f"all-metrics-{name}.yaml"),
             "--reps", "2000",
         ]
+    cases["calibrate-gap-mixed"] = [
+        "calibrate", "--config", str(shared / "calibrate-gap-mixed.yaml"),
+        "--reps", "200",
+    ]
     return cases
 
 
@@ -97,8 +111,8 @@ def main(argv=None) -> int:
         if not (tree / "src" / "seqgap").is_dir():
             parser.error(f"{tree} has no src/seqgap")
     with tempfile.TemporaryDirectory() as shared:
-        for name in ALL_METRIC_RULES:
-            shutil.copy(trees[1] / "tests" / "golden" / f"all-metrics-{name}.yaml", shared)
+        for name in SHARED:
+            shutil.copy(trees[1] / "tests" / "golden" / name, shared)
         return compare(trees, Path(shared))
 
 
