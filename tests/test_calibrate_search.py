@@ -261,8 +261,8 @@ def test_search_batches_match_the_oracle_at_any_value_cap(cap, case):
     of J = 8), and extend weak-signal trials through four blocks, with
     trials at different blocks in one probe and the horizon cutting the
     third block to 108 rows."""
-    values = {"one value": 1, "mid": 700, "default": seqgap.calibrate._BATCH_VALUES}
-    with mock.patch.object(seqgap.calibrate, "_BATCH_VALUES", values[cap]):
+    values = {"one value": 1, "mid": 700, "default": seqgap.calibrate._SEARCH_VALUES}
+    with mock.patch.object(seqgap.calibrate, "_SEARCH_VALUES", values[cap]):
         assert_same_as_oracle(**case)
 
 

@@ -409,6 +409,23 @@ def test_run_sequential_gap_smoke():
     assert decision.stopped_by == STOP_GAP
 
 
+def test_gap_column_takes_stacks_and_scan_path_one_block():
+    """The gap column of a (..., steps, J) stack is each block's own, bit
+    for bit, ties included; ``scan_path`` still takes one block only."""
+    rule = GapRule(num_signals=2, threshold=1.0)
+    stack = np.random.default_rng(2).normal(size=(3, 4, 7, 5))
+    stack[1, :, :, 2] = stack[1, :, :, 0]  # tied statistics
+    column = rule.gap_column(stack)
+    assert column.shape == (3, 4, 7)
+    for index in np.ndindex(3, 4):
+        assert column[index].tobytes() == rule.gap_column(stack[index]).tobytes()
+    for bad in (stack[0, 0, 0], stack[..., :1]):
+        with pytest.raises(ValueError, match="steps, J\\) stack with J >= 2"):
+            rule.gap_column(bad)
+    with pytest.raises(ValueError, match="must be a \\(steps, J\\) block"):
+        rule.scan_path(stack[0])
+
+
 # 16,320 = 64 + 128 + ... + 8192: past it the blocks are MAX_BLOCK rows.
 WALK_HORIZONS = (1, 63, 64, 65, 300, 16_321)
 WALK_PROFILES = {
