@@ -39,11 +39,9 @@ from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
 
-# Values in one batch of the gap search (128 KiB of floats), a quarter of
-# the engine's batch.  At the engine's size the search workload's peak RSS
-# read about 0.5 MiB higher than before the search ran in batches, as the
-# allocator keeps the freed 512 KiB blocks in its heap; at this size it
-# does not, and a J=100 search is about 8% slower than at the engine's size.
+# Values in one batch of the gap search (128 KiB of floats).  Freed batches
+# of the engine's size (512 KiB) stay in the allocator's heap and raised
+# peak RSS by about 0.5 MiB; at this size a J=100 search is ~8% slower.
 _SEARCH_VALUES = _BATCH_VALUES // 4
 
 
@@ -384,7 +382,7 @@ def calibrate_gap_c(
     search opens (none at one worker).  On two cores this
     beats spreading every probe's rerun over a pool at 400 and at 10,000
     replications with 1, 2 or 4 workers (``configs/gap.yaml`` at 10,000
-    replications, search and evaluation: 0.63, 0.47 and 0.48 s against
+    replications, search and evaluation: 0.63, 0.49 and 0.49 s against
     3.9, 2.3 and 2.4 s); with many more cores than that, the one-core
     search may fall behind, which is not measured.
     """
