@@ -65,6 +65,15 @@ def _commands() -> dict[str, list[str]]:
     cases["calibrate-gap-mixed"] = [
         "calibrate", "--config", str(GOLDEN / "calibrate-gap-mixed.yaml"),
     ]
+    # Trials that end at the horizon: a gap-intersection run whose horizon
+    # cuts a block mid-way, and a gap calibration whose higher probes meet
+    # the horizon.
+    cases["run-horizon-gi"] = [
+        "run", "--config", str(GOLDEN / "run-horizon-gi.yaml"),
+    ]
+    cases["calibrate-gap-horizon"] = [
+        "calibrate", "--config", str(GOLDEN / "calibrate-gap-horizon.yaml"),
+    ]
     # Every metric at once, under a rule that rejects m streams, one whose
     # rejection count varies, and one that can reject nothing.
     for name in ALL_METRIC_RULES:
@@ -104,12 +113,14 @@ def test_cli_output_matches_golden(name, fmt, monkeypatch):
 TWO_WORKER_CASES = [
     "calibrate-gap",
     "calibrate-gap-mixed",
+    "calibrate-gap-horizon",
     "calibrate-top-m",
     "calibrate-bh",
     "sweep-gap",
     "sweep-gap-intersection",
     "reproduce-table1-rows-1-5",
     "run-mixed",
+    "run-horizon-gi",
     *(f"run-all-metrics-{name}" for name in ALL_METRIC_RULES),
 ]
 

@@ -13,9 +13,11 @@ replications (so the gap search cuts its trials into several batches and
 extends some of them past their first block), ``sweep`` of gap,
 gap-intersection and intersection, ``run`` of the three all-metric
 configs of ``tests/golden/`` (gap, gap-intersection and bh, every metric)
-at 2,000 replications, and ``calibrate`` of the golden mixed
-gaussian/bernoulli gap config at 200 replications, each in csv, json and
-text at ``--workers 1`` and ``2``.  The golden configs are read from
+at 2,000 replications, ``calibrate`` of the golden mixed
+gaussian/bernoulli gap config at 200 replications, and the two golden
+horizon configs (``run`` of gap-intersection at horizon 100 and
+``calibrate`` of gap at horizon 70) at 2,000 replications, each in csv,
+json and text at ``--workers 1`` and ``2``.  The golden configs are read from
 CHANGE and copied to a temporary directory outside both trees, so PARENT
 needs no copy of them.
 It compares exit code, stdout and stderr, with the text report's wall-time
@@ -40,7 +42,8 @@ WORKERS = (1, 2)
 ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
 # The golden configs both trees run from a shared copy.
 SHARED = (*(f"all-metrics-{name}.yaml" for name in ALL_METRIC_RULES),
-          "calibrate-gap-mixed.yaml")
+          "calibrate-gap-mixed.yaml", "run-horizon-gi.yaml",
+          "calibrate-gap-horizon.yaml")
 
 
 def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
@@ -79,6 +82,12 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
         "calibrate", "--config", str(shared / "calibrate-gap-mixed.yaml"),
         "--reps", "200",
     ]
+    # Trials that end at the horizon, in a run and in the gap search.
+    for name, command in (("run-horizon-gi", "run"),
+                          ("calibrate-gap-horizon", "calibrate")):
+        cases[name] = [
+            command, "--config", str(shared / f"{name}.yaml"), "--reps", "2000",
+        ]
     return cases
 
 
