@@ -34,7 +34,7 @@ from .engine import (
     worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
-from .rules import FIRST_BLOCK, MAX_BLOCK, cumulate, ranking
+from .rules import FIRST_BLOCK, cumulate, next_block, ranking
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
@@ -181,11 +181,12 @@ class _GapSearch:
     Each trial's state is one entry of the columns ``lam`` (its running
     sums, (n, J)), ``taken`` (rows drawn), ``best`` (its largest gap, or
     ``inf`` once the horizon ended it) and ``block`` (its next block on
-    ``Walk``'s doubling schedule).  The trials a probe extends go a batch
-    at a time: those with the same next block share one buffer, each
-    drawing its rows by counter from its own stream, and the inverse CDF,
-    the increments, ``cumulate``, the gap column and the record ranking
-    run once per batch, each trial on its own.  So a trial's rows, every
+    the schedule ``rules.next_block`` states for ``run_sequential`` too).
+    The trials a probe extends go a batch at a time: those with the same
+    next block share one buffer, each drawing its rows by counter from its
+    own stream, and the inverse CDF, the increments, ``cumulate``, the gap
+    column and the record ranking run once per batch, each trial on its
+    own.  So a trial's rows, every
     comparison with c, and every rejection (the top m of the stopping row,
     or of the final row at the horizon) are the ones a rerun at c makes.
     """
@@ -220,7 +221,6 @@ class _GapSearch:
         cumulate(profile.increments(path, out=path), self.lam[trials])
         self.lam[trials] = path[:, -1]
         self.taken[trials] += path.shape[1]
-        self.block[trials] = np.minimum(2 * self.block[trials], MAX_BLOCK)
         gaps = config.rule.gap_column(path)
         best = self.best[trials]
         before = np.maximum.accumulate(
@@ -247,7 +247,9 @@ class _GapSearch:
         # between probes, so none outlives it into the evaluation run.
         shared = np.empty(_SEARCH_VALUES)
         while live.size:
-            steps = np.minimum(self.block[live], horizon - self.taken[live])
+            steps, self.block[live] = next_block(
+                self.block[live], self.taken[live], horizon
+            )
             for k in np.unique(steps).tolist():
                 group = live[steps == k]
                 batch = max(1, min(group.size, _SEARCH_VALUES // (k * j)))

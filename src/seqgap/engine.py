@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import signal
 import threading
 import time
@@ -61,10 +62,29 @@ DEFAULT_HORIZON = 1_000_000
 _SEED_SPAN = 2**64
 
 
-def _check_seed(master_seed: int) -> int:
-    if not 0 <= int(master_seed) < _SEED_SPAN:
-        raise ValueError(f"master_seed must be a 64-bit integer, got {master_seed!r}")
-    return int(master_seed)
+def _as_index(value) -> int | None:
+    """``value`` as a Python int if it is an integer (a Python or numpy int,
+    not a float), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _check_word(value, name: str) -> int:
+    """``value`` as a Python int if it is an integer in 0..2**64 - 1."""
+    number = _as_index(value)
+    if number is None or not 0 <= number < _SEED_SPAN:
+        raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
+    return number
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as a Python int if it is an integer >= 1."""
+    number = _as_index(value)
+    if number is None or number < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return number
 
 
 def trial_rng(
@@ -80,12 +100,12 @@ def trial_rng(
     the low word, so distinct trials of one experiment — and trials of
     experiments with distinct master seeds — never share a stream.
 
-    Without ``rng`` this builds a new generator.  With ``rng``, a Philox
-    generator, it rekeys that one in place and returns it: the key, a zero
-    counter, an empty buffer and no held-back 32-bit half are the whole
-    state of a new generator with this key, so the draws are the same bit
-    for bit, without the OS entropy a new ``Philox`` reads and never uses.
-    Each thread that runs trials rekeys one generator for every trial.
+    It rekeys ``rng``, a Philox generator, in place and returns it, or
+    without ``rng`` a new one: the key, a zero counter, an empty buffer
+    and no held-back 32-bit half are the whole state of a new generator
+    with this key, so the draws are the same bit for bit, without the OS
+    entropy a new keyed ``Philox`` reads and never uses.  Each thread that
+    runs trials rekeys one generator for every trial.
 
     Philox draws its values four at a time, stepping its counter first, so
     value k of the stream is word k mod 4 of counter k div 4 + 1.  A
@@ -94,19 +114,11 @@ def trial_rng(
     stream: a trial's rows t.. of J values are ``start = t * J``, drawn
     without a generator that drew the rows before them.
     """
-    master_seed = _check_seed(master_seed)
-    if not 0 <= int(trial_index) < _SEED_SPAN:
-        raise ValueError(f"trial_index must be a 64-bit integer, got {trial_index!r}")
-    if start:
-        if not 0 < int(start) < _SEED_SPAN:
-            raise ValueError(f"start must be a 64-bit integer, got {start!r}")
-        start = int(start)
+    master_seed = _check_word(master_seed, "master_seed")
+    trial_index = _check_word(trial_index, "trial_index")
+    start = _check_word(start, "start")
     if rng is None:
-        rng = np.random.Generator(
-            np.random.Philox(key=(master_seed << 64) + int(trial_index))
-        )
-        if not start:
-            return rng
+        rng = np.random.Generator(np.random.Philox(0))
     # The setter reads the words one by one, so tuples do, without three
     # new arrays per trial.  A start below 2**64 fills the counter's low
     # word alone.
@@ -114,7 +126,7 @@ def trial_rng(
         "bit_generator": "Philox",
         "state": {
             "counter": (start >> 2, 0, 0, 0),
-            "key": (int(trial_index), master_seed),
+            "key": (trial_index, master_seed),
         },
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # empty, so the first draw fills it from the counter
@@ -129,7 +141,8 @@ def trial_rng(
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministically derive an unrelated 64-bit seed for a sub-run."""
     ss = np.random.SeedSequence(
-        entropy=_check_seed(master_seed), spawn_key=tuple(int(p) for p in path)
+        entropy=_check_word(master_seed, "master_seed"),
+        spawn_key=tuple(int(p) for p in path),
     )
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -163,11 +176,14 @@ class ExperimentConfig:
         if not self.metrics:
             raise ValueError("metrics: need at least one metric, got none")
         check_distinct(self.metrics)
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        _check_seed(self.master_seed)
+        # Stored as Python ints: a float would be truncated and a numpy int
+        # would not serialize.
+        for name, check in (
+            ("replications", _check_count),
+            ("horizon", _check_count),
+            ("master_seed", _check_word),
+        ):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         self.rule.check(self.profile, self.metrics)
         if MetricKind.FPR in self.metrics and not self.truth:
             raise ValueError("fpr needs a nonempty signal set as its divisor")
@@ -694,6 +710,8 @@ def reproduce_table(
     rows run on one pool of ``workers`` processes.
     """
     selected = study_rows(which, rows)
+    replications = _check_count(replications, "replications")
+    master_seed = _check_word(master_seed, "master_seed")
     spec = BENCHMARKS[which]
     profile = StreamProfile.homogeneous(spec.model, spec.j)
     out = []

@@ -49,6 +49,9 @@ which sorts nothing.  The tests keep a one-state form of each stopping
 condition as an independent oracle and check, on random blocks with ties,
 infinite entries and every bracket edge, that ``scan_path`` stops at the
 same row with the same tag.
+
+``run_sequential`` draws a path a block at a time on the schedule that
+``next_block`` states for it and for the gap-threshold search.
 """
 
 from __future__ import annotations
@@ -477,45 +480,16 @@ def cumulate(path: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.cumsum(path, axis=-2, out=path)
 
 
-class Walk:
-    """One trial's cumulative-LLR path, drawn block by block.
+def next_block(block, taken, horizon):
+    """The rows of a path's next block and the block after it.
 
-    Blocks follow a fixed doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
-    ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms
-    consumed depend on the horizon alone; ``cumulate`` carries the running
-    sum ``lam`` from block to block.
+    Blocks follow one doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
+    ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms a
+    path consumes depend on the horizon alone.  ``block`` is the
+    schedule's next block and ``taken`` the rows drawn so far: ints, or
+    int columns with one entry per path.
     """
-
-    __slots__ = ("profile", "signal", "horizon", "rng", "lam", "taken", "block")
-
-    def __init__(
-        self,
-        profile: StreamProfile,
-        signal: np.ndarray,
-        horizon: int,
-        rng: np.random.Generator,
-    ):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
-        self.profile = profile
-        self.signal = signal
-        self.horizon = horizon
-        self.rng = rng
-        self.lam = np.zeros(profile.j)
-        self.taken = 0
-        self.block = FIRST_BLOCK
-
-    def next_block(self) -> np.ndarray | None:
-        """The cumulative-LLR rows of the next block, or None at the horizon."""
-        if self.taken == self.horizon:
-            return None
-        steps = min(self.block, self.horizon - self.taken)
-        x = self.profile.sample_block(self.signal, steps, self.rng)
-        path = cumulate(self.profile.increments(x, out=x), self.lam)
-        self.lam = path[-1].copy()  # a view would keep the whole block alive
-        self.taken += steps
-        self.block = min(2 * self.block, MAX_BLOCK)
-        return path
+    return np.minimum(block, horizon - taken), np.minimum(2 * block, MAX_BLOCK)
 
 
 def run_sequential(
@@ -525,21 +499,31 @@ def run_sequential(
     horizon: int,
     rng: np.random.Generator,
 ) -> Decision:
-    """Walk a fresh path until the rule fires or the horizon is exhausted.
+    """Draw a fresh path block by block until the rule fires or the
+    horizon is exhausted.
 
-    ``signal`` is the (J,) boolean signal mask the path is drawn under.
+    ``signal`` is the (J,) boolean signal mask the path is drawn under;
+    ``cumulate`` carries the running sums ``lam`` from block to block.
 
     If the horizon is exhausted the rule's decision is evaluated at the
     final state and tagged "horizon".
     """
-    walk = Walk(profile, signal, horizon, rng)
-    while (path := walk.next_block()) is not None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    lam = np.zeros(profile.j)
+    taken, block = 0, FIRST_BLOCK
+    while taken < horizon:
+        steps, block = map(int, next_block(block, taken, horizon))
+        x = profile.sample_block(signal, steps, rng)
+        path = cumulate(profile.increments(x, out=x), lam)
+        lam = path[-1].copy()  # a view would keep the whole block alive
         hit = rule.scan_path(path)
         if hit is not None:
             row, tag = hit
             rejected = rule.decide(order_view(path[row]))
-            return Decision(walk.taken - len(path) + row + 1, rejected, tag)
-    return Decision(horizon, rule.decide(order_view(walk.lam)), STOP_HORIZON)
+            return Decision(taken + row + 1, rejected, tag)
+        taken += steps
+    return Decision(horizon, rule.decide(order_view(lam)), STOP_HORIZON)
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:

@@ -1,19 +1,19 @@
 """One-state reference forms of the library's vectorized code.
 
-The library walks a path block by block (``rules.Walk``), draws
-observation blocks in place (``StreamProfile.sample_block``), scans blocks
-of cumulative LLR rows (``scan_path``), maps observation blocks to
-increments (``StreamProfile.increments``), runs fixed-sample trials a
-batch at a time with one transform, one sum, one p-value pass and one
-decision per batch (``engine._run_fixed``,
-``engine.fixed_sample_pvalues``), decides and counts with stacks of (J,)
-boolean masks over 0-based columns (``decide``, ``bh_decide``,
-``top_m_decide``, ``metrics.confusion``) and aggregates columns of
-counts (``metrics.aggregate``).  The functions here state the same things
-one path, one trial, one state, one stream, one column family or one
-observation at a time, decisions as sets of 1-based stream labels and
-counts as one trial's four integers, the way the definitions read, and
-the tests check the library against them.
+The library steps a path block by block (``rules.run_sequential``, on
+the schedule of ``rules.next_block``), draws observation blocks in place
+(``StreamProfile.sample_block``), scans blocks of cumulative LLR rows
+(``scan_path``), maps observation blocks to increments
+(``StreamProfile.increments``), runs fixed-sample trials a batch at a
+time with one transform, one sum, one p-value pass and one decision per
+batch (``engine._run_fixed``, ``engine.fixed_sample_pvalues``), decides
+and counts with stacks of (J,) boolean masks over 0-based columns
+(``decide``, ``bh_decide``, ``top_m_decide``, ``metrics.confusion``) and
+aggregates columns of counts (``metrics.aggregate``).  The functions here
+state the same things one path, one trial, one state, one stream, one
+column family or one observation at a time, decisions as sets of 1-based
+stream labels and counts as one trial's four integers, the way the
+definitions read, and the tests check the library against them.
 """
 
 import math

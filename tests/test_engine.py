@@ -55,6 +55,11 @@ def gap_config(reps=200, seed=42, m=5, threshold=2.1, metrics=None, j=10):
     )
 
 
+def keyed(master_seed, trial_index):
+    """A new Philox generator under trial ``trial_index``'s 128-bit key."""
+    return np.random.Generator(np.random.Philox(key=(master_seed << 64) + trial_index))
+
+
 def test_trial_rng_counter_seeding_is_deterministic():
     a = trial_rng(42, 7).random(5)
     b = trial_rng(42, 7).random(5)
@@ -81,7 +86,8 @@ def test_trial_rng_distinct_indices_differ():
 def test_rekeyed_generator_equals_a_fresh_one(
     master_seed, trial_index, buffers, words
 ):
-    """A generator rekeyed after use draws what a new one of that key draws."""
+    """A generator rekeyed after use draws what a new one of that key draws,
+    and so does one ``trial_rng`` builds itself."""
     shared = trial_rng(derive_seed(master_seed, 1), 3)
     # An odd count of 32-bit draws leaves half a 64-bit word held back, and
     # 1 to 3 words of the last four-word Philox buffer read.
@@ -90,16 +96,19 @@ def test_rekeyed_generator_equals_a_fresh_one(
     assert state["has_uint32"] == 1 and 0 < state["buffer_pos"] < 4
     rekeyed = trial_rng(master_seed, trial_index, shared)
     assert rekeyed is shared
-    fresh = trial_rng(master_seed, trial_index)
+    built = trial_rng(master_seed, trial_index)
+    fresh = keyed(master_seed, trial_index)
     assert rekeyed.bit_generator.state["has_uint32"] == 0
     # Odd lengths and a span past one buffer cover the held-back word and a
     # buffer refill.
     for size in (1, 3, 8, 1):
-        assert rekeyed.random(size).tobytes() == fresh.random(size).tobytes()
-    assert rekeyed.integers(2**32, dtype=np.uint32) == fresh.integers(
-        2**32, dtype=np.uint32
-    )
-    assert rekeyed.random(5).tobytes() == fresh.random(5).tobytes()
+        want = fresh.random(size).tobytes()
+        assert rekeyed.random(size).tobytes() == built.random(size).tobytes() == want
+    want = fresh.integers(2**32, dtype=np.uint32)
+    assert rekeyed.integers(2**32, dtype=np.uint32) == want
+    assert built.integers(2**32, dtype=np.uint32) == want
+    want = fresh.random(5).tobytes()
+    assert rekeyed.random(5).tobytes() == built.random(5).tobytes() == want
 
 
 def test_trial_rng_validates_seed_range():
@@ -138,7 +147,7 @@ def test_counter_addressed_rows_are_the_stream_from_their_start(
     a row boundary, and with J odd the row starts themselves fall at
     every position in a four-value Philox block."""
     start = row * j + offset
-    stream = trial_rng(master_seed, trial_index).random(start + rows * j)
+    stream = keyed(master_seed, trial_index).random(start + rows * j)
     shared = None
     if rekey:
         shared = trial_rng(derive_seed(master_seed, 1), 3)
@@ -171,6 +180,101 @@ def test_derive_seed_is_stable_and_path_dependent():
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
     assert derive_seed(5, 1, 2) != derive_seed(5, 2, 1)
     assert derive_seed(5, 1) != derive_seed(6, 1)
+
+
+# The integer inputs of the library: the least value each accepts, the
+# first it rejects above (None: no bound), and the start of its message.
+INTEGER_INPUTS = {
+    "replications": (1, None, "replications must be >= 1, got"),
+    "horizon": (1, None, "horizon must be >= 1, got"),
+    "master_seed": (0, 2**64, "master_seed must be a 64-bit integer, got"),
+}
+NUMPY_INTS = (np.int64, np.uint64, np.int32)
+
+
+def integer_input(field):
+    """A valid value of ``field`` as a numpy int, or an invalid one: a
+    float (integral ones too) or an int out of range."""
+    low, high, _ = INTEGER_INPUTS[field]
+    top = min(high or 2**63, 2**63) - 1
+    numpy_int = st.tuples(
+        st.sampled_from(NUMPY_INTS), st.integers(low, min(top, 2**31 - 1))
+    ) | st.tuples(st.sampled_from(NUMPY_INTS[:2]), st.integers(low, top))
+    out_of_range = st.integers(max_value=low - 1) | (
+        st.integers(min_value=high) if high else st.nothing()
+    )
+    return st.one_of(
+        numpy_int.map(lambda pair: pair[0](pair[1])),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(low, 2**64 - 1).map(float),
+        st.sampled_from((np.float64(5.0), 2.5, 1.5)),
+        out_of_range,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from(sorted(INTEGER_INPUTS)))
+def test_config_integer_inputs_are_stored_as_python_ints_or_rejected(data, field):
+    """An integer input of a config is kept as the Python int it equals,
+    so it serializes; a float, even an integral one, or an int out of
+    range fails with the field's message instead of running truncated."""
+    value = data.draw(integer_input(field), label=field)
+    low, high, message = INTEGER_INPUTS[field]
+    base = dict(
+        profile=profile10(),
+        truth=frozenset({1}),
+        rule=GapRule(num_signals=1, threshold=2.0),
+        replications=3,
+        master_seed=1,
+    )
+    valid = isinstance(value, np.integer) and low <= int(value) < (high or math.inf)
+    if not valid:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(**{**base, field: value})
+        return
+    config = ExperimentConfig(**{**base, field: value})
+    stored = getattr(config, field)
+    assert type(stored) is int and stored == int(value)
+    assert json.loads(json.dumps(config_to_dict(config)))[field] == stored
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), argument=st.sampled_from(["master_seed", "trial_index", "start"]))
+def test_trial_rng_and_derive_seed_take_integers_only(data, argument):
+    """``trial_rng`` draws trial i's stream for a numpy int i and rejects a
+    float such as 2.7 instead of drawing trial 2's; ``derive_seed`` and
+    ``reproduce_table`` reject a float seed instead of truncating it."""
+    value = data.draw(integer_input("master_seed"), label=argument)
+    args = {"master_seed": 3, "trial_index": 5, "start": 7}
+    valid = isinstance(value, np.integer) and 0 <= int(value) < 2**64
+    if not valid:
+        with pytest.raises(ValueError, match=f"^{argument} must be a 64-bit integer"):
+            trial_rng(**{**args, argument: value})
+        if argument == "master_seed":
+            with pytest.raises(ValueError, match="^master_seed must be a 64-bit"):
+                derive_seed(value, 1)
+            with pytest.raises(ValueError, match="^master_seed must be a 64-bit"):
+                reproduce_table("table1", rows=[], master_seed=value)
+        return
+    want = trial_rng(**{**args, argument: int(value)}).random(3).tobytes()
+    assert trial_rng(**{**args, argument: value}).random(3).tobytes() == want
+    if argument == "master_seed":
+        assert derive_seed(value, 1) == derive_seed(int(value), 1)
+        report = reproduce_table("table1", rows=[], master_seed=value)
+        assert type(report.master_seed) is int and report.master_seed == int(value)
+
+
+def test_numpy_int_inputs_give_a_serializable_payload():
+    """A run configured with numpy ints reports the same payload as with
+    Python ints, and it serializes."""
+    config = gap_config(reps=5, seed=3)
+    numpy_config = replace(config, replications=np.int64(5), master_seed=np.uint64(3))
+    payload = run_experiment(numpy_config).payload()
+    assert json.dumps(payload) == json.dumps(run_experiment(config).payload())
+    table = reproduce_table("table1", rows=[1], replications=np.int64(3))
+    assert json.dumps(table.payload()) == json.dumps(
+        reproduce_table("table1", rows=[1], replications=3).payload()
+    )
 
 
 def test_run_trial_deterministic():

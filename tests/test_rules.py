@@ -34,6 +34,7 @@ from seqgap import (
     run_sequential,
     top_m_decide,
 )
+from seqgap import rules
 from seqgap.metrics import MetricKind, NoBoundConstants
 from seqgap.rules import (
     STOP_GAP,
@@ -42,7 +43,6 @@ from seqgap.rules import (
     STOP_TAU1,
     STOP_TAU2,
     STOP_TAU3,
-    Walk,
 )
 from seqgap.thresholds import ErrorBudget
 
@@ -436,22 +436,55 @@ WALK_PROFILES = {
 }
 
 
+def schedule(horizon):
+    """Row counts of the blocks of a path: 64, 128, ... up to 8192 rows,
+    then 8192 rows a block, the last one cut at the horizon."""
+    sizes, block = [], 64
+    while sum(sizes) < horizon:
+        sizes.append(min(block, horizon - sum(sizes)))
+        block = min(2 * block, 8192)
+    return sizes
+
+
+class RecordingRule:
+    """A gap rule that never fires and keeps a copy of every block it is
+    asked to scan."""
+
+    def __init__(self):
+        self.blocks = []
+        self.decide = GapRule(num_signals=2, threshold=1.0).decide
+
+    def scan_path(self, path):
+        self.blocks.append(path.copy())
+        return None
+
+
 @pytest.mark.parametrize("horizon", WALK_HORIZONS)
 @pytest.mark.parametrize("family", sorted(WALK_PROFILES))
-def test_walk_and_run_sequential_follow_the_one_shot_path(family, horizon):
-    """The walk's blocks concatenate to one cumulative sum over the whole
-    path, bit for bit, and ``run_sequential`` stops and decides as a
-    row-by-row scan of that path does."""
+def test_walk_and_run_sequential_follow_the_one_shot_path(
+    family, horizon, monkeypatch
+):
+    """The blocks ``run_sequential`` walks and scans concatenate to one
+    cumulative sum over the whole path, bit for bit, in blocks of the
+    doubling schedule cut at the horizon, and its horizon decision reads
+    the final row; it stops and decides as a row-by-row scan of that path
+    does."""
     profile = WALK_PROFILES[family]
     signal = profile.signal_mask({1, 2})
     path = one_shot_path(profile, signal, horizon, np.random.default_rng(5))
 
-    walk = Walk(profile, signal, horizon, np.random.default_rng(5))
-    blocks = []
-    while (block := walk.next_block()) is not None:
-        blocks.append(block)
-    assert np.concatenate(blocks).tobytes() == path.tobytes()
-    assert walk.taken == horizon and walk.lam.tobytes() == path[-1].tobytes()
+    recorder, views = RecordingRule(), []
+    monkeypatch.setattr(
+        rules, "order_view", lambda lam: views.append(lam.copy()) or order_view(lam)
+    )
+    decision = run_sequential(
+        recorder, profile, signal, horizon, np.random.default_rng(5)
+    )
+    monkeypatch.undo()
+    assert np.concatenate(recorder.blocks).tobytes() == path.tobytes()
+    assert [len(block) for block in recorder.blocks] == schedule(horizon)
+    assert (decision.stopping_time, decision.stopped_by) == (horizon, STOP_HORIZON)
+    assert len(views) == 1 and views[0].tobytes() == path[-1].tobytes()
 
     # The largest gap of the path is met at its first row, and nowhere
     # earlier by a hair, only if every row is summed as the one-shot path is.
@@ -467,6 +500,17 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(family, horizon):
         )
         got = (decision.stopping_time, labels(decision.rejected), decision.stopped_by)
         assert got == stepwise_run(rule, path), rule
+        assert type(decision.stopping_time) is int
+
+
+@pytest.mark.parametrize("horizon", (0, -3))
+def test_run_sequential_rejects_a_horizon_below_one(horizon):
+    profile = make_profile()
+    rule = GapRule(num_signals=2, threshold=1.0)
+    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+        run_sequential(
+            rule, profile, profile.signal_mask({1}), horizon, np.random.default_rng(0)
+        )
 
 
 def test_run_sequential_horizon_decision():
