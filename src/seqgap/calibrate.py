@@ -186,9 +186,9 @@ class _GapSearch:
     next block share one buffer, each drawing its rows by counter from its
     own stream, and the inverse CDF, the increments, ``cumulate``, the gap
     column and the record ranking run once per batch, each trial on its
-    own.  So a trial's rows, every
-    comparison with c, and every rejection (the top m of the stopping row,
-    or of the final row at the horizon) are the ones a rerun at c makes.
+    own.  So a trial's rows, every comparison with c, and every rejection
+    (the top m of the stopping row, or of the final row at the horizon)
+    are the ones a rerun at c makes.
     """
 
     def __init__(self, config: ExperimentConfig):

@@ -480,6 +480,12 @@ def cumulate(path: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.cumsum(path, axis=-2, out=path)
 
 
+def _smaller(a, b):
+    """``min(a, b)`` of two ints, elementwise for int columns; Python ints
+    stay Python ints, without the array conversion ``np.minimum`` costs."""
+    return a - (a - b) * (a > b)
+
+
 def next_block(block, taken, horizon):
     """The rows of a path's next block and the block after it.
 
@@ -489,7 +495,7 @@ def next_block(block, taken, horizon):
     schedule's next block and ``taken`` the rows drawn so far: ints, or
     int columns with one entry per path.
     """
-    return np.minimum(block, horizon - taken), np.minimum(2 * block, MAX_BLOCK)
+    return _smaller(block, horizon - taken), _smaller(2 * block, MAX_BLOCK)
 
 
 def run_sequential(
@@ -513,7 +519,7 @@ def run_sequential(
     lam = np.zeros(profile.j)
     taken, block = 0, FIRST_BLOCK
     while taken < horizon:
-        steps, block = map(int, next_block(block, taken, horizon))
+        steps, block = next_block(block, taken, horizon)
         x = profile.sample_block(signal, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
         lam = path[-1].copy()  # a view would keep the whole block alive

@@ -446,6 +446,34 @@ def schedule(horizon):
     return sizes
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 2**40), st.integers(1, 2**41)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_next_block_is_the_min_of_its_cut_and_doubling(steps):
+    """``next_block`` on ints returns Python ints, the horizon cut and the
+    capped doubling; on int columns, each entry's own result."""
+    blocks, taken, horizons = (
+        [64 << k for k, _, _ in steps],
+        [t for _, t, _ in steps],
+        [t + h for _, t, h in steps],
+    )
+    want = [
+        (min(b, h - t), min(2 * b, 8192)) for b, t, h in zip(blocks, taken, horizons)
+    ]
+    for (b, t, h), pair in zip(zip(blocks, taken, horizons), want):
+        got = rules.next_block(b, t, h)
+        assert got == pair and all(type(v) is int for v in got)
+    columns = rules.next_block(
+        np.array(blocks), np.array(taken), np.array(horizons)
+    )
+    assert [c.tolist() for c in columns] == [list(v) for v in zip(*want)]
+
+
 class RecordingRule:
     """A gap rule that never fires and keeps a copy of every block it is
     asked to scan."""
