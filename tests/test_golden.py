@@ -83,7 +83,28 @@ def _commands() -> dict[str, list[str]]:
     return cases
 
 
-CASES = [(name, fmt) for name in _commands() for fmt in FORMATS]
+def _error_commands() -> dict[str, list[str]]:
+    """Case name -> argv of a run that fails on an integer input, exit 2.
+    The error comes before any report, so one format covers each case."""
+    gap = _config("gap")
+    return {
+        "error-run-reps-0": ["run", "--config", gap, "--reps", "0"],
+        "error-run-workers-0": ["run", "--config", gap, "--workers", "0"],
+        "error-run-seed-2-64": [
+            "run", "--config", gap, "--seed", str(2**64),
+        ],
+        "error-reproduce-rows-0": ["reproduce", "--which", "table1", "--rows", "0"],
+        "error-float-reps": ["run", "--config", str(GOLDEN / "float-reps.yaml")],
+    }
+
+
+def _all_commands() -> dict[str, list[str]]:
+    return {**_commands(), **_error_commands()}
+
+
+CASES = [(name, fmt) for name in _commands() for fmt in FORMATS] + [
+    (name, "text") for name in _error_commands()
+]
 
 
 def _render(argv: list[str]) -> str:
@@ -104,7 +125,7 @@ def _golden_path(name: str, fmt: str) -> Path:
 @pytest.mark.parametrize("name,fmt", CASES, ids=[f"{n}.{f}" for n, f in CASES])
 def test_cli_output_matches_golden(name, fmt, monkeypatch):
     monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
-    got = _render(_commands()[name] + ["--format", fmt])
+    got = _render(_all_commands()[name] + ["--format", fmt])
     assert got == _golden_path(name, fmt).read_text(encoding="utf-8")
 
 
@@ -136,7 +157,7 @@ def _regenerate() -> None:
     os.environ.pop("SEQGAP_WORKERS", None)
     for name, fmt in CASES:
         path = _golden_path(name, fmt)
-        text = _render(_commands()[name] + ["--format", fmt])
+        text = _render(_all_commands()[name] + ["--format", fmt])
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path.relative_to(ROOT)}", file=sys.stderr)
 
