@@ -34,7 +34,8 @@ from .engine import (
     worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
-from .rules import FIRST_BLOCK, cumulate, next_block, ranking
+from .models import check_count, check_real, store_checked
+from .rules import cumulate, next_block, ranking
 from .thresholds import ErrorBudget
 
 _EVALUATION_TAG = 1
@@ -62,6 +63,8 @@ class CalibrationSettings:
     full_scan: bool = False
 
     def __post_init__(self) -> None:
+        store_checked(self, check_real, "grid_step", "threshold_cap")
+        store_checked(self, check_count, "sample_size_cap")
         for name in ("grid_step", "threshold_cap"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -76,10 +79,6 @@ class CalibrationSettings:
             raise ValueError(
                 f"threshold_cap ({self.threshold_cap:g}) is below grid_step "
                 f"({self.grid_step:g}): search cap leaves no grid points for {grid}"
-            )
-        if self.sample_size_cap < 1:
-            raise ValueError(
-                f"sample_size_cap must be >= 1, got {self.sample_size_cap}"
             )
 
     def grid(self, field: str):
@@ -179,12 +178,12 @@ class _GapSearch:
     of the final row's top m.
 
     Each trial's state is one entry of the columns ``lam`` (its running
-    sums, (n, J)), ``taken`` (rows drawn), ``best`` (its largest gap, or
-    ``inf`` once the horizon ended it) and ``block`` (its next block on
-    the schedule ``rules.next_block`` states for ``run_sequential`` too).
-    The trials a probe extends go a batch at a time: those with the same
-    next block share one buffer, each drawing its rows by counter from its
-    own stream, and the inverse CDF, the increments, ``cumulate``, the gap
+    sums, (n, J)), ``taken`` (rows drawn, from which ``rules.next_block``
+    gives its next block, as it does for ``run_sequential``) and ``best``
+    (its largest gap, or ``inf`` once the horizon ended it).  The trials a
+    probe extends go a batch at a time: those with the same next block
+    share one buffer, each drawing its rows by counter from its own
+    stream, and the inverse CDF, the increments, ``cumulate``, the gap
     column and the record ranking run once per batch, each trial on its
     own.  So a trial's rows, every comparison with c, and every rejection
     (the top m of the stopping row, or of the final row at the horizon)
@@ -197,7 +196,6 @@ class _GapSearch:
         self.lam = np.zeros((n, j))
         self.taken = np.zeros(n, dtype=np.int64)
         self.best = np.full(n, -math.inf)
-        self.block = np.full(n, FIRST_BLOCK, dtype=np.int64)
         self.trial = np.empty(0, dtype=np.int64)
         self.gap = np.empty(0)
         self.hits = np.empty(0, dtype=np.int64)
@@ -247,9 +245,7 @@ class _GapSearch:
         # between probes, so none outlives it into the evaluation run.
         shared = np.empty(_SEARCH_VALUES)
         while live.size:
-            steps, self.block[live] = next_block(
-                self.block[live], self.taken[live], horizon
-            )
+            steps = next_block(self.taken[live], horizon)
             for k in np.unique(steps).tolist():
                 group = live[steps == k]
                 batch = max(1, min(group.size, _SEARCH_VALUES // (k * j)))

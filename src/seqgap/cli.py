@@ -37,9 +37,7 @@ from .calibrate import (
     calibrate_gap_c,
     calibrate_topm_n,
 )
-from .config import (
-    FORMATS, ConfigError, LoadedConfig, check_count, check_seed, load_config
-)
+from .config import FORMATS, ConfigError, LoadedConfig, checked, load_config
 from .engine import (
     BENCHMARKS,
     BenchmarkReport,
@@ -54,6 +52,7 @@ from .engine import (
     study_rows,
 )
 from .metrics import MetricEstimate, MetricKind, NoBoundConstants
+from .models import check_count, check_word
 from .rules import Rule, _fmt
 from .thresholds import ErrorBudget
 
@@ -287,7 +286,7 @@ write_sweep_report = write_report
 
 def _resolve_workers(args) -> int:
     if args.workers is not None:
-        return check_count(args.workers, "--workers")
+        return checked(check_count, args.workers, "--workers")
     raw = os.environ.get(WORKERS_ENV)
     if raw is None:
         return 1
@@ -295,16 +294,16 @@ def _resolve_workers(args) -> int:
         workers = int(raw)
     except ValueError:
         raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return check_count(workers, WORKERS_ENV)
+    return checked(check_count, workers, WORKERS_ENV)
 
 
 def _overrides(args) -> dict:
     """The checked ``--reps`` and ``--seed`` values that were given."""
     updates = {}
     if args.reps is not None:
-        updates["replications"] = check_count(args.reps, "--reps")
+        updates["replications"] = checked(check_count, args.reps, "--reps")
     if args.seed is not None:
-        updates["master_seed"] = check_seed(args.seed, "--seed")
+        updates["master_seed"] = checked(check_word, args.seed, "--seed")
     return updates
 
 

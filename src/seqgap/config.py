@@ -23,14 +23,22 @@ which checks its own values.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import get_args, get_type_hints
 
 import yaml
 
 from .calibrate import CalibrationSettings
-from .engine import _SEED_SPAN, DEFAULT_HORIZON, ExperimentConfig
+from .engine import DEFAULT_HORIZON, ExperimentConfig
 from .metrics import MetricKind, NoBoundConstants, check_distinct
-from .models import StreamModel, StreamProfile
+from .models import (
+    StreamModel,
+    StreamProfile,
+    check_count,
+    check_int,
+    check_real,
+    check_word,
+)
 from .rules import Rule
 from .thresholds import ErrorBudget
 
@@ -78,31 +86,17 @@ def _done(section: dict, path: str) -> None:
         raise ConfigError(f"unknown key(s) under {path}: {_names(section)}")
 
 
-def check_count(value: int, name: str) -> int:
-    """``value`` if it is at least 1; a ConfigError naming ``name`` if not."""
-    if value < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
+def checked(check, value, name: str, *args):
+    """``check(value, name, *args)``, one of the input checks of
+    ``models``, with its ValueError raised as a ConfigError."""
+    try:
+        return check(value, name, *args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def check_seed(value: int, name: str) -> int:
-    """``value`` if it is a 64-bit master seed; a ConfigError naming ``name``
-    if not."""
-    if not 0 <= value < _SEED_SPAN:
-        raise ConfigError(f"{name} must be in 0..2**64 - 1, got {value}")
-    return value
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    return float(value)
+_as_int = partial(checked, check_int)
+_as_number = partial(checked, check_real)
 
 
 def _as_str(value, path: str) -> str:
@@ -144,8 +138,7 @@ def _parse_streams(doc) -> StreamProfile:
         )
     section = _mapping(doc, "streams")
     count = _as_int(_pop(section, "streams", "count"), "streams.count")
-    if count < 2:
-        raise ConfigError(f"streams.count must be >= 2, got {count}")
+    checked(check_count, count, "streams.count", 2)
     model = _parse_model(section, "streams")
     return StreamProfile.homogeneous(model, count)
 
@@ -342,9 +335,9 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     )
     metrics = _parse_metrics(_pop(run, "run", "metrics", required=False))
     _done(run, "run")
-    check_count(replications, "run.replications")
-    check_seed(seed, "run.seed")
-    check_count(horizon, "run.horizon")
+    checked(check_count, replications, "run.replications")
+    checked(check_word, seed, "run.seed")
+    checked(check_count, horizon, "run.horizon")
 
     output_format = None
     output_path = None

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import operator
 import signal
 import threading
 import time
@@ -43,7 +42,15 @@ from .metrics import (
     confusion,
     mean_se,
 )
-from .models import GAUSSIAN_MEAN, StreamModel, StreamProfile
+from .models import (
+    GAUSSIAN_MEAN,
+    StreamModel,
+    StreamProfile,
+    _as_index,
+    check_count,
+    check_word,
+    store_checked,
+)
 from .rules import (
     STOP_FIXED,
     STOP_HORIZON,
@@ -59,32 +66,6 @@ from .rules import (
 from .thresholds import ErrorBudget
 
 DEFAULT_HORIZON = 1_000_000
-_SEED_SPAN = 2**64
-
-
-def _as_index(value) -> int | None:
-    """``value`` as a Python int if it is an integer (a Python or numpy int,
-    not a float), else None."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def _check_word(value, name: str) -> int:
-    """``value`` as a Python int if it is an integer in 0..2**64 - 1."""
-    number = _as_index(value)
-    if number is None or not 0 <= number < _SEED_SPAN:
-        raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
-    return number
-
-
-def _check_count(value, name: str) -> int:
-    """``value`` as a Python int if it is an integer >= 1."""
-    number = _as_index(value)
-    if number is None or number < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return number
 
 
 def trial_rng(
@@ -114,9 +95,9 @@ def trial_rng(
     stream: a trial's rows t.. of J values are ``start = t * J``, drawn
     without a generator that drew the rows before them.
     """
-    master_seed = _check_word(master_seed, "master_seed")
-    trial_index = _check_word(trial_index, "trial_index")
-    start = _check_word(start, "start")
+    master_seed = check_word(master_seed, "master_seed")
+    trial_index = check_word(trial_index, "trial_index")
+    start = check_word(start, "start")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(0))
     # The setter reads the words one by one, so tuples do, without three
@@ -141,8 +122,8 @@ def trial_rng(
 def derive_seed(master_seed: int, *path: int) -> int:
     """Deterministically derive an unrelated 64-bit seed for a sub-run."""
     ss = np.random.SeedSequence(
-        entropy=_check_word(master_seed, "master_seed"),
-        spawn_key=tuple(int(p) for p in path),
+        entropy=check_word(master_seed, "master_seed"),
+        spawn_key=tuple(check_word(p, "path") for p in path),
     )
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -176,14 +157,8 @@ class ExperimentConfig:
         if not self.metrics:
             raise ValueError("metrics: need at least one metric, got none")
         check_distinct(self.metrics)
-        # Stored as Python ints: a float would be truncated and a numpy int
-        # would not serialize.
-        for name, check in (
-            ("replications", _check_count),
-            ("horizon", _check_count),
-            ("master_seed", _check_word),
-        ):
-            object.__setattr__(self, name, check(getattr(self, name), name))
+        store_checked(self, check_count, "replications", "horizon")
+        store_checked(self, check_word, "master_seed")
         self.rule.check(self.profile, self.metrics)
         if MetricKind.FPR in self.metrics and not self.truth:
             raise ValueError("fpr needs a nonempty signal set as its divisor")
@@ -359,7 +334,7 @@ def worker_pool(workers: int):
     trial (or batch of fixed-sample trials), and cancels the rest, so that
     no worker outlives the call.
     """
-    check_workers(workers)
+    workers = check_count(workers, "workers")
     if workers == 1:
         yield None
         return
@@ -394,12 +369,6 @@ class ExperimentReport:
         return payload(self)
 
 
-def check_workers(workers: int) -> None:
-    """Reject a worker count below 1."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def aggregate_counts(
     config: ExperimentConfig, counts: ConfusionCounts
 ) -> dict[MetricKind, MetricEstimate]:
@@ -423,7 +392,7 @@ def run_experiment(
     comes back as columns.  The ranges come back in order, so the joined
     columns are in trial order.
     """
-    check_workers(workers)
+    workers = check_count(workers, "workers")
     started = time.perf_counter()
     n = config.replications
     chunks = min(n, workers * 4)
@@ -685,8 +654,9 @@ def study_rows(which: str, rows: list[int] | None = None) -> list[int]:
     available = BENCHMARKS[which].rows
     if rows is None:
         return list(available)
-    selected = [int(m) for m in rows]
-    missing = sorted({m for m in selected if m not in available})
+    picked = [(_as_index(m), m) for m in rows]
+    selected = [i for i, _ in picked]
+    missing = sorted({m if i is None else i for i, m in picked if i not in available})
     repeated = sorted({m for m in selected if selected.count(m) > 1})
     if missing or repeated:
         problem = f"no such rows {missing}" if missing else f"repeated {repeated}"
@@ -710,8 +680,8 @@ def reproduce_table(
     rows run on one pool of ``workers`` processes.
     """
     selected = study_rows(which, rows)
-    replications = _check_count(replications, "replications")
-    master_seed = _check_word(master_seed, "master_seed")
+    replications = check_count(replications, "replications")
+    master_seed = check_word(master_seed, "master_seed")
     spec = BENCHMARKS[which]
     profile = StreamProfile.homogeneous(spec.model, spec.j)
     out = []

@@ -15,6 +15,8 @@ same generator state.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,65 @@ BERNOULLI = "bernoulli"
 
 _FAMILIES = (GAUSSIAN_MEAN, BERNOULLI)
 _SMALLEST_UNIFORM = 2.0**-53
+_WORD_SPAN = 2**64
+
+
+# Every integer and real input of the library is read by these checks, so
+# a float is never truncated to an int, a bool never counts as a number,
+# and a numpy scalar is stored as the Python number it equals, which
+# serializes.
+
+
+def _as_index(value) -> int | None:
+    """``value`` as a Python int if it is an integer (a Python or numpy int,
+    not a float or a bool), else None."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def check_int(value, name: str) -> int:
+    """``value`` as a Python int if it is an integer."""
+    number = _as_index(value)
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def check_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a Python int if it is an integer >= ``least``."""
+    number = _as_index(value)
+    if number is None or number < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return number
+
+
+def check_word(value, name: str) -> int:
+    """``value`` as a Python int if it is an integer in 0..2**64 - 1."""
+    number = _as_index(value)
+    if number is None or not 0 <= number < _WORD_SPAN:
+        raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
+    return number
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a Python float if it is a real number (a Python or
+    numpy int or float, not a bool); its range is the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def store_checked(obj, check, *names: str, **options) -> None:
+    """Replace each field ``names`` of the frozen dataclass ``obj`` by what
+    ``check(value, name, **options)`` returns for it."""
+    for name in names:
+        object.__setattr__(obj, name, check(getattr(obj, name), name, **options))
 
 
 @dataclass(frozen=True)
@@ -57,6 +118,7 @@ class StreamModel:
     alt: float
 
     def __post_init__(self) -> None:
+        store_checked(self, check_real, "null", "alt")
         if self.family not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}"
@@ -153,7 +215,7 @@ class StreamProfile:
     @classmethod
     def homogeneous(cls, model: StreamModel, count: int) -> StreamProfile:
         """Profile with ``count`` identical streams."""
-        return cls(models=(model,) * int(count))
+        return cls(models=(model,) * check_count(count, "count", least=2))
 
     @property
     def j(self) -> int:
@@ -163,16 +225,16 @@ class StreamProfile:
     def validate_signal_set(self, members) -> frozenset[int]:
         """Normalize an iterable of 1-based stream labels to a frozenset.
 
-        Rejects labels outside 1..J.  The empty set and the full set are
-        both legal signal configurations.
+        Rejects labels outside 1..J and labels that are not integers.  The
+        empty set and the full set are both legal signal configurations.
         """
-        truth = frozenset(int(m) for m in members)
-        bad = [m for m in truth if not 1 <= m <= self.j]
+        labels, valid = [(_as_index(m), m) for m in members], range(1, self.j + 1)
+        bad = {m if i is None else i for i, m in labels if i not in valid}
         if bad:
             raise ValueError(
                 f"signal labels must be in 1..{self.j}, got {sorted(bad)}"
             )
-        return truth
+        return frozenset(i for i, _ in labels)
 
     def signal_mask(self, truth: frozenset[int]) -> np.ndarray:
         """Read-only (J,) boolean mask, True at column j - 1 for signal label j."""
@@ -193,9 +255,8 @@ class StreamProfile:
         The block is the uniform array ``rng.random`` returned, transformed
         in place by ``from_uniforms``.
         """
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        return self.from_uniforms(rng.random(size=(int(steps), self.j)), signal)
+        steps = check_count(steps, "steps")
+        return self.from_uniforms(rng.random(size=(steps, self.j)), signal)
 
     def from_uniforms(self, u: np.ndarray, signal: np.ndarray) -> np.ndarray:
         """Map a float array of uniforms, shape (..., J), to observations

@@ -63,7 +63,15 @@ from typing import ClassVar
 import numpy as np
 
 from .metrics import MetricKind, bound_constants
-from .models import GAUSSIAN_MEAN, StreamProfile, eta
+from .models import (
+    GAUSSIAN_MEAN,
+    StreamProfile,
+    check_count,
+    check_int,
+    check_real,
+    eta,
+    store_checked,
+)
 from .thresholds import (
     ErrorBudget,
     gap_threshold,
@@ -186,6 +194,7 @@ class _BarrierRule(_SequentialRule):
     and the formula thresholds of its rejection range as a bracket."""
 
     def __post_init__(self) -> None:
+        store_checked(self, check_real, *self.threshold_names)
         for name in self.threshold_names:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -230,8 +239,8 @@ class GapRule(_SequentialRule):
     threshold: float
 
     def __post_init__(self) -> None:
-        if self.num_signals < 1:
-            raise ValueError(f"num_signals must be >= 1, got {self.num_signals}")
+        store_checked(self, check_count, "num_signals")
+        store_checked(self, check_real, "threshold")
         if not (math.isfinite(self.threshold) and self.threshold > 0):
             raise ValueError(f"threshold must be positive, got {self.threshold}")
 
@@ -309,8 +318,8 @@ class GapIntersectionRule(_BarrierRule):
     reject_gap: float
 
     def __post_init__(self) -> None:
-        if self.min_signals < 0:
-            raise ValueError(f"min_signals must be >= 0, got {self.min_signals}")
+        store_checked(self, check_count, "min_signals", least=0)
+        store_checked(self, check_int, "max_signals")
         if not self.min_signals < self.max_signals:
             raise ValueError(
                 "min_signals must be strictly below max_signals, got "
@@ -412,8 +421,8 @@ class BhRule:
     level: float
 
     def __post_init__(self) -> None:
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
+        store_checked(self, check_count, "sample_size")
+        store_checked(self, check_real, "level")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {self.level}")
 
@@ -436,10 +445,7 @@ class TopMRule:
     num_signals: int
 
     def __post_init__(self) -> None:
-        if self.sample_size < 1:
-            raise ValueError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.num_signals < 1:
-            raise ValueError(f"num_signals must be >= 1, got {self.num_signals}")
+        store_checked(self, check_count, "sample_size", "num_signals")
 
     def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
         _check_pvalue_family(profile)
@@ -486,16 +492,17 @@ def _smaller(a, b):
     return a - (a - b) * (a > b)
 
 
-def next_block(block, taken, horizon):
-    """The rows of a path's next block and the block after it.
+def next_block(taken, horizon):
+    """The rows of a path's next block, after ``taken`` rows drawn so far:
+    an int, or an int column with one entry per path.
 
     Blocks follow one doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
     ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms a
-    path consumes depend on the horizon alone.  ``block`` is the
-    schedule's next block and ``taken`` the rows drawn so far: ints, or
-    int columns with one entry per path.
+    path consumes depend on the horizon alone.  Before the blocks reach
+    MAX_BLOCK a path has taken FIRST_BLOCK * (2**k - 1) rows, so its next
+    block is ``taken + FIRST_BLOCK``.
     """
-    return _smaller(block, horizon - taken), _smaller(2 * block, MAX_BLOCK)
+    return _smaller(_smaller(taken + FIRST_BLOCK, MAX_BLOCK), horizon - taken)
 
 
 def run_sequential(
@@ -517,9 +524,9 @@ def run_sequential(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     lam = np.zeros(profile.j)
-    taken, block = 0, FIRST_BLOCK
+    taken = 0
     while taken < horizon:
-        steps, block = next_block(block, taken, horizon)
+        steps = next_block(taken, horizon)
         x = profile.sample_block(signal, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
         lam = path[-1].copy()  # a view would keep the whole block alive

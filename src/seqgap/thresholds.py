@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .models import check_real, store_checked
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -27,6 +29,7 @@ class ErrorBudget:
     beta: float
 
     def __post_init__(self) -> None:
+        store_checked(self, check_real, "alpha", "beta")
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")

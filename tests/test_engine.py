@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 from dataclasses import fields, replace
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -28,14 +29,23 @@ from seqgap import (
     StreamModel,
     StreamProfile,
     TopMRule,
+    asymptotic_sweep,
     derive_seed,
     reproduce_table,
     run_experiment,
     run_trial,
     trial_rng,
 )
-from seqgap.engine import config_to_dict, fixed_sample_pvalues, rule_to_dict
+from seqgap.calibrate import CalibrationSettings
+from seqgap.engine import (
+    config_to_dict,
+    fixed_sample_pvalues,
+    rule_to_dict,
+    study_rows,
+    worker_pool,
+)
 from seqgap.rules import STOP_GAP, STOP_HORIZON
+from seqgap.thresholds import ErrorBudget
 
 
 def profile10(theta=0.5, j=10):
@@ -182,21 +192,132 @@ def test_derive_seed_is_stable_and_path_dependent():
     assert derive_seed(5, 1) != derive_seed(6, 1)
 
 
-# The integer inputs of the library: the least value each accepts, the
-# first it rejects above (None: no bound), and the start of its message.
+class IntegerInput(NamedTuple):
+    """An integer input of the library: the least value it accepts, the
+    first it rejects above (None: no bound), the start of its message (a
+    pattern), what the library keeps of a value, and the largest valid
+    value worth drawing (a count of streams or rows is allocated)."""
+
+    low: int
+    high: int | None
+    message: str
+    stored: Callable
+    largest: int = 2**63 - 1
+
+
+CONFIG_BASE = dict(
+    profile=profile10(),
+    truth=frozenset({1}),
+    rule=GapRule(num_signals=1, threshold=2.0),
+    replications=3,
+    master_seed=1,
+)
+
+
+def config_field(field):
+    """The value an ExperimentConfig keeps for ``field``, which its
+    serialized form reads back."""
+
+    def stored(value):
+        config = ExperimentConfig(**{**CONFIG_BASE, field: value})
+        kept = getattr(config, field)
+        assert json.loads(json.dumps(config_to_dict(config)))[field] == kept
+        return kept
+
+    return stored
+
+
+def bracket(min_signals=0, max_signals=2**64):
+    return GapIntersectionRule(min_signals, max_signals, 1.0, 1.0, 1.0, 1.0)
+
+
+def pool_of(workers):
+    with worker_pool(workers) as pool:
+        return pool
+
+
 INTEGER_INPUTS = {
-    "replications": (1, None, "replications must be >= 1, got"),
-    "horizon": (1, None, "horizon must be >= 1, got"),
-    "master_seed": (0, 2**64, "master_seed must be a 64-bit integer, got"),
+    "replications": IntegerInput(
+        1, None, "replications must be >= 1, got", config_field("replications")
+    ),
+    "horizon": IntegerInput(
+        1, None, "horizon must be >= 1, got", config_field("horizon")
+    ),
+    "master_seed": IntegerInput(
+        0, 2**64, "master_seed must be a 64-bit integer, got",
+        config_field("master_seed"),
+    ),
+    "signal label": IntegerInput(
+        1, 11, "signal labels must be in 1..10, got",
+        lambda v: min(ExperimentConfig(**{**CONFIG_BASE, "truth": {v}}).truth),
+    ),
+    "GapRule.num_signals": IntegerInput(
+        1, None, "num_signals must be >= 1, got",
+        lambda v: GapRule(num_signals=v, threshold=2.0).num_signals,
+    ),
+    "GapIntersectionRule.min_signals": IntegerInput(
+        0, None, "min_signals must be >= 0, got",
+        lambda v: bracket(min_signals=v).min_signals,
+    ),
+    "GapIntersectionRule.max_signals": IntegerInput(
+        1, None,
+        "max_signals must be an integer, got|min_signals must be strictly below",
+        lambda v: bracket(max_signals=v).max_signals,
+    ),
+    "BhRule.sample_size": IntegerInput(
+        1, None, "sample_size must be >= 1, got",
+        lambda v: BhRule(sample_size=v, level=0.05).sample_size,
+    ),
+    "TopMRule.sample_size": IntegerInput(
+        1, None, "sample_size must be >= 1, got",
+        lambda v: TopMRule(sample_size=v, num_signals=1).sample_size,
+    ),
+    "TopMRule.num_signals": IntegerInput(
+        1, None, "num_signals must be >= 1, got",
+        lambda v: TopMRule(sample_size=3, num_signals=v).num_signals,
+    ),
+    "CalibrationSettings.sample_size_cap": IntegerInput(
+        1, None, "sample_size_cap must be >= 1, got",
+        lambda v: CalibrationSettings(sample_size_cap=v).sample_size_cap,
+    ),
+    "StreamProfile.homogeneous count": IntegerInput(
+        2, None, "count must be >= 2, got",
+        lambda v: StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 1.0), v).j,
+        largest=64,
+    ),
+    "sample_block steps": IntegerInput(
+        1, None, "steps must be >= 1, got",
+        lambda v: len(
+            profile10().sample_block(np.ones(10, bool), v, np.random.default_rng(1))
+        ),
+        largest=64,
+    ),
+    "derive_seed path": IntegerInput(
+        0, 2**64, "path must be a 64-bit integer, got", lambda v: derive_seed(5, v)
+    ),
+    "study_rows": IntegerInput(
+        1, 10, "no such rows", lambda v: study_rows("table1", [v])[0]
+    ),
+    # More than one valid worker would start a process pool of that size.
+    "run_experiment workers": IntegerInput(
+        1, None, "workers must be >= 1, got",
+        lambda v: json.dumps(
+            run_experiment(ExperimentConfig(**CONFIG_BASE), workers=v).payload()
+        ),
+        largest=1,
+    ),
+    "worker_pool workers": IntegerInput(
+        1, None, "workers must be >= 1, got", pool_of, largest=1
+    ),
 }
 NUMPY_INTS = (np.int64, np.uint64, np.int32)
 
 
-def integer_input(field):
-    """A valid value of ``field`` as a numpy int, or an invalid one: a
-    float (integral ones too) or an int out of range."""
-    low, high, _ = INTEGER_INPUTS[field]
-    top = min(high or 2**63, 2**63) - 1
+def integer_input(name):
+    """A valid value of the input ``name`` as a numpy int, or an invalid
+    one: a float (integral ones too), a bool or an int out of range."""
+    low, high, _, _, largest = INTEGER_INPUTS[name]
+    top = min(high or 2**63, largest + 1) - 1
     numpy_int = st.tuples(
         st.sampled_from(NUMPY_INTS), st.integers(low, min(top, 2**31 - 1))
     ) | st.tuples(st.sampled_from(NUMPY_INTS[:2]), st.integers(low, top))
@@ -208,34 +329,28 @@ def integer_input(field):
         st.floats(allow_nan=True, allow_infinity=True),
         st.integers(low, 2**64 - 1).map(float),
         st.sampled_from((np.float64(5.0), 2.5, 1.5)),
+        st.booleans(),
         out_of_range,
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), field=st.sampled_from(sorted(INTEGER_INPUTS)))
-def test_config_integer_inputs_are_stored_as_python_ints_or_rejected(data, field):
-    """An integer input of a config is kept as the Python int it equals,
-    so it serializes; a float, even an integral one, or an int out of
-    range fails with the field's message instead of running truncated."""
-    value = data.draw(integer_input(field), label=field)
-    low, high, message = INTEGER_INPUTS[field]
-    base = dict(
-        profile=profile10(),
-        truth=frozenset({1}),
-        rule=GapRule(num_signals=1, threshold=2.0),
-        replications=3,
-        master_seed=1,
-    )
-    valid = isinstance(value, np.integer) and low <= int(value) < (high or math.inf)
-    if not valid:
-        with pytest.raises(ValueError, match=f"^{message}"):
-            ExperimentConfig(**{**base, field: value})
-        return
-    config = ExperimentConfig(**{**base, field: value})
-    stored = getattr(config, field)
-    assert type(stored) is int and stored == int(value)
-    assert json.loads(json.dumps(config_to_dict(config)))[field] == stored
+@given(data=st.data())
+def test_config_integer_inputs_are_stored_as_python_ints_or_rejected(data):
+    """Every integer input, of a config, a rule, the calibration settings,
+    a profile, the seeding, the study rows or the worker count, keeps the
+    Python int a numpy int equals, so it serializes; a float, even an
+    integral one, a bool, or an int out of range fails with the input's
+    message instead of running truncated."""
+    for name, (low, high, message, stored, _) in INTEGER_INPUTS.items():
+        value = data.draw(integer_input(name), label=name)
+        numpy_int = isinstance(value, np.integer)
+        if not (numpy_int and low <= int(value) < (high or math.inf)):
+            with pytest.raises(ValueError, match=f"^({message})"):
+                stored(value)
+            continue
+        got, want = stored(value), stored(int(value))
+        assert got == want and type(got) is type(want), name
 
 
 @settings(max_examples=100, deadline=None)
@@ -275,6 +390,66 @@ def test_numpy_int_inputs_give_a_serializable_payload():
     assert json.dumps(table.payload()) == json.dumps(
         reproduce_table("table1", rows=[1], replications=3).payload()
     )
+
+
+def test_numpy_scalar_inputs_give_the_payload_of_python_numbers():
+    """Rules, models, budgets and configs built from numpy ints and
+    float32s keep Python numbers, so every payload serializes, the same
+    as when built from the Python numbers they equal."""
+
+    def payloads(integer, real):
+        profile = StreamProfile.homogeneous(
+            StreamModel(GAUSSIAN_MEAN, real(0.0), real(0.5)), integer(4)
+        )
+        rules = (
+            GapRule(integer(1), real(2.1)),
+            GapIntersectionRule(
+                integer(0), integer(2), real(1.5), real(1.5), real(0.5), real(0.5)
+            ),
+            IntersectionRule(real(1.5), real(1.5)),
+            BhRule(integer(20), real(0.05)),
+            TopMRule(integer(20), integer(1)),
+        )
+        configs = [
+            ExperimentConfig(
+                profile=profile,
+                truth=frozenset({integer(1)}),
+                rule=rule,
+                replications=integer(5),
+                master_seed=integer(3),
+            )
+            for rule in rules
+        ]
+        reports = [run_experiment(config, workers=integer(1)) for config in configs]
+        budgets = [ErrorBudget(real(0.05), real(0.1))]
+        reports.append(asymptotic_sweep(configs[0], budgets, workers=integer(1)))
+        return json.dumps([report.payload() for report in reports])
+
+    python = payloads(int, lambda x: float(np.float32(x)))
+    assert payloads(np.int64, np.float32) == python
+    assert payloads(np.uint64, lambda x: np.float64(np.float32(x))) == python
+
+
+REAL_INPUTS = {
+    "threshold": lambda v: GapRule(num_signals=1, threshold=v),
+    "accept_barrier": lambda v: IntersectionRule(v, 1.0),
+    "reject_gap": lambda v: GapIntersectionRule(0, 2, 1.0, 1.0, 1.0, v),
+    "level": lambda v: BhRule(sample_size=3, level=v),
+    "beta": lambda v: ErrorBudget(alpha=0.05, beta=v),
+    "null": lambda v: StreamModel(GAUSSIAN_MEAN, v, 1.0),
+    "alt": lambda v: StreamModel(GAUSSIAN_MEAN, 0.0, v),
+    "grid_step": lambda v: CalibrationSettings(grid_step=v),
+    "threshold_cap": lambda v: CalibrationSettings(threshold_cap=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "2", None], ids=repr)
+@pytest.mark.parametrize("name", sorted(REAL_INPUTS))
+def test_real_inputs_reject_bools_and_strings(name, value):
+    """A real-valued field rejects a bool, which would serialize as true or
+    false, and a string, naming the field in a ValueError."""
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        REAL_INPUTS[name](value)
 
 
 def test_run_trial_deterministic():

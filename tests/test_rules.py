@@ -446,32 +446,41 @@ def schedule(horizon):
     return sizes
 
 
+def taken_before(k):
+    """Rows a path has taken before block k (from 0) of the schedule."""
+    return 64 * (2**k - 1) if k <= 8 else 16_320 + 8192 * (k - 8)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     steps=st.lists(
-        st.tuples(st.integers(0, 8), st.integers(0, 2**40), st.integers(1, 2**41)),
+        st.tuples(st.integers(0, 12), st.integers(1, 2**41)),
         min_size=1,
         max_size=6,
     )
 )
 def test_next_block_is_the_min_of_its_cut_and_doubling(steps):
-    """``next_block`` on ints returns Python ints, the horizon cut and the
-    capped doubling; on int columns, each entry's own result."""
-    blocks, taken, horizons = (
-        [64 << k for k, _, _ in steps],
-        [t for _, t, _ in steps],
-        [t + h for _, t, h in steps],
-    )
-    want = [
-        (min(b, h - t), min(2 * b, 8192)) for b, t, h in zip(blocks, taken, horizons)
-    ]
-    for (b, t, h), pair in zip(zip(blocks, taken, horizons), want):
-        got = rules.next_block(b, t, h)
-        assert got == pair and all(type(v) is int for v in got)
-    columns = rules.next_block(
-        np.array(blocks), np.array(taken), np.array(horizons)
-    )
-    assert [c.tolist() for c in columns] == [list(v) for v in zip(*want)]
+    """``next_block`` on ints returns Python ints: block k of the schedule,
+    64 * 2**k rows capped at 8192, cut at the horizon; on int columns,
+    each entry's own result."""
+    taken = [taken_before(k) for k, _ in steps]
+    horizons = [t + h for t, (_, h) in zip(taken, steps)]
+    want = [min(64 << k, 8192, h - t) for (k, _), t, h in zip(steps, taken, horizons)]
+    for t, h, rows in zip(taken, horizons, want):
+        got = rules.next_block(t, h)
+        assert got == rows and type(got) is int
+    column = rules.next_block(np.array(taken), np.array(horizons))
+    assert column.tolist() == want
+
+
+@pytest.mark.parametrize("horizon", WALK_HORIZONS + (100_000,))
+def test_next_block_steps_the_schedule(horizon):
+    """Stepped from no rows taken, ``next_block`` gives the blocks of
+    ``schedule``."""
+    sizes = []
+    while sum(sizes) < horizon:
+        sizes.append(rules.next_block(sum(sizes), horizon))
+    assert sizes == schedule(horizon)
 
 
 class RecordingRule:
