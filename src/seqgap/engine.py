@@ -46,8 +46,8 @@ from .models import (
     GAUSSIAN_MEAN,
     StreamModel,
     StreamProfile,
-    _as_index,
     check_count,
+    check_int,
     check_word,
     store_checked,
 )
@@ -654,9 +654,8 @@ def study_rows(which: str, rows: list[int] | None = None) -> list[int]:
     available = BENCHMARKS[which].rows
     if rows is None:
         return list(available)
-    picked = [(_as_index(m), m) for m in rows]
-    selected = [i for i, _ in picked]
-    missing = sorted({m if i is None else i for i, m in picked if i not in available})
+    selected = [check_int(m, "row") for m in rows]
+    missing = sorted({m for m in selected if m not in available})
     repeated = sorted({m for m in selected if selected.count(m) > 1})
     if missing or repeated:
         problem = f"no such rows {missing}" if missing else f"repeated {repeated}"

@@ -27,7 +27,6 @@ BERNOULLI = "bernoulli"
 
 _FAMILIES = (GAUSSIAN_MEAN, BERNOULLI)
 _SMALLEST_UNIFORM = 2.0**-53
-_WORD_SPAN = 2**64
 
 
 # Every integer and real input of the library is read by these checks, so
@@ -68,7 +67,7 @@ def check_count(value, name: str, least: int = 1) -> int:
 def check_word(value, name: str) -> int:
     """``value`` as a Python int if it is an integer in 0..2**64 - 1."""
     number = _as_index(value)
-    if number is None or not 0 <= number < _WORD_SPAN:
+    if number is None or not 0 <= number < 2**64:
         raise ValueError(f"{name} must be a 64-bit integer, got {value!r}")
     return number
 
@@ -228,13 +227,13 @@ class StreamProfile:
         Rejects labels outside 1..J and labels that are not integers.  The
         empty set and the full set are both legal signal configurations.
         """
-        labels, valid = [(_as_index(m), m) for m in members], range(1, self.j + 1)
-        bad = {m if i is None else i for i, m in labels if i not in valid}
+        truth = frozenset(check_int(m, "signal label") for m in members)
+        bad = [m for m in truth if not 1 <= m <= self.j]
         if bad:
             raise ValueError(
                 f"signal labels must be in 1..{self.j}, got {sorted(bad)}"
             )
-        return frozenset(i for i, _ in labels)
+        return truth
 
     def signal_mask(self, truth: frozenset[int]) -> np.ndarray:
         """Read-only (J,) boolean mask, True at column j - 1 for signal label j."""

@@ -248,7 +248,7 @@ INTEGER_INPUTS = {
         config_field("master_seed"),
     ),
     "signal label": IntegerInput(
-        1, 11, "signal labels must be in 1..10, got",
+        1, 11, "signal label must be an integer, got|signal labels must be in 1..10",
         lambda v: min(ExperimentConfig(**{**CONFIG_BASE, "truth": {v}}).truth),
     ),
     "GapRule.num_signals": IntegerInput(
@@ -296,7 +296,8 @@ INTEGER_INPUTS = {
         0, 2**64, "path must be a 64-bit integer, got", lambda v: derive_seed(5, v)
     ),
     "study_rows": IntegerInput(
-        1, 10, "no such rows", lambda v: study_rows("table1", [v])[0]
+        1, 10, "row must be an integer, got|no such rows",
+        lambda v: study_rows("table1", [v])[0],
     ),
     # More than one valid worker would start a process pool of that size.
     "run_experiment workers": IntegerInput(
