@@ -74,6 +74,12 @@ def _commands() -> dict[str, list[str]]:
     cases["calibrate-gap-horizon"] = [
         "calibrate", "--config", str(GOLDEN / "calibrate-gap-horizon.yaml"),
     ]
+    # A sweep of that horizon-cut run over budgets out of order, one with
+    # alpha != beta: at every point some trials end at the horizon.
+    cases["sweep-horizon-gi"] = [
+        "sweep", "--config", str(GOLDEN / "run-horizon-gi.yaml"),
+        "--alphas", "1e-6,0.05:0.1,1e-3",
+    ]
     # Every metric at once, under a rule that rejects m streams, one whose
     # rejection count varies, and one that can reject nothing.
     for name in ALL_METRIC_RULES:
@@ -142,6 +148,7 @@ TWO_WORKER_CASES = [
     "reproduce-table1-rows-1-5",
     "run-mixed",
     "run-horizon-gi",
+    "sweep-horizon-gi",
     *(f"run-all-metrics-{name}" for name in ALL_METRIC_RULES),
 ]
 

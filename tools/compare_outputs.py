@@ -16,7 +16,9 @@ configs of ``tests/golden/`` (gap, gap-intersection and bh, every metric)
 at 2,000 replications, ``calibrate`` of the golden mixed
 gaussian/bernoulli gap config at 200 replications, and the two golden
 horizon configs (``run`` of gap-intersection at horizon 100 and
-``calibrate`` of gap at horizon 70) at 2,000 replications, each in csv,
+``calibrate`` of gap at horizon 70) at 2,000 replications, and ``sweep`` of
+the gap-intersection one at three budgets out of order (one with alpha !=
+beta) at 2,000 replications, each in csv,
 json and text at ``--workers 1`` and ``2``.  The golden configs are read from
 CHANGE and copied to a temporary directory outside both trees, so PARENT
 needs no copy of them.
@@ -88,6 +90,11 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
         cases[name] = [
             command, "--config", str(shared / f"{name}.yaml"), "--reps", "2000",
         ]
+    # A sweep whose points end trials at the horizon, budgets out of order.
+    cases["sweep-horizon-gi"] = [
+        "sweep", "--config", str(shared / "run-horizon-gi.yaml"),
+        "--alphas", "1e-6,0.05:0.1,1e-3", "--reps", "2000",
+    ]
     return cases
 
 
