@@ -5,7 +5,9 @@ trial index), so trial i's sample path is a pure function of the
 configuration — independent of execution order, batching, and worker count.
 Each thread that runs trials holds one Philox generator and rekeys it for
 every trial it runs, with the same draws as a fresh generator of that
-key.  Sequential trials run one at a time.  Fixed-sample trials (bh,
+key.  Sequential trials run one at a time; configs that differ only in
+their rule, such as a sweep's budget points, draw each trial's path once
+and every rule scans it.  Fixed-sample trials (bh,
 top-m) run a batch of whole trials at a time: each trial draws its own
 slice of one buffer, and the inverse CDF, the totals, the p-values and
 the decisions run once per batch, each trial on its own, so a trial's
@@ -28,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
-from typing import get_args
+from typing import Sequence, get_args
 
 import numpy as np
 from scipy.special import ndtr
@@ -61,6 +63,7 @@ from .rules import (
     TopMRule,
     bh_decide,
     run_sequential,
+    run_shared,
     top_m_decide,
 )
 from .thresholds import ErrorBudget
@@ -179,7 +182,17 @@ class _Trials:
     counts: ConfusionCounts
 
     @classmethod
-    def concatenate(cls, parts: list[_Trials]) -> _Trials:
+    def of(cls, decisions: list[Decision], signal: np.ndarray) -> _Trials:
+        """The columns of trials' decisions under a (J,) signal mask, their
+        rejection masks stacked and counted at once."""
+        return cls(
+            np.array([d.stopping_time for d in decisions]),
+            np.array([d.stopped_by == STOP_HORIZON for d in decisions]),
+            confusion(np.stack([d.rejected for d in decisions]), signal),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[_Trials]) -> _Trials:
         return cls(
             np.concatenate([p.stopping_time for p in parts]),
             np.concatenate([p.horizon_hit for p in parts]),
@@ -289,31 +302,40 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
     return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
 
 
-def _run_range(config: ExperimentConfig, start: int, stop: int) -> _Trials | None:
-    """Trials ``start .. stop - 1`` as columns.
+def _run_range(
+    configs: tuple[ExperimentConfig, ...], start: int, stop: int
+) -> list[_Trials] | None:
+    """Trials ``start .. stop - 1`` of each of ``configs``, which differ only
+    in their rule, as one ``_Trials`` per config.
 
-    Sequential trials run one ``run_trial`` at a time, and each batch of
+    Fixed-sample configs run one after the other.  A sequential trial
+    draws its path once and every config's rule scans it (``run_shared``);
+    a lone config runs each trial through ``run_trial``.  Each batch of
     their rejection masks is stacked and counted at once.  The abort event
     is checked between trials.
     """
+    config = configs[0]
     if isinstance(config.rule, (BhRule, TopMRule)):
-        return _run_fixed(config, start, stop)
-    batch = max(1, _BATCH_VALUES // config.profile.j)
+        return [_run_fixed(c, start, stop) for c in configs]
+    rules = tuple(c.rule for c in configs)
+    shared = len(rules) > 1
+    rng = _thread_generator()
+    batch = max(1, _BATCH_VALUES // (len(rules) * config.profile.j))
     parts = []
     for first in range(start, stop, batch):
-        decisions = []
+        trials = []
         for i in range(first, min(first + batch, stop)):
             if _aborted():
                 return None  # the pool's owner is raising and never reads this chunk
-            decisions.append(run_trial(config, i))
-        parts.append(
-            _Trials(
-                np.array([d.stopping_time for d in decisions]),
-                np.array([d.stopped_by == STOP_HORIZON for d in decisions]),
-                confusion(np.stack([d.rejected for d in decisions]), config.signal),
-            )
-        )
-    return _Trials.concatenate(parts)
+            if shared:
+                trial_rng(config.master_seed, i, rng)
+                trials.append(
+                    run_shared(rules, config.profile, config.signal, config.horizon, rng)
+                )
+            else:
+                trials.append((run_trial(config, i),))
+        parts.append([_Trials.of(column, config.signal) for column in zip(*trials)])
+    return [_Trials.concatenate(column) for column in zip(*parts)]
 
 
 def _start_worker(abort) -> None:
@@ -381,34 +403,56 @@ def run_experiment(
     workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentReport:
-    """Run all trials and aggregate in trial order.
+    """Run all trials and aggregate in trial order: ``run_experiments`` of
+    this config alone."""
+    return run_experiments((config,), workers, pool)[0]
+
+
+def run_experiments(
+    configs: tuple[ExperimentConfig, ...],
+    workers: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> list[ExperimentReport]:
+    """Run all trials of ``configs``, which differ only in their rule, and
+    report each config's experiment, aggregated in trial order.
 
     The n trials run in ``min(n, workers * 4)`` contiguous index ranges:
     in the calling process at one worker, otherwise on ``pool`` if one is
     given (a call that runs several experiments shares one
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
-    A range of sequential trials runs one trial at a time, a range of
-    fixed-sample trials a batch of whole trials at a time; each range
-    comes back as columns.  The ranges come back in order, so the joined
+    A range of sequential trials runs one trial at a time, each trial's
+    path drawn once for every config; a range of fixed-sample trials runs
+    a batch of whole trials at a time.  Each range comes back as columns,
+    one set per config.  The ranges come back in order, so the joined
     columns are in trial order.
     """
     workers = check_count(workers, "workers")
+    configs = tuple(configs)
+    first = configs[0]
+    if any(replace(config, rule=first.rule) != first for config in configs[1:]):
+        raise ValueError("configs must differ only in their rule")
     started = time.perf_counter()
-    n = config.replications
+    n = first.replications
     chunks = min(n, workers * 4)
     bounds = [round(k * n / chunks) for k in range(chunks + 1)]
     with nullcontext(pool) if pool is not None else worker_pool(workers) as pool:
         ranges = (pool.map if pool is not None else map)(
-            _run_range, [config] * chunks, bounds[:-1], bounds[1:]
+            _run_range, [configs] * chunks, bounds[:-1], bounds[1:]
         )
-        trials = _Trials.concatenate(list(ranges))
-    return ExperimentReport(
-        config=config,
-        mean_stopping_time=mean_se(trials.stopping_time.astype(float).tolist()),
-        metrics=aggregate_counts(config, trials.counts),
-        horizon_hits=int(np.count_nonzero(trials.horizon_hit)),
-        wall_time=time.perf_counter() - started,
-    )
+        columns = list(zip(*ranges))
+    reports = []
+    for config, parts in zip(configs, columns):
+        trials = _Trials.concatenate(parts)
+        reports.append(
+            ExperimentReport(
+                config=config,
+                mean_stopping_time=mean_se(trials.stopping_time.astype(float).tolist()),
+                metrics=aggregate_counts(config, trials.counts),
+                horizon_hits=int(np.count_nonzero(trials.horizon_hit)),
+                wall_time=time.perf_counter() - started,
+            )
+        )
+    return reports
 
 
 # --- serialization (every report's payload() and the CLI's JSON) ---
@@ -513,12 +557,14 @@ def asymptotic_sweep(
 ) -> SweepReport:
     """Expected stopping time against its first-order benchmark.
 
-    Each budget point reruns the base experiment at that budget's formula
+    Each budget point runs the base experiment at that budget's formula
     thresholds with the same master seed (common random numbers across
     points, which sharpens the comparison), and reports the ratio of the
     estimated expected stopping time to the benchmark.  The ratio should
-    decrease toward 1 as the budget shrinks.  All points run on one pool
-    of ``workers`` processes.
+    decrease toward 1 as the budget shrinks.  The points differ only in
+    their rule, so all of them run as one ``run_experiments`` call on
+    ``workers`` processes: each trial's path is drawn once, and every
+    point's rule scans it until that rule fires.
     """
     if not budgets:
         raise ValueError("need at least one budget point")
@@ -529,28 +575,25 @@ def asymptotic_sweep(
         )
     profile, truth = base.profile, base.truth
     # Every point's rule, config and benchmark first, so an invalid point
-    # fails before any experiment runs.
-    points = []
-    for budget in budgets:
-        rule = base.rule.at_budget(budget, profile.j, truth, control)
-        kappa = rule.kappa(budget, profile, truth)
-        points.append((budget, replace(base, rule=rule), kappa))
-    rows = []
-    with worker_pool(workers) as pool:
-        for budget, config, kappa in points:
-            report = run_experiment(config, workers=workers, pool=pool)
-            rows.append(
-                SweepRow(
-                    alpha=budget.alpha,
-                    beta=budget.beta,
-                    rule=config.rule,
-                    mean_stopping_time=report.mean_stopping_time,
-                    kappa=kappa,
-                    ratio=report.mean_stopping_time.value / kappa,
-                    horizon_hits=report.horizon_hits,
-                )
-            )
-    return SweepReport(base=base, control=control, rows=tuple(rows))
+    # fails before any trial runs.
+    rules = [base.rule.at_budget(budget, profile.j, truth, control) for budget in budgets]
+    kappas = [
+        rule.kappa(budget, profile, truth) for rule, budget in zip(rules, budgets)
+    ]
+    reports = run_experiments([replace(base, rule=rule) for rule in rules], workers)
+    rows = tuple(
+        SweepRow(
+            alpha=budget.alpha,
+            beta=budget.beta,
+            rule=report.config.rule,
+            mean_stopping_time=report.mean_stopping_time,
+            kappa=kappa,
+            ratio=report.mean_stopping_time.value / kappa,
+            horizon_hits=report.horizon_hits,
+        )
+        for budget, kappa, report in zip(budgets, kappas, reports)
+    )
+    return SweepReport(base=base, control=control, rows=rows)
 
 
 # --- bundled benchmark studies ---

@@ -57,9 +57,10 @@ def check_int(value, name: str) -> int:
 
 
 def check_count(value, name: str, least: int = 1) -> int:
-    """``value`` as a Python int if it is an integer >= ``least``."""
-    number = _as_index(value)
-    if number is None or number < least:
+    """``value`` as a Python int if it is an integer >= ``least``; a value
+    that is not an integer fails as in ``check_int``."""
+    number = check_int(value, name)
+    if number < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return number
 
@@ -179,7 +180,8 @@ class StreamProfile:
     ``StreamModel``, ``i0`` and ``i1`` of its ``info_numbers()``, and the
     stream indices of each family, ``gaussian_columns`` and
     ``bernoulli_columns``.  They are not dataclass fields, so eq, hash and
-    repr see only ``models``.
+    repr see only ``models``.  Nor is the lookup of each signal mask's
+    parameter column that ``from_uniforms`` fills as it meets the masks.
     """
 
     models: tuple[StreamModel, ...]
@@ -206,9 +208,11 @@ class StreamProfile:
             column = np.array(values)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        object.__setattr__(self, "_params", {})
 
     def __reduce__(self):
-        # Pickles carry only the models; the receiver rebuilds the columns.
+        # Pickles carry only the models; the receiver rebuilds the columns
+        # and starts an empty parameter lookup.
         return (type(self), (self.models,))
 
     @classmethod
@@ -269,7 +273,14 @@ class StreamProfile:
         signal = np.asarray(signal)
         if signal.shape != (self.j,) or signal.dtype != bool:
             raise ValueError(f"need a ({self.j},) bool signal mask, got {signal.shape}")
-        params = np.where(signal, self.alt, self.null)
+        # Building the column costs more than looking it up by the mask's
+        # bytes, and every block of a run is drawn under one mask.
+        key = signal.tobytes()
+        params = self._params.get(key)
+        if params is None:
+            params = np.where(signal, self.alt, self.null)
+            params.flags.writeable = False
+            self._params[key] = params
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)

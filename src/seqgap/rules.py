@@ -50,8 +50,11 @@ condition as an independent oracle and check, on random blocks with ties,
 infinite entries and every bracket edge, that ``scan_path`` stops at the
 same row with the same tag.
 
-``run_sequential`` draws a path a block at a time on the schedule that
-``next_block`` states for it and for the gap-threshold search.
+``run_shared`` draws a path a block at a time on the schedule that
+``next_block`` states for it and for the gap-threshold search, and every
+rule of a tuple that has not fired yet scans each block, so rules that
+share a path (the budget points of a sweep) draw it once;
+``run_sequential`` is its one-rule case.
 """
 
 from __future__ import annotations
@@ -513,30 +516,57 @@ def run_sequential(
     rng: np.random.Generator,
 ) -> Decision:
     """Draw a fresh path block by block until the rule fires or the
-    horizon is exhausted.
+    horizon is exhausted, and return the rule's decision: ``run_shared``
+    of this rule alone."""
+    return run_shared((rule,), profile, signal, horizon, rng)[0]
 
-    ``signal`` is the (J,) boolean signal mask the path is drawn under;
-    ``cumulate`` carries the running sums ``lam`` from block to block.
 
-    If the horizon is exhausted the rule's decision is evaluated at the
-    final state and tagged "horizon".
+def run_shared(
+    rules: tuple[SequentialRule, ...],
+    profile: StreamProfile,
+    signal: np.ndarray,
+    horizon: int,
+    rng: np.random.Generator,
+) -> list[Decision]:
+    """The decision of each of ``rules`` on one path, drawn block by block
+    until every rule has fired or the horizon is exhausted.
+
+    Each block is drawn under the (J,) boolean ``signal`` mask, turned into
+    cumulative LLRs (``cumulate`` carries the running sums from block to
+    block) and scanned by every rule that has not fired yet.  A rule that
+    fires at a block's row r decides from that row; a rule that never
+    fires decides from the final row, tagged "horizon".  The path does not
+    depend on the block schedule, so each rule gets the decision it gets
+    on a path of its own.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    decisions = [None] * len(rules)
+    waiting = range(len(rules))
     lam = np.zeros(profile.j)
     taken = 0
-    while taken < horizon:
+    while True:
         steps = next_block(taken, horizon)
         x = profile.sample_block(signal, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
-        lam = path[-1].copy()  # a view would keep the whole block alive
-        hit = rule.scan_path(path)
-        if hit is not None:
+        left = []
+        for k in waiting:
+            hit = rules[k].scan_path(path)
+            if hit is None:
+                left.append(k)
+                continue
             row, tag = hit
-            rejected = rule.decide(order_view(path[row]))
-            return Decision(taken + row + 1, rejected, tag)
+            rejected = rules[k].decide(order_view(path[row]))
+            decisions[k] = Decision(taken + row + 1, rejected, tag)
+        waiting = left
         taken += steps
-    return Decision(horizon, rule.decide(order_view(lam)), STOP_HORIZON)
+        if not waiting or taken == horizon:
+            break
+        lam = path[-1].copy()  # a view would keep the whole block alive
+    for k in waiting:
+        rejected = rules[k].decide(order_view(path[-1]))
+        decisions[k] = Decision(horizon, rejected, STOP_HORIZON)
+    return decisions
 
 
 def _checked_pvalues(pvalues) -> np.ndarray:

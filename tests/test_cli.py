@@ -731,7 +731,8 @@ def test_shipped_configs_run(path, fmt, tmp_path):
 
 
 def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
-    """A truth outside the bracket fails before any experiment runs."""
+    """A truth outside the bracket fails before any experiment, and any
+    range of trials, runs."""
     path = tmp_path / "outside.yaml"
     path.write_text(
         textwrap.dedent(
@@ -749,9 +750,9 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
         )
     )
     calls = []
-    monkeypatch.setattr(
-        seqgap.engine, "run_experiment", lambda *a, **k: calls.append(a)
-    )
+    for name in ("run_experiment", "_run_range"):
+        monkeypatch.setattr(seqgap.engine, name, lambda *a, **k: calls.append(a))
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
     assert main(["sweep", "--config", str(path), "--alphas", "1e-2,1e-4"]) == 1
     err = capsys.readouterr().err
     assert err == "error: signal_count must lie in the bracket 2..7, got 1\n"

@@ -3,6 +3,7 @@
 import json
 import math
 import pickle
+import re
 import sys
 import threading
 from dataclasses import fields, replace
@@ -194,15 +195,31 @@ def test_derive_seed_is_stable_and_path_dependent():
 
 class IntegerInput(NamedTuple):
     """An integer input of the library: the least value it accepts, the
-    first it rejects above (None: no bound), the start of its message (a
-    pattern), what the library keeps of a value, and the largest valid
-    value worth drawing (a count of streams or rows is allocated)."""
+    first it rejects above (None: no bound), the start of its message for
+    a value that is not an integer and for an integer out of range, what
+    the library keeps of a value, and the largest valid value worth
+    drawing (a count of streams or rows is allocated)."""
 
     low: int
     high: int | None
-    message: str
+    not_integer: str
+    out_of_range: str
     stored: Callable
     largest: int = 2**63 - 1
+
+
+def count_input(name, low, stored, largest=2**63 - 1):
+    """An input with no upper bound, checked by ``check_count``."""
+    return IntegerInput(
+        low, None, f"{name} must be an integer, got {{!r}}",
+        f"{name} must be >= {low}, got {{}}", stored, largest,
+    )
+
+
+def word_input(name, stored):
+    """An input in 0..2**64 - 1, checked by ``check_word``."""
+    message = f"{name} must be a 64-bit integer, got {{!r}}"
+    return IntegerInput(0, 2**64, message, message, stored)
 
 
 CONFIG_BASE = dict(
@@ -237,79 +254,64 @@ def pool_of(workers):
 
 
 INTEGER_INPUTS = {
-    "replications": IntegerInput(
-        1, None, "replications must be >= 1, got", config_field("replications")
-    ),
-    "horizon": IntegerInput(
-        1, None, "horizon must be >= 1, got", config_field("horizon")
-    ),
-    "master_seed": IntegerInput(
-        0, 2**64, "master_seed must be a 64-bit integer, got",
-        config_field("master_seed"),
-    ),
+    "replications": count_input("replications", 1, config_field("replications")),
+    "horizon": count_input("horizon", 1, config_field("horizon")),
+    "master_seed": word_input("master_seed", config_field("master_seed")),
     "signal label": IntegerInput(
-        1, 11, "signal label must be an integer, got|signal labels must be in 1..10",
+        1, 11, "signal label must be an integer, got {!r}",
+        "signal labels must be in 1..10, got [{}]",
         lambda v: min(ExperimentConfig(**{**CONFIG_BASE, "truth": {v}}).truth),
     ),
-    "GapRule.num_signals": IntegerInput(
-        1, None, "num_signals must be >= 1, got",
-        lambda v: GapRule(num_signals=v, threshold=2.0).num_signals,
+    "GapRule.num_signals": count_input(
+        "num_signals", 1, lambda v: GapRule(num_signals=v, threshold=2.0).num_signals
     ),
-    "GapIntersectionRule.min_signals": IntegerInput(
-        0, None, "min_signals must be >= 0, got",
-        lambda v: bracket(min_signals=v).min_signals,
+    "GapIntersectionRule.min_signals": count_input(
+        "min_signals", 0, lambda v: bracket(min_signals=v).min_signals
     ),
     "GapIntersectionRule.max_signals": IntegerInput(
-        1, None,
-        "max_signals must be an integer, got|min_signals must be strictly below",
+        1, None, "max_signals must be an integer, got {!r}",
+        "min_signals must be strictly below max_signals, got 0 >= {}",
         lambda v: bracket(max_signals=v).max_signals,
     ),
-    "BhRule.sample_size": IntegerInput(
-        1, None, "sample_size must be >= 1, got",
-        lambda v: BhRule(sample_size=v, level=0.05).sample_size,
+    "BhRule.sample_size": count_input(
+        "sample_size", 1, lambda v: BhRule(sample_size=v, level=0.05).sample_size
     ),
-    "TopMRule.sample_size": IntegerInput(
-        1, None, "sample_size must be >= 1, got",
-        lambda v: TopMRule(sample_size=v, num_signals=1).sample_size,
+    "TopMRule.sample_size": count_input(
+        "sample_size", 1, lambda v: TopMRule(sample_size=v, num_signals=1).sample_size
     ),
-    "TopMRule.num_signals": IntegerInput(
-        1, None, "num_signals must be >= 1, got",
-        lambda v: TopMRule(sample_size=3, num_signals=v).num_signals,
+    "TopMRule.num_signals": count_input(
+        "num_signals", 1, lambda v: TopMRule(sample_size=3, num_signals=v).num_signals
     ),
-    "CalibrationSettings.sample_size_cap": IntegerInput(
-        1, None, "sample_size_cap must be >= 1, got",
+    "CalibrationSettings.sample_size_cap": count_input(
+        "sample_size_cap", 1,
         lambda v: CalibrationSettings(sample_size_cap=v).sample_size_cap,
     ),
-    "StreamProfile.homogeneous count": IntegerInput(
-        2, None, "count must be >= 2, got",
+    "StreamProfile.homogeneous count": count_input(
+        "count", 2,
         lambda v: StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 1.0), v).j,
         largest=64,
     ),
-    "sample_block steps": IntegerInput(
-        1, None, "steps must be >= 1, got",
+    "sample_block steps": count_input(
+        "steps", 1,
         lambda v: len(
             profile10().sample_block(np.ones(10, bool), v, np.random.default_rng(1))
         ),
         largest=64,
     ),
-    "derive_seed path": IntegerInput(
-        0, 2**64, "path must be a 64-bit integer, got", lambda v: derive_seed(5, v)
-    ),
+    "derive_seed path": word_input("path", lambda v: derive_seed(5, v)),
     "study_rows": IntegerInput(
-        1, 10, "row must be an integer, got|no such rows",
+        1, 10, "row must be an integer, got {!r}", "no such rows [{}]",
         lambda v: study_rows("table1", [v])[0],
     ),
     # More than one valid worker would start a process pool of that size.
-    "run_experiment workers": IntegerInput(
-        1, None, "workers must be >= 1, got",
+    "run_experiment workers": count_input(
+        "workers", 1,
         lambda v: json.dumps(
             run_experiment(ExperimentConfig(**CONFIG_BASE), workers=v).payload()
         ),
         largest=1,
     ),
-    "worker_pool workers": IntegerInput(
-        1, None, "workers must be >= 1, got", pool_of, largest=1
-    ),
+    "worker_pool workers": count_input("workers", 1, pool_of, largest=1),
 }
 NUMPY_INTS = (np.int64, np.uint64, np.int32)
 
@@ -317,7 +319,7 @@ NUMPY_INTS = (np.int64, np.uint64, np.int32)
 def integer_input(name):
     """A valid value of the input ``name`` as a numpy int, or an invalid
     one: a float (integral ones too), a bool or an int out of range."""
-    low, high, _, _, largest = INTEGER_INPUTS[name]
+    low, high, _, _, _, largest = INTEGER_INPUTS[name]
     top = min(high or 2**63, largest + 1) - 1
     numpy_int = st.tuples(
         st.sampled_from(NUMPY_INTS), st.integers(low, min(top, 2**31 - 1))
@@ -341,13 +343,17 @@ def test_config_integer_inputs_are_stored_as_python_ints_or_rejected(data):
     """Every integer input, of a config, a rule, the calibration settings,
     a profile, the seeding, the study rows or the worker count, keeps the
     Python int a numpy int equals, so it serializes; a float, even an
-    integral one, a bool, or an int out of range fails with the input's
-    message instead of running truncated."""
-    for name, (low, high, message, stored, _) in INTEGER_INPUTS.items():
+    integral one, or a bool fails with the input's message for a value
+    that is not an integer instead of running truncated, and an int out
+    of range with its message for that, each pinned whole."""
+    for name, (low, high, not_integer, out_of_range, stored, _) in (
+        INTEGER_INPUTS.items()
+    ):
         value = data.draw(integer_input(name), label=name)
-        numpy_int = isinstance(value, np.integer)
-        if not (numpy_int and low <= int(value) < (high or math.inf)):
-            with pytest.raises(ValueError, match=f"^({message})"):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and low <= int(value) < (high or math.inf)):
+            message = (out_of_range if integer else not_integer).format(value)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
                 stored(value)
             continue
         got, want = stored(value), stored(int(value))
@@ -534,7 +540,8 @@ def test_every_trial_counts_the_truth_as_its_signals(rule):
         master_seed=7,
         metrics=(MetricKind.FPR,),
     )
-    counts = seqgap.engine._run_range(config, 0, config.replications).counts
+    (trials,) = seqgap.engine._run_range((config,), 0, config.replications)
+    counts = trials.counts
     assert counts.r.size == config.replications
     assert np.all(counts.w + counts.r - counts.v == len(truth))
 
@@ -682,7 +689,7 @@ def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
         oracles.confusion(rejected, config.truth, j) for _, rejected, _ in expected
     ]
     with mock.patch.object(seqgap.engine, "_BATCH_VALUES", values):
-        trials = seqgap.engine._run_range(config, 0, reps)
+        (trials,) = seqgap.engine._run_range((config,), 0, reps)
         assert trials.stopping_time.tolist() == [n] * reps
         assert not trials.horizon_hit.any()
         assert oracles.rows(trials.counts) == expected_counts
@@ -856,6 +863,59 @@ def test_horizon_hits_counted():
     assert report.mean_stopping_time.value == 40.0
 
 
+# Rules on J = 10 that meet their thresholds at the first row, after a
+# few blocks, or never.
+SHARED_RULES = (
+    GapRule(num_signals=5, threshold=1e-3),
+    GapRule(num_signals=3, threshold=25.0),
+    GapRule(num_signals=5, threshold=1e9),
+    GapIntersectionRule(2, 7, 3.0, 3.0, 5.0, 5.0),
+    GapIntersectionRule(0, 10, 1e9, 1e9, 1e9, 1e9),
+    IntersectionRule(accept_barrier=1e-3, reject_barrier=1e-3),
+    IntersectionRule(accept_barrier=25.0, reject_barrier=25.0),
+)
+
+
+@pytest.mark.parametrize("per_batch", [1, 3, None], ids=["one", "three", "default"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_shared_range_holds_each_configs_own_range(per_batch, data):
+    """A range of K configs that differ only in their rule, each trial's
+    path drawn once for all of them, gives each config, column for
+    column, the range it gets alone, with one trial per batch, three, or
+    the default cap, at horizons that end none, some or all trials."""
+    shared_rules = data.draw(st.lists(st.sampled_from(SHARED_RULES), min_size=1, max_size=4))
+    horizon = data.draw(st.sampled_from((1, 100, 300)), label="horizon")
+    base = replace(
+        gap_config(reps=20, seed=data.draw(st.integers(0, 2**64 - 1), label="seed")),
+        horizon=horizon,
+    )
+    configs = tuple(replace(base, rule=rule) for rule in shared_rules)
+    start = data.draw(st.integers(0, 8), label="start")
+    stop = data.draw(st.integers(start + 1, start + 12), label="stop")
+    k, j = len(configs), base.profile.j
+    values = seqgap.engine._BATCH_VALUES if per_batch is None else per_batch * k * j
+    with mock.patch.object(seqgap.engine, "_BATCH_VALUES", values):
+        shared = seqgap.engine._run_range(configs, start, stop)
+        alone = [seqgap.engine._run_range((config,), start, stop)[0] for config in configs]
+    assert len(shared) == k
+    for got, want in zip(shared, alone):
+        assert got.stopping_time.tolist() == want.stopping_time.tolist()
+        assert got.horizon_hit.tolist() == want.horizon_hit.tolist()
+        assert oracles.rows(got.counts) == oracles.rows(want.counts)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("master_seed", 43), ("horizon", 99), ("truth", frozenset({1}))]
+)
+def test_run_experiments_needs_configs_that_differ_only_in_their_rule(field, value):
+    """Configs that share each trial's path must draw the same path."""
+    config = gap_config(reps=5)
+    other = replace(config, rule=GapRule(num_signals=5, threshold=3.0), **{field: value})
+    with pytest.raises(ValueError, match="^configs must differ only in their rule$"):
+        seqgap.engine.run_experiments([config, other])
+
+
 @pytest.mark.parametrize("per_batch", [1, 3, None], ids=["one", "three", "default"])
 def test_sequential_range_columns_are_each_trials_decision(per_batch):
     """A range of sequential trials, counted a stack of masks at a time,
@@ -867,7 +927,7 @@ def test_sequential_range_columns_are_each_trials_decision(per_batch):
     values = seqgap.engine._BATCH_VALUES if per_batch is None else per_batch * 10
     decisions = [run_trial(config, i) for i in range(2, 13)]
     with mock.patch.object(seqgap.engine, "_BATCH_VALUES", values):
-        trials = seqgap.engine._run_range(config, 2, 13)
+        (trials,) = seqgap.engine._run_range((config,), 2, 13)
     assert trials.stopping_time.tolist() == [d.stopping_time for d in decisions]
     hits = [d.stopped_by == STOP_HORIZON for d in decisions]
     assert trials.horizon_hit.tolist() == hits

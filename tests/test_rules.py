@@ -35,6 +35,7 @@ from seqgap import (
     top_m_decide,
 )
 from seqgap import rules
+from seqgap.engine import DEFAULT_HORIZON
 from seqgap.metrics import MetricKind, NoBoundConstants
 from seqgap.rules import (
     STOP_GAP,
@@ -538,6 +539,54 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
         got = (decision.stopping_time, labels(decision.rejected), decision.stopped_by)
         assert got == stepwise_run(rule, path), rule
         assert type(decision.stopping_time) is int
+
+
+# Thresholds a rule meets at its first row, after a few blocks, or never.
+FIRST_ROW, LATE, NEVER = 1e-3, 25.0, 1e9
+
+
+def sequential_rules(j, levels):
+    """A gap, gap-intersection or intersection rule on J streams, each
+    threshold one of ``levels``."""
+    level = st.sampled_from(levels)
+    bracket = st.integers(0, j - 1).flatmap(
+        lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, j))
+    )
+    return st.one_of(
+        st.builds(GapRule, st.integers(1, j - 1), level),
+        st.builds(lambda b, t: gi(*b, *t), bracket, st.tuples(*[level] * 4)),
+        st.builds(IntersectionRule, level, level),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_shared_gives_each_rule_the_decision_it_gets_alone(data):
+    """Rules of every kind that share one path, whether they fire at the
+    first row, later or never, each get exactly the ``Decision`` that
+    ``run_sequential`` gives them on a path of their own, at a horizon of
+    one row, one that cuts the second block, and the default."""
+    family = data.draw(st.sampled_from(sorted(WALK_PROFILES)), label="family")
+    j = data.draw(st.integers(2, 6), label="J")
+    profile = StreamProfile.homogeneous(WALK_PROFILES[family].models[0], j)
+    horizon = data.draw(st.sampled_from((1, 100, DEFAULT_HORIZON)), label="horizon")
+    # A rule that never fires would walk the default horizon's million rows.
+    levels = (FIRST_ROW, LATE) + ((NEVER,) if horizon < DEFAULT_HORIZON else ())
+    shared_rules = tuple(
+        data.draw(st.lists(sequential_rules(j, levels), min_size=1, max_size=4))
+    )
+    signal = profile.signal_mask(data.draw(st.frozensets(st.integers(1, j))))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+
+    shared = rules.run_shared(
+        shared_rules, profile, signal, horizon, np.random.default_rng(seed)
+    )
+    assert len(shared) == len(shared_rules)
+    for rule, decision in zip(shared_rules, shared):
+        alone = run_sequential(rule, profile, signal, horizon, np.random.default_rng(seed))
+        assert type(decision.stopping_time) is int
+        assert oracles.outcome(decision) == oracles.outcome(alone), rule
+        assert decision.rejected.tobytes() == alone.rejected.tobytes()
 
 
 @pytest.mark.parametrize("horizon", (0, -3))
