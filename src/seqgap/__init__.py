@@ -32,6 +32,7 @@ from .engine import (
     derive_seed,
     reproduce_table,
     run_experiment,
+    run_experiments,
     run_trial,
     trial_rng,
 )
@@ -66,6 +67,7 @@ from .rules import (
     bh_decide,
     order_view,
     run_sequential,
+    run_shared,
     top_m_decide,
 )
 from .thresholds import (

@@ -195,10 +195,11 @@ def test_derive_seed_is_stable_and_path_dependent():
 
 class IntegerInput(NamedTuple):
     """An integer input of the library: the least value it accepts, the
-    first it rejects above (None: no bound), the start of its message for
-    a value that is not an integer and for an integer out of range, what
-    the library keeps of a value, and the largest valid value worth
-    drawing (a count of streams or rows is allocated)."""
+    first it rejects above (None: no bound), how its error starts for a
+    value that is not an integer and for an integer out of range (each a
+    template that the value fills), what the library keeps of a value, and
+    the largest valid value worth drawing (a count of streams or rows is
+    allocated)."""
 
     low: int
     high: int | None
@@ -345,7 +346,7 @@ def test_config_integer_inputs_are_stored_as_python_ints_or_rejected(data):
     Python int a numpy int equals, so it serializes; a float, even an
     integral one, or a bool fails with the input's message for a value
     that is not an integer instead of running truncated, and an int out
-    of range with its message for that, each pinned whole."""
+    of range with its message for that, each pinned with the value."""
     for name, (low, high, not_integer, out_of_range, stored, _) in (
         INTEGER_INPUTS.items()
     ):
