@@ -42,6 +42,9 @@ def _commands() -> dict[str, list[str]]:
         "reproduce", "--which", "table1", "--rows", "1,5", "--reps", "20",
     ]
     cases["reproduce-table1-no-rows"] = ["reproduce", "--which", "table1", "--rows", ""]
+    cases["reproduce-table2-rows-10-50-90"] = [
+        "reproduce", "--which", "table2", "--rows", "10,50,90", "--reps", "20",
+    ]
     for name in ("gap", "top-m", "bh"):
         cases[f"calibrate-{name}"] = [
             "calibrate", "--config", _config(name), "--reps", "20",
@@ -80,6 +83,12 @@ def _commands() -> dict[str, list[str]]:
         "sweep", "--config", str(GOLDEN / "run-horizon-gi.yaml"),
         "--alphas", "1e-6,0.05:0.1,1e-3",
     ]
+    # Table2's row m=50 (J=100) with a horizon of 60 rows, which cuts a
+    # block: some trials end at it, in a run and in the gap search.
+    for command in ("run", "calibrate"):
+        cases[f"{command}-gap-j100-horizon"] = [
+            command, "--config", str(GOLDEN / "gap-j100-horizon.yaml"),
+        ]
     # Every metric at once, under a rule that rejects m streams, one whose
     # rejection count varies, and one that can reject nothing.
     for name in ALL_METRIC_RULES:
@@ -146,9 +155,12 @@ TWO_WORKER_CASES = [
     "sweep-gap",
     "sweep-gap-intersection",
     "reproduce-table1-rows-1-5",
+    "reproduce-table2-rows-10-50-90",
     "run-mixed",
     "run-horizon-gi",
     "sweep-horizon-gi",
+    "run-gap-j100-horizon",
+    "calibrate-gap-j100-horizon",
     *(f"run-all-metrics-{name}" for name in ALL_METRIC_RULES),
 ]
 

@@ -18,8 +18,9 @@ gaussian/bernoulli gap config at 200 replications, and the two golden
 horizon configs (``run`` of gap-intersection at horizon 100 and
 ``calibrate`` of gap at horizon 70) at 2,000 replications, and ``sweep`` of
 the gap-intersection one at three budgets out of order (one with alpha !=
-beta) at 2,000 replications, each in csv,
-json and text at ``--workers 1`` and ``2``.  The golden configs are read from
+beta) at 2,000 replications, and ``run`` and ``calibrate`` of the golden
+J=100 gap config (table2's row m=50 at horizon 60) at 500 replications,
+each in csv, json and text at ``--workers 1`` and ``2``.  The golden configs are read from
 CHANGE and copied to a temporary directory outside both trees, so PARENT
 needs no copy of them.
 It compares exit code, stdout and stderr, with the text report's wall-time
@@ -45,7 +46,7 @@ ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
 # The golden configs both trees run from a shared copy.
 SHARED = (*(f"all-metrics-{name}.yaml" for name in ALL_METRIC_RULES),
           "calibrate-gap-mixed.yaml", "run-horizon-gi.yaml",
-          "calibrate-gap-horizon.yaml")
+          "calibrate-gap-horizon.yaml", "gap-j100-horizon.yaml")
 
 
 def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
@@ -95,6 +96,12 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
         "sweep", "--config", str(shared / "run-horizon-gi.yaml"),
         "--alphas", "1e-6,0.05:0.1,1e-3", "--reps", "2000",
     ]
+    # J=100 trials that end at the horizon, in a run and in the gap search.
+    for command in ("run", "calibrate"):
+        cases[f"{command}-gap-j100-horizon"] = [
+            command, "--config", str(shared / "gap-j100-horizon.yaml"),
+            "--reps", "500",
+        ]
     return cases
 
 
