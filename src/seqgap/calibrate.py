@@ -179,10 +179,10 @@ class _GapSearch:
 
     Each trial's state is one entry of the columns ``lam`` (its running
     sums, (n, J)), ``taken`` (rows drawn, from which ``rules.next_block``
-    gives its next block, as it does for ``run_sequential``) and ``best``
-    (its largest gap, or ``inf`` once the horizon ended it).  The trials a
-    probe extends go a batch at a time: those with the same next block
-    share one buffer, each drawing its rows by counter from its own
+    gives its next block at J, as it does for ``run_sequential``) and
+    ``best`` (its largest gap, or ``inf`` once the horizon ended it).  The
+    trials a probe extends go a batch at a time: those with the same next
+    block share one buffer, each drawing its rows by counter from its own
     stream, and the inverse CDF, the increments, ``cumulate``, the gap
     column and the record ranking run once per batch, each trial on its
     own.  So a trial's rows, every comparison with c, and every rejection
@@ -245,7 +245,7 @@ class _GapSearch:
         # between probes, so none outlives it into the evaluation run.
         shared = np.empty(_SEARCH_VALUES)
         while live.size:
-            steps = next_block(self.taken[live], horizon)
+            steps = next_block(self.taken[live], horizon, j)
             for k in np.unique(steps).tolist():
                 group = live[steps == k]
                 batch = max(1, min(group.size, _SEARCH_VALUES // (k * j)))

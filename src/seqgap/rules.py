@@ -51,10 +51,11 @@ infinite entries and every bracket edge, that ``scan_path`` stops at the
 same row with the same tag.
 
 ``run_shared`` draws a path a block at a time on the schedule that
-``next_block`` states for it and for the gap-threshold search, and every
-rule of a tuple that has not fired yet scans each block, so rules that
-share a path (the budget points of a sweep) draw it once;
-``run_sequential`` is its one-rule case.
+``next_block`` states for it and for the gap-threshold search (blocks
+that double from 64 rows, capped at ``BLOCK_VALUES`` = 2**12 values so
+that a block stays small at any J), and every rule of a tuple that has
+not fired yet scans each block, so rules that share a path (the budget
+points of a sweep) draw it once; ``run_sequential`` is its one-rule case.
 """
 
 from __future__ import annotations
@@ -472,7 +473,7 @@ Rule = SequentialRule | FixedSampleRule
 
 
 FIRST_BLOCK = 64
-MAX_BLOCK = 8192
+BLOCK_VALUES = 2**12
 
 
 def cumulate(path: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -495,17 +496,21 @@ def _smaller(a, b):
     return a - (a - b) * (a > b)
 
 
-def next_block(taken, horizon):
-    """The rows of a path's next block, after ``taken`` rows drawn so far:
-    an int, or an int column with one entry per path.
+def next_block(taken, horizon, j):
+    """The rows of a path's next block over J streams, after ``taken`` rows
+    drawn so far: an int, or an int column with one entry per path.
 
-    Blocks follow one doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK,
-    ..., MAX_BLOCK, MAX_BLOCK, ...) cut at the horizon, so the uniforms a
-    path consumes depend on the horizon alone.  Before the blocks reach
-    MAX_BLOCK a path has taken FIRST_BLOCK * (2**k - 1) rows, so its next
-    block is ``taken + FIRST_BLOCK``.
+    Blocks follow one doubling schedule (FIRST_BLOCK, 2 * FIRST_BLOCK, ...)
+    capped at BLOCK_VALUES values, BLOCK_VALUES // J rows (at least one),
+    and cut at the horizon, so the uniforms a path consumes depend on J and
+    the horizon alone.  A cap in rows would let a block's values grow with
+    J; the cap in values keeps every block within 32 KiB at any J (one row
+    when J > 4096), and a path draws less than a block past its stop.
+    Before the blocks reach the cap a path has taken FIRST_BLOCK *
+    (2**k - 1) rows, so its next block is ``taken + FIRST_BLOCK``.
     """
-    return _smaller(_smaller(taken + FIRST_BLOCK, MAX_BLOCK), horizon - taken)
+    cap = max(1, BLOCK_VALUES // j)
+    return _smaller(_smaller(taken + FIRST_BLOCK, cap), horizon - taken)
 
 
 def run_sequential(
@@ -546,7 +551,7 @@ def run_shared(
     lam = np.zeros(profile.j)
     taken = 0
     while True:
-        steps = next_block(taken, horizon)
+        steps = next_block(taken, horizon, profile.j)
         x = profile.sample_block(signal, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
         left = []

@@ -1,7 +1,8 @@
 """One-state reference forms of the library's vectorized code.
 
 The library steps a path block by block (``rules.run_sequential``, on
-the schedule of ``rules.next_block``), draws observation blocks in place
+the schedule of ``rules.next_block``: doubling blocks of at most 2**12
+values, cut at the horizon), draws observation blocks in place
 (``StreamProfile.sample_block``), scans blocks of cumulative LLR rows
 (``scan_path``), maps observation blocks to increments
 (``StreamProfile.increments``), runs fixed-sample trials a batch at a

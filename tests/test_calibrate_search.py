@@ -364,22 +364,11 @@ def test_search_trials_end_on_the_one_shot_path(family, horizon):
 def test_search_trials_draw_the_rows_run_sequential_draws(family, horizon):
     """After each probe at c, in rising order, every search trial has drawn
     as many rows as ``run_sequential`` draws for it at c: both step the one
-    schedule of ``rules.next_block``.  The probes reach the second and
-    third blocks, and horizons 70, 100 and 300 cut a block mid-way."""
+    schedule of ``rules.next_block``, at J=5 and at J=100.  The probes
+    reach the second and third blocks, and horizons 70, 100 and 300 cut a
+    block mid-way, of 64 or 128 rows at J=5 and of 40 rows at J=100."""
     from seqgap.calibrate import _GapSearch
     from seqgap.engine import run_trial
-
-    profile, truth = StreamProfile.homogeneous(MODELS[family], 5), frozenset({1, 2})
-
-    def config(threshold):
-        return ExperimentConfig(
-            profile=profile,
-            truth=truth,
-            rule=GapRule(num_signals=2, threshold=threshold),
-            replications=8,
-            master_seed=11,
-            **({} if horizon is None else {"horizon": horizon}),
-        )
 
     drawn = []
     sample_block = StreamProfile.sample_block
@@ -388,15 +377,28 @@ def test_search_trials_draw_the_rows_run_sequential_draws(family, horizon):
         drawn[-1] += steps
         return sample_block(self, signal, steps, rng)
 
-    search = _GapSearch(config(0.5))
-    for threshold in (2.0, 40.0, 80.0, 160.0):
-        search.estimates(config(threshold))
-        drawn.clear()
-        with mock.patch.object(StreamProfile, "sample_block", counting):
-            for i in range(8):
-                drawn.append(0)
-                run_trial(config(threshold), i)
-        assert search.taken.tolist() == drawn, threshold
+    for j in (5, 100):
+        profile = StreamProfile.homogeneous(MODELS[family], j)
+
+        def config(threshold):
+            return ExperimentConfig(
+                profile=profile,
+                truth=frozenset({1, 2}),
+                rule=GapRule(num_signals=2, threshold=threshold),
+                replications=8,
+                master_seed=11,
+                **({} if horizon is None else {"horizon": horizon}),
+            )
+
+        search = _GapSearch(config(0.5))
+        for threshold in (2.0, 40.0, 80.0, 160.0):
+            search.estimates(config(threshold))
+            drawn.clear()
+            with mock.patch.object(StreamProfile, "sample_block", counting):
+                for i in range(8):
+                    drawn.append(0)
+                    run_trial(config(threshold), i)
+            assert search.taken.tolist() == drawn, (j, threshold)
 
 
 def top_m_hits(row, signal, m):

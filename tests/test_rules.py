@@ -427,61 +427,81 @@ def test_gap_column_takes_stacks_and_scan_path_one_block():
         rule.scan_path(stack[0])
 
 
-# 16,320 = 64 + 128 + ... + 8192: past it the blocks are MAX_BLOCK rows.
+# At J=5 the blocks are 64, 128, 256 and 512 rows, then 819 = 4096 // 5
+# rows from row 960 on, so a horizon of 16,321 cuts a capped block; at
+# J=100 every block is 40 rows.
 WALK_HORIZONS = (1, 63, 64, 65, 300, 16_321)
 WALK_PROFILES = {
     "gaussian": make_profile(j=5),
     "bernoulli": StreamProfile.homogeneous(
         StreamModel(family=BERNOULLI, null=0.3, alt=0.6), 5
     ),
+    "gaussian-j100": make_profile(j=100),
 }
+# J whose block cap, 4096 // J rows, lies above the first block (J < 64),
+# at it (J = 64), below it (J = 100, 1000) and at one row (J > 4096).
+SCHEDULE_JS = (2, 5, 10, 64, 100, 1000, 5000)
 
 
-def schedule(horizon):
-    """Row counts of the blocks of a path: 64, 128, ... up to 8192 rows,
-    then 8192 rows a block, the last one cut at the horizon."""
-    sizes, block = [], 64
-    while sum(sizes) < horizon:
-        sizes.append(min(block, horizon - sum(sizes)))
-        block = min(2 * block, 8192)
+def cap(j):
+    """Rows of a block of at most 4096 values over J streams, at least one."""
+    return max(1, 4096 // j)
+
+
+def schedule(horizon, j):
+    """Row counts of the blocks of a path over J streams: 64, 128, ...
+    rows, each capped at ``cap(j)`` rows, the last one cut at the horizon."""
+    sizes, taken, block = [], 0, 64
+    while taken < horizon:
+        sizes.append(min(block, cap(j), horizon - taken))
+        taken += sizes[-1]
+        block *= 2
     return sizes
 
 
-def taken_before(k):
-    """Rows a path has taken before block k (from 0) of the schedule."""
-    return 64 * (2**k - 1) if k <= 8 else 16_320 + 8192 * (k - 8)
+def taken_before(k, j):
+    """Rows a path over J streams has taken before block k (from 0) of the
+    schedule."""
+    return sum(min(64 << i, cap(j)) for i in range(k))
 
 
 @settings(max_examples=100, deadline=None)
 @given(
+    j=st.one_of(
+        st.integers(2, 64), st.sampled_from((100, 1000)), st.integers(4097, 2**20)
+    ),
     steps=st.lists(
         st.tuples(st.integers(0, 12), st.integers(1, 2**41)),
         min_size=1,
         max_size=6,
-    )
+    ),
 )
-def test_next_block_is_the_min_of_its_cut_and_doubling(steps):
+def test_next_block_is_the_min_of_its_cut_and_doubling(j, steps):
     """``next_block`` on ints returns Python ints: block k of the schedule,
-    64 * 2**k rows capped at 8192, cut at the horizon; on int columns,
-    each entry's own result."""
-    taken = [taken_before(k) for k, _ in steps]
+    64 * 2**k rows capped at 4096 // J rows (at least one), cut at the
+    horizon; on int columns, each entry's own result."""
+    taken = [taken_before(k, j) for k, _ in steps]
     horizons = [t + h for t, (_, h) in zip(taken, steps)]
-    want = [min(64 << k, 8192, h - t) for (k, _), t, h in zip(steps, taken, horizons)]
+    want = [
+        min(64 << k, cap(j), h - t) for (k, _), t, h in zip(steps, taken, horizons)
+    ]
     for t, h, rows in zip(taken, horizons, want):
-        got = rules.next_block(t, h)
+        got = rules.next_block(t, h, j)
         assert got == rows and type(got) is int
-    column = rules.next_block(np.array(taken), np.array(horizons))
+    column = rules.next_block(np.array(taken), np.array(horizons), j)
     assert column.tolist() == want
 
 
 @pytest.mark.parametrize("horizon", WALK_HORIZONS + (100_000,))
 def test_next_block_steps_the_schedule(horizon):
     """Stepped from no rows taken, ``next_block`` gives the blocks of
-    ``schedule``."""
-    sizes = []
-    while sum(sizes) < horizon:
-        sizes.append(rules.next_block(sum(sizes), horizon))
-    assert sizes == schedule(horizon)
+    ``schedule`` at every J of ``SCHEDULE_JS``."""
+    for j in SCHEDULE_JS:
+        sizes, taken = [], 0
+        while taken < horizon:
+            sizes.append(rules.next_block(taken, horizon, j))
+            taken += sizes[-1]
+        assert sizes == schedule(horizon, j), j
 
 
 class RecordingRule:
@@ -504,7 +524,7 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
 ):
     """The blocks ``run_sequential`` walks and scans concatenate to one
     cumulative sum over the whole path, bit for bit, in blocks of the
-    doubling schedule cut at the horizon, and its horizon decision reads
+    capped doubling schedule cut at the horizon, and its horizon decision reads
     the final row; it stops and decides as a row-by-row scan of that path
     does."""
     profile = WALK_PROFILES[family]
@@ -520,7 +540,8 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
     )
     monkeypatch.undo()
     assert np.concatenate(recorder.blocks).tobytes() == path.tobytes()
-    assert [len(block) for block in recorder.blocks] == schedule(horizon)
+    sizes = [len(block) for block in recorder.blocks]
+    assert sizes == schedule(horizon, profile.j)
     assert (decision.stopping_time, decision.stopped_by) == (horizon, STOP_HORIZON)
     assert len(views) == 1 and views[0].tobytes() == path[-1].tobytes()
 
