@@ -509,7 +509,7 @@ def next_block(taken, horizon, j):
     Before the blocks reach the cap a path has taken FIRST_BLOCK *
     (2**k - 1) rows, so its next block is ``taken + FIRST_BLOCK``.
     """
-    cap = max(1, BLOCK_VALUES // j)
+    cap = BLOCK_VALUES // j or 1
     return _smaller(_smaller(taken + FIRST_BLOCK, cap), horizon - taken)
 
 
@@ -548,10 +548,11 @@ def run_shared(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     decisions = [None] * len(rules)
     waiting = range(len(rules))
-    lam = np.zeros(profile.j)
+    j = profile.j
+    lam = np.zeros(j)
     taken = 0
     while True:
-        steps = next_block(taken, horizon, profile.j)
+        steps = next_block(taken, horizon, j)
         x = profile.sample_block(signal, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
         left = []
