@@ -500,6 +500,7 @@ def test_next_block_steps_the_schedule(horizon):
         sizes, taken = [], 0
         while taken < horizon:
             sizes.append(rules.next_block(taken, horizon, j))
+            assert sizes[-1] >= 1, (j, taken)  # an empty block never ends
             taken += sizes[-1]
         assert sizes == schedule(horizon, j), j
 
