@@ -525,9 +525,9 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
 ):
     """The blocks ``run_sequential`` walks and scans concatenate to one
     cumulative sum over the whole path, bit for bit, in blocks of the
-    capped doubling schedule cut at the horizon, and its horizon decision reads
-    the final row; it stops and decides as a row-by-row scan of that path
-    does."""
+    capped doubling schedule cut at the horizon, and its horizon decision
+    reads the final row; it stops and decides as a row-by-row scan of that
+    path does."""
     profile = WALK_PROFILES[family]
     signal = profile.signal_mask({1, 2})
     path = one_shot_path(profile, signal, horizon, np.random.default_rng(5))
