@@ -42,12 +42,11 @@ WARMUP = 5
 
 # Run in each tree: prints the microseconds per trial of one timed range.
 PROBE = """
-import sys, time
+import json, sys, time
 from seqgap import GAUSSIAN_MEAN, GapRule, StreamModel, StreamProfile
 from seqgap.engine import ExperimentConfig, _run_range
 
-j, m, threshold, trials, warmup = map(float, sys.argv[1:])
-j, m, trials, warmup = int(j), int(m), int(trials), int(warmup)
+j, m, threshold, trials, warmup = json.loads(sys.argv[1])
 config = ExperimentConfig(
     profile=StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 0.5), j),
     truth=frozenset(range(1, m + 1)),
@@ -67,9 +66,8 @@ def time_once(tree: Path, name: str) -> float:
     env = {k: v for k, v in os.environ.items() if k != "SEQGAP_WORKERS"}
     env["PYTHONPATH"] = str(tree / "src")
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    args = [str(x) for x in (*CONFIGS[name], WARMUP)]
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *args],
+        [sys.executable, "-c", PROBE, json.dumps([*CONFIGS[name], WARMUP])],
         cwd=tree,
         env=env,
         capture_output=True,
