@@ -22,6 +22,7 @@ which checks its own values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import get_args, get_type_hints
@@ -392,6 +393,12 @@ class _UniqueKeyLoader(yaml.SafeLoader):
                 raise ConfigError(f"duplicate key {key_node.value!r} at line {line}")
             seen.add(key)
         return mapping
+
+
+# YAML 1.1 floats need a dot; read 1e-6 and 5E-3 as floats too.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), None
+)
 
 
 def load_config(path: str) -> LoadedConfig:

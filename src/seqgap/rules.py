@@ -6,15 +6,15 @@ these events:
 * gap rule: the gap between the m-th and (m+1)-th largest statistics reaches
   a threshold; always rejects exactly the top m streams.
 * gap-intersection rule: three competing events for a bracket l <= |signals|
-  <= u — an accept-side event (tau1: the (l+1)-th statistic is below the
-  lower barrier with a wide enough gap above it), a corridor event (tau2:
-  every statistic sits outside the open interval between the barriers and
-  the positive count is inside the bracket), and a reject-side event (tau3:
-  the u-th statistic clears the upper barrier with a wide enough gap below
-  it).  Rejects the top p' streams where p' clamps the positive count into
-  [l, u].
-* intersection rule: the corridor event alone with no bracket; rejects every
-  stream with a positive statistic.
+  <= u, in this order — an accept-side event (tau1: the (l+1)-th statistic
+  is below the lower barrier with a wide enough gap above it), a corridor
+  event (tau2: every statistic sits outside the open interval between the
+  barriers and the positive count is inside the bracket), and a reject-side
+  event (tau3: the u-th statistic clears the upper barrier with a wide
+  enough gap below it).  Rejects the top p' streams where p' clamps the
+  positive count into [l, u].
+* intersection rule: the corridor event alone with no bracket, which sorts
+  nothing; rejects every stream with a positive statistic.
 
 Fixed-sample baselines observe a fixed number of steps per stream, convert
 the per-stream sums to one-sided p-values, and apply either the step-up
@@ -29,26 +29,26 @@ budget, with the bound constant of a controlled metric; both "auto" config
 thresholds and the asymptotic sweep use it) and ``kappa`` (the first-order
 benchmark for the expected stopping time).
 
-A sequential rule is its scan plus its rejection range, and the three
-rules differ only in the range: ``rejections(j)`` is m..m, l..u or 0..J.
-``scan_path`` finds the first row of a (steps, J) block of cumulative LLRs
-where the rule fires, and ``decide`` turns that row's order statistics
-into a rejection mask.  Two private bases derive the rest from the range:
+A sequential rule is its stop events plus its rejection range.
+``events(path)`` lists the events above on a (steps, J) block of cumulative
+LLRs as (tag, boolean row column) pairs in that order; ``rejections(j)``
+is m..m, l..u or 0..J.  ``scan_path``, stated once, finds the first row
+where an event fires, tagged by the first listed event that fires on that
+row, and ``decide`` turns that row's order statistics into a rejection
+mask.  Two private bases derive the rest:
 
-* ``_SequentialRule``: ``check`` (pfdr needs lo >= 1, pfnr hi <= J - 1),
-  ``decide`` (the top p' streams, p' the positive count clamped into the
-  range) and the bound constant of a controlled metric over the range.
+* ``_SequentialRule``: ``scan_path``, ``check`` (pfdr needs lo >= 1, pfnr
+  hi <= J - 1), ``decide`` (the top p' streams, p' the positive count
+  clamped into the range) and the bound constant of a controlled metric.
 * ``_BarrierRule``, for the two rules with corridor barriers: the barrier
   check, ``at_budget`` and ``kappa`` of the range as a bracket, both
-  report cells, and the corridor test that both scans use.
+  report cells, and the corridor test that both rules' events use.
 
-``GapRule`` keeps its gap scan, its threshold formula and benchmark, and
-its ``m=`` cell; ``GapIntersectionRule`` its bracket fields and three-event
-scan; ``IntersectionRule`` its two barriers and a corridor-only scan,
-which sorts nothing.  The tests keep a one-state form of each stopping
-condition as an independent oracle and check, on random blocks with ties,
-infinite entries and every bracket edge, that ``scan_path`` stops at the
-same row with the same tag.
+Each rule class keeps its fields and ``events``, and ``GapRule`` its
+threshold formula, benchmark and ``m=`` cell.  The tests keep a one-state
+form of each stopping condition as an independent oracle and check, on
+random blocks with ties, infinite entries and every bracket edge, that
+``scan_path`` stops at the same row with the same tag.
 
 ``run_shared`` draws a path a block at a time on the schedule that
 ``next_block`` states for it and for the gap-threshold search (blocks
@@ -161,11 +161,9 @@ def _fmt(x: float) -> str:
 
 
 class _SequentialRule:
-    """What a sequential rule derives from its rejection range.
-
-    ``rejections(j)`` is the range lo..hi of how many of J streams the
-    rule may reject from a row, and raises if the rule does not fit J.
-    """
+    """What a sequential rule derives from ``events(path)``, its stop events
+    on a checked (steps, J) block, and ``rejections(j)``, its rejection
+    range lo..hi at J streams, which raises if the rule does not fit J."""
 
     def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
         j = profile.j
@@ -179,6 +177,17 @@ class _SequentialRule:
                     f"{kind.value} needs {needs}: the {self.name} rule rejects "
                     f"{lo}..{hi} of J = {j}, so the conditioning event can fail"
                 )
+
+    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
+        """First row of a cumulative-LLR block where one of the rule's
+        ``events`` fires, tagged by the first listed event that fires there."""
+        found = None
+        for tag, column in self.events(_check_block(path)):
+            hits = column.nonzero()[0]
+            # Strict, so an event listed earlier keeps a tied row.
+            if hits.size and (found is None or hits[0] < found[0]):
+                found = int(hits[0]), tag
+        return found
 
     def decide(self, view: OrderView) -> np.ndarray:
         """Mask rejecting the top p' streams, p' the positive count clamped
@@ -284,15 +293,12 @@ class GapRule(_SequentialRule):
         s = np.sort(path, axis=-1)  # ascending; descending k-th is column J - k
         return s[..., j - m] - s[..., j - m - 1]
 
-    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
-        """First row of a cumulative-LLR block where the rule fires."""
-        hits = np.nonzero(self.gap_column(_check_block(path)) >= self.threshold)[0]
-        if hits.size == 0:
-            return None
-        return int(hits[0]), STOP_GAP
+    def events(self, path: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
+        return ((STOP_GAP, self.gap_column(path) >= self.threshold),)
 
-    # Bound here, not only inherited, so the layer trace can patch it on
+    # Bound here, not only inherited, so the layer trace can patch them on
     # this class.
+    scan_path = _SequentialRule.scan_path
     decide = _SequentialRule.decide
 
 
@@ -338,9 +344,8 @@ class GapIntersectionRule(_BarrierRule):
             )
         return self.min_signals, self.max_signals
 
-    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
-        """First row of a cumulative-LLR block where a sub-event fires, and
-        its name; tau1 wins over tau2, and tau2 over tau3, on the same row.
+    def events(self, path: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
+        """tau1, tau2 and tau3, in that order: the first wins a tied row.
 
         Order statistics at positions 0 and J+1 act as +inf / -inf
         sentinels, so with min_signals = 0 the accept-side event reduces to
@@ -348,7 +353,6 @@ class GapIntersectionRule(_BarrierRule):
         max_signals = J the reject-side event reduces to "every statistic
         is at or above the upper barrier".
         """
-        path = _check_block(path)
         j = path.shape[1]
         lo, hi = self.rejections(j)
         s = np.sort(path, axis=1)
@@ -364,19 +368,11 @@ class GapIntersectionRule(_BarrierRule):
         lam_hi = s[:, j - hi]
         lam_below_hi = s[:, j - hi - 1] if hi <= j - 1 else np.full(len(s), -math.inf)
         tau3 = (lam_hi >= b) & (lam_hi - lam_below_hi >= self.reject_gap)
+        return (STOP_TAU1, tau1), (STOP_TAU2, tau2), (STOP_TAU3, tau3)
 
-        hits = np.nonzero(tau1 | tau2 | tau3)[0]
-        if hits.size == 0:
-            return None
-        row = int(hits[0])
-        if tau1[row]:
-            return row, STOP_TAU1
-        if tau2[row]:
-            return row, STOP_TAU2
-        return row, STOP_TAU3
-
-    # Bound here, not only inherited, so the layer trace can patch it on
+    # Bound here, not only inherited, so the layer trace can patch them on
     # this class.
+    scan_path = _SequentialRule.scan_path
     decide = _SequentialRule.decide
 
 
@@ -387,8 +383,7 @@ class IntersectionRule(_BarrierRule):
     Rejects every stream with a strictly positive statistic: its rejection
     range is 0..J, so the clamp is the identity on the positive count.
     Decision-equivalent to the bracketed rule with min_signals = 0 and
-    max_signals = J, where both side events imply the corridor event; its
-    own scan tests the corridor alone and sorts nothing.
+    max_signals = J, where both side events imply the corridor event.
     """
 
     name: ClassVar[str] = "intersection"
@@ -399,11 +394,8 @@ class IntersectionRule(_BarrierRule):
     def rejections(self, j: int) -> tuple[int, int]:
         return 0, j
 
-    def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
-        hits = np.nonzero(self._outside(_check_block(path)))[0]
-        if hits.size == 0:
-            return None
-        return int(hits[0]), STOP_INTERSECTION
+    def events(self, path: np.ndarray) -> tuple[tuple[str, np.ndarray], ...]:
+        return ((STOP_INTERSECTION, self._outside(path)),)
 
 
 def _check_pvalue_family(profile: StreamProfile) -> None:

@@ -386,3 +386,26 @@ def test_load_config_reads_file(tmp_path):
     path.write_text(BASE)
     loaded = load_config(str(path))
     assert loaded.experiment.replications == 500
+
+
+@pytest.mark.parametrize(
+    "old,exponent,dotted",
+    [
+        ("alpha: 0.05", "alpha: 1e-6", "alpha: 1.0e-6"),
+        ("beta: 0.05", "beta: 5E-3", "beta: 5.0E-3"),
+        ('"null": 0.0', '"null": -2e+1', '"null": -2.0e+1'),
+    ],
+    ids=["alpha", "capital", "signed"],
+)
+def test_exponent_without_a_dot_is_a_float(old, exponent, dotted, tmp_path):
+    """An unquoted number with an exponent and no dot loads as the same
+    float as its YAML 1.1 form with a dot; quoted, it stays a string."""
+    path = tmp_path / "exp.yaml"
+    loaded = []
+    for line in (exponent, dotted):
+        path.write_text(BASE.replace(old, line))
+        loaded.append(load_config(str(path)))
+    assert loaded[0] == loaded[1]
+    path.write_text(BASE.replace("alpha: 0.05", "alpha: '1e-6'"))
+    with pytest.raises(ConfigError, match="budget.alpha must be a number, got '1e-6'"):
+        load_config(str(path))

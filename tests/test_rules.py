@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -327,9 +327,19 @@ def _stepwise(rule, block):
     return None
 
 
+# Every threshold 1.0.  At J=3 the bracket 1..2 meets tau3 on row 0 and
+# tau1 on row 1, so the earliest row wins over the first listed event; then
+# tau2 and tau3 on one row (tau1 and tau3 cannot share a row, as the
+# thresholds are positive), so tau2 wins; then a corridor first left on row 1.
+_ONES = [1.0] * 4
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @settings(max_examples=500, deadline=None)
 @given(_block_and_thresholds())
+@example((np.array([[3.0, 2.0, 0.0], [3.0, -2.0, -2.0]]), _ONES))  # (0, tau3)
+@example((np.array([[3.0, 2.0, -2.0]]), _ONES))  # (0, tau2)
+@example((np.array([[0.0, 0.0, 0.0], [3.0, 2.0, -2.0]]), _ONES))  # corridor: row 1
 def test_scan_path_matches_stepwise_oracle(case):
     """``scan_path`` stops at the first row where the rule's one-state
     condition holds, with the tag that condition names."""

@@ -1,15 +1,24 @@
-"""Time the gap rule's sequential trials in two source trees, alternating.
+"""Time sequential trials in two source trees, alternating.
 
     python tools/time_trials.py PARENT CHANGE [--pairs 10] [--json FILE]
 
-Times ``engine._run_range`` over a range of trials of one gap-rule config,
-in microseconds per trial, in four configs of gaussian streams (null 0,
-alternative 0.5, signals on streams 1..m, the default horizon):
+Times ``engine._run_range`` over a range of trials, in microseconds per
+trial, master seed 7, in six configs.  Four are gap-rule configs of
+gaussian streams (null 0, alternative 0.5, signals on streams 1..m, the
+default horizon):
 
 * J=10, m=5, c=2.1 (table1's row m=5), 2,000 trials
 * J=100, m=50, c=0.7 (table2's row m=50, E[T] about 45), 400 trials
 * J=100, m=10, c=1.9 (table2's row m=10, E[T] about 61), 400 trials
 * J=1000, m=500, c=0.7, 40 trials
+
+Two are read from ``configs/`` in the tree:
+
+* ``configs/gap-intersection.yaml``'s rule at the formula thresholds of
+  alpha = beta = 1e-2, 1e-4 and 1e-6, the three rules sharing each path as
+  the sweep's points do (the benchmark's search workload sweeps this
+  rule), 500 trials
+* ``configs/intersection.yaml`` as it stands, 2,000 trials
 
 Each run is a fresh process, ``PYTHONPATH=<tree>/src python -c ...`` from
 the tree's root, that runs a few warm-up trials and then times the range
@@ -31,32 +40,52 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Name -> (J, m, threshold, trials).
+# Name -> (probe spec, trials).  A spec is a gap rule's [J, m, threshold],
+# or a config file with the alphas whose formula thresholds its rule takes
+# (none: the file's own thresholds).
 CONFIGS = {
-    "J=10 m=5": (10, 5, 2.1, 2000),
-    "J=100 m=50": (100, 50, 0.7, 400),
-    "J=100 m=10": (100, 10, 1.9, 400),
-    "J=1000 m=500": (1000, 500, 0.7, 40),
+    "J=10 m=5": ({"gap": [10, 5, 2.1]}, 2000),
+    "J=100 m=50": ({"gap": [100, 50, 0.7]}, 400),
+    "J=100 m=10": ({"gap": [100, 10, 1.9]}, 400),
+    "J=1000 m=500": ({"gap": [1000, 500, 0.7]}, 40),
+    "gap-intersection sweep": (
+        {"config": "configs/gap-intersection.yaml", "alphas": [1e-2, 1e-4, 1e-6]},
+        500,
+    ),
+    "intersection": ({"config": "configs/intersection.yaml", "alphas": []}, 2000),
 }
 WARMUP = 5
 
 # Run in each tree: prints the microseconds per trial of one timed range.
 PROBE = """
 import json, sys, time
-from seqgap import GAUSSIAN_MEAN, GapRule, StreamModel, StreamProfile
+from dataclasses import replace
+from seqgap import (
+    GAUSSIAN_MEAN, ErrorBudget, GapRule, StreamModel, StreamProfile, load_config,
+)
 from seqgap.engine import ExperimentConfig, _run_range
 
-j, m, threshold, trials, warmup = json.loads(sys.argv[1])
-config = ExperimentConfig(
-    profile=StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 0.5), j),
-    truth=frozenset(range(1, m + 1)),
-    rule=GapRule(num_signals=m, threshold=threshold),
-    replications=warmup + trials,
-    master_seed=7,
-)
-_run_range((config,), 0, warmup)
+spec, trials, warmup = json.loads(sys.argv[1])
+if "gap" in spec:
+    j, m, threshold = spec["gap"]
+    configs = (ExperimentConfig(
+        profile=StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 0.5), j),
+        truth=frozenset(range(1, m + 1)),
+        rule=GapRule(num_signals=m, threshold=threshold),
+        replications=warmup + trials,
+        master_seed=7,
+    ),)
+else:
+    loaded = load_config(spec["config"])
+    base = replace(loaded.experiment, replications=warmup + trials, master_seed=7)
+    j, truth, control = base.profile.j, base.truth, loaded.control
+    rules = [
+        base.rule.at_budget(ErrorBudget(a, a), j, truth, control) for a in spec["alphas"]
+    ] or [base.rule]
+    configs = tuple(replace(base, rule=rule) for rule in rules)
+_run_range(configs, 0, warmup)
 start = time.perf_counter()
-_run_range((config,), warmup, warmup + trials)
+_run_range(configs, warmup, warmup + trials)
 print((time.perf_counter() - start) / trials * 1e6)
 """
 
