@@ -98,19 +98,36 @@ def _commands() -> dict[str, list[str]]:
     return cases
 
 
+# The golden configs that fail to load, by the command that reads them.
+CONFIG_ERRORS = {
+    "float-reps": "run",
+    "missing-budget-alpha": "run",
+    "unknown-rule-key": "run",
+    "budget-not-mapping": "run",
+    "incomplete-thresholds": "run",
+    "calibrate-grid-step-0": "calibrate",
+    "budget-alpha-2": "run",
+    "null-equals-alt": "run",
+    "output-format-xml": "run",
+}
+
+
 def _error_commands() -> dict[str, list[str]]:
-    """Case name -> argv of a run that fails on an integer input, exit 2.
-    The error comes before any report, so one format covers each case."""
+    """Case name -> argv of a run that fails on an input, exit 2: an
+    integer option, or a config file that fails to load.  The error comes
+    before any report, so one format covers each case."""
     gap = _config("gap")
-    return {
+    cases = {
         "error-run-reps-0": ["run", "--config", gap, "--reps", "0"],
         "error-run-workers-0": ["run", "--config", gap, "--workers", "0"],
         "error-run-seed-2-64": [
             "run", "--config", gap, "--seed", str(2**64),
         ],
         "error-reproduce-rows-0": ["reproduce", "--which", "table1", "--rows", "0"],
-        "error-float-reps": ["run", "--config", str(GOLDEN / "float-reps.yaml")],
     }
+    for name, command in CONFIG_ERRORS.items():
+        cases[f"error-{name}"] = [command, "--config", str(GOLDEN / f"{name}.yaml")]
+    return cases
 
 
 def _all_commands() -> dict[str, list[str]]:

@@ -20,7 +20,9 @@ horizon configs (``run`` of gap-intersection at horizon 100 and
 the gap-intersection one at three budgets out of order (one with alpha !=
 beta) at 2,000 replications, and ``run`` and ``calibrate`` of the golden
 J=100 gap config (table2's row m=50 at horizon 60) at 500 replications,
-each in csv, json and text at ``--workers 1`` and ``2``.  The golden configs are read from
+and the golden configs that fail to load (``error-*`` in
+``tests/test_golden.py``), each in csv, json and text at ``--workers 1``
+and ``2``.  The golden configs are read from
 CHANGE and copied to a temporary directory outside both trees, so PARENT
 needs no copy of them.
 It compares exit code, stdout and stderr, with the text report's wall-time
@@ -43,10 +45,23 @@ from pathlib import Path
 FORMATS = ("csv", "json", "text")
 WORKERS = (1, 2)
 ALL_METRIC_RULES = ("gap", "gap-intersection", "bh")
+# The golden configs that fail to load, by the command that reads them.
+CONFIG_ERRORS = {
+    "float-reps": "run",
+    "missing-budget-alpha": "run",
+    "unknown-rule-key": "run",
+    "budget-not-mapping": "run",
+    "incomplete-thresholds": "run",
+    "calibrate-grid-step-0": "calibrate",
+    "budget-alpha-2": "run",
+    "null-equals-alt": "run",
+    "output-format-xml": "run",
+}
 # The golden configs both trees run from a shared copy.
 SHARED = (*(f"all-metrics-{name}.yaml" for name in ALL_METRIC_RULES),
           "calibrate-gap-mixed.yaml", "run-horizon-gi.yaml",
-          "calibrate-gap-horizon.yaml", "gap-j100-horizon.yaml")
+          "calibrate-gap-horizon.yaml", "gap-j100-horizon.yaml",
+          *(f"{name}.yaml" for name in CONFIG_ERRORS))
 
 
 def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
@@ -101,6 +116,11 @@ def commands(tree: Path, shared: Path) -> dict[str, list[str]]:
         cases[f"{command}-gap-j100-horizon"] = [
             command, "--config", str(shared / "gap-j100-horizon.yaml"),
             "--reps", "500",
+        ]
+    # Configs that fail to load: each ConfigError message and exit code.
+    for name, command in CONFIG_ERRORS.items():
+        cases[f"error-{name}"] = [
+            command, "--config", str(shared / f"{name}.yaml"),
         ]
     return cases
 
