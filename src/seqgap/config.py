@@ -16,14 +16,16 @@ them through the closed-form formulas at the configured budget (the rule's
 ``at_budget``), with the bound constant of the rule's ``control`` metric
 (default fdr); a control metric without constants for the rule is a
 configuration error.  The sweep command uses the same control metric.
-The ``calibrate`` section is read from the fields of CalibrationSettings,
-which checks its own values.
+The stream models and the ``budget`` and ``calibrate`` sections are read
+from the fields of StreamModel, ErrorBudget and CalibrationSettings, which
+check their own values.  An optional key takes its default when absent or
+null; a required key must be present.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import get_args, get_type_hints
 
@@ -62,29 +64,41 @@ class LoadedConfig:
     output_path: str | None
 
 
-def _mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path} must be a mapping, got {type(value).__name__}")
-    return dict(value)
-
-
-def _pop(section: dict, path: str, key: str, required: bool = True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key} is required")
-        return default
-    return section.pop(key)
-
-
 def _names(keys) -> str:
     """Keys as the file spells them: YAML reads a bare `null` key as None,
     and a number key as a number."""
     return ", ".join(sorted("null" if key is None else str(key) for key in keys))
 
 
-def _done(section: dict, path: str) -> None:
-    if section:
-        raise ConfigError(f"unknown key(s) under {path}: {_names(section)}")
+class _Section:
+    """One mapping of the document at ``path``, read a key at a time.
+
+    ``take`` parses a key's value under its full name ``path.key``.  A key
+    with a default is optional: absent or null, it takes the default.  A
+    required key must be present, and a null value is its parser's to
+    reject.  ``done`` rejects the keys left.
+    """
+
+    def __init__(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a mapping, got {type(value).__name__}")
+        self.keys = dict(value)
+        self.path = path
+
+    def name(self, key: str) -> str:
+        return f"{self.path}.{key}"
+
+    def take(self, key: str, parse, default=MISSING):
+        if key not in self.keys and default is MISSING:
+            raise ConfigError(f"{self.name(key)} is required")
+        value = self.keys.pop(key, None)
+        if value is None and default is not MISSING:
+            return default
+        return parse(value, self.name(key))
+
+    def done(self) -> None:
+        if self.keys:
+            raise ConfigError(f"unknown key(s) under {self.path}: {_names(self.keys)}")
 
 
 def checked(check, value, name: str, *args):
@@ -112,20 +126,39 @@ def _as_bool(value, path: str) -> bool:
     return value
 
 
-def _parse_model(doc: dict, path: str) -> StreamModel:
-    section = _mapping(doc, path)
-    if None in section:  # YAML reads an unquoted `null:` key as None
-        if "null" in section:
-            raise ConfigError(f"duplicate key 'null' under {path} (bare and quoted)")
-        section["null"] = section.pop(None)
-    family = _as_str(_pop(section, path, "family"), f"{path}.family")
-    null = _as_number(_pop(section, path, "null"), f"{path}.null")
-    alt = _as_number(_pop(section, path, "alt"), f"{path}.alt")
-    _done(section, path)
+# The parser of each field annotation of a dataclass read from a section.
+_FIELD_PARSERS = {
+    int: _as_int,
+    float: _as_number,
+    bool: _as_bool,
+    str: _as_str,
+}
+
+
+def _read_fields(cls, section: _Section) -> dict:
+    """Each field of the dataclass ``cls`` read from ``section`` by its
+    annotation, a field with a default optional; no other key is allowed."""
+    types = get_type_hints(cls)
+    values = {
+        f.name: section.take(f.name, _FIELD_PARSERS[types[f.name]], f.default)
+        for f in fields(cls)
+    }
+    section.done()
+    return values
+
+
+def _parse_model(section: _Section) -> StreamModel:
+    if None in section.keys:  # YAML reads an unquoted `null:` key as None
+        if "null" in section.keys:
+            raise ConfigError(
+                f"duplicate key 'null' under {section.path} (bare and quoted)"
+            )
+        section.keys["null"] = section.keys.pop(None)
+    values = _read_fields(StreamModel, section)
     try:
-        return StreamModel(family=family, null=null, alt=alt)
+        return StreamModel(**values)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{section.path}: {exc}") from exc
 
 
 def _parse_streams(doc) -> StreamProfile:
@@ -134,32 +167,32 @@ def _parse_streams(doc) -> StreamProfile:
             raise ConfigError("streams list needs at least 2 entries")
         return StreamProfile(
             models=tuple(
-                _parse_model(entry, f"streams[{i}]") for i, entry in enumerate(doc)
+                _parse_model(_Section(entry, f"streams[{i}]"))
+                for i, entry in enumerate(doc)
             )
         )
-    section = _mapping(doc, "streams")
-    count = _as_int(_pop(section, "streams", "count"), "streams.count")
-    checked(check_count, count, "streams.count", 2)
-    model = _parse_model(section, "streams")
-    return StreamProfile.homogeneous(model, count)
+    section = _Section(doc, "streams")
+    count = section.take("count", lambda v, name: checked(check_count, v, name, 2))
+    return StreamProfile.homogeneous(_parse_model(section), count)
+
+
+def _as_labels(value, path: str) -> list[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path} must be a list of stream labels")
+    return [_as_int(x, path) for x in value]
 
 
 def _parse_truth(doc, j: int) -> frozenset[int]:
-    section = _mapping(doc, "truth")
-    has_count = "count" in section
-    has_indices = "indices" in section
-    if has_count == has_indices:
+    section = _Section(doc, "truth")
+    if ("count" in section.keys) == ("indices" in section.keys):
         raise ConfigError("truth needs exactly one of 'count' or 'indices'")
-    if has_count:
-        count = _as_int(section.pop("count"), "truth.count")
+    if "count" in section.keys:
+        count = section.take("count", _as_int)
         if not 0 <= count <= j:
             raise ConfigError(f"truth.count must be in 0..{j}, got {count}")
-        truth = frozenset(range(1, count + 1))
+        labels = range(1, count + 1)
     else:
-        raw = section.pop("indices")
-        if not isinstance(raw, list):
-            raise ConfigError("truth.indices must be a list of stream labels")
-        labels = [_as_int(x, "truth.indices") for x in raw]
+        labels = section.take("indices", _as_labels)
         bad = [x for x in labels if not 1 <= x <= j]
         if bad:
             raise ConfigError(
@@ -168,29 +201,24 @@ def _parse_truth(doc, j: int) -> frozenset[int]:
         repeated = sorted({x for x in labels if labels.count(x) > 1})
         if repeated:
             raise ConfigError(f"truth.indices: repeated {repeated}")
-        truth = frozenset(labels)
-    _done(section, "truth")
-    return truth
+    section.done()
+    return frozenset(labels)
 
 
 def _parse_budget(doc) -> ErrorBudget:
-    section = _mapping(doc, "budget")
-    alpha = _as_number(_pop(section, "budget", "alpha"), "budget.alpha")
-    beta = _as_number(_pop(section, "budget", "beta"), "budget.beta")
-    _done(section, "budget")
+    values = _read_fields(ErrorBudget, _Section(doc, "budget"))
     try:
-        return ErrorBudget(alpha=alpha, beta=beta)
+        return ErrorBudget(**values)
     except ValueError as exc:
         raise ConfigError(f"budget.{exc}") from exc
 
 
-def _control_metric(section: dict) -> MetricKind:
-    raw = _pop(section, "rule", "control", required=False, default="fdr")
+def _as_control(value, path: str) -> MetricKind:
     try:
-        return MetricKind(_as_str(raw, "rule.control"))
+        return MetricKind(_as_str(value, path))
     except ValueError as exc:
         raise ConfigError(
-            f"rule.control must be one of {[k.value for k in MetricKind]}, got {raw!r}"
+            f"{path} must be one of {[k.value for k in MetricKind]}, got {value!r}"
         ) from exc
 
 
@@ -200,17 +228,8 @@ def _need_budget(budget: ErrorBudget | None, what: str) -> ErrorBudget:
     return budget
 
 
-# Stand-in for "auto" thresholds until the rule is resolved at the budget.
-_AUTO_PLACEHOLDER = 1.0
-
-# Each rule class by its type tag, and the parser of each field annotation
-# (of a rule or of CalibrationSettings).
+# Each rule class by its type tag.
 _RULES = {cls.name: cls for cls in get_args(Rule)}
-_FIELD_PARSERS = {
-    int: _as_int,
-    float: _as_number,
-    bool: _as_bool,
-}
 
 
 def _parse_rule(
@@ -226,39 +245,38 @@ def _parse_rule(
     may a lone ``threshold``; only a rule with ``at_budget`` takes
     ``control``; an omitted ``level`` is the budget's alpha.
     """
-    section = _mapping(doc, "rule")
-    kind = _as_str(_pop(section, "rule", "type"), "rule.type")
+    section = _Section(doc, "rule")
+    kind = section.take("type", _as_str)
     if kind not in _RULES:
         raise ConfigError(f"rule.type must be one of {', '.join(_RULES)}; got {kind!r}")
     cls = _RULES[kind]
     types = get_type_hints(cls)
     nested = getattr(cls, "threshold_names", ())
-    sub, auto = {}, None
-    if nested:
-        raw = _pop(section, "rule", "thresholds")
-        if raw == "auto":
-            raw, auto = dict.fromkeys(nested, _AUTO_PLACEHOLDER), "rule.thresholds"
-        sub = _mapping(raw, "rule.thresholds")
+    key = "thresholds" if nested else "threshold"
+    auto = section.keys.get(key) == "auto"
+    if auto:  # stand-ins until the rule is resolved at the budget
+        section.keys[key] = dict.fromkeys(nested, 1.0) if nested else 1.0
+    sub = section.take(key, _Section) if nested else None
     values = {}
     for name in (f.name for f in fields(cls)):
-        where, path = (sub, "rule.thresholds") if name in nested else (section, "rule")
-        raw = _pop(where, path, name, required=name != "level")
-        if name == "level" and raw is None:
-            raw = _need_budget(budget, "rule.level (omitted)").alpha
-        elif name == "threshold" and raw == "auto":
-            raw, auto = _AUTO_PLACEHOLDER, "rule.threshold"
-        values[name] = _FIELD_PARSERS[types[name]](raw, f"{path}.{name}")
-    _done(sub, "rule.thresholds")
+        where = sub if name in nested else section
+        default = None if name == "level" else MISSING
+        value = where.take(name, _FIELD_PARSERS[types[name]], default)
+        if value is None:
+            value = _need_budget(budget, f"{where.name(name)} (omitted)").alpha
+        values[name] = value
+    if nested:
+        sub.done()
     control = MetricKind.FDR
     if hasattr(cls, "at_budget"):
-        control = _control_metric(section)
-    _done(section, "rule")
+        control = section.take("control", _as_control, MetricKind.FDR)
+    section.done()
     try:
         rule = cls(**values)
     except ValueError as exc:
         raise ConfigError(f"rule: {exc}") from exc
     if auto:
-        budget = _need_budget(budget, auto)
+        budget = _need_budget(budget, section.name(key))
         try:
             rule = rule.at_budget(budget, j, truth, control)
         except NoBoundConstants as exc:
@@ -266,54 +284,46 @@ def _parse_rule(
     return rule, control
 
 
-def _parse_metrics(raw) -> tuple[MetricKind, ...]:
-    if raw is None:
-        return (MetricKind.FDR, MetricKind.FNR)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("run.metrics must be a non-empty list of metric names")
+def _as_metrics(value, path: str) -> tuple[MetricKind, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path} must be a non-empty list of metric names")
     kinds = []
-    for name in raw:
+    for name in value:
         try:
-            kinds.append(MetricKind(_as_str(name, "run.metrics")))
+            kinds.append(MetricKind(_as_str(name, path)))
         except ValueError as exc:
             raise ConfigError(
-                f"run.metrics: unknown metric {name!r}; expected one of "
+                f"{path}: unknown metric {name!r}; expected one of "
                 f"{[k.value for k in MetricKind]}"
             ) from exc
-    try:
-        check_distinct(kinds, "run.metrics")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    checked(check_distinct, kinds, path)
     return tuple(kinds)
 
 
+def _as_format(value, path: str) -> str:
+    if _as_str(value, path) not in FORMATS:
+        raise ConfigError(f"{path} must be one of {FORMATS}, got {value!r}")
+    return value
+
+
 def _parse_calibration(doc) -> CalibrationSettings:
-    """The ``calibrate`` section, read like a rule section from the fields of
-    CalibrationSettings; an absent or null key keeps the field's default."""
-    if doc is None:
-        return CalibrationSettings()
-    section = _mapping(doc, "calibrate")
-    types = get_type_hints(CalibrationSettings)
-    raw = {f.name: section.pop(f.name, None) for f in fields(CalibrationSettings)}
-    _done(section, "calibrate")
-    values = {
-        key: _FIELD_PARSERS[types[key]](value, f"calibrate.{key}")
-        for key, value in raw.items()
-        if value is not None
-    }
+    """The ``calibrate`` section, read from the fields of
+    CalibrationSettings; a null section keeps every default."""
+    section = _Section({} if doc is None else doc, "calibrate")
+    values = _read_fields(CalibrationSettings, section)
     try:
         return CalibrationSettings(**values)
     except ValueError as exc:
         # The settings name their fields; the file names its keys.
         message = str(exc)
-        for key in raw:
-            message = message.replace(key, f"calibrate.{key}")
+        for key in values:
+            message = message.replace(key, section.name(key))
         raise ConfigError(message) from exc
 
 
 def build_config(doc, source: str = "<config>") -> LoadedConfig:
     """Assemble a parsed YAML document into a LoadedConfig."""
-    top = _mapping(doc, source)
+    top = _Section(doc, source).keys
     known = {"streams", "truth", "rule", "budget", "run", "calibrate", "output"}
     unknown = set(top) - known
     if unknown:
@@ -327,34 +337,20 @@ def build_config(doc, source: str = "<config>") -> LoadedConfig:
     budget = _parse_budget(top["budget"]) if "budget" in top else None
     rule, control = _parse_rule(top["rule"], profile.j, truth, budget)
 
-    run = _mapping(top["run"], "run")
-    replications = _as_int(_pop(run, "run", "replications"), "run.replications")
-    seed = _as_int(_pop(run, "run", "seed"), "run.seed")
-    horizon_raw = _pop(run, "run", "horizon", required=False)
-    horizon = (
-        DEFAULT_HORIZON if horizon_raw is None else _as_int(horizon_raw, "run.horizon")
-    )
-    metrics = _parse_metrics(_pop(run, "run", "metrics", required=False))
-    _done(run, "run")
-    checked(check_count, replications, "run.replications")
-    checked(check_word, seed, "run.seed")
-    checked(check_count, horizon, "run.horizon")
+    run = _Section(top["run"], "run")
+    replications = run.take("replications", _as_int)
+    seed = run.take("seed", _as_int)
+    horizon = run.take("horizon", _as_int, DEFAULT_HORIZON)
+    metrics = run.take("metrics", _as_metrics, (MetricKind.FDR, MetricKind.FNR))
+    run.done()
+    checked(check_count, replications, run.name("replications"))
+    checked(check_word, seed, run.name("seed"))
+    checked(check_count, horizon, run.name("horizon"))
 
-    output_format = None
-    output_path = None
-    if "output" in top:
-        out = _mapping(top["output"], "output")
-        fmt = _pop(out, "output", "format", required=False)
-        if fmt is not None:
-            output_format = _as_str(fmt, "output.format")
-            if output_format not in FORMATS:
-                raise ConfigError(
-                    f"output.format must be one of {FORMATS}, got {output_format!r}"
-                )
-        path = _pop(out, "output", "path", required=False)
-        if path is not None:
-            output_path = _as_str(path, "output.path")
-        _done(out, "output")
+    output = _Section(top.get("output", {}), "output")
+    output_format = output.take("format", _as_format, None)
+    output_path = output.take("path", _as_str, None)
+    output.done()
 
     calibration = _parse_calibration(top.get("calibrate"))
 
@@ -395,9 +391,11 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return mapping
 
 
-# YAML 1.1 floats need a dot; read 1e-6 and 5E-3 as floats too.
+# YAML 1.1 floats need a dot and a signed exponent; read 1e-6 and 2.1e0 too.
 _UniqueKeyLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), None
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    None,
 )
 
 

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from seqgap import ConfigError, MetricKind, load_config
-from seqgap.config import build_config
+from seqgap.config import _UniqueKeyLoader, build_config
 from seqgap.rules import (
     BhRule,
     GapIntersectionRule,
@@ -394,12 +394,21 @@ def test_load_config_reads_file(tmp_path):
         ("alpha: 0.05", "alpha: 1e-6", "alpha: 1.0e-6"),
         ("beta: 0.05", "beta: 5E-3", "beta: 5.0E-3"),
         ('"null": 0.0', '"null": -2e+1', '"null": -2.0e+1'),
+        ("threshold: 2.1", "threshold: 2.1e0", "threshold: 2.1"),
+        ("threshold: 2.1", "threshold: 2.1E3", "threshold: 2100.0"),
+        ('"null": 0.0', '"null": -2.0e1', '"null": -20.0'),
+        ("threshold: 2.1", "threshold: 1.e1", "threshold: 10.0"),
+        ("threshold: 2.1", "threshold: .5e1", "threshold: 5.0"),
     ],
-    ids=["alpha", "capital", "signed"],
+    ids=[
+        "alpha", "capital", "signed", "dot-unsigned", "dot-capital",
+        "dot-negative", "trailing-dot", "leading-dot",
+    ],
 )
 def test_exponent_without_a_dot_is_a_float(old, exponent, dotted, tmp_path):
-    """An unquoted number with an exponent and no dot loads as the same
-    float as its YAML 1.1 form with a dot; quoted, it stays a string."""
+    """An unquoted number with an exponent and no dot, or with a dot and an
+    unsigned exponent, loads as the same float as its YAML 1.1 form; quoted,
+    it stays a string."""
     path = tmp_path / "exp.yaml"
     loaded = []
     for line in (exponent, dotted):
@@ -409,3 +418,24 @@ def test_exponent_without_a_dot_is_a_float(old, exponent, dotted, tmp_path):
     path.write_text(BASE.replace("alpha: 0.05", "alpha: '1e-6'"))
     with pytest.raises(ConfigError, match="budget.alpha must be a number, got '1e-6'"):
         load_config(str(path))
+
+
+def test_exponent_resolver_leaves_other_scalars():
+    """Integers, hex, quoted numbers and a bare or mantissa-less exponent
+    load as YAML 1.1 reads them."""
+    doc = yaml.load(
+        "{a: 21, b: 0x1F, c: '2.1e0', d: 1e, e: e5}", Loader=_UniqueKeyLoader
+    )
+    assert doc == {"a": 21, "b": 31, "c": "2.1e0", "d": "1e", "e": "e5"}
+
+
+@pytest.mark.parametrize("control", ["", "\n  control: null"], ids=["absent", "null"])
+def test_control_absent_or_null_is_fdr(control):
+    """rule.control is optional like every key with a default: absent or
+    null, it is fdr, and "auto" resolves under it."""
+    text = BASE.replace("threshold: 2.1", f"threshold: auto{control}")
+    loaded = parse(text)
+    assert loaded.control is MetricKind.FDR
+    assert loaded.experiment.rule == parse(
+        BASE.replace("threshold: 2.1", "threshold: auto\n  control: fdr")
+    ).experiment.rule
