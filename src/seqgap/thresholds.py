@@ -5,7 +5,9 @@ control both error-metric sides at the budgeted levels under independence
 across streams: the budget levels are first inflated by the metric's
 bound constant C1 (so controlling the family-wise rates at level/C1
 controls the metric itself), then log-transformed with a multiplicity
-correction that depends on the rule and its bracket.
+correction that depends on the rule and its bracket.  The logarithm of
+level/C1 is taken as log(level) - log(C1), so a level near the smallest
+float does not underflow to 0 when divided.
 
 ``kappa_gap`` / ``kappa_gi`` compute the first-order lower benchmark for
 the expected stopping time of *any* procedure controlling the budget: the
@@ -57,8 +59,8 @@ def gap_threshold(
         raise ValueError(f"num_signals must be in 1..{j - 1}, got {num_signals}")
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
-    level = min(budget.alpha / c1, budget.beta / c1)
-    return abs(math.log(level)) + math.log(num_signals * (j - num_signals))
+    log_level = math.log(min(budget.alpha, budget.beta)) - math.log(c1)
+    return abs(log_level) + math.log(num_signals * (j - num_signals))
 
 
 def gi_thresholds(
@@ -76,8 +78,8 @@ def gi_thresholds(
         )
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
-    log_a = abs(math.log(budget.beta / c1))
-    log_b = abs(math.log(budget.alpha / c1))
+    log_a = abs(math.log(budget.beta) - math.log(c1))
+    log_b = abs(math.log(budget.alpha) - math.log(c1))
     return GiThresholds(
         accept_barrier=log_a + math.log(j),
         reject_barrier=log_b + math.log(j),

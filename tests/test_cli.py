@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 import textwrap
@@ -687,6 +688,27 @@ def test_sweep_uses_the_auto_rule_and_control(rule_yaml, control, tmp_path, caps
     assert doc["control"] == control
     rule = load_config(str(path)).experiment.rule
     assert doc["rows"][0]["rule"] == rule_to_dict(rule)
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    [
+        ("gap", "threshold: 2.1\n  # control: fdr", "threshold: auto\n  control: pfer"),
+        ("gap-intersection", "control: fdr", "control: pfer"),
+    ],
+)
+def test_pfer_sweep_at_the_smallest_alpha(name, old, new, tmp_path, capsys):
+    """The formula thresholds take log(alpha) - log(c1), so alpha = 5e-324
+    under pfer (c1 = 5 for the gap rule at J=10, m=5) does not underflow
+    alpha / c1 to 0."""
+    shipped = Path(__file__).parent.parent / "configs" / f"{name}.yaml"
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(shipped.read_text().replace(old, new))
+    argv = ["sweep", "--config", str(path), "--alphas", "5e-324", "--reps", "2"]
+    assert main([*argv, "--format", "json"]) == 0
+    rule = json.loads(capsys.readouterr().out)["rows"][0]["rule"]
+    if name == "gap":
+        assert rule["threshold"] == abs(math.log(5e-324)) + math.log(5) + math.log(25)
 
 
 def test_sweep_malformed_alphas_exit_2(gap_config_path):
