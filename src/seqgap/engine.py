@@ -428,6 +428,8 @@ def run_experiments(
     """
     workers = check_count(workers, "workers")
     configs = tuple(configs)
+    if not configs:
+        raise ValueError("need at least one config")
     first = configs[0]
     if any(replace(config, rule=first.rule) != first for config in configs[1:]):
         raise ValueError("configs must differ only in their rule")

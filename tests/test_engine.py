@@ -917,6 +917,13 @@ def test_run_experiments_needs_configs_that_differ_only_in_their_rule(field, val
         seqgap.engine.run_experiments([config, other])
 
 
+def test_run_experiments_needs_a_config(monkeypatch):
+    """No config is a ValueError before any work: no pool, no trial."""
+    monkeypatch.setattr(seqgap.engine, "worker_pool", None)
+    with pytest.raises(ValueError, match="^need at least one config$"):
+        seqgap.engine.run_experiments((), workers=2)
+
+
 @pytest.mark.parametrize("per_batch", [1, 3, None], ids=["one", "three", "default"])
 def test_sequential_range_columns_are_each_trials_decision(per_batch):
     """A range of sequential trials, counted a stack of masks at a time,
