@@ -25,6 +25,7 @@ from scipy import integrate, stats
 from oracles import labels
 from seqgap import (
     GAUSSIAN_MEAN,
+    BhRule,
     CalibrationSettings,
     ErrorBudget,
     ExperimentConfig,
@@ -470,6 +471,32 @@ def test_criterion_8_ratio_bracket_at_tightest_budget(sweep_report):
     ratio = sweep_report.rows[-1].ratio
     _line("8 (asymptotic diagnostic, bracket)", 1.0 <= ratio <= 1.8, f"ratio {ratio:.3f}")
     assert 1.0 <= ratio <= 1.8
+
+
+@pytest.mark.parametrize("m", [1, 5, 9])
+def test_bh_fdr_is_the_null_share_of_its_level(m):
+    """With independent, exactly uniform null p-values, step-up BH has
+    FDR = (J - m) / J * level exactly (Benjamini & Yekutieli, Ann. Statist.
+    29, 2001).  FDR does not depend on the sample size, so each stream takes
+    one observation."""
+    level = 0.05
+    config = ExperimentConfig(
+        profile=profile(),
+        truth=frozenset(range(1, m + 1)),
+        rule=BhRule(sample_size=1, level=level),
+        replications=40_000,
+        master_seed=SEED,
+        metrics=(MetricKind.FDR,),
+    )
+    fdr = run_experiment(config).metrics[MetricKind.FDR]
+    exact = (10 - m) / 10 * level
+    z = (fdr.value - exact) / fdr.se
+    _line(
+        f"BH exact FDR (m={m})",
+        abs(z) <= 4,
+        f"FDR {fdr.value:.5f} vs {exact:.5f}, z {z:+.2f}",
+    )
+    assert abs(z) <= 4, (fdr, exact)
 
 
 def test_criterion_9_determinism_across_workers():
