@@ -429,13 +429,49 @@ def test_exponent_resolver_leaves_other_scalars():
     assert doc == {"a": 21, "b": 31, "c": "2.1e0", "d": "1e", "e": "e5"}
 
 
-@pytest.mark.parametrize("control", ["", "\n  control: null"], ids=["absent", "null"])
-def test_control_absent_or_null_is_fdr(control):
-    """rule.control is optional like every key with a default: absent or
-    null, it is fdr, and "auto" resolves under it."""
-    text = BASE.replace("threshold: 2.1", f"threshold: auto{control}")
-    loaded = parse(text)
+_BH = "type: bh\n  sample_size: 40"
+
+
+@pytest.mark.parametrize(
+    "old,absent,null",
+    [
+        ("threshold: 2.1", "threshold: auto", "threshold: auto\n  control: null"),
+        ("type: gap\n  num_signals: 5\n  threshold: 2.1", _BH, _BH + "\n  level: null"),
+        ("seed: 42", "seed: 42", "seed: 42\n  horizon: null"),
+        ("seed: 42", "seed: 42", "seed: 42\n  metrics: null"),
+        (
+            "seed: 42",
+            "seed: 42",
+            "seed: 42\ncalibrate: {grid_step: null, threshold_cap: null,"
+            " sample_size_cap: null, full_scan: null}",
+        ),
+        ("seed: 42", "seed: 42", "seed: 42\noutput: {format: null, path: null}"),
+    ],
+    ids=["control", "level", "horizon", "metrics", "calibrate", "output"],
+)
+def test_null_optional_key_takes_its_default(old, absent, null):
+    """A key with a default takes it when null as when absent; so
+    rule.control: null is fdr."""
+    loaded = parse(BASE.replace(old, null))
+    assert loaded == parse(BASE.replace(old, absent))
     assert loaded.control is MetricKind.FDR
-    assert loaded.experiment.rule == parse(
-        BASE.replace("threshold: 2.1", "threshold: auto\n  control: fdr")
-    ).experiment.rule
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("alpha: 0.05", "alpha: null", "budget.alpha must be a number, got None"),
+        (
+            "family: gaussian-mean",
+            "family: null",
+            "streams.family must be a string, got None",
+        ),
+        ("type: gap", "type: null", "rule.type must be a string, got None"),
+        ("seed: 42", "seed: null", "run.seed must be an integer, got None"),
+    ],
+    ids=["budget", "streams", "rule", "run"],
+)
+def test_null_required_key_fails_its_type_check(old, new, message):
+    """A required key that is null is read, not taken as absent."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse(BASE.replace(old, new))
