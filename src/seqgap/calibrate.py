@@ -9,11 +9,10 @@ sample-size searches rerun the experiment at each probe.  The gap-threshold
 search samples each trial's path at most once and holds its trials as
 columns: a probe reads a trial's stopping row from the records of its gap,
 or extends the path where an earlier probe left it, a batch of trials at a
-time, each drawing its rows by counter from its own stream.  It gets the
-estimates a rerun would report, bit for bit.  The reported achieved
-estimates come from a fresh evaluation seed,
-because the estimates that guided the search are biased at the selected
-point.
+time through ``engine.draw_batches``, each drawing its rows by counter from
+its own stream.  It gets the estimates a rerun would report, bit for bit.
+The reported achieved estimates come from a fresh evaluation seed, because
+the estimates that guided the search are biased at the selected point.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from .engine import (
     ExperimentConfig,
     aggregate_counts,
     derive_seed,
+    draw_batches,
     payload,
     run_experiment,
-    trial_rng,
     worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
@@ -182,12 +181,12 @@ class _GapSearch:
     gives its next block at J, as it does for ``run_sequential``) and
     ``best`` (its largest gap, or ``inf`` once the horizon ended it).  The
     trials a probe extends go a batch at a time: those with the same next
-    block share one buffer, each drawing its rows by counter from its own
-    stream, and the inverse CDF, the increments, ``cumulate``, the gap
-    column and the record ranking run once per batch, each trial on its
-    own.  So a trial's rows, every comparison with c, and every rejection
-    (the top m of the stopping row, or of the final row at the horizon)
-    are the ones a rerun at c makes.
+    block draw it through ``draw_batches``, each its rows by counter from
+    its own stream, and the increments, ``cumulate``, the gap column and
+    the record ranking run once per batch, each trial on its own.  So a
+    trial's rows, every comparison with c, and every rejection (the top m
+    of the stopping row, or of the final row at the horizon) are the ones
+    a rerun at c makes.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -199,7 +198,6 @@ class _GapSearch:
         self.trial = np.empty(0, dtype=np.int64)
         self.gap = np.empty(0)
         self.hits = np.empty(0, dtype=np.int64)
-        self.rng = np.random.Generator(np.random.Philox(0))  # rekeyed per draw
 
     def _hits(self, rows: np.ndarray) -> np.ndarray:
         """Signals among the top m of each row, ranked as ``order_view`` ranks."""
@@ -207,16 +205,11 @@ class _GapSearch:
         return np.count_nonzero(self.config.signal[top], axis=1)
 
     def _advance(self, trials: np.ndarray, path: np.ndarray) -> list[tuple]:
-        """Draw the next rows of each of ``trials`` into ``path``, a
-        (trials, steps, J) buffer, and return their new records as
-        (trial, gap, hits) columns, the horizon's last."""
+        """Take ``path``, the observations of the next rows of each of
+        ``trials``, a (trials, steps, J) block that it overwrites, and return
+        their new records as (trial, gap, hits) columns, the horizon's last."""
         config = self.config
-        profile, j = config.profile, config.profile.j
-        starts = (self.taken[trials] * j).tolist()
-        for trial, start, rows in zip(trials.tolist(), starts, path):
-            trial_rng(config.master_seed, trial, self.rng, start).random(out=rows)
-        profile.from_uniforms(path, config.signal)
-        cumulate(profile.increments(path, out=path), self.lam[trials])
+        cumulate(config.profile.increments(path, out=path), self.lam[trials])
         self.lam[trials] = path[:, -1]
         self.taken[trials] += path.shape[1]
         gaps = config.rule.gap_column(path)
@@ -241,20 +234,13 @@ class _GapSearch:
         horizon, j = self.config.horizon, self.config.profile.j
         records = []
         live = np.flatnonzero(self.best < threshold)
-        # Every batch that fits draws here.  The search keeps no buffer
-        # between probes, so none outlives it into the evaluation run.
-        shared = np.empty(_SEARCH_VALUES)
         while live.size:
             steps = next_block(self.taken[live], horizon, j)
             for k in np.unique(steps).tolist():
                 group = live[steps == k]
-                batch = max(1, min(group.size, _SEARCH_VALUES // (k * j)))
-                buffer = shared
-                if batch * k * j > buffer.size:  # one trial's block is larger
-                    buffer = np.empty(batch * k * j)
-                for first in range(0, group.size, batch):
-                    trials = group[first : first + batch]
-                    path = buffer[: trials.size * k * j].reshape(trials.size, k, j)
+                for trials, path in draw_batches(
+                    self.config, group, self.taken[group], k, _SEARCH_VALUES
+                ):
                     records += self._advance(trials, path)
             live = live[self.best[live] < threshold]
         if records:

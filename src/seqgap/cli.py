@@ -312,10 +312,22 @@ def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
     return replace(loaded, experiment=experiment)
 
 
-def _out_path(args, loaded: LoadedConfig | None) -> str | None:
-    if args.out is None and loaded is not None:
-        return loaded.output_path
-    return args.out
+def _output(args, loaded: LoadedConfig | None) -> tuple[str, str | None]:
+    """The report's format and its output file (None: stdout).
+
+    A command resolves these before it runs any trial, so an empty path or
+    one in a missing directory fails at once, naming the option or key
+    that gave it, and not after the run.
+    """
+    path, name = args.out, "--out"
+    if path is None and loaded is not None:
+        path, name = loaded.output_path, "output.path"
+    if path == "":
+        raise ConfigError(f"{name} is empty; name a file, or omit it for stdout")
+    head = os.path.dirname(path or "")
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"{name} {path!r}: no such directory {head!r}")
+    return _resolve_format(args, loaded), path
 
 
 def _resolve_format(args, loaded: LoadedConfig | None) -> str:
@@ -334,8 +346,9 @@ def _replaceable(st: os.stat_result) -> bool:
     )
 
 
-def _emit(args, loaded: LoadedConfig | None, write) -> None:
-    """Write the report to stdout, or to the output file as a whole.
+def _emit(output: tuple[str, str | None], write) -> None:
+    """Write the report in the format of ``output`` (see ``_output``) to
+    stdout, or to its output file as a whole.
 
     A new file, or an existing plain file of this user, is written under a
     temporary name in its own directory and renamed over the target only
@@ -344,7 +357,7 @@ def _emit(args, loaded: LoadedConfig | None, write) -> None:
     or foreign file, a device or a FIFO) is written in place, through the
     name, as given.
     """
-    fmt, path = _resolve_format(args, loaded), _out_path(args, loaded)
+    fmt, path = output
     if path is None:
         write(fmt, sys.stdout)
         return
@@ -372,13 +385,15 @@ def _emit(args, loaded: LoadedConfig | None, write) -> None:
 
 def _cmd_run(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
+    output = _output(args, loaded)
     report = run_experiment(loaded.experiment, workers=_resolve_workers(args))
-    _emit(args, loaded, lambda fmt, out: write_run_report(report, fmt, out))
+    _emit(output, lambda fmt, out: write_run_report(report, fmt, out))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
+    output = _output(args, loaded)
     workers = _resolve_workers(args)
     rule = loaded.experiment.rule
     # The search per rule type, read from this module's bindings at call time.
@@ -392,7 +407,7 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError(f"calibrating a {rule.name} rule needs a budget section")
     search = searches[rule.name]
     result = search(loaded.experiment, loaded.calibration, loaded.budget, workers)
-    _emit(args, loaded, lambda fmt, out: write_calibration_report(result, fmt, out))
+    _emit(output, lambda fmt, out: write_calibration_report(result, fmt, out))
     return 0
 
 
@@ -401,15 +416,17 @@ def _cmd_reproduce(args) -> int:
         study_rows(args.which, args.rows)
     except ValueError as exc:
         raise ConfigError(f"--rows {','.join(map(str, args.rows))}: {exc}") from None
+    output = _output(args, None)
     report = reproduce_table(
         args.which, rows=args.rows, workers=_resolve_workers(args), **_overrides(args)
     )
-    _emit(args, None, lambda fmt, out: write_benchmark_report(report, fmt, out))
+    _emit(output, lambda fmt, out: write_benchmark_report(report, fmt, out))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
+    output = _output(args, loaded)
     rule = loaded.experiment.rule
     if not hasattr(rule, "at_budget"):
         raise ConfigError(
@@ -425,7 +442,7 @@ def _cmd_sweep(args) -> int:
         )
     except NoBoundConstants as exc:
         raise ConfigError(f"rule.control: {exc}") from exc
-    _emit(args, loaded, lambda fmt, out: write_sweep_report(report, fmt, out))
+    _emit(output, lambda fmt, out: write_sweep_report(report, fmt, out))
     return 0
 
 

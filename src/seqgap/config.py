@@ -222,12 +222,6 @@ def _as_control(value, path: str) -> MetricKind:
         ) from exc
 
 
-def _need_budget(budget: ErrorBudget | None, what: str) -> ErrorBudget:
-    if budget is None:
-        raise ConfigError(f"{what} set to \"auto\" needs a budget section")
-    return budget
-
-
 # Each rule class by its type tag.
 _RULES = {cls.name: cls for cls in get_args(Rule)}
 
@@ -262,8 +256,13 @@ def _parse_rule(
         where = sub if name in nested else section
         default = None if name == "level" else MISSING
         value = where.take(name, _FIELD_PARSERS[types[name]], default)
+        if value is None and budget is None:
+            raise ConfigError(
+                f"{where.name(name)} is omitted, so it takes budget.alpha, "
+                "but there is no budget section"
+            )
         if value is None:
-            value = _need_budget(budget, f"{where.name(name)} (omitted)").alpha
+            value = budget.alpha
         values[name] = value
     if nested:
         sub.done()
@@ -276,7 +275,10 @@ def _parse_rule(
     except ValueError as exc:
         raise ConfigError(f"rule: {exc}") from exc
     if auto:
-        budget = _need_budget(budget, section.name(key))
+        if budget is None:
+            raise ConfigError(
+                f'{section.name(key)} set to "auto" needs a budget section'
+            )
         try:
             rule = rule.at_budget(budget, j, truth, control)
         except NoBoundConstants as exc:

@@ -8,7 +8,8 @@ every trial it runs, with the same draws as a fresh generator of that
 key.  Sequential trials run one at a time; configs that differ only in
 their rule, such as a sweep's budget points, draw each trial's path once
 and every rule scans it.  Fixed-sample trials (bh,
-top-m) run a batch of whole trials at a time: each trial draws its own
+top-m) run a batch of whole trials at a time through ``draw_batches``, the
+one batched draw, which the gap search also uses: each trial draws its own
 slice of one buffer, and the inverse CDF, the totals, the p-values and
 the decisions run once per batch, each trial on its own, so a trial's
 outcome is the one it gets alone.  A run of trials keeps its outcomes as
@@ -236,27 +237,52 @@ def _aborted() -> bool:
 
 # Values in one batch (512 KiB of floats).  A batch of fixed-sample trials
 # holds as many whole trials' uniforms as fit, and at least one; a batch of
-# sequential trials as many (J,) rejection masks; a batch of the gap
-# search as many trials' next blocks.
+# sequential trials as many (J,) rejection masks.
 _BATCH_VALUES = 2**16
 
 
-def _fixed_decisions(
-    config: ExperimentConfig, first: int, trials: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Rejection masks of fixed-sample trials ``first, first + 1, ...``, a
-    (batch, J) stack, drawn into ``trials``, a (batch, n, J) buffer.
+def draw_batches(
+    config: ExperimentConfig, trials: np.ndarray, taken, steps: int, values: int
+):
+    """Yield ``(batch, block)``: the next ``steps`` rows of each of
+    ``trials`` (trial indices), a batch of trials at a time, as the batch's
+    indices and their (batch, steps, J) observations.
 
-    Each trial fills its own (n, J) slice from its own rekeyed generator,
-    so it draws what it would alone.  The inverse CDF, the totals, the
-    p-values and the decisions then run once over the batch; each of them
-    treats a trial's values apart from the others', bit for bit.
+    ``taken`` holds the rows each trial has drawn, as a column or one count
+    for all.  A batch holds at most ``values`` values, and at least one
+    trial, in one buffer that every batch reuses, so a block is the
+    caller's only until the next is drawn.  Each trial fills its slice from
+    value ``taken * J`` of its own stream, on the thread's generator rekeyed
+    by ``trial_rng``, so it draws what it would alone; the inverse CDF then
+    runs once per batch.  The abort event is checked before each batch is
+    drawn, and ends the draws once set.
     """
-    rule, profile = config.rule, config.profile
-    for i, uniforms in enumerate(trials, first):
-        trial_rng(config.master_seed, i, rng).random(out=uniforms)
-    profile.from_uniforms(trials, config.signal)
-    pvalues = fixed_sample_pvalues(profile, trials.sum(axis=1), rule.sample_size)
+    j = config.profile.j
+    batch = max(1, min(len(trials), values // (steps * j)))
+    buffer = np.empty((batch, steps, j))
+    rng = _thread_generator()
+    starts = np.broadcast_to(np.multiply(taken, j), len(trials)).tolist()
+    for first in range(0, len(trials), batch):
+        if _aborted():
+            return
+        part = slice(first, first + batch)
+        indices = trials[part]
+        block = buffer[: len(indices)]
+        for i, start, rows in zip(indices.tolist(), starts[part], block):
+            trial_rng(config.master_seed, i, rng, start).random(out=rows)
+        yield indices, config.profile.from_uniforms(block, config.signal)
+
+
+def _fixed_decisions(config: ExperimentConfig, block: np.ndarray) -> np.ndarray:
+    """Rejection masks of fixed-sample trials, a (batch, J) stack, from
+    their observations, a (batch, n, J) block.
+
+    The totals, the p-values and the decisions run once over the batch;
+    each of them treats a trial's values apart from the others', bit for
+    bit.
+    """
+    rule = config.rule
+    pvalues = fixed_sample_pvalues(config.profile, block.sum(axis=1), rule.sample_size)
     if isinstance(rule, BhRule):
         return bh_decide(pvalues, rule.level)
     return top_m_decide(pvalues, rule.num_signals)
@@ -264,19 +290,13 @@ def _fixed_decisions(
 
 def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> _Trials | None:
     """Trials ``start .. stop - 1`` of a fixed-sample rule, a batch at a
-    time, each batch decided and counted at once.  The abort event is
-    checked between batches."""
-    n, j = config.rule.sample_size, config.profile.j
-    batch = max(1, min(stop - start, _BATCH_VALUES // (n * j)))
-    block = np.empty((batch, n, j))
-    rng = _thread_generator()
+    time (``draw_batches``), each batch decided and counted at once."""
+    n = config.rule.sample_size
     counts = []
-    for first in range(start, stop, batch):
-        if _aborted():
-            return None  # the pool's owner is raising and never reads this chunk
-        trials = block[: min(batch, stop - first)]
-        rejected = _fixed_decisions(config, first, trials, rng)
-        counts.append(confusion(rejected, config.signal))
+    for _, block in draw_batches(config, np.arange(start, stop), 0, n, _BATCH_VALUES):
+        counts.append(confusion(_fixed_decisions(config, block), config.signal))
+    if _aborted():
+        return None  # the pool's owner is raising and never reads this chunk
     return _Trials(
         np.full(stop - start, n),
         np.zeros(stop - start, dtype=bool),
@@ -292,13 +312,12 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
     threads may run trials side by side.  A fixed-sample trial runs as a
     batch of one, the path every fixed-sample trial of an experiment takes.
     """
-    rng = _thread_generator()
     if isinstance(config.rule, (BhRule, TopMRule)):
         n = config.rule.sample_size
-        trials = np.empty((1, n, config.profile.j))
-        rejected = _fixed_decisions(config, trial_index, trials, rng)[0]
-        return Decision(n, rejected, STOP_FIXED)
-    rng = trial_rng(config.master_seed, trial_index, rng)
+        trials = np.array([trial_index])
+        ((_, block),) = draw_batches(config, trials, 0, n, _BATCH_VALUES)
+        return Decision(n, _fixed_decisions(config, block)[0], STOP_FIXED)
+    rng = trial_rng(config.master_seed, trial_index, _thread_generator())
     return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
 
 

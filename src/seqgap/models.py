@@ -180,8 +180,8 @@ class StreamProfile:
     ``StreamModel``, ``i0`` and ``i1`` of its ``info_numbers()``, and the
     stream indices of each family, ``gaussian_columns`` and
     ``bernoulli_columns``.  They are not dataclass fields, so eq, hash and
-    repr see only ``models``.  Nor is the lookup of each signal mask's
-    parameter column that ``from_uniforms`` fills as it meets the masks.
+    repr see only ``models``.  Nor is the last signal mask that
+    ``from_uniforms`` met, kept with its parameter column.
     """
 
     models: tuple[StreamModel, ...]
@@ -208,11 +208,11 @@ class StreamProfile:
             column = np.array(values)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_params", {})
+        object.__setattr__(self, "_params", (None, None))
 
     def __reduce__(self):
         # Pickles carry only the models; the receiver rebuilds the columns
-        # and starts an empty parameter lookup.
+        # and starts with no mask's parameter column.
         return (type(self), (self.models,))
 
     @classmethod
@@ -273,14 +273,16 @@ class StreamProfile:
         signal = np.asarray(signal)
         if signal.shape != (self.j,) or signal.dtype != bool:
             raise ValueError(f"need a ({self.j},) bool signal mask, got {signal.shape}")
-        # Building the column costs more than looking it up by the mask's
-        # bytes, and every block of a run is drawn under one mask.
+        # Building the column costs more than comparing the mask's bytes,
+        # and every block of a run is drawn under one mask, so the profile
+        # keeps the last mask and its column.  They are one tuple, read
+        # once, so a thread never pairs one mask with another's column.
         key = signal.tobytes()
-        params = self._params.get(key)
-        if params is None:
+        last, params = self._params
+        if last != key:
             params = np.where(signal, self.alt, self.null)
             params.flags.writeable = False
-            self._params[key] = params
+            object.__setattr__(self, "_params", (key, params))
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)

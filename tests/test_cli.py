@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import seqgap.calibrate
 import seqgap.engine
 from seqgap import (
     CalibrationSettings,
@@ -779,6 +780,49 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: signal_count must lie in the bracket 2..7, got 1\n"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "command,source",
+    [
+        ("run", "--out"),
+        ("run", "output.path"),
+        ("calibrate", "--out"),
+        ("calibrate", "output.path"),
+        ("sweep", "--out"),
+        ("reproduce", "--out"),
+    ],
+)
+@pytest.mark.parametrize("case", ["empty", "missing directory"])
+def test_an_unwritable_output_path_fails_before_any_trial(
+    command, source, case, tmp_path, capsys, monkeypatch
+):
+    """An empty output path, or one in a directory that does not exist, is
+    a configuration error that names the flag or key that gave it, before
+    any trial runs, and leaves no file behind."""
+    out = "" if case == "empty" else str(tmp_path / "missing" / "report.json")
+    config = tmp_path / "cfg.yaml"
+    text = GAP_CONFIG
+    if source == "output.path":
+        text += f"output:\n  path: {json.dumps(out)}\n"
+    config.write_text(text)
+    argv = list(_SUBCOMMANDS[command])
+    if command != "reproduce":
+        argv += ["--config", str(config)]
+    if source == "--out":
+        argv += ["--out", out]
+    calls = []
+    monkeypatch.setattr(seqgap.engine, "_run_range", lambda *a: calls.append(a))
+    monkeypatch.setattr(seqgap.calibrate, "draw_batches", lambda *a: calls.append(a))
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
+    assert main(argv) == 2
+    if case == "empty":
+        problem = "is empty; name a file, or omit it for stdout"
+    else:
+        problem = f"{out!r}: no such directory {os.path.dirname(out)!r}"
+    assert capsys.readouterr().err == f"configuration error: {source} {problem}\n"
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("earlier", [None, "earlier report\n"])

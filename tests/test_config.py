@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from seqgap import ConfigError, MetricKind, load_config
+from seqgap.cli import main
 from seqgap.config import _UniqueKeyLoader, build_config
 from seqgap.rules import (
     BhRule,
@@ -129,6 +130,20 @@ def test_auto_threshold_without_budget_fails():
     text = text.replace("budget:\n  alpha: 0.05\n  beta: 0.05\n", "")
     with pytest.raises(ConfigError, match="budget"):
         parse(text)
+
+
+@pytest.mark.parametrize("level", ["", "\n  level: null"], ids=["omitted", "null"])
+def test_bh_level_without_budget_exits_2(level, tmp_path, capsys):
+    """A bh rule with no level takes budget.alpha; without a budget section
+    that is a configuration error that says so, not one about "auto"."""
+    text = BASE.replace("type: gap\n  num_signals: 5\n  threshold: 2.1", _BH + level)
+    path = tmp_path / "bh.yaml"
+    path.write_text(text.replace("budget:\n  alpha: 0.05\n  beta: 0.05\n", ""))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: rule.level is omitted, so it takes budget.alpha, "
+        "but there is no budget section\n"
+    )
 
 
 def test_gap_intersection_config_auto():

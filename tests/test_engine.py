@@ -697,6 +697,75 @@ def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
         assert [oracles.outcome(run_trial(config, i)) for i in range(reps)] == expected
 
 
+@pytest.mark.parametrize("cap", ["below one trial", "partial last batch", "default"])
+@settings(max_examples=40, deadline=None)
+@given(config=_fixed_configs(), data=st.data())
+def test_draw_batches_give_each_trial_its_own_rows(cap, config, data):
+    """``draw_batches`` yields, in the order given, each trial's rows
+    ``taken .. taken + steps - 1`` bit for bit as the trial draws them
+    alone from value ``taken * J`` of its stream, for trial indices with
+    gaps and a row count per trial.  No batch holds more than the cap's
+    values unless it holds one trial: the cap is below one trial's block,
+    leaves a partial last batch, or is the default."""
+    j = config.profile.j
+    indices = data.draw(
+        st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=30, unique=True),
+        label="trials",
+    )
+    n = len(indices)
+    trials = np.array(indices, dtype=np.int64)
+    taken = np.array(
+        data.draw(st.lists(st.integers(0, 200), min_size=n, max_size=n)), dtype=np.int64
+    )
+    steps = data.draw(st.integers(1, 6), label="steps")
+    size = steps * j
+    if cap == "below one trial":
+        values = size - 1
+    elif cap == "partial last batch":
+        assume(n >= 3)
+        per_batch = data.draw(st.integers(2, n - 1).filter(lambda b: n % b))
+        values = per_batch * size + data.draw(st.integers(0, size - 1))
+    else:
+        values = seqgap.engine._BATCH_VALUES
+    batches = [
+        (batch.tolist(), block.copy())
+        for batch, block in seqgap.engine.draw_batches(
+            config, trials, taken, steps, values
+        )
+    ]
+    assert [i for batch, _ in batches for i in batch] == indices
+    assert all(len(batch) * size <= values or len(batch) == 1 for batch, _ in batches)
+    expected = [
+        config.profile.from_uniforms(
+            trial_rng(config.master_seed, i, None, t * j).random((steps, j)),
+            config.signal,
+        )
+        for i, t in zip(indices, taken.tolist())
+    ]
+    got = np.concatenate([block for _, block in batches])
+    assert got.tobytes() == np.stack(expected).tobytes()
+
+
+def test_draw_batches_check_the_abort_event_before_each_batch(monkeypatch):
+    """Once a worker's abort event is set, ``draw_batches`` draws no further
+    batch: the trials of the batch it yielded are the only ones drawn."""
+    config = replace(gap_config(reps=6), rule=BhRule(sample_size=4, level=0.05))
+    abort, drawn = threading.Event(), []
+
+    def recording(master_seed, trial_index, rng=None, start=0):
+        drawn.append(trial_index)
+        return trial_rng(master_seed, trial_index, rng, start)
+
+    monkeypatch.setattr(seqgap.engine, "_abort", abort)
+    monkeypatch.setattr(seqgap.engine, "trial_rng", recording)
+    batches = seqgap.engine.draw_batches(config, np.arange(6), 0, 4, 2 * 4 * 10)
+    batch, _ = next(batches)
+    assert batch.tolist() == drawn == [0, 1]
+    abort.set()
+    assert list(batches) == []
+    assert drawn == [0, 1]
+
+
 @pytest.mark.parametrize("j", [2, 10, 100, 1000])
 def test_batch_totals_are_each_trials_left_fold_over_its_rows(j):
     """The premise under a batch's totals: numpy sums a (B, n, J) stack over

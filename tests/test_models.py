@@ -372,3 +372,18 @@ def test_pickled_profile_rebuilds_read_only_columns():
     np.testing.assert_array_equal(copy.llr_slope, profile.llr_slope)
     with pytest.raises(ValueError, match="read-only"):
         copy.llr_slope[0] = 0.0
+
+
+def test_alternating_masks_map_as_fresh_profiles_do():
+    """A profile that meets one signal mask after another maps each block
+    as a fresh profile does, gaussian and bernoulli streams alike, and
+    keeps only the last mask's parameter column."""
+    profile = mixed_profile()
+    masks = [profile.signal_mask(truth) for truth in ({1}, {2, 3}, set(), {1, 3})]
+    rng = np.random.default_rng(11)
+    for mask in masks * 3 + masks[::-1]:
+        u = rng.random((4, profile.j))
+        want = mixed_profile().from_uniforms(u.copy(), mask)
+        assert profile.from_uniforms(u, mask).tobytes() == want.tobytes()
+        key, params = profile._params
+        assert key == mask.tobytes() and not params.flags.writeable

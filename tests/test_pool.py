@@ -148,14 +148,14 @@ def test_an_interrupt_stops_the_chunks_already_handed_out(
 _trial_rng = seqgap.engine.trial_rng
 
 
-def _interrupting_draw(master_seed, trial_index, rng=None):
+def _interrupting_draw(master_seed, trial_index, rng=None, start=0):
     """A slow trial draw that leaves a mark; trial 0 sends the parent a
     Ctrl-C."""
     (_MARKS / str(trial_index)).touch()
     if trial_index == 0:
         os.kill(os.getppid(), signal.SIGINT)
     time.sleep(_TRIAL_S)
-    return _trial_rng(master_seed, trial_index, rng)
+    return _trial_rng(master_seed, trial_index, rng, start)
 
 
 def test_an_interrupt_stops_fixed_sample_chunks_between_batches(

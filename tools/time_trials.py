@@ -1,9 +1,9 @@
-"""Time sequential trials in two source trees, alternating.
+"""Time trials in two source trees, alternating.
 
     python tools/time_trials.py PARENT CHANGE [--pairs 10] [--json FILE]
 
 Times ``engine._run_range`` over a range of trials, in microseconds per
-trial, master seed 7, in six configs.  Four are gap-rule configs of
+trial, master seed 7, in eight configs.  Four are gap-rule configs of
 gaussian streams (null 0, alternative 0.5, signals on streams 1..m, the
 default horizon):
 
@@ -12,13 +12,16 @@ default horizon):
 * J=100, m=10, c=1.9 (table2's row m=10, E[T] about 61), 400 trials
 * J=1000, m=500, c=0.7, 40 trials
 
-Two are read from ``configs/`` in the tree:
+Four are read from ``configs/`` in the tree:
 
 * ``configs/gap-intersection.yaml``'s rule at the formula thresholds of
   alpha = beta = 1e-2, 1e-4 and 1e-6, the three rules sharing each path as
   the sweep's points do (the benchmark's search workload sweeps this
   rule), 500 trials
 * ``configs/intersection.yaml`` as it stands, 2,000 trials
+* the fixed-sample baselines ``configs/bh.yaml`` (J=10, n=52) and
+  ``configs/top-m.yaml`` (J=10, n=37) as they stand, 5,000 trials each,
+  drawn a batch of whole trials at a time
 
 Each run is a fresh process, ``PYTHONPATH=<tree>/src python -c ...`` from
 the tree's root, that runs a few warm-up trials and then times the range
@@ -53,6 +56,8 @@ CONFIGS = {
         500,
     ),
     "intersection": ({"config": "configs/intersection.yaml", "alphas": []}, 2000),
+    "bh": ({"config": "configs/bh.yaml", "alphas": []}, 5000),
+    "top-m": ({"config": "configs/top-m.yaml", "alphas": []}, 5000),
 }
 WARMUP = 5
 
