@@ -274,8 +274,8 @@ def write_report(report, fmt: str, out) -> None:
         write_text(report, out)
 
 
-# The commands write through one name per report type.
-write_run_report = write_report
+# The calibrate, reproduce and sweep commands write through one name per
+# report type, which the tracer binds.
 write_calibration_report = write_report
 write_benchmark_report = write_report
 write_sweep_report = write_report
@@ -315,15 +315,17 @@ def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
 def _output(args, loaded: LoadedConfig | None) -> tuple[str, str | None]:
     """The report's format and its output file (None: stdout).
 
-    A command resolves these before it runs any trial, so an empty path or
-    one in a missing directory fails at once, naming the option or key
-    that gave it, and not after the run.
+    A command resolves these before it runs any trial, so an empty path, a
+    directory, or a path in a missing directory fails at once, naming the
+    option or key that gave it, and not after the run.
     """
     path, name = args.out, "--out"
     if path is None and loaded is not None:
         path, name = loaded.output_path, "output.path"
     if path == "":
         raise ConfigError(f"{name} is empty; name a file, or omit it for stdout")
+    if path is not None and os.path.isdir(path):
+        raise ConfigError(f"{name} {path!r} is a directory; name a file")
     head = os.path.dirname(path or "")
     if head and not os.path.isdir(head):
         raise ConfigError(f"{name} {path!r}: no such directory {head!r}")
@@ -387,7 +389,7 @@ def _cmd_run(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
     output = _output(args, loaded)
     report = run_experiment(loaded.experiment, workers=_resolve_workers(args))
-    _emit(output, lambda fmt, out: write_run_report(report, fmt, out))
+    _emit(output, lambda fmt, out: write_report(report, fmt, out))
     return 0
 
 

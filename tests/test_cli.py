@@ -793,14 +793,18 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
         ("reproduce", "--out"),
     ],
 )
-@pytest.mark.parametrize("case", ["empty", "missing directory"])
+@pytest.mark.parametrize("case", ["empty", "missing directory", "a directory"])
 def test_an_unwritable_output_path_fails_before_any_trial(
     command, source, case, tmp_path, capsys, monkeypatch
 ):
-    """An empty output path, or one in a directory that does not exist, is
-    a configuration error that names the flag or key that gave it, before
-    any trial runs, and leaves no file behind."""
-    out = "" if case == "empty" else str(tmp_path / "missing" / "report.json")
+    """An empty output path, a directory, or a path in a directory that does
+    not exist, is a configuration error that names the flag or key that gave
+    it, before any trial runs, and leaves no file behind."""
+    out = {
+        "empty": "",
+        "missing directory": str(tmp_path / "missing" / "report.json"),
+        "a directory": str(tmp_path),
+    }[case]
     config = tmp_path / "cfg.yaml"
     text = GAP_CONFIG
     if source == "output.path":
@@ -818,6 +822,8 @@ def test_an_unwritable_output_path_fails_before_any_trial(
     assert main(argv) == 2
     if case == "empty":
         problem = "is empty; name a file, or omit it for stdout"
+    elif case == "a directory":
+        problem = f"{out!r} is a directory; name a file"
     else:
         problem = f"{out!r}: no such directory {os.path.dirname(out)!r}"
     assert capsys.readouterr().err == f"configuration error: {source} {problem}\n"
@@ -837,7 +843,7 @@ def test_failed_write_leaves_no_partial_output(
         out.write("rule,J,m_or_bounds\n")
         raise RuntimeError("disk full")
 
-    monkeypatch.setattr("seqgap.cli.write_run_report", failing_writer)
+    monkeypatch.setattr("seqgap.cli.write_report", failing_writer)
     argv = ["run", "--config", gap_config_path, "--reps", "5", "--out", str(out_path)]
     assert main(argv) == 1
     if earlier is None:
