@@ -44,6 +44,9 @@ _EVALUATION_TAG = 1
 # peak RSS by about 0.5 MiB; at this size a J=100 search is ~8% slower.
 _SEARCH_VALUES = _BATCH_VALUES // 4
 
+# The metric a search holds to alpha; its mirror is held to beta.
+_CONTROL = MetricKind.FDR
+
 
 @dataclass(frozen=True)
 class CalibrationSettings:
@@ -270,8 +273,8 @@ class _GapSearch:
 def _within(budget: ErrorBudget):
     """Feasibility at a budget: estimated FDR <= alpha and FNR <= beta."""
     return lambda est: (
-        est[MetricKind.FDR].value <= budget.alpha
-        and est[MetricKind.FNR].value <= budget.beta
+        est[_CONTROL].value <= budget.alpha
+        and est[_CONTROL.mirror].value <= budget.beta
     )
 
 
@@ -308,7 +311,7 @@ def _calibrate(
             config,
             rule=replace(config.rule, **{field: point(index)}),
             master_seed=master_seed,
-            metrics=(MetricKind.FDR, MetricKind.FNR),
+            metrics=(_CONTROL, _CONTROL.mirror),
         )
 
     def rerun(config: ExperimentConfig) -> dict[MetricKind, MetricEstimate]:
@@ -400,7 +403,7 @@ def calibrate_bh_n(
     target = budget.beta
 
     def fnr(est: dict[MetricKind, MetricEstimate]) -> float:
-        return est[MetricKind.FNR].value
+        return est[_CONTROL.mirror].value
 
     def closest(crossing: int, estimates_at) -> int:
         candidates = [c for c in (crossing - 1, crossing) if c >= 1]

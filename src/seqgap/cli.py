@@ -58,18 +58,15 @@ from .thresholds import ErrorBudget
 
 WORKERS_ENV = "SEQGAP_WORKERS"
 
-# Metrics that are proportions (rendered as percentages in text output);
-# the per-family expected counts are shown raw.
-_PERCENT_KINDS = frozenset(MetricKind) - {MetricKind.PFER, MetricKind.PFER2}
+
+def _text_value(kind: MetricKind, value: float, unit: str = "%") -> str:
+    """A proportion as a percentage, an expected count as it is."""
+    return f"{100 * value:.2f}{unit}" if kind.proportion else f"{value:.4f}"
 
 
 def _text_estimate(kind: MetricKind, est: MetricEstimate) -> str:
-    if kind in _PERCENT_KINDS:
-        return (
-            f"{100 * est.value:.2f}%  (se {100 * est.se:.2f} pp, "
-            f"n={est.n_effective})"
-        )
-    return f"{est.value:.4f}  (se {est.se:.4f}, n={est.n_effective})"
+    se = _text_value(kind, est.se, " pp")
+    return f"{_text_value(kind, est.value)}  (se {se}, n={est.n_effective})"
 
 
 RUN_CSV_COLUMNS = [
@@ -164,7 +161,7 @@ def write_calibration_text(result: CalibrationResult, out) -> None:
     out.write("  probe trace:\n")
     for probe in result.probes:
         cells = "  ".join(
-            f"{kind.value}={100 * est.value:.2f}%"
+            f"{kind.value}={_text_value(kind, est.value)}"
             for kind, est in probe.estimates.items()
         )
         out.write(f"    point {probe.point:g}: {cells}\n")

@@ -6,8 +6,8 @@ consumed by the calibrate command.  The schema is strict: unknown keys,
 keys repeated within a mapping, and wrong types are rejected with the
 offending field named, and such problems raise ConfigError (the CLI's
 configuration exit class).  Semantic errors that only the assembled
-experiment can detect (rule/metric compatibility, say) surface later from
-the engine as runtime errors.
+experiment can detect (a metric the rule or the truth leaves undefined,
+which ``metrics`` checks) surface later as runtime errors.
 
 The ``rule`` section is read from the rule class that ``type`` names: its
 dataclass fields, with a barrier rule's thresholds nested under
@@ -268,7 +268,7 @@ def _parse_rule(
         sub.done()
     control = MetricKind.FDR
     if hasattr(cls, "at_budget"):
-        control = section.take("control", _as_control, MetricKind.FDR)
+        control = section.take("control", _as_control, control)
     section.done()
     try:
         rule = cls(**values)

@@ -42,6 +42,7 @@ from .metrics import (
     MetricKind,
     aggregate,
     check_distinct,
+    check_signals,
     confusion,
     mean_se,
 )
@@ -164,8 +165,7 @@ class ExperimentConfig:
         store_checked(self, check_count, "replications", "horizon")
         store_checked(self, check_word, "master_seed")
         self.rule.check(self.profile, self.metrics)
-        if MetricKind.FPR in self.metrics and not self.truth:
-            raise ValueError("fpr needs a nonempty signal set as its divisor")
+        check_signals(self.metrics, len(self.truth))
 
     def __reduce__(self):
         # Pickles carry only the fields; the receiver rebuilds the mask.
@@ -452,6 +452,8 @@ def run_experiments(
     first = configs[0]
     if any(replace(config, rule=first.rule) != first for config in configs[1:]):
         raise ValueError("configs must differ only in their rule")
+    if len({hasattr(config.rule, "scan_path") for config in configs}) > 1:
+        raise ValueError("configs must not mix sequential and fixed-sample rules")
     started = time.perf_counter()
     n = first.replications
     chunks = min(n, workers * 4)

@@ -2,13 +2,13 @@
 
 Per trial the confusion counts are: v false rejections (noise streams
 rejected), w missed signals (signal streams not rejected), r total
-rejections, out of j streams.  Family-wise rates, false discovery /
-non-discovery proportions (plain, positive-conditional, per-comparison,
-per-family) are all simple functionals of these counts; the conditional
-variants are undefined on trials where the conditioning event fails and
-such trials are dropped from their average.  Counts are held as columns,
-one entry per trial in trial order, and each metric's contributions are
-computed a column at a time.
+rejections, out of j streams.  Every metric is a simple functional of
+these counts, stated here once with its bound constants, whether it is a
+proportion, and the experiments that leave it undefined; a type-2 metric
+is its type-1 mirror.  The conditional metrics are undefined on trials
+where their conditioning event fails, which their average drops.  Counts
+are held as columns, one entry per trial in trial order, and each
+metric's contributions are computed a column at a time.
 """
 
 from __future__ import annotations
@@ -24,12 +24,12 @@ import numpy as np
 class MetricKind(str, Enum):
     """Supported error metrics.
 
-    fwe1/fwe2: probability of at least one false rejection / missed signal.
-    fdr/fnr: expected false-discovery / false-non-discovery proportion with
-    the 0/0 := 0 convention.  pfdr/pfnr: the same proportions conditional on
-    at least one rejection / one non-rejection.  pcer: expected v / J.
-    fpr: expected v divided by the signal count, w + r - v.  pfer: expected
-    v; pfer2 is its type-2 counterpart, expected w.
+    Type 1: fwe1, the probability of at least one false rejection; fdr, the
+    expected false-discovery proportion with 0/0 := 0; pfdr, the same
+    conditional on at least one rejection; pcer, expected v / J; fpr,
+    expected v over the signal count w + r - v; pfer, expected v.  Type 2:
+    fwe2, fnr, pfnr and pfer2 mirror fwe1, fdr, pfdr and pfer, with w in the
+    place of v and J - r in the place of r.  pcer and fpr have no mirror.
     """
 
     FWE1 = "fwe1"
@@ -43,8 +43,25 @@ class MetricKind(str, Enum):
     PFER = "pfer"
     PFER2 = "pfer2"
 
+    @property
+    def mirror(self) -> MetricKind | None:
+        """This kind read from the other side; None for pcer and fpr."""
+        return _MIRRORS.get(self)
 
-CONDITIONAL_KINDS = (MetricKind.PFDR, MetricKind.PFNR)
+    @property
+    def proportion(self) -> bool:
+        """False for the expected counts pfer and pfer2."""
+        return MetricKind.PFER not in (self, self.mirror)
+
+
+# Each type-2 kind and the type-1 kind it mirrors.
+_TYPE1_OF = {
+    MetricKind.FWE2: MetricKind.FWE1,
+    MetricKind.FNR: MetricKind.FDR,
+    MetricKind.PFNR: MetricKind.PFDR,
+    MetricKind.PFER2: MetricKind.PFER,
+}
+_MIRRORS = {**_TYPE1_OF, **{one: two for two, one in _TYPE1_OF.items()}}
 
 
 def check_distinct(kinds: Sequence[MetricKind], name: str = "metrics") -> None:
@@ -164,24 +181,19 @@ def _contributions(kind: MetricKind, counts: ConfusionCounts) -> np.ndarray:
     """Each trial's contribution to a metric, as a float column, without
     the trials where a conditional metric is undefined.
 
-    FPR divides by the trial's signal count w + r - v, which must be
-    positive.
+    A type-2 kind is its mirror on the swapped counts.  FPR divides by the
+    trial's signal count w + r - v, which must be positive.
     """
     v, w, r, j = counts.v, counts.w, counts.r, counts.j
+    if kind in _TYPE1_OF:
+        kind, v, w, r = _TYPE1_OF[kind], w, v, j - r
     if kind is MetricKind.FWE1:
         return (v >= 1).astype(float)
-    if kind is MetricKind.FWE2:
-        return (w >= 1).astype(float)
     if kind is MetricKind.FDR:
         return v / np.maximum(r, 1)
-    if kind is MetricKind.FNR:
-        return w / np.maximum(j - r, 1)
     if kind is MetricKind.PFDR:
         kept = r > 0
         return v[kept] / r[kept]
-    if kind is MetricKind.PFNR:
-        kept = r < j
-        return w[kept] / (j - r[kept])
     if kind is MetricKind.PCER:
         return v / j
     if kind is MetricKind.FPR:
@@ -189,9 +201,7 @@ def _contributions(kind: MetricKind, counts: ConfusionCounts) -> np.ndarray:
         if (divisor < 1).any():
             raise ValueError("fpr needs at least one signal as its divisor")
         return v / divisor
-    if kind is MetricKind.PFER:
-        return v.astype(float)
-    return w.astype(float)  # PFER2
+    return v.astype(float)  # PFER
 
 
 def mean_se(values: Sequence[float]) -> MetricEstimate:
@@ -239,9 +249,11 @@ def bound_constants(
 
     The gap rule rejects m..m, the bracketed rule l..u and the intersection
     rule 0..J.  ``signal_count`` is |truth|, the FPR divisor of every
-    trial.  The positive-conditional metrics admit constants only when
-    1 <= fewest and most <= J - 1, because only then are both conditioning
-    events certain.  A metric without constants raises NoBoundConstants.
+    trial.  ``c1_type2`` is ``c1_type1`` read on J - most..J - fewest and
+    J - |truth|, so a type-2 kind takes its mirror's constants.  pfdr and
+    pfnr admit constants only when 1 <= fewest and most <= J - 1, where
+    both conditioning events are certain.  A metric without constants
+    raises NoBoundConstants.
     """
     kind = MetricKind(kind)
     if j < 2:
@@ -250,20 +262,21 @@ def bound_constants(
         raise ValueError(
             f"need 0 <= fewest <= most <= {j} rejections, got {fewest}..{most}"
         )
-    if kind in (MetricKind.FWE1, MetricKind.FWE2):
-        return BoundConstants(1.0, 1.0, 1.0)
-    if kind in CONDITIONAL_KINDS and not (fewest >= 1 and most <= j - 1):
+    if MetricKind.PFDR in (kind, kind.mirror) and not (fewest >= 1 and most <= j - 1):
         raise NoBoundConstants(
             f"{kind.value} bounds need a rule that rejects at least 1 and at "
             f"most J - 1 streams; this one rejects {fewest}..{most} of J = {j}"
         )
-    if kind in (MetricKind.FDR, MetricKind.FNR) + CONDITIONAL_KINDS:
+    kind = _TYPE1_OF.get(kind, kind)
+    if kind is MetricKind.FWE1:
+        return BoundConstants(1.0, 1.0, 1.0)
+    if kind in (MetricKind.FDR, MetricKind.PFDR):
         return BoundConstants(1.0, 1.0, 1.0 / j)
-    if kind in (MetricKind.PFER, MetricKind.PFER2):
+    if kind is MetricKind.PFER:
         return BoundConstants(float(most), float(j - fewest), 1.0)
     if kind is MetricKind.PCER:
         return BoundConstants(most / j, (j - fewest) / j, 1.0 / j)
-    # FPR is V / |truth|; its type-2 mirror is W / (J - |truth|).
+    # FPR is V / |truth|.
     if not 1 <= signal_count <= j - 1:
         raise NoBoundConstants(
             f"fpr bounds need a signal count in 1..{j - 1}, got {signal_count}"
@@ -273,3 +286,25 @@ def bound_constants(
         c1_type2=(j - fewest) / (j - signal_count),
         c2=1.0 / max(signal_count, j - signal_count),
     )
+
+
+def check_conditioning(
+    kinds: Sequence[MetricKind], rule: str, j: int, fewest: int, most: int
+) -> None:
+    """Reject pfdr if a ``rule`` rejecting ``fewest``..``most`` of ``j``
+    streams may reject none, and its mirror pfnr if it may accept none."""
+    for kind, least, needs in (
+        (MetricKind.PFDR, fewest, "min_signals >= 1"),
+        (MetricKind.PFNR, j - most, "max_signals <= J - 1"),
+    ):
+        if least < 1 and kind in kinds:
+            raise ValueError(
+                f"{kind.value} needs {needs}: the {rule} rule rejects "
+                f"{fewest}..{most} of J = {j}, so the conditioning event can fail"
+            )
+
+
+def check_signals(kinds: Sequence[MetricKind], signal_count: int) -> None:
+    """Reject fpr for a truth with no signal, which leaves it no divisor."""
+    if MetricKind.FPR in kinds and signal_count < 1:
+        raise ValueError("fpr needs a nonempty signal set as its divisor")

@@ -37,9 +37,9 @@ where an event fires, tagged by the first listed event that fires on that
 row, and ``decide`` turns that row's order statistics into a rejection
 mask.  Two private bases derive the rest:
 
-* ``_SequentialRule``: ``scan_path``, ``check`` (pfdr needs lo >= 1, pfnr
-  hi <= J - 1), ``decide`` (the top p' streams, p' the positive count
-  clamped into the range) and the bound constant of a controlled metric.
+* ``_SequentialRule``: ``scan_path``, ``check`` (the range, by
+  ``check_conditioning``), ``decide`` (the top p' streams, p' the positive
+  count clamped into the range) and the bound constant of a controlled metric.
 * ``_BarrierRule``, for the two rules with corridor barriers: the barrier
   check, ``at_budget`` and ``kappa`` of the range as a bracket, both
   report cells, and the corridor test that both rules' events use.
@@ -66,7 +66,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .metrics import MetricKind, bound_constants
+from .metrics import MetricKind, bound_constants, check_conditioning
 from .models import (
     GAUSSIAN_MEAN,
     StreamProfile,
@@ -166,17 +166,7 @@ class _SequentialRule:
     range lo..hi at J streams, which raises if the rule does not fit J."""
 
     def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
-        j = profile.j
-        lo, hi = self.rejections(j)
-        for kind, needs, fails in (
-            (MetricKind.PFDR, "min_signals >= 1", lo < 1),
-            (MetricKind.PFNR, "max_signals <= J - 1", hi > j - 1),
-        ):
-            if fails and kind in metrics:
-                raise ValueError(
-                    f"{kind.value} needs {needs}: the {self.name} rule rejects "
-                    f"{lo}..{hi} of J = {j}, so the conditioning event can fail"
-                )
+        check_conditioning(metrics, self.name, profile.j, *self.rejections(profile.j))
 
     def scan_path(self, path: np.ndarray) -> tuple[int, str] | None:
         """First row of a cumulative-LLR block where one of the rule's

@@ -986,6 +986,19 @@ def test_run_experiments_needs_configs_that_differ_only_in_their_rule(field, val
         seqgap.engine.run_experiments([config, other])
 
 
+@pytest.mark.parametrize("fixed_first", [False, True], ids=["gap-bh", "bh-gap"])
+def test_run_experiments_rejects_mixed_rule_kinds(fixed_first, monkeypatch):
+    """A sequential and a fixed-sample config cannot share a run, in either
+    order: a ValueError before any pool opens or any trial runs."""
+    gap = gap_config(reps=5)
+    bh = replace(gap, rule=BhRule(sample_size=10, level=0.05))
+    monkeypatch.setattr(seqgap.engine, "worker_pool", None)
+    monkeypatch.setattr(seqgap.engine, "_run_range", None)
+    match = "^configs must not mix sequential and fixed-sample rules$"
+    with pytest.raises(ValueError, match=match):
+        seqgap.engine.run_experiments([bh, gap] if fixed_first else [gap, bh], workers=2)
+
+
 def test_run_experiments_needs_a_config(monkeypatch):
     """No config is a ValueError before any work: no pool, no trial."""
     monkeypatch.setattr(seqgap.engine, "worker_pool", None)

@@ -279,25 +279,6 @@ def test_bound_constants_pfdr_needs_interior_bracket():
         bound_constants(MetricKind.PFNR, 10, 1, 10, 4)
 
 
-def test_bound_constants_sandwich_property():
-    """C1 and C2 really sandwich: metric <= C1 * FWE and FWE <= metric / C2
-    ... checked empirically: for every count table, metric value is at most
-    c1_type1 * 1{V>=1} + nothing on the type-II side, and at least c2 * FWE."""
-    for kind in (
-        MetricKind.FDR,
-        MetricKind.PCER,
-        MetricKind.PFER,
-        MetricKind.FPR,
-    ):
-        bc = bound_constants(kind, 6, 2, 2, 2)
-        for v in range(0, 3):  # gap rule rejects exactly m=2, so V <= 2
-            c = Counts(v=v, w=v, r=2, j=6)  # W = V for this rule
-            value = oracles.per_trial(kind, c)
-            fwe1 = 1.0 if v >= 1 else 0.0
-            assert value <= bc.c1_type1 * fwe1 + 1e-12
-            assert bc.c2 * fwe1 <= value + 1e-12
-
-
 # Metrics bounded through V (false rejections) and through W (missed signals).
 _V_SIDE = (
     MetricKind.FWE1,
@@ -338,17 +319,43 @@ def _rule_and_counts(draw):
     return lo, hi, counts, signals
 
 
+def _swapped(counts):
+    """The counts read from the acceptance side: W in the place of V, and
+    J - R in the place of R."""
+    v, w, r, j = counts
+    return Counts(v=w, w=v, r=j - r, j=j)
+
+
+# Each type-2 metric and the type-1 metric it mirrors.
+_MIRRORS = {
+    MetricKind.FWE2: MetricKind.FWE1,
+    MetricKind.FNR: MetricKind.FDR,
+    MetricKind.PFNR: MetricKind.PFDR,
+    MetricKind.PFER2: MetricKind.PFER,
+}
+
+
 @settings(max_examples=500, deadline=None)
 @given(_rule_and_counts())
+# The gap rule at J=6, m=2 with two signals, so W = V: every V-side metric,
+# fdr, pcer, pfer and fpr among them, against 1{V >= 1}.
+@example((2, 2, Counts(v=0, w=0, r=2, j=6), 2))
+@example((2, 2, Counts(v=1, w=1, r=2, j=6), 2))
+@example((2, 2, Counts(v=2, w=2, r=2, j=6), 2))
 def test_bound_constants_sandwich_every_trial(case):
     """c2 * 1{V >= 1} <= metric <= c1_type1 * 1{V >= 1} on every trial, for
     every metric bounded through V, and the same through W with c1_type2;
-    so FDR <= FWE1 <= J * FDR holds trial by trial, exactly."""
+    so FDR <= FWE1 <= J * FDR holds trial by trial, exactly.  pcer's and
+    fpr's c1_type2 bound W / J and W / (J - |truth|), which are the metrics
+    themselves on the swapped counts."""
     lo, hi, counts, signals = case
+    swapped = _swapped(counts)
+    v_fwe, w_fwe = float(counts.v >= 1), float(counts.w >= 1)
     covered = set()
-    for side, c1_of, fwe in (
-        (_V_SIDE, lambda bc: bc.c1_type1, float(counts.v >= 1)),
-        (_W_SIDE, lambda bc: bc.c1_type2, float(counts.w >= 1)),
+    for side, c1_of, trial, fwe in (
+        (_V_SIDE, lambda bc: bc.c1_type1, counts, v_fwe),
+        (_W_SIDE, lambda bc: bc.c1_type2, counts, w_fwe),
+        ((MetricKind.PCER, MetricKind.FPR), lambda bc: bc.c1_type2, swapped, w_fwe),
     ):
         for kind in side:
             try:
@@ -356,6 +363,40 @@ def test_bound_constants_sandwich_every_trial(case):
             except NoBoundConstants:
                 continue  # no constants for this bracket or signal count
             covered.add(kind)
-            value = oracles.per_trial(kind, counts)
+            value = oracles.per_trial(kind, trial)
             assert bc.c2 * fwe <= value <= c1_of(bc) * fwe, (kind, bc, value)
     assert covered >= _ALWAYS_BOUNDED
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the type of the error it raises."""
+    try:
+        return call()
+    except (ConditioningError, NoBoundConstants) as error:
+        return type(error)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rule_and_counts(), _valid_trials(min_size=1))
+@example((0, 4, Counts(v=0, w=2, r=0, j=4), 2), [Counts(v=2, w=0, r=4, j=4)] * 2)
+def test_type2_metrics_are_their_mirrors_on_swapped_counts(case, trials):
+    """Each type-2 metric is its type-1 mirror read from the acceptance
+    side: ``aggregate`` gives the mirror's estimate on the swapped counts,
+    bit for bit, and a ConditioningError in the same cases; and
+    ``bound_constants`` gives c1_type2 the mirror's c1_type1 on the range
+    J - most..J - fewest and J - |truth| signals (and c1_type1 the mirror's
+    c1_type2, and the same c2), with NoBoundConstants in the same cases."""
+    lo, hi, counts, signals = case
+    j = counts.j
+    for run in ([counts], trials):
+        swapped = [_swapped(t) for t in run]
+        for kind, mirror in _MIRRORS.items():
+            got = _outcome(lambda: _bits(aggregate(kind, columns(run))))
+            want = _outcome(lambda: _bits(aggregate(mirror, columns(swapped))))
+            assert got == want, (kind, run)
+    for kind, mirror in _MIRRORS.items():
+        got = _outcome(lambda: bound_constants(kind, j, lo, hi, signals))
+        want = _outcome(lambda: bound_constants(mirror, j, j - hi, j - lo, j - signals))
+        if isinstance(want, BoundConstants):  # the two sides swap places
+            want = BoundConstants(want.c1_type2, want.c1_type1, want.c2)
+        assert got == want, (kind, lo, hi, signals)
