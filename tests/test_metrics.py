@@ -279,6 +279,25 @@ def test_bound_constants_pfdr_needs_interior_bracket():
         bound_constants(MetricKind.PFNR, 10, 1, 10, 4)
 
 
+def test_bound_constants_sandwich_property():
+    """C1 and C2 really sandwich: metric <= C1 * FWE and FWE <= metric / C2
+    ... checked empirically: for every count table, metric value is at most
+    c1_type1 * 1{V>=1} + nothing on the type-II side, and at least c2 * FWE."""
+    for kind in (
+        MetricKind.FDR,
+        MetricKind.PCER,
+        MetricKind.PFER,
+        MetricKind.FPR,
+    ):
+        bc = bound_constants(kind, 6, 2, 2, 2)
+        for v in range(0, 3):  # gap rule rejects exactly m=2, so V <= 2
+            c = Counts(v=v, w=v, r=2, j=6)  # W = V for this rule
+            value = oracles.per_trial(kind, c)
+            fwe1 = 1.0 if v >= 1 else 0.0
+            assert value <= bc.c1_type1 * fwe1 + 1e-12
+            assert bc.c2 * fwe1 <= value + 1e-12
+
+
 # Metrics bounded through V (false rejections) and through W (missed signals).
 _V_SIDE = (
     MetricKind.FWE1,
