@@ -33,7 +33,7 @@ from .engine import (
     worker_pool,
 )
 from .metrics import ConfusionCounts, MetricEstimate, MetricKind
-from .models import check_count, check_real, store_checked
+from .models import check_count, check_positive, store_checked
 from .rules import cumulate, next_block, ranking
 from .thresholds import ErrorBudget
 
@@ -65,17 +65,13 @@ class CalibrationSettings:
     full_scan: bool = False
 
     def __post_init__(self) -> None:
-        store_checked(self, check_real, "grid_step", "threshold_cap")
+        store_checked(self, check_positive, "grid_step", "threshold_cap")
         store_checked(self, check_count, "sample_size_cap")
-        for name in ("grid_step", "threshold_cap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
         point, grid, count = self.grid("threshold")
         if point(1) <= 0:
             raise ValueError(
                 f"grid_step ({self.grid_step:g}) puts the first grid point at 0.0: "
-                "threshold must be positive, got 0.0"
+                "threshold must be finite and positive, got 0.0"
             )
         if count < 1:
             raise ValueError(

@@ -427,7 +427,7 @@ def _cmd_sweep(args) -> int:
     loaded = _apply_overrides(load_config(args.config), args)
     output = _output(args, loaded)
     rule = loaded.experiment.rule
-    if not hasattr(rule, "at_budget"):
+    if not rule.sequential:
         raise ConfigError(
             "rule.type: the sweep needs a sequential rule with formula "
             f"thresholds; got {rule.name!r}"

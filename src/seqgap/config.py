@@ -267,7 +267,7 @@ def _parse_rule(
     if nested:
         sub.done()
     control = MetricKind.FDR
-    if hasattr(cls, "at_budget"):
+    if cls.sequential:
         control = section.take("control", _as_control, control)
     section.done()
     try:

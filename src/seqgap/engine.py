@@ -5,9 +5,9 @@ trial index), so trial i's sample path is a pure function of the
 configuration — independent of execution order, batching, and worker count.
 Each thread that runs trials holds one Philox generator and rekeys it for
 every trial it runs, with the same draws as a fresh generator of that
-key.  Sequential trials run one at a time; configs that differ only in
-their rule, such as a sweep's budget points, draw each trial's path once
-and every rule scans it.  Fixed-sample trials (bh,
+key.  Sequential trials run one at a time; the rules of one run, such as
+a sweep's budget points, draw each trial's path once and every rule
+scans it.  Fixed-sample trials (bh,
 top-m) run a batch of whole trials at a time through ``draw_batches``, the
 one batched draw, which the gap search also uses: each trial draws its own
 slice of one buffer, and the inverse CDF, the totals, the p-values and
@@ -312,7 +312,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
     threads may run trials side by side.  A fixed-sample trial runs as a
     batch of one, the path every fixed-sample trial of an experiment takes.
     """
-    if isinstance(config.rule, (BhRule, TopMRule)):
+    if not config.rule.sequential:
         n = config.rule.sample_size
         trials = np.array([trial_index])
         ((_, block),) = draw_batches(config, trials, 0, n, _BATCH_VALUES)
@@ -334,7 +334,7 @@ def _run_range(
     is checked between trials.
     """
     config = configs[0]
-    if isinstance(config.rule, (BhRule, TopMRule)):
+    if not config.rule.sequential:
         return [_run_fixed(c, start, stop) for c in configs]
     rules = tuple(c.rule for c in configs)
     shared = len(rules) > 1
@@ -422,40 +422,37 @@ def run_experiment(
     workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
 ) -> ExperimentReport:
-    """Run all trials and aggregate in trial order: ``run_experiments`` of
-    this config alone."""
-    return run_experiments((config,), workers, pool)[0]
+    """Run all trials of ``config``: ``run_experiments`` of its rule alone."""
+    return run_experiments(config, (config.rule,), workers, pool)[0]
 
 
 def run_experiments(
-    configs: tuple[ExperimentConfig, ...],
+    base: ExperimentConfig,
+    rules: Sequence[Rule],
     workers: int = 1,
     pool: ProcessPoolExecutor | None = None,
 ) -> list[ExperimentReport]:
-    """Run all trials of ``configs``, which differ only in their rule, and
-    report each config's experiment, aggregated in trial order.
+    """Run all trials of ``base`` with each of ``rules``, all of one kind,
+    and report each rule's experiment, aggregated in trial order.
 
     The n trials run in ``min(n, workers * 4)`` contiguous index ranges:
     in the calling process at one worker, otherwise on ``pool`` if one is
     given (a call that runs several experiments shares one
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
     A range of sequential trials runs one trial at a time, each trial's
-    path drawn once for every config; a range of fixed-sample trials runs
+    path drawn once for every rule; a range of fixed-sample trials runs
     a batch of whole trials at a time.  Each range comes back as columns,
-    one set per config.  The ranges come back in order, so the joined
+    one set per rule.  The ranges come back in order, so the joined
     columns are in trial order.
     """
     workers = check_count(workers, "workers")
-    configs = tuple(configs)
+    configs = tuple(replace(base, rule=rule) for rule in rules)
     if not configs:
         raise ValueError("need at least one config")
-    first = configs[0]
-    if any(replace(config, rule=first.rule) != first for config in configs[1:]):
-        raise ValueError("configs must differ only in their rule")
-    if len({hasattr(config.rule, "scan_path") for config in configs}) > 1:
+    if len({config.rule.sequential for config in configs}) > 1:
         raise ValueError("configs must not mix sequential and fixed-sample rules")
     started = time.perf_counter()
-    n = first.replications
+    n = base.replications
     chunks = min(n, workers * 4)
     bounds = [round(k * n / chunks) for k in range(chunks + 1)]
     with nullcontext(pool) if pool is not None else worker_pool(workers) as pool:
@@ -591,19 +588,19 @@ def asymptotic_sweep(
     """
     if not budgets:
         raise ValueError("need at least one budget point")
-    if not hasattr(base.rule, "at_budget"):
+    if not base.rule.sequential:
         raise ValueError(
             "the sweep needs a sequential rule with formula thresholds; got "
             f"{base.rule.name!r}"
         )
     profile, truth = base.profile, base.truth
-    # Every point's rule, config and benchmark first, so an invalid point
-    # fails before any trial runs.
+    # Every point's rule and benchmark first, and ``run_experiments`` builds
+    # every config before any trial, so an invalid point fails before any.
     rules = [base.rule.at_budget(budget, profile.j, truth, control) for budget in budgets]
     kappas = [
         rule.kappa(budget, profile, truth) for rule, budget in zip(rules, budgets)
     ]
-    reports = run_experiments([replace(base, rule=rule) for rule in rules], workers)
+    reports = run_experiments(base, rules, workers)
     rows = tuple(
         SweepRow(
             alpha=budget.alpha,
@@ -754,39 +751,36 @@ def reproduce_table(
         for m in selected:
             threshold, bh_n, topm_n = spec.rows[m]
             truth = frozenset(range(1, m + 1))
-            runs = {}
-            for sub, rule in enumerate(
-                (
-                    GapRule(num_signals=m, threshold=threshold),
-                    BhRule(sample_size=bh_n, level=spec.level),
-                    TopMRule(sample_size=topm_n, num_signals=m),
+            rules = (
+                GapRule(num_signals=m, threshold=threshold),
+                BhRule(sample_size=bh_n, level=spec.level),
+                TopMRule(sample_size=topm_n, num_signals=m),
+            )
+            seeds = (derive_seed(master_seed, m, sub) for sub in range(len(rules)))
+            gap, bh, topm = (
+                run_experiment(
+                    ExperimentConfig(profile, truth, rule, replications, seed),
+                    workers=workers,
+                    pool=pool,
                 )
-            ):
-                config = ExperimentConfig(
-                    profile=profile,
-                    truth=truth,
-                    rule=rule,
-                    replications=replications,
-                    master_seed=derive_seed(master_seed, m, sub),
-                    metrics=(MetricKind.FDR, MetricKind.FNR),
-                )
-                runs[sub] = run_experiment(config, workers=workers, pool=pool)
-            gap_et = runs[0].mean_stopping_time.value
+                for rule, seed in zip(rules, seeds)
+            )
+            gap_et = gap.mean_stopping_time.value
             out.append(
                 BenchmarkRow(
                     num_signals=m,
                     threshold=threshold,
-                    gap_et=runs[0].mean_stopping_time,
-                    gap_fdr=runs[0].metrics[MetricKind.FDR],
-                    gap_fnr=runs[0].metrics[MetricKind.FNR],
+                    gap_et=gap.mean_stopping_time,
+                    gap_fdr=gap.metrics[MetricKind.FDR],
+                    gap_fnr=gap.metrics[MetricKind.FNR],
                     bh_sample_size=bh_n,
                     bh_savings=1.0 - gap_et / bh_n,
-                    bh_fdr=runs[1].metrics[MetricKind.FDR],
-                    bh_fnr=runs[1].metrics[MetricKind.FNR],
+                    bh_fdr=bh.metrics[MetricKind.FDR],
+                    bh_fnr=bh.metrics[MetricKind.FNR],
                     topm_sample_size=topm_n,
                     topm_savings=1.0 - gap_et / topm_n,
-                    topm_fdr=runs[2].metrics[MetricKind.FDR],
-                    topm_fnr=runs[2].metrics[MetricKind.FNR],
+                    topm_fdr=topm.metrics[MetricKind.FDR],
+                    topm_fnr=topm.metrics[MetricKind.FNR],
                 )
             )
     return BenchmarkReport(

@@ -293,14 +293,15 @@ def check_conditioning(
 ) -> None:
     """Reject pfdr if a ``rule`` rejecting ``fewest``..``most`` of ``j``
     streams may reject none, and its mirror pfnr if it may accept none."""
-    for kind, least, needs in (
-        (MetricKind.PFDR, fewest, "min_signals >= 1"),
-        (MetricKind.PFNR, j - most, "max_signals <= J - 1"),
+    for kind, least, side in (
+        (MetricKind.PFDR, fewest, "rejects"),
+        (MetricKind.PFNR, j - most, "accepts"),
     ):
         if least < 1 and kind in kinds:
             raise ValueError(
-                f"{kind.value} needs {needs}: the {rule} rule rejects "
-                f"{fewest}..{most} of J = {j}, so the conditioning event can fail"
+                f"{kind.value} needs a rule that {side} at least one stream: the "
+                f"{rule} rule rejects {fewest}..{most} of J = {j}, so the "
+                "conditioning event can fail"
             )
 
 

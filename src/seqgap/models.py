@@ -81,6 +81,22 @@ def check_real(value, name: str) -> float:
     return float(value)
 
 
+def check_positive(value, name: str) -> float:
+    """``value`` as a Python float if it is a finite positive real number."""
+    number = check_real(value, name)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"{name} must be finite and positive, got {number}")
+    return number
+
+
+def check_probability(value, name: str) -> float:
+    """``value`` as a Python float if it is a real number in (0, 1)."""
+    number = check_real(value, name)
+    if not 0.0 < number < 1.0:
+        raise ValueError(f"{name} must be in (0, 1), got {number}")
+    return number
+
+
 def store_checked(obj, check, *names: str, **options) -> None:
     """Replace each field ``names`` of the frozen dataclass ``obj`` by what
     ``check(value, name, **options)`` returns for it."""
@@ -129,11 +145,8 @@ class StreamModel:
         if self.null == self.alt:
             raise ValueError("null and alt parameters must differ")
         if self.family == BERNOULLI:
-            for name, value in (("null", self.null), ("alt", self.alt)):
-                if not 0.0 < value < 1.0:
-                    raise ValueError(
-                        f"bernoulli {name} parameter must be in (0, 1), got {value}"
-                    )
+            for name in ("null", "alt"):
+                check_probability(getattr(self, name), f"bernoulli {name} parameter")
 
     # The one-step LLR of both shipped families is affine in the
     # observation: llr(x) = slope * x + offset.  The vectorized scan path

@@ -21,13 +21,14 @@ the per-stream sums to one-sided p-values, and apply either the step-up
 false-discovery procedure at a given level or a reject-the-smallest-m rule.
 
 Every rule class has ``name`` (its type tag in configs and reports, and
-with the dataclass fields its serialized form), ``check`` (compatibility
-with a stream profile and the requested metrics) and ``bounds_cell`` /
-``threshold_cell`` (its cells in the command-line reports).  The
-sequential rules add ``at_budget`` (the closed-form thresholds at an error
-budget, with the bound constant of a controlled metric; both "auto" config
-thresholds and the asymptotic sweep use it) and ``kappa`` (the first-order
-benchmark for the expected stopping time).
+with the dataclass fields its serialized form), ``sequential`` (its kind,
+which the engine, the config reader and the command line read), ``check``
+(compatibility with a stream profile and the requested metrics) and
+``bounds_cell`` / ``threshold_cell`` (its cells in the command-line
+reports).  The sequential rules add ``at_budget`` (the closed-form
+thresholds at an error budget, with the bound constant of a controlled
+metric; both "auto" config thresholds and the asymptotic sweep use it)
+and ``kappa`` (the first-order benchmark for the expected stopping time).
 
 A sequential rule is its stop events plus its rejection range.
 ``events(path)`` lists the events above on a (steps, J) block of cumulative
@@ -72,7 +73,8 @@ from .models import (
     StreamProfile,
     check_count,
     check_int,
-    check_real,
+    check_positive,
+    check_probability,
     eta,
     store_checked,
 )
@@ -165,6 +167,8 @@ class _SequentialRule:
     on a checked (steps, J) block, and ``rejections(j)``, its rejection
     range lo..hi at J streams, which raises if the rule does not fit J."""
 
+    sequential: ClassVar[bool] = True
+
     def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
         check_conditioning(metrics, self.name, profile.j, *self.rejections(profile.j))
 
@@ -197,11 +201,7 @@ class _BarrierRule(_SequentialRule):
     and the formula thresholds of its rejection range as a bracket."""
 
     def __post_init__(self) -> None:
-        store_checked(self, check_real, *self.threshold_names)
-        for name in self.threshold_names:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive, got {value}")
+        store_checked(self, check_positive, *self.threshold_names)
 
     def at_budget(
         self, budget: ErrorBudget, j: int, truth: frozenset[int], control: MetricKind
@@ -243,9 +243,7 @@ class GapRule(_SequentialRule):
 
     def __post_init__(self) -> None:
         store_checked(self, check_count, "num_signals")
-        store_checked(self, check_real, "threshold")
-        if not (math.isfinite(self.threshold) and self.threshold > 0):
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        store_checked(self, check_positive, "threshold")
 
     def rejections(self, j: int) -> tuple[int, int]:
         m = self.num_signals
@@ -403,14 +401,13 @@ class BhRule:
     """Fixed-sample step-up procedure at ``level`` after ``sample_size`` steps."""
 
     name: ClassVar[str] = "bh"
+    sequential: ClassVar[bool] = False
     sample_size: int
     level: float
 
     def __post_init__(self) -> None:
         store_checked(self, check_count, "sample_size")
-        store_checked(self, check_real, "level")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {self.level}")
+        store_checked(self, check_probability, "level")
 
     def check(self, profile: StreamProfile, metrics: tuple[MetricKind, ...]) -> None:
         _check_pvalue_family(profile)
@@ -427,6 +424,7 @@ class TopMRule:
     """Fixed-sample rule rejecting the ``num_signals`` smallest p-values."""
 
     name: ClassVar[str] = "top-m"
+    sequential: ClassVar[bool] = False
     sample_size: int
     num_signals: int
 

@@ -252,30 +252,43 @@ def test_missing_config_file_exit_2(capsys):
 
 
 def test_runtime_error_exit_1(tmp_path, capsys):
-    """Semantically impossible experiment: conditional metric with a bracket
-    that can reject nothing."""
-    path = tmp_path / "pfdr.yaml"
-    path.write_text(
-        textwrap.dedent(
-            """
-            streams: {family: gaussian-mean, "null": 0.0, alt: 0.5, count: 10}
-            truth: {count: 5}
-            rule:
-              type: gap-intersection
-              min_signals: 0
-              max_signals: 10
-              thresholds:
-                accept_barrier: 5.0
-                reject_barrier: 5.0
-                accept_gap: 7.0
-                reject_gap: 7.0
-            run: {replications: 50, seed: 1, metrics: [pfdr]}
-            """
+    """Semantically impossible experiment: a conditional metric with a rule
+    whose rejection range lets its conditioning event fail.  The message
+    names the range the metric needs, not a key: the intersection rule has
+    no min_signals or max_signals."""
+    cases = [
+        (
+            "{type: gap-intersection, min_signals: 0, max_signals: 10, thresholds: "
+            "{accept_barrier: 5.0, reject_barrier: 5.0, accept_gap: 7.0, "
+            "reject_gap: 7.0}}",
+            "pfdr",
+            "pfdr needs a rule that rejects at least one stream: the "
+            "gap-intersection rule rejects 0..10",
+        ),
+        (
+            "{type: intersection, thresholds: {accept_barrier: 5.0, "
+            "reject_barrier: 5.0}}",
+            "pfnr",
+            "pfnr needs a rule that accepts at least one stream: the "
+            "intersection rule rejects 0..10",
+        ),
+    ]
+    for rule, metric, message in cases:
+        path = tmp_path / f"{metric}.yaml"
+        path.write_text(
+            textwrap.dedent(
+                f"""
+                streams: {{family: gaussian-mean, "null": 0.0, alt: 0.5, count: 10}}
+                truth: {{count: 5}}
+                rule: {rule}
+                run: {{replications: 50, seed: 1, metrics: [{metric}]}}
+                """
+            )
         )
-    )
-    assert main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "min_signals >= 1" in err
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {message} of J = 10, so the conditioning event can fail\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -20,6 +20,7 @@ import oracles
 from oracles import p_value
 import seqgap.engine
 from seqgap import (
+    BERNOULLI,
     GAUSSIAN_MEAN,
     BhRule,
     ExperimentConfig,
@@ -460,6 +461,62 @@ def test_real_inputs_reject_bools_and_strings(name, value):
         REAL_INPUTS[name](value)
 
 
+POSITIVE = "{} must be finite and positive, got {}"
+PROBABILITY = "{} must be in (0, 1), got {}"
+# Field -> (its name in messages, its range's message, a build of it).
+RANGED_INPUTS = {
+    "GapRule.threshold": ("threshold", POSITIVE, lambda v: GapRule(5, v)),
+    **{
+        f"GapIntersectionRule.{name}": (
+            name,
+            POSITIVE,
+            lambda v, k=k: GapIntersectionRule(0, 2, *[1.0] * k, v, *[1.0] * (3 - k)),
+        )
+        for k, name in enumerate(GapIntersectionRule.threshold_names)
+    },
+    "IntersectionRule.accept_barrier": (
+        "accept_barrier", POSITIVE, lambda v: IntersectionRule(v, 1.0)
+    ),
+    "IntersectionRule.reject_barrier": (
+        "reject_barrier", POSITIVE, lambda v: IntersectionRule(1.0, v)
+    ),
+    "CalibrationSettings.grid_step": (
+        "grid_step", POSITIVE, lambda v: CalibrationSettings(grid_step=v)
+    ),
+    "CalibrationSettings.threshold_cap": (
+        "threshold_cap", POSITIVE, lambda v: CalibrationSettings(threshold_cap=v)
+    ),
+    "BhRule.level": ("level", PROBABILITY, lambda v: BhRule(3, v)),
+    "ErrorBudget.alpha": ("alpha", PROBABILITY, lambda v: ErrorBudget(v, 0.05)),
+    "ErrorBudget.beta": ("beta", PROBABILITY, lambda v: ErrorBudget(0.05, v)),
+    "bernoulli StreamModel.null": (
+        "bernoulli null parameter",
+        PROBABILITY,
+        lambda v: StreamModel(BERNOULLI, v, 0.5),
+    ),
+    "bernoulli StreamModel.alt": (
+        "bernoulli alt parameter",
+        PROBABILITY,
+        lambda v: StreamModel(BERNOULLI, 0.5, v),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("field", sorted(RANGED_INPUTS))
+def test_positive_and_probability_inputs_name_their_range(field, value):
+    """Thresholds, barriers and the calibration grid must be finite and
+    positive, and levels, budgets and bernoulli parameters in (0, 1): 0,
+    -1, inf and nan each fail with the field's message and the value.  A
+    model parameter is checked finite first, in either family."""
+    name, message, build = RANGED_INPUTS[field]
+    if field.startswith("bernoulli") and not math.isfinite(value):
+        name, message = name.removeprefix("bernoulli "), "{} must be finite, got {}"
+    expected = message.format(name, float(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        build(value)
+
+
 def test_run_trial_deterministic():
     config = gap_config()
     first = oracles.outcome(run_trial(config, 3))
@@ -829,14 +886,24 @@ def test_config_validation_conditional_metrics_under_bracket():
             metrics=(metric,),
         )
 
-    with pytest.raises(ValueError, match="min_signals >= 1"):
+    fails = "so the conditioning event can fail"
+    with pytest.raises(ValueError) as caught:
         build(0, 5, MetricKind.PFDR)
-    with pytest.raises(ValueError, match="max_signals <= J - 1"):
+    assert str(caught.value) == (
+        "pfdr needs a rule that rejects at least one stream: the gap-intersection "
+        f"rule rejects 0..5 of J = 10, {fails}"
+    )
+    with pytest.raises(ValueError) as caught:
         build(1, 10, MetricKind.PFNR)
+    assert str(caught.value) == (
+        "pfnr needs a rule that accepts at least one stream: the gap-intersection "
+        f"rule rejects 1..10 of J = 10, {fails}"
+    )
     build(1, 9, MetricKind.PFDR)  # interior bracket is fine
     build(1, 9, MetricKind.PFNR)
-    for metric in (MetricKind.PFDR, MetricKind.PFNR):
-        with pytest.raises(ValueError, match="conditioning event can fail"):
+    # The intersection rule has no bracket keys; the message names its range.
+    for metric, side in ((MetricKind.PFDR, "rejects"), (MetricKind.PFNR, "accepts")):
+        with pytest.raises(ValueError) as caught:
             ExperimentConfig(
                 profile=profile10(),
                 truth=frozenset({1, 2, 3}),
@@ -845,6 +912,10 @@ def test_config_validation_conditional_metrics_under_bracket():
                 master_seed=0,
                 metrics=(metric,),
             )
+        assert str(caught.value) == (
+            f"{metric.value} needs a rule that {side} at least one stream: the "
+            f"intersection rule rejects 0..10 of J = 10, {fails}"
+        )
 
 
 def test_config_validation_rejects_a_repeated_metric():
@@ -975,35 +1046,26 @@ def test_a_shared_range_holds_each_configs_own_range(per_batch, data):
         assert oracles.rows(got.counts) == oracles.rows(want.counts)
 
 
-@pytest.mark.parametrize(
-    "field,value", [("master_seed", 43), ("horizon", 99), ("truth", frozenset({1}))]
-)
-def test_run_experiments_needs_configs_that_differ_only_in_their_rule(field, value):
-    """Configs that share each trial's path must draw the same path."""
-    config = gap_config(reps=5)
-    other = replace(config, rule=GapRule(num_signals=5, threshold=3.0), **{field: value})
-    with pytest.raises(ValueError, match="^configs must differ only in their rule$"):
-        seqgap.engine.run_experiments([config, other])
-
-
 @pytest.mark.parametrize("fixed_first", [False, True], ids=["gap-bh", "bh-gap"])
 def test_run_experiments_rejects_mixed_rule_kinds(fixed_first, monkeypatch):
-    """A sequential and a fixed-sample config cannot share a run, in either
+    """A sequential and a fixed-sample rule cannot share a run, in either
     order: a ValueError before any pool opens or any trial runs."""
-    gap = gap_config(reps=5)
-    bh = replace(gap, rule=BhRule(sample_size=10, level=0.05))
+    base = gap_config(reps=5)
+    gap, bh = base.rule, BhRule(sample_size=10, level=0.05)
     monkeypatch.setattr(seqgap.engine, "worker_pool", None)
     monkeypatch.setattr(seqgap.engine, "_run_range", None)
     match = "^configs must not mix sequential and fixed-sample rules$"
     with pytest.raises(ValueError, match=match):
-        seqgap.engine.run_experiments([bh, gap] if fixed_first else [gap, bh], workers=2)
+        seqgap.engine.run_experiments(
+            base, [bh, gap] if fixed_first else [gap, bh], workers=2
+        )
 
 
 def test_run_experiments_needs_a_config(monkeypatch):
-    """No config is a ValueError before any work: no pool, no trial."""
+    """No rule is a ValueError before any work: no pool, no trial."""
     monkeypatch.setattr(seqgap.engine, "worker_pool", None)
     with pytest.raises(ValueError, match="^need at least one config$"):
-        seqgap.engine.run_experiments((), workers=2)
+        seqgap.engine.run_experiments(gap_config(reps=5), (), workers=2)
 
 
 @pytest.mark.parametrize("per_batch", [1, 3, None], ids=["one", "three", "default"])
