@@ -1,9 +1,12 @@
-"""The J = 2 gap rule against Siegmund's second-order constants
-(``tests/exact.py``)."""
+"""The references of ``tests/exact.py``: the fixed-sample baselines'
+exact error rates, checked against a plain simulation, and the J = 2 gap
+rule against Siegmund's second-order constants."""
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import exact
 from seqgap import (
@@ -19,6 +22,97 @@ from seqgap.thresholds import ErrorBudget
 
 THETA = 0.5
 DELTA = math.sqrt(2.0) * THETA  # the swap walk's Delta, Delta^2 = 2 theta^2
+LEVEL = 0.05
+
+# table1's rows at J = 10: m -> (BH n, top-m n).
+TABLE1_SIZES = {1: (70, 50), 5: (52, 37), 9: (65, 50)}
+
+
+def _shift(n: int) -> float:
+    return math.sqrt(n) * THETA
+
+
+def _plain_pvalues(m: int, n: int, reps: int, seed: int) -> np.ndarray:
+    """(reps, 10) one-sided p-values of plain z-scores, N(0, 1) on the
+    nulls and N(sqrt(n) theta, 1) on the first m columns, the signals."""
+    z = np.random.default_rng(seed).standard_normal((reps, 10))
+    z[:, :m] += _shift(n)
+    return ndtr(-z)
+
+
+def _rates(p: np.ndarray, m: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial FDR and FNR contributions when each trial rejects its r
+    smallest p-values."""
+    j = p.shape[1]
+    order = np.argsort(p, axis=1, kind="stable")
+    rejected = np.arange(j) < r[:, None]  # in p-value order
+    v = np.count_nonzero(rejected & (order >= m), axis=1)
+    w = m - np.count_nonzero(rejected & (order < m), axis=1)
+    return v / np.maximum(r, 1), w / np.maximum(j - r, 1)
+
+
+def _plain_bh(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step-up BH's per-trial contributions, R the largest k with
+    p_(k) <= k level / J."""
+    j = p.shape[1]
+    passing = np.sort(p, axis=1) <= LEVEL * np.arange(1, j + 1) / j
+    r = np.where(passing.any(axis=1), j - np.argmax(passing[:, ::-1], axis=1), 0)
+    return _rates(p, m, r)
+
+
+def _z(sample: np.ndarray, exact_value: float) -> float:
+    return (sample.mean() - exact_value) / (sample.std(ddof=1) / math.sqrt(sample.size))
+
+
+@pytest.mark.parametrize("m", range(11))
+@pytest.mark.parametrize("n", [1, 52])
+def test_bh_recursion_fdr_is_the_null_share_of_its_level(m, n):
+    """With independent, exactly uniform null p-values, step-up BH has
+    FDR = (J - m) / J * level whatever the signals do (Benjamini &
+    Yekutieli, 2001), so the recursion must give it to rounding."""
+    fdr, fnr = exact.bh_rates(10, m, _shift(n), LEVEL)
+    assert fdr == pytest.approx((10 - m) / 10 * LEVEL, abs=1e-14)
+    assert 0.0 <= fnr <= 1.0
+    if m == 0:
+        assert fnr == 0.0
+
+
+def test_bh_recursion_gives_the_recorded_table1_rates():
+    """BH's FNR at table1's rows m = 1, 5, 9 (n = 70, 52, 65)."""
+    fnr = {m: exact.bh_rates(10, m, _shift(n), LEVEL)[1] for m, (n, _) in TABLE1_SIZES.items()}
+    assert fnr[1] == pytest.approx(0.005211, abs=5e-7)
+    assert fnr[5] == pytest.approx(0.041601, abs=5e-7)
+    assert fnr[9] == pytest.approx(0.044308, abs=5e-7)
+
+
+def test_top_m_quadrature_gives_the_recorded_table1_rates():
+    """Top-m's FDR at table1's rows m = 1, 5, 9 (n = 50, 37, 50); the rows
+    m and J - m mirror each other, FDR of one the FNR of the other."""
+    fdr = {
+        m: exact.top_m_false_rejections(10, m, _shift(n)) / m
+        for m, (_, n) in TABLE1_SIZES.items()
+    }
+    assert fdr[1] == pytest.approx(0.040732, abs=5e-7)
+    assert fdr[5] == pytest.approx(0.045017, abs=5e-7)
+    assert fdr[9] == pytest.approx(0.0045258, abs=5e-8)
+    assert exact.top_m_false_rejections(10, 9, _shift(50)) / 1 == pytest.approx(
+        fdr[1], rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("m", sorted(TABLE1_SIZES))
+def test_baseline_references_match_a_plain_simulation(m):
+    """200,000 plain draws of z-scores, no engine: BH's FDR and FNR and
+    top-m's FDR lie within 4 se of the references.  The seeds were fixed
+    before the draws were first looked at."""
+    bh_n, topm_n = TABLE1_SIZES[m]
+    fdr, fnr = _plain_bh(_plain_pvalues(m, bh_n, 200_000, 20_261_022 + m), m)
+    exact_fdr, exact_fnr = exact.bh_rates(10, m, _shift(bh_n), LEVEL)
+    assert abs(_z(fdr, exact_fdr)) <= 4
+    assert abs(_z(fnr, exact_fnr)) <= 4
+    p = _plain_pvalues(m, topm_n, 200_000, 20_261_122 + m)
+    topm_fdr, _ = _rates(p, m, np.full(len(p), m))
+    assert abs(_z(topm_fdr, exact.top_m_false_rejections(10, m, _shift(topm_n)) / m)) <= 4
 
 
 def test_series_are_summed_to_double_precision():
