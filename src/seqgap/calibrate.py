@@ -5,14 +5,16 @@ integers for sample sizes): bracket the feasible region by doubling, then
 bisect down to the smallest feasible grid point.  Every probe replays the
 trials of one common master seed, so probes share their sample paths and
 the feasibility boundary is not blurred by probe-to-probe noise.  The
-sample-size searches rerun the experiment at each probe.  The gap-threshold
-search samples each trial's path at most once and holds its trials as
-columns: a probe reads a trial's stopping row from the records of its gap,
-or extends the path where an earlier probe left it, a batch of trials at a
-time through ``engine.draw_batches``, each drawing its rows by counter from
-its own stream.  It gets the estimates a rerun would report, bit for bit.
-The reported achieved estimates come from a fresh evaluation seed, because
-the estimates that guided the search are biased at the selected point.
+sample-size searches rerun the experiment at each probe; a fixed-sample
+trial draws one uniform per stream at every sample size, so every probe
+reuses it.  The gap-threshold search samples each trial's path at most once
+and holds its trials as columns: a probe reads a trial's stopping row from
+the records of its gap, or extends the path where an earlier probe left it,
+a batch of trials at a time through ``engine.draw_batches``, each drawing
+its rows by counter from its own stream.  It gets the estimates a rerun
+would report, bit for bit.  The reported achieved estimates come from a
+fresh evaluation seed, because the estimates that guided the search are
+biased at the selected point.
 """
 
 from __future__ import annotations
@@ -379,7 +381,16 @@ def calibrate_topm_n(
     budget: ErrorBudget,
     workers: int = 1,
 ) -> CalibrationResult:
-    """Smallest sample size whose top-m decision meets both budget sides."""
+    """Smallest sample size whose top-m decision meets both budget sides.
+
+    Each probe reruns the experiment at the search seed, and a trial draws
+    one uniform per stream whatever the sample size, so every probe reuses
+    it: each probe has its own law exactly, a null stream's p-value is the
+    same at every size, and a signal's falls as the size grows.  So a
+    trial's signals among its top m never fall as the size grows, its
+    false rejections never rise, nor do the FDR and FNR estimates, and the
+    bracketing search finds the first feasible size, as the full scan does.
+    """
     return _calibrate(config, settings, "top-m", _within(budget), workers)
 
 
@@ -394,7 +405,9 @@ def calibrate_bh_n(
 
     The estimated FNR decreases in the sample size, so the minimizer of
     |FNR - beta| sits at the first size meeting beta or just below it; both
-    are probed and ties go to the smaller size.
+    are probed and ties go to the smaller size.  As in ``calibrate_topm_n``,
+    every probe reuses each trial's one uniform per stream: null p-values
+    stay put and signal p-values fall as the size grows.
     """
     target = budget.beta
 

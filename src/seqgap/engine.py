@@ -8,11 +8,12 @@ every trial it runs, with the same draws as a fresh generator of that
 key.  Sequential trials run one at a time; the rules of one run, such as
 a sweep's budget points, draw each trial's path once and every rule
 scans it.  Fixed-sample trials (bh,
-top-m) run a batch of whole trials at a time through ``draw_batches``, the
-one batched draw, which the gap search also uses: each trial draws its own
-slice of one buffer, and the inverse CDF, the totals, the p-values and
-the decisions run once per batch, each trial on its own, so a trial's
-outcome is the one it gets alone.  A run of trials keeps its outcomes as
+top-m) draw their sufficient statistic, each stream's total after n
+steps, exactly in law from one uniform per stream, a batch of trials at a
+time through ``draw_batches``, the one batched draw, which the gap search
+also uses: each trial draws its own slice of one buffer, and the inverse
+CDF, the totals, the p-values and the decisions run once per batch, each
+trial on its own, so a trial's outcome is the one it gets alone.  A run of trials keeps its outcomes as
 columns (stopping times, horizon hits and confusion counts), counted once
 per batch of rejection masks.  Aggregation uses compensated summation in
 trial order.
@@ -236,7 +237,7 @@ def _aborted() -> bool:
 
 
 # Values in one batch (512 KiB of floats).  A batch of fixed-sample trials
-# holds as many whole trials' uniforms as fit, and at least one; a batch of
+# holds as many trials' (J,) uniforms as fit, and at least one; a batch of
 # sequential trials as many (J,) rejection masks.
 _BATCH_VALUES = 2**16
 
@@ -275,14 +276,19 @@ def draw_batches(
 
 def _fixed_decisions(config: ExperimentConfig, block: np.ndarray) -> np.ndarray:
     """Rejection masks of fixed-sample trials, a (batch, J) stack, from
-    their observations, a (batch, n, J) block.
+    one observation per stream, a (batch, 1, J) block.
 
-    The totals, the p-values and the decisions run once over the batch;
-    each of them treats a trial's values apart from the others', bit for
-    bit.
+    A gaussian stream's total after n steps is N(n mu, n), so the totals
+    n mu + sqrt(n) (x - mu) of one observation x ~ N(mu, 1) have the law
+    of n observations' sums.  The totals, the p-values and the decisions
+    run once over the batch; each of them treats a trial's values apart
+    from the others', bit for bit.
     """
     rule = config.rule
-    pvalues = fixed_sample_pvalues(config.profile, block.sum(axis=1), rule.sample_size)
+    n = rule.sample_size
+    mu = np.where(config.signal, config.profile.alt, config.profile.null)
+    totals = (block[:, 0] - mu) * math.sqrt(n) + n * mu
+    pvalues = fixed_sample_pvalues(config.profile, totals, n)
     if isinstance(rule, BhRule):
         return bh_decide(pvalues, rule.level)
     return top_m_decide(pvalues, rule.num_signals)
@@ -293,7 +299,7 @@ def _run_fixed(config: ExperimentConfig, start: int, stop: int) -> _Trials | Non
     time (``draw_batches``), each batch decided and counted at once."""
     n = config.rule.sample_size
     counts = []
-    for _, block in draw_batches(config, np.arange(start, stop), 0, n, _BATCH_VALUES):
+    for _, block in draw_batches(config, np.arange(start, stop), 0, 1, _BATCH_VALUES):
         counts.append(confusion(_fixed_decisions(config, block), config.signal))
     if _aborted():
         return None  # the pool's owner is raising and never reads this chunk
@@ -310,13 +316,15 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
 
     The generator is the calling thread's own, rekeyed for this trial, so
     threads may run trials side by side.  A fixed-sample trial runs as a
-    batch of one, the path every fixed-sample trial of an experiment takes.
+    batch of one, the path every fixed-sample trial of an experiment takes:
+    the first J values of its stream give one observation per stream,
+    whatever the sample size.
     """
     if not config.rule.sequential:
-        n = config.rule.sample_size
         trials = np.array([trial_index])
-        ((_, block),) = draw_batches(config, trials, 0, n, _BATCH_VALUES)
-        return Decision(n, _fixed_decisions(config, block)[0], STOP_FIXED)
+        ((_, block),) = draw_batches(config, trials, 0, 1, _BATCH_VALUES)
+        decision = _fixed_decisions(config, block)[0]
+        return Decision(config.rule.sample_size, decision, STOP_FIXED)
     rng = trial_rng(config.master_seed, trial_index, _thread_generator())
     return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
 
@@ -441,7 +449,7 @@ def run_experiments(
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
     A range of sequential trials runs one trial at a time, each trial's
     path drawn once for every rule; a range of fixed-sample trials runs
-    a batch of whole trials at a time.  Each range comes back as columns,
+    a batch of trials at a time, one observation per stream.  Each range comes back as columns,
     one set per rule.  The ranges come back in order, so the joined
     columns are in trial order.
     """

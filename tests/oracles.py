@@ -6,8 +6,9 @@ values, cut at the horizon), draws observation blocks in place
 (``StreamProfile.sample_block``), scans blocks of cumulative LLR rows
 (``scan_path``), maps observation blocks to increments
 (``StreamProfile.increments``), runs fixed-sample trials a batch at a
-time with one transform, one sum, one p-value pass and one decision per
-batch (``engine._run_fixed``, ``engine.fixed_sample_pvalues``), decides
+time with one transform, one pass of totals, one p-value pass and one
+decision per batch (``engine._run_fixed``,
+``engine.fixed_sample_pvalues``), decides
 and counts with stacks of (J,) boolean masks over 0-based columns
 (``decide``, ``bh_decide``, ``top_m_decide``, ``metrics.confusion``) and
 aggregates columns of counts (``metrics.aggregate``).  The functions here
@@ -308,14 +309,19 @@ def p_value(total: float, n: int, model) -> float:
 
 def fixed_trial(config, trial_index: int) -> tuple[int, frozenset[int], str]:
     """Stopping time, rejected labels and stop tag of one fixed-sample
-    trial run on its own: a new generator of the trial's key, its (n, J)
-    block, each stream's sum and p-value, and the rule's rejected labels."""
+    trial run on its own: a new generator of the trial's key, its first J
+    values as one (J,) observation row x, each stream's total after n
+    steps by its law, n mu + sqrt(n) (x - mu) for x ~ N(mu, 1), each
+    p-value, and the rule's rejected labels."""
     rule, profile = config.rule, config.profile
     n = rule.sample_size
-    x = sample_block(
-        profile, config.signal, n, trial_rng(config.master_seed, trial_index)
+    (x,) = sample_block(
+        profile, config.signal, 1, trial_rng(config.master_seed, trial_index)
     )
-    totals = x.sum(axis=0)
+    totals = []
+    for xi, is_signal, model in zip(x.tolist(), config.signal, profile.models):
+        mu = model.alt if is_signal else model.null
+        totals.append((xi - mu) * math.sqrt(n) + n * mu)
     pvalues = [p_value(t, n, model) for t, model in zip(totals, profile.models)]
     if isinstance(rule, BhRule):
         rejected = bh_decide(pvalues, rule.level)

@@ -1,6 +1,7 @@
 """Tests for Monte Carlo threshold and sample-size calibration."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from seqgap import (
     calibrate_topm_n,
 )
 from seqgap.calibrate import _bracket_min_feasible
+from seqgap.engine import _run_range
 
 
 def small_profile(j=6, theta=0.6):
@@ -127,6 +129,40 @@ def test_calibrate_topm_n_full_scan_matches_bracketing_here():
         return calibrate_topm_n(experiment, settings, budget).chosen
 
     assert chosen(False) == chosen(True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_top_m_signal_hits_never_fall_as_n_grows(data):
+    """A fixed-sample trial draws one uniform per stream whatever its
+    sample size, so the probes of ``calibrate_topm_n`` share their random
+    numbers: a null stream's z-score is the same at every n, and a
+    signal's moves away from its null by sqrt(n) |alt - null|.  So each
+    trial's signals among its top m never fall as n grows, and the
+    search's monotone premise holds trial by trial, on any gaussian
+    profile."""
+    j = data.draw(st.integers(2, 12), label="J")
+    models = []
+    for _ in range(j):
+        null = data.draw(st.floats(-2.0, 2.0))
+        step = data.draw(st.floats(0.1, 2.0) | st.floats(-2.0, -0.1))
+        models.append(StreamModel(GAUSSIAN_MEAN, null=null, alt=null + step))
+    small = data.draw(st.integers(1, 500), label="n")
+    large = data.draw(st.integers(small + 1, 1_000), label="larger n")
+    base = ExperimentConfig(
+        profile=StreamProfile(tuple(models)),
+        truth=data.draw(st.frozensets(st.integers(1, j))),
+        rule=TopMRule(sample_size=small, num_signals=data.draw(st.integers(1, j - 1))),
+        replications=30,
+        master_seed=data.draw(st.integers(0, 2**64 - 1)),
+    )
+
+    def hits(n):
+        config = replace(base, rule=replace(base.rule, sample_size=n))
+        (trials,) = _run_range((config,), 0, 30)
+        return trials.counts.r - trials.counts.v
+
+    assert (hits(small) <= hits(large)).all()
 
 
 def test_calibrate_bh_n_targets_fnr():

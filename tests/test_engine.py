@@ -738,8 +738,8 @@ def test_fixed_sample_batches_match_the_one_trial_oracle(cap, config, data):
     elif cap == "partial last batch":
         assume(reps >= 3)
         per_batch = data.draw(st.integers(2, reps - 1).filter(lambda b: reps % b))
-        # Not a multiple of one trial's values, so the cap is rounded down.
-        values = per_batch * n * j + n * j - 1
+        # Not a multiple of one trial's J values, so the cap is rounded down.
+        values = per_batch * j + j - 1
     else:
         values = seqgap.engine._BATCH_VALUES
     expected = [oracles.fixed_trial(config, i) for i in range(reps)]
@@ -825,20 +825,23 @@ def test_draw_batches_check_the_abort_event_before_each_batch(monkeypatch):
 
 @pytest.mark.parametrize("j", [2, 10, 100, 1000])
 def test_batch_totals_are_each_trials_left_fold_over_its_rows(j):
-    """The premise under a batch's totals: numpy sums a (B, n, J) stack over
-    axis 1 exactly as it sums each trial's (n, J) block over axis 0, a left
-    fold over the rows, bit for bit, also across mixed magnitudes, where
-    another summation order would round differently.  A cumulative sum
-    over axis 0 is the same fold: its last row and an interior prefix row
-    equal the fold's total and partial total."""
+    """The premise under a batch's sums over rows, which the gap search's
+    ``cumulate`` takes and a batch of row totals would: numpy sums a
+    (B, n, J) stack over axis 1 exactly as it sums each trial's (n, J)
+    block over axis 0, a left fold over the rows, bit for bit, also across
+    mixed magnitudes, where another summation order would round
+    differently.  A cumulative sum over the rows, of the stack or of one
+    block, is the same fold: its last row and an interior prefix row equal
+    the fold's total and partial total."""
     rng = np.random.default_rng(j)
     for n in (1, 2, 7, 64, 1000, 3000 if j < 1000 else 1000):
         block = rng.standard_normal((2, n, j)) * 10.0 ** rng.integers(
             -8, 9, size=(2, n, j)
         )
         totals = block.sum(axis=1)
-        for trial, x in zip(totals, block):
+        for trial, x, stacked in zip(totals, block, np.cumsum(block, axis=1)):
             cumulative = np.cumsum(x, axis=0)
+            assert stacked.tobytes() == cumulative.tobytes()
             fold = x[0].copy()
             for k, row in enumerate(x[1:], start=1):
                 fold += row

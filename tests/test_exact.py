@@ -6,17 +6,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
 import exact
+import oracles
+import seqgap.engine
 from seqgap import (
     GAUSSIAN_MEAN,
+    BhRule,
     ExperimentConfig,
     GapRule,
     MetricKind,
     StreamModel,
     StreamProfile,
+    TopMRule,
     run_experiment,
+    trial_rng,
 )
 from seqgap.thresholds import ErrorBudget
 
@@ -62,6 +68,66 @@ def _plain_bh(p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _z(sample: np.ndarray, exact_value: float) -> float:
     return (sample.mean() - exact_value) / (sample.std(ddof=1) / math.sqrt(sample.size))
+
+
+@pytest.mark.parametrize("m", sorted(TABLE1_SIZES))
+def test_engine_baselines_match_their_exact_rates(m):
+    """At table1's rows m = 1, 5, 9 and 40,000 replications, the engine's
+    top-m FDR and BH FNR lie within 4 se of their exact values.  The seeds
+    were fixed before the runs were first looked at."""
+    bh_n, topm_n = TABLE1_SIZES[m]
+    profile = StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, THETA), 10)
+    truth = frozenset(range(1, m + 1))
+    bh = run_experiment(
+        ExperimentConfig(profile, truth, BhRule(bh_n, LEVEL), 40_000, 20_261_022 + m)
+    ).metrics[MetricKind.FNR]
+    topm = run_experiment(
+        ExperimentConfig(profile, truth, TopMRule(topm_n, m), 40_000, 20_261_122 + m)
+    ).metrics[MetricKind.FDR]
+    _, bh_fnr = exact.bh_rates(10, m, _shift(bh_n), LEVEL)
+    topm_fdr = exact.top_m_false_rejections(10, m, _shift(topm_n)) / m
+    assert abs(bh.value - bh_fnr) <= 4 * bh.se, (bh, bh_fnr)
+    assert abs(topm.value - topm_fdr) <= 4 * topm.se, (topm, topm_fdr)
+
+
+def test_batch_totals_have_the_law_of_row_sums(monkeypatch):
+    """The totals the batch path hands to ``fixed_sample_pvalues``, drawn
+    from one uniform per stream, against the sums of n observation rows
+    drawn by ``oracles.sample_block`` on other keys, stream by stream: a
+    null and a signal stream, an alternative above and one below the null.
+    At 4,000 trials a side, each two-sample Kolmogorov-Smirnov statistic
+    is below its 0.1% critical value, 1.949 sqrt(2 / 4,000) = 0.0436, at
+    these fixed seeds."""
+    profile = StreamProfile(
+        (
+            StreamModel(GAUSSIAN_MEAN, 0.0, 0.5),
+            StreamModel(GAUSSIAN_MEAN, 0.0, 0.5),
+            StreamModel(GAUSSIAN_MEAN, 1.0, -0.5),
+            StreamModel(GAUSSIAN_MEAN, 1.0, -0.5),
+        )
+    )
+    n, reps = 37, 4_000
+    config = ExperimentConfig(profile, frozenset({1, 3}), TopMRule(n, 2), reps, 11)
+    totals, pvalues = [], seqgap.engine.fixed_sample_pvalues
+
+    def recording(profile, batch_totals, n):
+        totals.append(np.array(batch_totals))
+        return pvalues(profile, batch_totals, n)
+
+    monkeypatch.setattr(seqgap.engine, "fixed_sample_pvalues", recording)
+    seqgap.engine._run_range((config,), 0, reps)
+    monkeypatch.undo()
+    batch = np.concatenate(totals)
+    rows = np.array(
+        [
+            oracles.sample_block(profile, config.signal, n, trial_rng(12, i)).sum(axis=0)
+            for i in range(reps)
+        ]
+    )
+    assert batch.shape == rows.shape == (reps, 4)
+    bound = 1.949 * math.sqrt(2 / reps)
+    for stream in range(4):
+        assert stats.ks_2samp(batch[:, stream], rows[:, stream]).statistic < bound
 
 
 @pytest.mark.parametrize("m", range(11))

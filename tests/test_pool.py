@@ -169,8 +169,9 @@ def test_an_interrupt_stops_fixed_sample_chunks_between_batches(
     marks.mkdir()
     monkeypatch.setitem(globals(), "_MARKS", marks)
     monkeypatch.setattr(seqgap.engine, "trial_rng", _interrupting_draw)
-    # bh.yaml has J = 10 and n = 52; the chunks start at multiples of 12.
-    monkeypatch.setattr(seqgap.engine, "_BATCH_VALUES", 2 * 52 * 10)
+    # bh.yaml has J = 10, and a trial draws one value per stream; the
+    # chunks start at multiples of 12.
+    monkeypatch.setattr(seqgap.engine, "_BATCH_VALUES", 2 * 10)
     monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
     out = tmp_path / "report.json"
     argv = ["run", "--config", f"{CONFIGS}/bh.yaml", "--reps", "96"]
