@@ -3,8 +3,9 @@
 The script times ``engine._run_range(configs, start, stop)`` in two source
 trees, a fresh process per run, so its probe must fit the program of both.
 These tests run the probe on this tree for a sequential config, a shared
-sweep and a fixed-sample baseline, with their trial counts cut to a few,
-and check its guard on ``--pairs``.  Nothing under ``tools/`` changes.
+sweep and two fixed-sample baselines, one read from ``configs/`` and one
+built from its spec, with their trial counts cut to a few, and check its
+guard on ``--pairs``.  Nothing under ``tools/`` changes.
 """
 
 import importlib.util
@@ -26,7 +27,9 @@ def time_trials():
     return module
 
 
-@pytest.mark.parametrize("name", ["J=10 m=5", "gap-intersection sweep", "bh"])
+@pytest.mark.parametrize(
+    "name", ["J=10 m=5", "gap-intersection sweep", "bh", "top-m J=100"]
+)
 def test_probe_times_a_few_trials_in_this_tree(time_trials, name, monkeypatch):
     probe, _ = time_trials.CONFIGS[name]
     monkeypatch.setitem(time_trials.CONFIGS, name, (probe, 3))

@@ -3,14 +3,17 @@
     python tools/time_trials.py PARENT CHANGE [--pairs 10] [--json FILE]
 
 Times ``engine._run_range`` over a range of trials, in microseconds per
-trial, master seed 7, in eight configs.  Four are gap-rule configs of
-gaussian streams (null 0, alternative 0.5, signals on streams 1..m, the
-default horizon):
+trial, master seed 7, in ten configs.  Six are built on gaussian streams
+(null 0, alternative 0.5, signals on streams 1..m, the default horizon):
 
-* J=10, m=5, c=2.1 (table1's row m=5), 2,000 trials
-* J=100, m=50, c=0.7 (table2's row m=50, E[T] about 45), 400 trials
-* J=100, m=10, c=1.9 (table2's row m=10, E[T] about 61), 400 trials
-* J=1000, m=500, c=0.7, 40 trials
+* the gap rule at J=10, m=5, c=2.1 (table1's row m=5), 2,000 trials
+* the gap rule at J=100, m=50, c=0.7 (table2's row m=50, E[T] about 45),
+  400 trials
+* the gap rule at J=100, m=10, c=1.9 (table2's row m=10, E[T] about 61),
+  400 trials
+* the gap rule at J=1000, m=500, c=0.7, 40 trials
+* the baselines of table2's row m=50, bh (n=53, level 0.05) and top-m
+  (n=47), 4,000 trials each
 
 Four are read from ``configs/`` in the tree:
 
@@ -43,14 +46,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Name -> (probe spec, trials).  A spec is a gap rule's [J, m, threshold],
-# or a config file with the alphas whose formula thresholds its rule takes
-# (none: the file's own thresholds).
+# Name -> (probe spec, trials).  A spec is a rule type with [J, m, its
+# threshold or sample size], or a config file with the alphas whose
+# formula thresholds its rule takes (none: the file's own thresholds).
 CONFIGS = {
     "J=10 m=5": ({"gap": [10, 5, 2.1]}, 2000),
     "J=100 m=50": ({"gap": [100, 50, 0.7]}, 400),
     "J=100 m=10": ({"gap": [100, 10, 1.9]}, 400),
     "J=1000 m=500": ({"gap": [1000, 500, 0.7]}, 40),
+    "bh J=100": ({"bh": [100, 50, 53]}, 4000),
+    "top-m J=100": ({"top-m": [100, 50, 47]}, 4000),
     "gap-intersection sweep": (
         {"config": "configs/gap-intersection.yaml", "alphas": [1e-2, 1e-4, 1e-6]},
         500,
@@ -66,17 +71,23 @@ PROBE = """
 import json, sys, time
 from dataclasses import replace
 from seqgap import (
-    GAUSSIAN_MEAN, ErrorBudget, GapRule, StreamModel, StreamProfile, load_config,
+    GAUSSIAN_MEAN, BhRule, ErrorBudget, GapRule, StreamModel, StreamProfile,
+    TopMRule, load_config,
 )
 from seqgap.engine import ExperimentConfig, _run_range
 
+RULES = {
+    "gap": lambda m, value: GapRule(num_signals=m, threshold=value),
+    "bh": lambda m, value: BhRule(sample_size=value, level=0.05),
+    "top-m": lambda m, value: TopMRule(sample_size=value, num_signals=m),
+}
 spec, trials, warmup = json.loads(sys.argv[1])
-if "gap" in spec:
-    j, m, threshold = spec["gap"]
+if "config" not in spec:
+    ((kind, (j, m, value)),) = spec.items()
     configs = (ExperimentConfig(
         profile=StreamProfile.homogeneous(StreamModel(GAUSSIAN_MEAN, 0.0, 0.5), j),
         truth=frozenset(range(1, m + 1)),
-        rule=GapRule(num_signals=m, threshold=threshold),
+        rule=RULES[kind](m, value),
         replications=warmup + trials,
         master_seed=7,
     ),)
