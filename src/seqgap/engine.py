@@ -13,10 +13,10 @@ steps, exactly in law from one uniform per stream, a batch of trials at a
 time through ``draw_batches``, the one batched draw, which the gap search
 also uses: each trial draws its own slice of one buffer, and the inverse
 CDF, the totals, the p-values and the decisions run once per batch, each
-trial on its own, so a trial's outcome is the one it gets alone.  A run of trials keeps its outcomes as
-columns (stopping times, horizon hits and confusion counts), counted once
-per batch of rejection masks.  Aggregation uses compensated summation in
-trial order.
+trial on its own, so a trial's outcome is the one it gets alone.  A run
+of trials keeps its outcomes as columns (stopping times, horizon hits and
+confusion counts), counted once per batch of rejection masks.  Aggregation
+uses compensated summation in trial order.
 Reports are therefore bit-identical across reruns and worker counts; only
 ``wall_time``, a physical measurement, varies, and it is excluded from
 ``payload()``.
@@ -321,10 +321,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
     whatever the sample size.
     """
     if not config.rule.sequential:
+        n = config.rule.sample_size
         trials = np.array([trial_index])
         ((_, block),) = draw_batches(config, trials, 0, 1, _BATCH_VALUES)
-        decision = _fixed_decisions(config, block)[0]
-        return Decision(config.rule.sample_size, decision, STOP_FIXED)
+        return Decision(n, _fixed_decisions(config, block)[0], STOP_FIXED)
     rng = trial_rng(config.master_seed, trial_index, _thread_generator())
     return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
 
@@ -449,9 +449,9 @@ def run_experiments(
     ``worker_pool``) or on a ``worker_pool(workers)`` of this run's own.
     A range of sequential trials runs one trial at a time, each trial's
     path drawn once for every rule; a range of fixed-sample trials runs
-    a batch of trials at a time, one observation per stream.  Each range comes back as columns,
-    one set per rule.  The ranges come back in order, so the joined
-    columns are in trial order.
+    a batch of trials at a time, one observation per stream.  Each range
+    comes back as columns, one set per rule.  The ranges come back in
+    order, so the joined columns are in trial order.
     """
     workers = check_count(workers, "workers")
     configs = tuple(replace(base, rule=rule) for rule in rules)

@@ -82,8 +82,10 @@ def bh_rates(j: int, m: int, shift: float, level: float) -> tuple[float, float]:
     nulls = j - m
     t = [i * level / j for i in range(j + 1)]
     g = [_signal_cdf(x, shift) for x in t]
-    state = np.outer(binom.pmf(np.arange(nulls + 1), nulls, t[j]),
-                     binom.pmf(np.arange(m + 1), m, g[j]))
+    state = np.outer(
+        binom.pmf(np.arange(nulls + 1), nulls, t[j]),
+        binom.pmf(np.arange(m + 1), m, g[j]),
+    )
     v, b = np.meshgrid(np.arange(nulls + 1), np.arange(m + 1), indexing="ij")
     fdr = fnr = 0.0
     for i in range(j, 0, -1):
@@ -115,6 +117,8 @@ def top_m_false_rejections(j: int, m: int, shift: float) -> float:
         return float(np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi) * fewer)
 
     # The integrand lives where phi does and turns near the signals' mean.
-    value, _ = integrate.quad(integrand, -12.0, 12.0 + shift, points=[0.0, shift],
-                              limit=200, epsabs=1e-13, epsrel=1e-11)
+    value, _ = integrate.quad(
+        integrand, -12.0, 12.0 + shift, points=[0.0, shift],
+        limit=200, epsabs=1e-13, epsrel=1e-11,
+    )
     return (j - m) * value

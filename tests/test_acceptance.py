@@ -323,10 +323,10 @@ def test_criterion_5_exact_pointwise_invariants():
         failures.append("slippage run: FDR != FWE1")
 
     # exact-rational cross-check of the FDR aggregation itself
-    exact = Fraction(0)
+    rational = Fraction(0)
     for v, r in zip(counts.v.tolist(), counts.r.tolist()):
-        exact += Fraction(v, max(r, 1))
-    if float(exact / counts.r.size) != fdr:
+        rational += Fraction(v, max(r, 1))
+    if float(rational / counts.r.size) != fdr:
         failures.append("aggregation differs from exact rational arithmetic")
 
     _line(
@@ -498,14 +498,14 @@ def test_bh_fdr_is_the_null_share_of_its_level(m):
         metrics=(MetricKind.FDR,),
     )
     fdr = run_experiment(config).metrics[MetricKind.FDR]
-    exact = (10 - m) / 10 * level
-    z = (fdr.value - exact) / fdr.se
+    share = (10 - m) / 10 * level
+    z = (fdr.value - share) / fdr.se
     _line(
         f"BH exact FDR (m={m})",
         abs(z) <= 4,
-        f"FDR {fdr.value:.5f} vs {exact:.5f}, z {z:+.2f}",
+        f"FDR {fdr.value:.5f} vs {share:.5f}, z {z:+.2f}",
     )
-    assert abs(z) <= 4, (fdr, exact)
+    assert abs(z) <= 4, (fdr, share)
 
 
 def test_criterion_9_determinism_across_workers():
