@@ -53,7 +53,7 @@ from .engine import (
 )
 from .metrics import MetricEstimate, MetricKind, NoBoundConstants
 from .models import check_count, check_word
-from .rules import Rule, _fmt
+from .rules import NoBenchmark, Rule, _fmt
 from .thresholds import ErrorBudget
 
 WORKERS_ENV = "SEQGAP_WORKERS"
@@ -441,6 +441,8 @@ def _cmd_sweep(args) -> int:
         )
     except NoBoundConstants as exc:
         raise ConfigError(f"rule.control: {exc}") from exc
+    except NoBenchmark as exc:
+        raise ConfigError(f"truth: {exc}") from exc
     _emit(output, lambda fmt, out: write_sweep_report(report, fmt, out))
     return 0
 
@@ -463,19 +465,19 @@ def _parse_alphas(text: str) -> list[ErrorBudget]:
         token = token.strip()
         if not token:
             continue
+        a, b = token.split(":", 1) if ":" in token else (token, token)
         try:
-            if ":" in token:
-                a, b = token.split(":", 1)
-                budgets.append(ErrorBudget(alpha=float(a), beta=float(b)))
-            else:
-                value = float(token)
-                budgets.append(ErrorBudget(alpha=value, beta=value))
+            budgets.append(ErrorBudget(alpha=float(a), beta=float(b)))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(
                 f"--alphas entry {token!r}: {exc}"
             ) from None
     if not budgets:
         raise argparse.ArgumentTypeError("--alphas needs at least one budget point")
+    repeated = sorted({(b.alpha, b.beta) for b in budgets if budgets.count(b) > 1})
+    if repeated:
+        points = (f"{a!r}" if a == b else f"{a!r}:{b!r}" for a, b in repeated)
+        raise argparse.ArgumentTypeError(f"repeated [{', '.join(points)}]")
     return budgets
 
 

@@ -142,8 +142,9 @@ class ExperimentConfig:
     schedules the work and must not affect any reported number.
 
     Construction validates the 1-based labels of ``truth`` once and builds
-    ``signal``, the read-only (J,) boolean mask every trial reads; it is not
-    a field, so eq, hash and repr do not see it.
+    the read-only (J,) columns every trial reads, outside the fields that
+    eq, hash and repr see: the ``signal`` mask and ``means``, each stream's
+    mean under the truth (``alt`` at a signal, ``null`` elsewhere).
     """
 
     profile: StreamProfile
@@ -157,6 +158,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "truth", self.profile.validate_signal_set(self.truth))
         object.__setattr__(self, "signal", self.profile.signal_mask(self.truth))
+        means = np.where(self.signal, self.profile.alt, self.profile.null)
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
         object.__setattr__(
             self, "metrics", tuple(MetricKind(k) for k in self.metrics)
         )
@@ -169,7 +173,7 @@ class ExperimentConfig:
         check_signals(self.metrics, len(self.truth))
 
     def __reduce__(self):
-        # Pickles carry only the fields; the receiver rebuilds the mask.
+        # Pickles carry only the fields; the receiver rebuilds the columns.
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
 
@@ -271,7 +275,7 @@ def draw_batches(
         block = buffer[: len(indices)]
         for i, start, rows in zip(indices.tolist(), starts[part], block):
             trial_rng(config.master_seed, i, rng, start).random(out=rows)
-        yield indices, config.profile.from_uniforms(block, config.signal)
+        yield indices, config.profile.from_uniforms(block, config.means)
 
 
 def _fixed_decisions(config: ExperimentConfig, block: np.ndarray) -> np.ndarray:
@@ -286,8 +290,7 @@ def _fixed_decisions(config: ExperimentConfig, block: np.ndarray) -> np.ndarray:
     """
     rule = config.rule
     n = rule.sample_size
-    mu = np.where(config.signal, config.profile.alt, config.profile.null)
-    totals = (block[:, 0] - mu) * math.sqrt(n) + n * mu
+    totals = (block[:, 0] - config.means) * math.sqrt(n) + n * config.means
     pvalues = fixed_sample_pvalues(config.profile, totals, n)
     if isinstance(rule, BhRule):
         return bh_decide(pvalues, rule.level)
@@ -326,7 +329,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> Decision:
         ((_, block),) = draw_batches(config, trials, 0, 1, _BATCH_VALUES)
         return Decision(n, _fixed_decisions(config, block)[0], STOP_FIXED)
     rng = trial_rng(config.master_seed, trial_index, _thread_generator())
-    return run_sequential(config.rule, config.profile, config.signal, config.horizon, rng)
+    return run_sequential(config.rule, config.profile, config.means, config.horizon, rng)
 
 
 def _run_range(
@@ -357,7 +360,7 @@ def _run_range(
             if shared:
                 trial_rng(config.master_seed, i, rng)
                 trials.append(
-                    run_shared(rules, config.profile, config.signal, config.horizon, rng)
+                    run_shared(rules, config.profile, config.means, config.horizon, rng)
                 )
             else:
                 trials.append((run_trial(config, i),))

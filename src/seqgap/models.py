@@ -193,8 +193,7 @@ class StreamProfile:
     ``StreamModel``, ``i0`` and ``i1`` of its ``info_numbers()``, and the
     stream indices of each family, ``gaussian_columns`` and
     ``bernoulli_columns``.  They are not dataclass fields, so eq, hash and
-    repr see only ``models``.  Nor is the last signal mask that
-    ``from_uniforms`` met, kept with its parameter column.
+    repr see only ``models``.
     """
 
     models: tuple[StreamModel, ...]
@@ -221,11 +220,9 @@ class StreamProfile:
             column = np.array(values)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "_params", (None, None))
 
     def __reduce__(self):
-        # Pickles carry only the models; the receiver rebuilds the columns
-        # and starts with no mask's parameter column.
+        # Pickles carry only the models; the receiver rebuilds the columns.
         return (type(self), (self.models,))
 
     @classmethod
@@ -261,9 +258,9 @@ class StreamProfile:
         return mask
 
     def sample_block(
-        self, signal: np.ndarray, steps: int, rng: np.random.Generator
+        self, means: np.ndarray, steps: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Draw a (steps, J) observation block under a (J,) boolean signal mask.
+        """Draw a (steps, J) observation block at a (J,) column of means.
 
         Consumes steps * J uniforms in row-major (time, stream) order and
         maps each through its stream's inverse CDF, so chunked draws from
@@ -272,45 +269,37 @@ class StreamProfile:
         in place by ``from_uniforms``.
         """
         steps = check_count(steps, "steps")
-        return self.from_uniforms(rng.random(size=(steps, self.j)), signal)
+        return self.from_uniforms(rng.random(size=(steps, self.j)), means)
 
-    def from_uniforms(self, u: np.ndarray, signal: np.ndarray) -> np.ndarray:
+    def from_uniforms(self, u: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Map a float array of uniforms, shape (..., J), to observations
-        under a (J,) boolean signal mask, in place, and return it.
+        at a (J,) float column of means (a normal mean or a success
+        probability per stream), in place, and return it.
 
         Each value goes through its stream's inverse CDF on its own, so a
         stack of trials' blocks maps to the same values as each block
         alone.  The inverse CDF and the mean run over ``u`` whole when
         every stream is gaussian, and over each family's columns otherwise.
         """
-        signal = np.asarray(signal)
-        if signal.shape != (self.j,) or signal.dtype != bool:
-            raise ValueError(f"need a ({self.j},) bool signal mask, got {signal.shape}")
-        # Building the column costs more than comparing the mask's bytes,
-        # and every block of a run is drawn under one mask, so the profile
-        # keeps the last mask and its column.  They are one tuple, read
-        # once, so a thread never pairs one mask with another's column.
-        key = signal.tobytes()
-        last, params = self._params
-        if last != key:
-            params = np.where(signal, self.alt, self.null)
-            params.flags.writeable = False
-            object.__setattr__(self, "_params", (key, params))
+        means = np.asarray(means)
+        if means.shape != (self.j,) or means.dtype.kind != "f":
+            got = f"{means.dtype} {means.shape}"
+            raise ValueError(f"need a ({self.j},) float column of means, got {got}")
         # random() can return exactly 0.0, where ndtri is -inf; the clamp
         # changes only exact zeros.
         np.maximum(u, _SMALLEST_UNIFORM, out=u)
         gaussian, bernoulli = self.gaussian_columns, self.bernoulli_columns
         if not bernoulli.size:
             ndtri(u, out=u)
-            u += params
+            u += means
             return u
         # ndtri costs more than the gather on bernoulli columns, so it runs
         # on the gaussian ones only.
         if gaussian.size:
-            u[..., gaussian] = params[gaussian] + ndtri(u[..., gaussian])
+            u[..., gaussian] = means[gaussian] + ndtri(u[..., gaussian])
         # A bool right-hand side would make the scatter cast element by
         # element, which is slower than casting it whole first.
-        u[..., bernoulli] = (u[..., bernoulli] < params[bernoulli]).astype(float)
+        u[..., bernoulli] = (u[..., bernoulli] < means[bernoulli]).astype(float)
         return u
 
     def increments(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -345,8 +334,7 @@ class WorstCaseInfo:
 def eta(profile: StreamProfile, truth: frozenset[int]) -> WorstCaseInfo:
     """Worst-case information numbers for a profile and signal set."""
     signal = profile.signal_mask(truth)
-    i0, i1 = profile.i0[~signal], profile.i1[signal]
     return WorstCaseInfo(
-        eta0=float(i0.min()) if i0.size else math.inf,
-        eta1=float(i1.min()) if i1.size else math.inf,
+        eta0=float(profile.i0[~signal].min(initial=math.inf)),
+        eta1=float(profile.i1[signal].min(initial=math.inf)),
     )

@@ -95,6 +95,10 @@ STOP_FIXED = "fixed-sample"
 STOP_HORIZON = "horizon"
 
 
+class NoBenchmark(ValueError):
+    """A rule has no first-order benchmark under the truth."""
+
+
 @dataclass(frozen=True, eq=False)
 class Decision:
     """Terminal outcome of one procedure run.
@@ -125,13 +129,6 @@ class OrderView:
     @property
     def j(self) -> int:
         return int(self.ranking.size)
-
-
-def _mask(j: int, columns: np.ndarray) -> np.ndarray:
-    """(J,) boolean mask, True at ``columns``."""
-    mask = np.zeros(j, dtype=bool)
-    mask[columns] = True
-    return mask
 
 
 def ranking(lam: np.ndarray) -> np.ndarray:
@@ -186,9 +183,10 @@ class _SequentialRule:
     def decide(self, view: OrderView) -> np.ndarray:
         """Mask rejecting the top p' streams, p' the positive count clamped
         into the rejection range."""
-        j = view.j
-        lo, hi = self.rejections(j)
-        return _mask(j, view.ranking[: min(max(view.positive_count, lo), hi)])
+        lo, hi = self.rejections(view.j)
+        rejected = np.zeros(view.j, dtype=bool)
+        rejected[view.ranking[: min(max(view.positive_count, lo), hi)]] = True
+        return rejected
 
     def _c1(self, control: MetricKind, j: int, truth: frozenset[int]) -> float:
         """Bound constant of ``control`` over the rejection range."""
@@ -262,6 +260,11 @@ class GapRule(_SequentialRule):
     def kappa(
         self, budget: ErrorBudget, profile: StreamProfile, truth: frozenset[int]
     ) -> float:
+        if not 0 < len(truth) < profile.j:
+            raise NoBenchmark(
+                "the gap benchmark needs at least one signal and one noise "
+                f"stream, got {len(truth)} signals of J = {profile.j}"
+            )
         info = eta(profile, truth)
         return kappa_gap(budget, info.eta0, info.eta1)
 
@@ -496,27 +499,27 @@ def next_block(taken, horizon, j):
 def run_sequential(
     rule: SequentialRule,
     profile: StreamProfile,
-    signal: np.ndarray,
+    means: np.ndarray,
     horizon: int,
     rng: np.random.Generator,
 ) -> Decision:
     """Draw a fresh path block by block until the rule fires or the
     horizon is exhausted, and return the rule's decision: ``run_shared``
     of this rule alone."""
-    return run_shared((rule,), profile, signal, horizon, rng)[0]
+    return run_shared((rule,), profile, means, horizon, rng)[0]
 
 
 def run_shared(
     rules: tuple[SequentialRule, ...],
     profile: StreamProfile,
-    signal: np.ndarray,
+    means: np.ndarray,
     horizon: int,
     rng: np.random.Generator,
 ) -> list[Decision]:
     """The decision of each of ``rules`` on one path, drawn block by block
     until every rule has fired or the horizon is exhausted.
 
-    Each block is drawn under the (J,) boolean ``signal`` mask, turned into
+    Each block is drawn at the (J,) column of stream ``means``, turned into
     cumulative LLRs (``cumulate`` carries the running sums from block to
     block) and scanned by every rule that has not fired yet.  A rule that
     fires at a block's row r decides from that row; a rule that never
@@ -533,7 +536,7 @@ def run_shared(
     taken = 0
     while True:
         steps = next_block(taken, horizon, j)
-        x = profile.sample_block(signal, steps, rng)
+        x = profile.sample_block(means, steps, rng)
         path = cumulate(profile.increments(x, out=x), lam)
         left = []
         for k in waiting:

@@ -82,8 +82,9 @@ def commands(configs: Path, golden: Path) -> dict[str, list[str]]:
         cases[f"{command}-gap-j100-horizon"] = config(command, "gap-j100-horizon")
     for name in ALL_METRIC_RULES:
         cases[f"run-all-metrics-{name}"] = config("run", f"all-metrics-{name}")
-    # Runs that fail on an input: an integer option, or a config file that
-    # fails to load.
+    # Runs that fail on an input: an integer option, a config file that
+    # fails to load, or a gap sweep whose truth has no signal or no noise
+    # stream.
     gap = str(configs / "gap.yaml")
     cases["error-run-reps-0"] = ["run", "--config", gap, "--reps", "0"]
     cases["error-run-workers-0"] = ["run", "--config", gap, "--workers", "0"]
@@ -91,6 +92,8 @@ def commands(configs: Path, golden: Path) -> dict[str, list[str]]:
     cases["error-reproduce-rows-0"] = ["reproduce", "--which", "table1", "--rows", "0"]
     for name, command in CONFIG_ERRORS.items():
         cases[f"error-{name}"] = config(command, name)
+    for name in ("sweep-gap-no-signal", "sweep-gap-all-signals"):
+        cases[f"error-{name}"] = [*config("sweep", name), "--alphas", "1e-2"]
     return cases
 
 

@@ -178,26 +178,33 @@ def aggregate(kind: MetricKind, trials: list[Counts]):
     return mean_se(kept)
 
 
-def sample_block(profile, signal, steps: int, rng) -> np.ndarray:
-    """A (steps, J) observation block written column family by column
-    family into a new array: each stream's inverse CDF of its column of
-    clamped uniforms."""
+def means(profile, truth) -> np.ndarray:
+    """The (J,) column of stream means under the signal labels ``truth``,
+    stream by stream: a signal stream's alt, a noise stream's null."""
+    return np.array(
+        [m.alt if k in truth else m.null for k, m in enumerate(profile.models, 1)]
+    )
+
+
+def sample_block(profile, means, steps: int, rng) -> np.ndarray:
+    """A (steps, J) observation block at the (J,) column ``means``,
+    written column family by column family into a new array: each
+    stream's inverse CDF of its column of clamped uniforms."""
     u = rng.random(size=(int(steps), profile.j))
     np.maximum(u, 2.0**-53, out=u)
-    params = np.where(signal, profile.alt, profile.null)
     x = np.empty_like(u)
     cols = profile.gaussian_columns
     if cols.size:
-        x[:, cols] = params[cols] + ndtri(u[:, cols])
+        x[:, cols] = means[cols] + ndtri(u[:, cols])
     cols = profile.bernoulli_columns
     if cols.size:
-        x[:, cols] = (u[:, cols] < params[cols]).astype(float)
+        x[:, cols] = (u[:, cols] < means[cols]).astype(float)
     return x
 
 
-def one_shot_path(profile, signal, horizon: int, rng) -> np.ndarray:
+def one_shot_path(profile, means, horizon: int, rng) -> np.ndarray:
     """A trial's cumulative-LLR path as one cumulative sum over all its rows."""
-    x = profile.sample_block(signal, horizon, rng)
+    x = profile.sample_block(means, horizon, rng)
     return np.cumsum(profile.increments(x), axis=0)
 
 
@@ -315,13 +322,9 @@ def fixed_trial(config, trial_index: int) -> tuple[int, frozenset[int], str]:
     p-value, and the rule's rejected labels."""
     rule, profile = config.rule, config.profile
     n = rule.sample_size
-    (x,) = sample_block(
-        profile, config.signal, 1, trial_rng(config.master_seed, trial_index)
-    )
-    totals = []
-    for xi, is_signal, model in zip(x.tolist(), config.signal, profile.models):
-        mu = model.alt if is_signal else model.null
-        totals.append((xi - mu) * math.sqrt(n) + n * mu)
+    mus = means(profile, config.truth)
+    (x,) = sample_block(profile, mus, 1, trial_rng(config.master_seed, trial_index))
+    totals = [(xi - mu) * math.sqrt(n) + n * mu for xi, mu in zip(x.tolist(), mus)]
     pvalues = [p_value(t, n, model) for t, model in zip(totals, profile.models)]
     if isinstance(rule, BhRule):
         rejected = bh_decide(pvalues, rule.level)

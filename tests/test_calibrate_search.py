@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqgap.calibrate
-from oracles import one_shot_path
+from oracles import means, one_shot_path
 from seqgap import (
     BERNOULLI,
     GAUSSIAN_MEAN,
@@ -346,7 +346,7 @@ def test_search_trials_end_on_the_one_shot_path(family, horizon):
     assert search.best.tolist() == [math.inf] * 4
     assert search.trial.tolist() == sorted(search.trial.tolist())
     for i in range(4):
-        path = one_shot_path(profile, signal, horizon, trial_rng(11, i))
+        path = one_shot_path(profile, means(profile, truth), horizon, trial_rng(11, i))
         assert search.lam[i].tobytes() == path[-1].tobytes()
         best, records, hits = -math.inf, [], []
         for row, gap in zip(path, GapRule(num_signals=2, threshold=1.0).gap_column(path)):
@@ -373,9 +373,9 @@ def test_search_trials_draw_the_rows_run_sequential_draws(family, horizon):
     drawn = []
     sample_block = StreamProfile.sample_block
 
-    def counting(self, signal, steps, rng):
+    def counting(self, means, steps, rng):
         drawn[-1] += steps
-        return sample_block(self, signal, steps, rng)
+        return sample_block(self, means, steps, rng)
 
     for j in (5, 100):
         profile = StreamProfile.homogeneous(MODELS[family], j)

@@ -795,6 +795,44 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("count", [0, 10])
+def test_gap_sweep_without_a_signal_or_a_noise_stream_exit_2(
+    count, tmp_path, capsys, monkeypatch
+):
+    """The gap benchmark needs both sides, so a gap sweep whose truth has no
+    signal, or only signals, is a configuration error before any trial."""
+    path = tmp_path / "one-sided.yaml"
+    path.write_text(GAP_CONFIG.replace("count: 5", f"count: {count}", 1))
+    calls = []
+    monkeypatch.setattr(seqgap.engine, "_run_range", lambda *a: calls.append(a))
+    monkeypatch.delenv("SEQGAP_WORKERS", raising=False)
+    assert main(["sweep", "--config", str(path), "--alphas", "1e-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: truth: the gap benchmark needs at least one signal "
+        f"and one noise stream, got {count} signals of J = 10\n"
+    )
+    assert calls == []
+
+
+def test_sweep_repeated_points_exit_2(gap_config_path, capsys, monkeypatch):
+    """A budget point listed twice, in any spelling, is rejected as a repeated
+    --rows is; nothing runs."""
+    calls = []
+    monkeypatch.setattr(seqgap.engine, "_run_range", lambda *a: calls.append(a))
+    alphas = "1e-2,0.05:0.1,0.01,5e-2:1e-1,1e-4"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--config", gap_config_path, "--alphas", alphas])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "error: argument --alphas: repeated [0.01, 0.05:0.1]\n"
+    )
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "command,source",
     [

@@ -296,7 +296,7 @@ INTEGER_INPUTS = {
     "sample_block steps": count_input(
         "steps", 1,
         lambda v: len(
-            profile10().sample_block(np.ones(10, bool), v, np.random.default_rng(1))
+            profile10().sample_block(np.ones(10), v, np.random.default_rng(1))
         ),
         largest=64,
     ),
@@ -795,7 +795,7 @@ def test_draw_batches_give_each_trial_its_own_rows(cap, config, data):
     expected = [
         config.profile.from_uniforms(
             trial_rng(config.master_seed, i, None, t * j).random((steps, j)),
-            config.signal,
+            config.means,
         )
         for i, t in zip(indices, taken.tolist())
     ]
@@ -973,14 +973,16 @@ def test_config_truth_labels_validated():
 
 
 def test_config_signal_mask_is_read_only_and_outside_the_fields():
-    """The config builds its (J,) signal mask once, read-only and outside
-    the fields, so eq, hash, repr and serialization see only ``truth``; a
-    pickled copy, as pool workers get, rebuilds it read-only."""
+    """The config builds its (J,) signal mask and its (J,) column of means
+    once, read-only and outside the fields, so eq, hash, repr and
+    serialization see only ``truth``; a pickled copy, as pool workers get,
+    rebuilds both read-only."""
     config = gap_config(reps=10, m=3)
-    assert "signal" not in {f.name for f in fields(config)}
+    names = {f.name for f in fields(config)}
+    assert "signal" not in names and "means" not in names
     twin = gap_config(reps=10, m=3)
     assert config == twin and hash(config) == hash(twin)
-    assert "signal=" not in repr(config)
+    assert "signal=" not in repr(config) and "means=" not in repr(config)
     assert list(config_to_dict(config)) == [
         "streams", "truth", "rule", "replications", "master_seed", "horizon", "metrics"
     ]
@@ -989,8 +991,12 @@ def test_config_signal_mask_is_read_only_and_outside_the_fields():
     for c in (config, copy):
         np.testing.assert_array_equal(c.signal, [True] * 3 + [False] * 7)
         assert c.signal.dtype == bool
-        with pytest.raises(ValueError, match="read-only"):
-            c.signal[0] = False
+        assert c.means.dtype == float
+        assert c.means.tobytes() == oracles.means(c.profile, c.truth).tobytes()
+        np.testing.assert_array_equal(c.means, [0.5] * 3 + [0.0] * 7)
+        for column, value in ((c.signal, False), (c.means, 1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = value
 
 
 def test_horizon_hits_counted():

@@ -118,10 +118,10 @@ def test_batch_totals_have_the_law_of_row_sums(monkeypatch):
     seqgap.engine._run_range((config,), 0, reps)
     monkeypatch.undo()
     batch = np.concatenate(totals)
+    means = oracles.means(profile, config.truth)
     rows = np.array(
         [
-            oracles.sample_block(profile, config.signal, n, trial_rng(12, i))
-            .sum(axis=0)
+            oracles.sample_block(profile, means, n, trial_rng(12, i)).sum(axis=0)
             for i in range(reps)
         ]
     )

@@ -127,7 +127,7 @@ def test_increment_mean_matches_info_numbers_monte_carlo():
         info = model.info_numbers()
         profile = StreamProfile.homogeneous(model, 2)
         # stream 1 draws under the alternative, stream 2 under the null
-        x = profile.sample_block(profile.signal_mask({1}), n, rng)
+        x = profile.sample_block(oracles.means(profile, {1}), n, rng)
         means = profile.increments(x).mean(axis=0)
         assert abs(means[0] - info.i1) < 4 * math.sqrt(info.v1 / n)
         assert abs(means[1] + info.i0) < 4 * math.sqrt(info.v0 / n)
@@ -137,7 +137,7 @@ def test_empirical_means_of_draws():
     """Null draws average near 0, alt draws near theta (CLT bound)."""
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 2)
     n = 1_000_000
-    x = profile.sample_block(profile.signal_mask({2}), n, np.random.default_rng(7))
+    x = profile.sample_block(oracles.means(profile, {2}), n, np.random.default_rng(7))
     # reference arithmetic; the model must agree with it pointwise
     u = np.random.default_rng(7).random((100, 2))
     np.testing.assert_allclose(
@@ -165,19 +165,20 @@ def test_profile_signal_mask_and_state_params():
     np.testing.assert_array_equal(mask, [False, True, False, True])
     assert mask.dtype == bool and not mask.flags.writeable
     # At the median uniform every observation is its stream's active mean.
-    params = profile.sample_block(mask, 1, _HalfUniforms())[0]
+    means = oracles.means(profile, {2, 4})
+    params = profile.sample_block(means, 1, _HalfUniforms())[0]
     np.testing.assert_array_equal(params, [0.0, 0.5, 0.0, 0.5])
 
 
 @pytest.mark.parametrize(
-    "signal",
-    [frozenset({1, 2}), np.zeros(3, dtype=bool), np.zeros(4, dtype=int)],
-    ids=["label set", "short mask", "int mask"],
+    "means",
+    [np.zeros(4, dtype=bool), np.zeros(3), np.zeros(4, dtype=int), frozenset({1, 2})],
+    ids=["bool mask", "short column", "int column", "label set"],
 )
-def test_sample_block_rejects_anything_but_a_signal_mask(signal):
+def test_sample_block_rejects_anything_but_a_column_of_means(means):
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 4)
-    with pytest.raises(ValueError, match=r"\(4,\) bool signal mask"):
-        profile.sample_block(signal, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"\(4,\) float column of means"):
+        profile.sample_block(means, 1, np.random.default_rng(0))
 
 
 def test_validate_signal_set_rejects_out_of_range():
@@ -193,8 +194,8 @@ def test_sample_block_consumes_uniforms_row_major():
     """One uniform per (time, stream) cell, rows first, inverse-CDF mapped."""
     profile = StreamProfile.homogeneous(gaussian_model(0.5), 3)
     seed = 99
-    signal = profile.signal_mask({1})
-    block = profile.sample_block(signal, 5, np.random.default_rng(seed))
+    means = oracles.means(profile, {1})
+    block = profile.sample_block(means, 5, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random((5, 3))
     expected = np.array([0.5, 0.0, 0.0])[None, :] + stats.norm.ppf(u)
     np.testing.assert_allclose(block, expected, atol=1e-12)
@@ -204,8 +205,8 @@ def test_sample_block_bernoulli_protocol():
     model = StreamModel(family=BERNOULLI, null=0.3, alt=0.7)
     profile = StreamProfile.homogeneous(model, 2)
     seed = 4242
-    signal = profile.signal_mask({2})
-    block = profile.sample_block(signal, 8, np.random.default_rng(seed))
+    means = oracles.means(profile, {2})
+    block = profile.sample_block(means, 8, np.random.default_rng(seed))
     u = np.random.default_rng(seed).random((8, 2))
     expected = (u < np.array([0.3, 0.7])[None, :]).astype(float)
     np.testing.assert_array_equal(block, expected)
@@ -223,7 +224,7 @@ def test_sample_block_zero_uniform_gives_finite_observations():
     profile = StreamProfile(
         (gaussian_model(0.5), StreamModel(family=BERNOULLI, null=0.3, alt=0.7))
     )
-    block = profile.sample_block(profile.signal_mask({1}), 3, _ZeroUniforms())
+    block = profile.sample_block(oracles.means(profile, {1}), 3, _ZeroUniforms())
     assert np.all(np.isfinite(block))
     assert np.all(np.isfinite(profile.increments(block)))
 
@@ -233,8 +234,9 @@ _FAMILIES = (GAUSSIAN_MEAN, BERNOULLI)
 
 @st.composite
 def _profile_blocks(draw):
-    """An all-gaussian, mixed or all-bernoulli profile, a signal mask, a
-    row count and a uniform source: a seeded generator or all zeros."""
+    """An all-gaussian, mixed or all-bernoulli profile, its column of means
+    under a signal set, a row count and a uniform source: a seeded
+    generator or all zeros."""
     j = draw(st.integers(2, 8))
     kind = draw(st.sampled_from(["gaussian", "mixed", "bernoulli"]))
     families = {
@@ -251,10 +253,11 @@ def _profile_blocks(draw):
             st.tuples(pair, pair).filter(lambda params: params[0] != params[1])
         )
         models.append(StreamModel(family=family, null=null, alt=alt))
-    signal = np.array(draw(st.lists(st.booleans(), min_size=j, max_size=j)))
+    profile = StreamProfile(tuple(models))
+    means = oracles.means(profile, draw(st.frozensets(st.integers(1, j))))
     steps = draw(st.integers(1, 70))
     seed = draw(st.none() | st.integers(0, 2**32 - 1))
-    return StreamProfile(tuple(models)), signal, steps, seed
+    return profile, means, steps, seed
 
 
 def _uniforms(seed):
@@ -266,9 +269,9 @@ def _uniforms(seed):
 def test_sample_block_matches_the_column_oracle(case):
     """The in-place block equals the gather-and-scatter form bit for bit,
     and so do its increments written over it."""
-    profile, signal, steps, seed = case
-    block = profile.sample_block(signal, steps, _uniforms(seed))
-    expected = oracles.sample_block(profile, signal, steps, _uniforms(seed))
+    profile, means, steps, seed = case
+    block = profile.sample_block(means, steps, _uniforms(seed))
+    expected = oracles.sample_block(profile, means, steps, _uniforms(seed))
     assert block.shape == expected.shape == (steps, profile.j)
     assert block.tobytes() == expected.tobytes()
     increments = profile.increments(block)
@@ -374,16 +377,14 @@ def test_pickled_profile_rebuilds_read_only_columns():
         copy.llr_slope[0] = 0.0
 
 
-def test_alternating_masks_map_as_fresh_profiles_do():
-    """A profile that meets one signal mask after another maps each block
-    as a fresh profile does, gaussian and bernoulli streams alike, and
-    keeps only the last mask's parameter column."""
+def test_one_profile_maps_each_truths_column_as_fresh_profiles_do():
+    """A profile that meets one truth's column of means after another maps
+    each block as a fresh profile does, gaussian and bernoulli streams
+    alike: it keeps no state between blocks."""
     profile = mixed_profile()
-    masks = [profile.signal_mask(truth) for truth in ({1}, {2, 3}, set(), {1, 3})]
+    columns = [oracles.means(profile, truth) for truth in ({1}, {2, 3}, set(), {1, 3})]
     rng = np.random.default_rng(11)
-    for mask in masks * 3 + masks[::-1]:
+    for means in columns * 3 + columns[::-1]:
         u = rng.random((4, profile.j))
-        want = mixed_profile().from_uniforms(u.copy(), mask)
-        assert profile.from_uniforms(u, mask).tobytes() == want.tobytes()
-        key, params = profile._params
-        assert key == mask.tobytes() and not params.flags.writeable
+        want = mixed_profile().from_uniforms(u.copy(), means)
+        assert profile.from_uniforms(u, means).tobytes() == want.tobytes()

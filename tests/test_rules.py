@@ -413,8 +413,8 @@ def make_profile(j=4, theta=0.5):
 def test_run_sequential_gap_smoke():
     profile = make_profile()
     rule = GapRule(num_signals=2, threshold=2.0)
-    signal = profile.signal_mask({1, 2})
-    decision = run_sequential(rule, profile, signal, 100_000, np.random.default_rng(3))
+    means = oracles.means(profile, {1, 2})
+    decision = run_sequential(rule, profile, means, 100_000, np.random.default_rng(3))
     assert decision.stopping_time >= 1
     assert len(labels(decision.rejected)) == 2
     assert decision.stopped_by == STOP_GAP
@@ -539,15 +539,15 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
     reads the final row; it stops and decides as a row-by-row scan of that
     path does."""
     profile = WALK_PROFILES[family]
-    signal = profile.signal_mask({1, 2})
-    path = one_shot_path(profile, signal, horizon, np.random.default_rng(5))
+    means = oracles.means(profile, {1, 2})
+    path = one_shot_path(profile, means, horizon, np.random.default_rng(5))
 
     recorder, views = RecordingRule(), []
     monkeypatch.setattr(
         rules, "order_view", lambda lam: views.append(lam.copy()) or order_view(lam)
     )
     decision = run_sequential(
-        recorder, profile, signal, horizon, np.random.default_rng(5)
+        recorder, profile, means, horizon, np.random.default_rng(5)
     )
     monkeypatch.undo()
     assert np.concatenate(recorder.blocks).tobytes() == path.tobytes()
@@ -566,7 +566,7 @@ def test_walk_and_run_sequential_follow_the_one_shot_path(
         IntersectionRule(accept_barrier=2.0, reject_barrier=2.0),
     ):
         decision = run_sequential(
-            rule, profile, signal, horizon, np.random.default_rng(5)
+            rule, profile, means, horizon, np.random.default_rng(5)
         )
         got = (decision.stopping_time, labels(decision.rejected), decision.stopped_by)
         assert got == stepwise_run(rule, path), rule
@@ -607,15 +607,15 @@ def test_run_shared_gives_each_rule_the_decision_it_gets_alone(data):
     shared_rules = tuple(
         data.draw(st.lists(sequential_rules(j, levels), min_size=1, max_size=4))
     )
-    signal = profile.signal_mask(data.draw(st.frozensets(st.integers(1, j))))
+    means = oracles.means(profile, data.draw(st.frozensets(st.integers(1, j))))
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
 
     shared = rules.run_shared(
-        shared_rules, profile, signal, horizon, np.random.default_rng(seed)
+        shared_rules, profile, means, horizon, np.random.default_rng(seed)
     )
     assert len(shared) == len(shared_rules)
     for rule, decision in zip(shared_rules, shared):
-        alone = run_sequential(rule, profile, signal, horizon, np.random.default_rng(seed))
+        alone = run_sequential(rule, profile, means, horizon, np.random.default_rng(seed))
         assert type(decision.stopping_time) is int
         assert oracles.outcome(decision) == oracles.outcome(alone), rule
         assert decision.rejected.tobytes() == alone.rejected.tobytes()
@@ -627,7 +627,7 @@ def test_run_sequential_rejects_a_horizon_below_one(horizon):
     rule = GapRule(num_signals=2, threshold=1.0)
     with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
         run_sequential(
-            rule, profile, profile.signal_mask({1}), horizon, np.random.default_rng(0)
+            rule, profile, oracles.means(profile, {1}), horizon, np.random.default_rng(0)
         )
 
 
@@ -635,8 +635,8 @@ def test_run_sequential_horizon_decision():
     """An unreachable gap forces the horizon decision at the cap."""
     profile = make_profile()
     rule = GapRule(num_signals=2, threshold=1e9)
-    signal = profile.signal_mask({1, 2})
-    decision = run_sequential(rule, profile, signal, 500, np.random.default_rng(0))
+    means = oracles.means(profile, {1, 2})
+    decision = run_sequential(rule, profile, means, 500, np.random.default_rng(0))
     assert decision.stopping_time == 500
     assert decision.stopped_by == STOP_HORIZON
     assert len(labels(decision.rejected)) == 2  # gap rule still rejects its top m
